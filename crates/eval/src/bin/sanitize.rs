@@ -5,7 +5,6 @@
 //! sanitize access.tsv --out sanitized.tsv
 //! sanitize access.tsv --mechanism fump --min-support 0.02 --e-epsilon 1.7
 //! sanitize access.tsv --mechanism zealous --zealous-cap 8
-//! sanitize access.tsv --ingest in-memory --out reference.tsv   # cross-check
 //! ```
 //!
 //! Unlike `repro` (which regenerates the paper's tables on synthetic
@@ -15,14 +14,14 @@
 //! emit the same 4-column TSV schema as the input (the paper's headline
 //! property).
 //!
-//! The default ingestion path is the `dpsan-stream` sharded engine:
-//! chunked intake, user-hash shards (user-complete, so the privacy
-//! accounting of every mechanism is untouched), a mergeable
-//! heavy-hitters sketch that mines candidate pairs for fump/zealous in
-//! the same bounded-memory pass, and a deterministic merge. `--ingest
-//! in-memory` runs the one-shot `read_tsv` build instead; **both paths
-//! produce byte-identical output** for every `--jobs`/`--shards` value
-//! (CI diffs them).
+//! Ingestion is the `dpsan-stream` sharded engine: chunked intake that
+//! interns every string once into one session vocabulary, user-hash
+//! shards (user-complete, so the privacy accounting of every mechanism
+//! is untouched), a mergeable heavy-hitters sketch that mines candidate
+//! pairs for fump/zealous in the same pass, and a sort-only merge. The
+//! log it builds is the one a one-shot `read_tsv` build produces, so
+//! output is **byte-identical for every `--shards`/`--jobs` value** (CI
+//! diffs them).
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -34,7 +33,7 @@ use dpsan_core::mechanism::{
 use dpsan_core::ump::diversity::DumpSolver;
 use dpsan_core::ump::output_size::{solve_oump, OumpOptions};
 use dpsan_dp::params::PrivacyParams;
-use dpsan_searchlog::{frequent_pairs, io::read_tsv, preprocess, FrequentPair, SearchLog};
+use dpsan_searchlog::{frequent_pairs, preprocess, FrequentPair, SearchLog};
 use dpsan_stream::{ingest_path, sketch_frequent_pairs, StreamConfig};
 
 const USAGE: &str = "usage: sanitize <input.tsv> [options]
@@ -53,7 +52,6 @@ const USAGE: &str = "usage: sanitize <input.tsv> [options]
                            every iterate; only utility is traded. This is the
                            knob that bounds wall-clock at 10^5+ users.
   --seed <n>               sampling / noise seed     (default: fixed)
-  --ingest <mode>          streaming | in-memory     (default: streaming)
   --shards <n>             user-hash shards          (default: 16)
   --chunk-rows <n>         max raw rows in memory    (default: 8192)
   --sketch-capacity <n>    heavy-hitter counters (default: 4096 for fump and
@@ -104,7 +102,6 @@ struct Args {
     ldp_cap: u64,
     lp_budget: Option<usize>,
     seed: u64,
-    ingest: String,
     shards: usize,
     chunk_rows: usize,
     sketch_capacity: Option<usize>,
@@ -152,7 +149,6 @@ fn parse_args() -> Result<Args, String> {
         ldp_cap: 4,
         lp_budget: None,
         seed: DEFAULT_SEED,
-        ingest: "streaming".into(),
         shards: 16,
         chunk_rows: 8192,
         sketch_capacity: None,
@@ -214,7 +210,6 @@ fn parse_args() -> Result<Args, String> {
                 args.seed =
                     value("--seed", &mut it)?.parse().map_err(|e| format!("bad --seed: {e}"))?
             }
-            "--ingest" => args.ingest = value("--ingest", &mut it)?,
             "--shards" => args.shards = parse_count(&value("--shards", &mut it)?, "--shards")?,
             "--chunk-rows" => {
                 args.chunk_rows = parse_count(&value("--chunk-rows", &mut it)?, "--chunk-rows")?
@@ -288,9 +283,6 @@ fn parse_args() -> Result<Args, String> {
     if !matches!(args.mechanism.as_str(), "oump" | "fump" | "dump" | "zealous" | "ldp-rr") {
         return Err(format!("unknown mechanism {:?}", args.mechanism));
     }
-    if !matches!(args.ingest.as_str(), "streaming" | "in-memory") {
-        return Err(format!("unknown ingest mode {:?}", args.ingest));
-    }
     if args.lp_budget.is_some() && args.mechanism != "oump" {
         return Err("--lp-budget only applies to --mechanism oump".into());
     }
@@ -314,9 +306,6 @@ fn parse_args() -> Result<Args, String> {
     if args.follow {
         if args.out_dir.is_none() {
             return Err("--follow needs --out-dir".into());
-        }
-        if args.ingest != "streaming" {
-            return Err("--follow is a streaming mode; drop --ingest in-memory".into());
         }
         if args.mechanism == "fump" && args.output_size.is_none() {
             return Err(
@@ -557,37 +546,23 @@ fn run_follow(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let params = PrivacyParams::from_e_epsilon(args.e_epsilon, args.delta);
 
-    // 1. ingestion: streamed sharded engine or one-shot in-memory —
-    //    both yield the identical SearchLog (tested + CI-diffed)
-    let (raw, sketch): (SearchLog, Option<dpsan_stream::PairSketch>) = if args.ingest == "streaming"
-    {
-        let cfg = StreamConfig {
-            shards: args.shards,
-            chunk_rows: args.chunk_rows,
-            sketch_capacity: args.effective_sketch_capacity(),
-            jobs: args.jobs,
-        };
-        let r = ingest_path(&args.input, &cfg)?;
-        if args.stats {
-            eprintln!(
-                "ingest[streaming]: rows={} shards={} peak_chunk_rows={} \
-                     max_shard_triplets={} sketch_entries={}",
-                r.report.rows,
-                args.shards,
-                r.report.peak_chunk_rows,
-                r.report.max_shard_triplets,
-                r.report.sketch_entries,
-            );
-        }
-        (r.log, r.sketch)
-    } else {
-        let file = std::fs::File::open(&args.input)?;
-        let log = read_tsv(std::io::BufReader::new(file))?;
-        if args.stats {
-            eprintln!("ingest[in-memory]: triplets={}", log.n_triplets());
-        }
-        (log, None)
+    // 1. ingestion through the sharded engine
+    let cfg = StreamConfig {
+        shards: args.shards,
+        chunk_rows: args.chunk_rows,
+        sketch_capacity: args.effective_sketch_capacity(),
+        jobs: args.jobs,
     };
+    let ingested = ingest_path(&args.input, &cfg)?;
+    if args.stats {
+        let r = &ingested.report;
+        eprintln!(
+            "ingest: rows={} shards={} peak_chunk_rows={} max_shard_triplets={} \
+             sketch_entries={}",
+            r.rows, args.shards, r.peak_chunk_rows, r.max_shard_triplets, r.sketch_entries,
+        );
+    }
+    let (raw, sketch) = (ingested.log, ingested.sketch);
 
     // 2. preprocess once here: the fump frequent set and the zealous
     //    candidate mining refer to the preprocessed log, and

@@ -1,6 +1,6 @@
 //! Black-box CLI tests for the `sanitize` binary: malformed-input
 //! fixtures must produce a line-numbered parse error and a nonzero
-//! exit, on both the streaming and in-memory ingest paths.
+//! exit.
 
 use std::fs;
 use std::path::PathBuf;
@@ -23,26 +23,12 @@ fn malformed_count_reports_line_number_and_fails() {
     let out = dir.join("out.tsv");
     fs::write(&input, "u1\tq\tl\t1\nu2\tq\tl\tnotanumber\n").unwrap();
 
-    for ingest in ["streaming", "in-memory"] {
-        let o = run_sanitize(&[
-            input.to_str().unwrap(),
-            "--ingest",
-            ingest,
-            "--out",
-            out.to_str().unwrap(),
-        ]);
-        assert!(!o.status.success(), "{ingest}: malformed count must exit nonzero");
-        let stderr = String::from_utf8_lossy(&o.stderr);
-        assert!(
-            stderr.contains("line 2"),
-            "{ingest}: stderr should name the offending line, got: {stderr}"
-        );
-        assert!(
-            stderr.contains("notanumber"),
-            "{ingest}: stderr should quote the bad field, got: {stderr}"
-        );
-        assert!(!out.exists(), "{ingest}: no output written on parse error");
-    }
+    let o = run_sanitize(&[input.to_str().unwrap(), "--out", out.to_str().unwrap()]);
+    assert!(!o.status.success(), "malformed count must exit nonzero");
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    assert!(stderr.contains("line 2"), "stderr should name the offending line, got: {stderr}");
+    assert!(stderr.contains("notanumber"), "stderr should quote the bad field, got: {stderr}");
+    assert!(!out.exists(), "no output written on parse error");
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -2,8 +2,16 @@
 //!
 //! Maps strings to dense `u32` ids and back. Used for user-IDs, query
 //! strings and urls so the hot histogram code only touches integers.
+//!
+//! Every string is stored once, in one contiguous byte arena, and found
+//! through an open-addressing table of ids (linear probing, load ≤ ½).
+//! Ids are insertion order and never depend on the hash. The hash is
+//! the standard library's keyed one ([`RandomState`], one key per
+//! process), which keeps crafted inputs from forcing long probe chains.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::OnceLock;
 
 /// String interner with dense ids.
 ///
@@ -11,8 +19,20 @@ use std::collections::HashMap;
 /// used directly as indices into side tables.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    map: HashMap<Box<str>, u32>,
-    strings: Vec<Box<str>>,
+    /// All interned strings, concatenated in id order.
+    arena: String,
+    /// End offset of each string in `arena`, by id.
+    ends: Vec<usize>,
+    /// Hash of each string, by id (probe filter and rehash source).
+    hashes: Vec<u64>,
+    /// Open-addressing table of `id + 1`; 0 marks an empty slot. Its
+    /// length is 0 or a power of two at least twice the string count.
+    slots: Vec<u32>,
+}
+
+fn hash_str(s: &str) -> u64 {
+    static STATE: OnceLock<RandomState> = OnceLock::new();
+    STATE.get_or_init(RandomState::new).hash_one(s)
 }
 
 impl Interner {
@@ -23,44 +43,95 @@ impl Interner {
 
     /// Create an interner with pre-reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        Interner { map: HashMap::with_capacity(cap), strings: Vec::with_capacity(cap) }
+        let mut i = Interner {
+            ends: Vec::with_capacity(cap),
+            hashes: Vec::with_capacity(cap),
+            ..Self::default()
+        };
+        i.rehash((cap * 2).next_power_of_two());
+        i
+    }
+
+    /// The slot holding `s` (`Ok`) or the empty slot where it would go
+    /// (`Err`). The table must be non-empty.
+    fn find(&self, s: &str, h: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut pos = h as usize & mask;
+        loop {
+            match self.slots[pos] {
+                0 => return Err(pos),
+                slot => {
+                    let id = slot as usize - 1;
+                    if self.hashes[id] == h && self.resolve(id as u32) == s {
+                        return Ok(pos);
+                    }
+                }
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Rebuild the table at `size` slots (a power of two).
+    fn rehash(&mut self, size: usize) {
+        self.slots = vec![0; size];
+        let mask = size - 1;
+        for (id, &h) in self.hashes.iter().enumerate() {
+            let mut pos = h as usize & mask;
+            while self.slots[pos] != 0 {
+                pos = (pos + 1) & mask;
+            }
+            self.slots[pos] = id as u32 + 1;
+        }
     }
 
     /// Intern `s`, returning its dense id (existing or freshly assigned).
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.rehash((2 * (self.len() + 1)).next_power_of_two().max(16));
         }
-        let id = u32::try_from(self.strings.len()).expect("interner overflow");
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.map.insert(boxed, id);
-        id
+        let h = hash_str(s);
+        match self.find(s, h) {
+            Ok(pos) => self.slots[pos] - 1,
+            Err(pos) => {
+                let id = u32::try_from(self.len()).expect("interner overflow");
+                assert!(id < u32::MAX, "interner overflow");
+                self.arena.push_str(s);
+                self.ends.push(self.arena.len());
+                self.hashes.push(h);
+                self.slots[pos] = id + 1;
+                id
+            }
+        }
     }
 
     /// Look up an already-interned string without inserting.
     pub fn get(&self, s: &str) -> Option<u32> {
-        self.map.get(s).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.find(s, hash_str(s)).ok().map(|pos| self.slots[pos] - 1)
     }
 
     /// Resolve an id back to its string. Panics on out-of-range ids.
     pub fn resolve(&self, id: u32) -> &str {
-        &self.strings[id as usize]
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.arena[start..self.ends[id]]
     }
 
     /// Number of interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// Whether the interner is empty.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterate over `(id, string)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.strings.iter().enumerate().map(|(i, s)| (i as u32, s.as_ref()))
+        (0..self.len() as u32).map(move |id| (id, self.resolve(id)))
     }
 }
 
@@ -109,6 +180,24 @@ mod tests {
         i.intern("b");
         let v: Vec<_> = i.iter().map(|(id, s)| (id, s.to_string())).collect();
         assert_eq!(v, vec![(0, "a".to_string()), (1, "b".to_string())]);
+    }
+
+    #[test]
+    fn many_strings_survive_growth() {
+        let mut i = Interner::with_capacity(3);
+        let words: Vec<String> = (0..5000).map(|n| format!("w{}", n * 7919 % 10007)).collect();
+        let ids: Vec<u32> = words.iter().map(|w| i.intern(w)).collect();
+        assert_eq!(ids, (0..5000).collect::<Vec<u32>>(), "distinct words get dense ids");
+        for (w, &id) in words.iter().zip(&ids) {
+            assert_eq!(i.get(w), Some(id));
+            assert_eq!(i.resolve(id), w);
+        }
+        assert_eq!(i.get("absent"), None);
+        // the empty string and strings sharing prefixes are distinct keys
+        let e = i.intern("");
+        assert_eq!(i.resolve(e), "");
+        assert_ne!(i.intern("ab"), i.intern("abc"));
+        assert_eq!(i.clone().get("w0"), i.get("w0"));
     }
 
     #[test]

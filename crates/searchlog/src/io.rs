@@ -28,8 +28,8 @@ use crate::log::{SearchLog, SearchLogBuilder};
 /// strings, exactly as they appeared in the file.
 ///
 /// This is the unit the streaming reader hands out; interning happens
-/// downstream (per shard, in `dpsan-stream`) so the reader itself holds
-/// no vocabulary state.
+/// downstream (once per session, in `dpsan-stream`) so the reader
+/// itself holds no vocabulary state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawRecord {
     /// Pseudonymous user id string.

@@ -4,10 +4,17 @@
 //! once grouped by *pair* (needed by the multinomial sampler and the
 //! pair histogram `c_ij`) and once grouped by *user* (the user logs
 //! `A_k` of Definition 1, needed by the privacy-constraint builder).
-//! Both views are built once by [`SearchLogBuilder`] and never mutated;
-//! preprocessing produces a fresh log.
+//! Both views are built once — by [`SearchLogBuilder`], or straight
+//! from already-sorted triplets by [`SearchLog::from_sorted_triplets`]
+//! — and never mutated; preprocessing produces a fresh log.
+//!
+//! The three vocabularies (user, query, url interners) sit behind
+//! [`Arc`]: every log derived from another one (preprocessing,
+//! sampling, mechanism outputs) shares its id space, so it shares the
+//! interners instead of copying them.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::LogError;
 use crate::ids::{PairId, QueryId, UrlId, UserId};
@@ -17,9 +24,9 @@ use crate::record::LogRecord;
 /// An immutable aggregated search log `D`.
 #[derive(Debug, Clone)]
 pub struct SearchLog {
-    users: Interner,
-    queries: Interner,
-    urls: Interner,
+    users: Arc<Interner>,
+    queries: Arc<Interner>,
+    urls: Arc<Interner>,
 
     pair_keys: Vec<(QueryId, UrlId)>,
     pair_index: HashMap<(QueryId, UrlId), PairId>,
@@ -199,40 +206,139 @@ impl SearchLog {
     /// with densely re-numbered pair ids. Returns the new log and the
     /// mapping `old PairId -> new PairId` (`None` when dropped).
     ///
-    /// Interners are preserved, so user/query/url ids remain stable.
+    /// Interners are shared, so user/query/url ids remain stable.
     pub fn retain_pairs(&self, keep: &[bool]) -> (SearchLog, Vec<Option<PairId>>) {
         assert_eq!(keep.len(), self.n_pairs(), "keep mask must cover every pair");
         let mut mapping: Vec<Option<PairId>> = vec![None; self.n_pairs()];
-        let mut next = 0u32;
+        let mut pair_keys = Vec::new();
+        let mut triplets = Vec::new();
         for (i, &k) in keep.iter().enumerate() {
-            if k {
-                mapping[i] = Some(PairId(next));
-                next += 1;
-            }
-        }
-        let mut builder = SearchLogBuilder::with_vocabulary_of(self);
-        for (i, m) in mapping.iter().enumerate() {
-            if m.is_none() {
+            if !k {
                 continue;
             }
             let p = PairId::from_index(i);
-            let (q, u) = self.pair_key(p);
-            for t in self.holders(p) {
-                builder
-                    .add_record(LogRecord { user: t.user, query: q, url: u, count: t.count })
-                    .expect("counts already validated");
-            }
+            let new = PairId::from_index(pair_keys.len());
+            mapping[i] = Some(new);
+            pair_keys.push(self.pair_key(p));
+            triplets.extend(self.holders(p).map(|t| (new, t.user, t.count)));
         }
-        (builder.build(), mapping)
+        // kept pairs keep their relative order and holders stay sorted
+        // by user, so the triplets are already in (pair, user) order
+        let log = SearchLog::from_sorted_triplets(
+            Arc::clone(&self.users),
+            Arc::clone(&self.queries),
+            Arc::clone(&self.urls),
+            pair_keys,
+            triplets,
+        );
+        (log, mapping)
+    }
+
+    /// Build a log directly from triplets already in strictly ascending
+    /// `(pair, user)` order — the CSR arrays are filled in one pass,
+    /// with no aggregation maps.
+    ///
+    /// `pair_keys[p]` is the `(query, url)` key of pair `p`; every id
+    /// must lie inside the supplied vocabularies and every count must be
+    /// positive. This is the merge entrypoint of the streaming ingest
+    /// engine, whose shards hold ids from one session-wide vocabulary.
+    ///
+    /// # Panics
+    /// On unsorted or duplicate triplets, out-of-range ids, zero
+    /// counts, or duplicate pair keys.
+    pub fn from_sorted_triplets(
+        users: Arc<Interner>,
+        queries: Arc<Interner>,
+        urls: Arc<Interner>,
+        pair_keys: Vec<(QueryId, UrlId)>,
+        triplets: Vec<(PairId, UserId, u64)>,
+    ) -> SearchLog {
+        let mut pair_index = HashMap::with_capacity(pair_keys.len());
+        for (i, &(q, u)) in pair_keys.iter().enumerate() {
+            assert!(q.index() < queries.len(), "query id outside vocabulary");
+            assert!(u.index() < urls.len(), "url id outside vocabulary");
+            let fresh = pair_index.insert((q, u), PairId::from_index(i)).is_none();
+            assert!(fresh, "duplicate pair key");
+        }
+        Self::assemble(users, queries, urls, pair_keys, pair_index, triplets)
+    }
+
+    /// Fill the CSR arrays from sorted triplets over a validated pair
+    /// table (see [`SearchLog::from_sorted_triplets`]).
+    fn assemble(
+        users: Arc<Interner>,
+        queries: Arc<Interner>,
+        urls: Arc<Interner>,
+        pair_keys: Vec<(QueryId, UrlId)>,
+        pair_index: HashMap<(QueryId, UrlId), PairId>,
+        triplets: Vec<(PairId, UserId, u64)>,
+    ) -> SearchLog {
+        let n_pairs = pair_keys.len();
+        let n_users = users.len();
+        let mut pair_total = vec![0u64; n_pairs];
+        let mut pair_off = vec![0usize; n_pairs + 1];
+        let mut user_off = vec![0usize; n_users + 1];
+        let mut pair_holder_user = Vec::with_capacity(triplets.len());
+        let mut pair_holder_count = Vec::with_capacity(triplets.len());
+        let mut prev: Option<(PairId, UserId)> = None;
+        for &(p, u, c) in &triplets {
+            assert!(prev < Some((p, u)), "triplets must be strictly sorted by (pair, user)");
+            assert!(p.index() < n_pairs, "pair id outside the pair table");
+            assert!(u.index() < n_users, "user id outside vocabulary");
+            assert!(c > 0, "zero-count triplet");
+            prev = Some((p, u));
+            pair_total[p.index()] += c;
+            pair_off[p.index() + 1] += 1;
+            user_off[u.index() + 1] += 1;
+            pair_holder_user.push(u);
+            pair_holder_count.push(c);
+        }
+        for i in 0..n_pairs {
+            pair_off[i + 1] += pair_off[i];
+        }
+
+        // user-major view
+        for i in 0..n_users {
+            user_off[i + 1] += user_off[i];
+        }
+        let mut cursor = user_off.clone();
+        let mut user_pair = vec![PairId(0); triplets.len()];
+        let mut user_count = vec![0u64; triplets.len()];
+        for &(p, u, c) in &triplets {
+            let at = cursor[u.index()];
+            user_pair[at] = p;
+            user_count[at] = c;
+            cursor[u.index()] += 1;
+        }
+        // pairs are already visited in ascending pair order, so each user
+        // row comes out sorted by pair id.
+
+        let size = pair_total.iter().sum();
+
+        SearchLog {
+            users,
+            queries,
+            urls,
+            pair_keys,
+            pair_index,
+            pair_total,
+            pair_off,
+            pair_holder_user,
+            pair_holder_count,
+            user_off,
+            user_pair,
+            user_count,
+            size,
+        }
     }
 }
 
 /// Incremental builder aggregating duplicate `(user, query, url)` tuples.
 #[derive(Debug, Default)]
 pub struct SearchLogBuilder {
-    users: Interner,
-    queries: Interner,
-    urls: Interner,
+    users: Arc<Interner>,
+    queries: Arc<Interner>,
+    urls: Arc<Interner>,
     pair_index: HashMap<(QueryId, UrlId), PairId>,
     pair_keys: Vec<(QueryId, UrlId)>,
     // (pair, user) -> count
@@ -246,26 +352,16 @@ impl SearchLogBuilder {
     }
 
     /// Builder that shares the vocabulary (interners) of an existing log,
-    /// for constructing outputs over the same id space.
+    /// for constructing outputs over the same id space. The interners
+    /// are shared, not copied; a later string [`add`](Self::add) copies
+    /// them on write.
     pub fn with_vocabulary_of(log: &SearchLog) -> Self {
         SearchLogBuilder {
-            users: log.users.clone(),
-            queries: log.queries.clone(),
-            urls: log.urls.clone(),
+            users: Arc::clone(&log.users),
+            queries: Arc::clone(&log.queries),
+            urls: Arc::clone(&log.urls),
             ..Default::default()
         }
-    }
-
-    /// Builder over explicitly supplied interners.
-    ///
-    /// This is the merge entrypoint of the streaming ingestion engine:
-    /// shards intern independently, the merger reconstructs the global
-    /// first-occurrence interners, and then replays the aggregated
-    /// records through [`SearchLogBuilder::add_record`]. Pair ids are
-    /// assigned in record-insertion order (first occurrence of each
-    /// `(query, url)` key), exactly as with [`SearchLogBuilder::add`].
-    pub fn with_vocabulary(users: Interner, queries: Interner, urls: Interner) -> Self {
-        SearchLogBuilder { users, queries, urls, ..Default::default() }
     }
 
     /// Add one tuple by strings, interning as needed. Duplicate tuples
@@ -274,9 +370,9 @@ impl SearchLogBuilder {
         if count == 0 {
             return Err(LogError::ZeroCount { line: 0 });
         }
-        let user = UserId(self.users.intern(user));
-        let query = QueryId(self.queries.intern(query));
-        let url = UrlId(self.urls.intern(url));
+        let user = UserId(Arc::make_mut(&mut self.users).intern(user));
+        let query = QueryId(Arc::make_mut(&mut self.queries).intern(query));
+        let url = UrlId(Arc::make_mut(&mut self.urls).intern(url));
         self.push(user, query, url, count);
         Ok(())
     }
@@ -310,64 +406,17 @@ impl SearchLogBuilder {
 
     /// Finalize into an immutable [`SearchLog`].
     pub fn build(self) -> SearchLog {
-        let n_pairs = self.pair_keys.len();
-        let n_users = self.users.len();
-
         let mut triplets: Vec<(PairId, UserId, u64)> =
             self.triplets.into_iter().map(|((p, u), c)| (p, u, c)).collect();
         triplets.sort_unstable_by_key(|&(p, u, _)| (p, u));
-
-        let mut pair_total = vec![0u64; n_pairs];
-        let mut pair_off = vec![0usize; n_pairs + 1];
-        let mut pair_holder_user = Vec::with_capacity(triplets.len());
-        let mut pair_holder_count = Vec::with_capacity(triplets.len());
-        for &(p, u, c) in &triplets {
-            pair_total[p.index()] += c;
-            pair_off[p.index() + 1] += 1;
-            pair_holder_user.push(u);
-            pair_holder_count.push(c);
-        }
-        for i in 0..n_pairs {
-            pair_off[i + 1] += pair_off[i];
-        }
-
-        // user-major view
-        let mut user_off = vec![0usize; n_users + 1];
-        for &(_, u, _) in &triplets {
-            user_off[u.index() + 1] += 1;
-        }
-        for i in 0..n_users {
-            user_off[i + 1] += user_off[i];
-        }
-        let mut cursor = user_off.clone();
-        let mut user_pair = vec![PairId(0); triplets.len()];
-        let mut user_count = vec![0u64; triplets.len()];
-        for &(p, u, c) in &triplets {
-            let at = cursor[u.index()];
-            user_pair[at] = p;
-            user_count[at] = c;
-            cursor[u.index()] += 1;
-        }
-        // pairs are already visited in ascending pair order, so each user
-        // row comes out sorted by pair id.
-
-        let size = pair_total.iter().sum();
-
-        SearchLog {
-            users: self.users,
-            queries: self.queries,
-            urls: self.urls,
-            pair_keys: self.pair_keys,
-            pair_index: self.pair_index,
-            pair_total,
-            pair_off,
-            pair_holder_user,
-            pair_holder_count,
-            user_off,
-            user_pair,
-            user_count,
-            size,
-        }
+        SearchLog::assemble(
+            self.users,
+            self.queries,
+            self.urls,
+            self.pair_keys,
+            self.pair_index,
+            triplets,
+        )
     }
 }
 
@@ -496,6 +545,54 @@ mod tests {
         r1.sort_unstable_by_key(key);
         r2.sort_unstable_by_key(key);
         assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn from_sorted_triplets_equals_builder() {
+        let log = figure1_log();
+        let triplets: Vec<_> = log
+            .pairs()
+            .flat_map(|pe| log.holders(pe.pair).map(move |t| (pe.pair, t.user, t.count)))
+            .collect();
+        let pair_keys = (0..log.n_pairs()).map(|i| log.pair_key(PairId::from_index(i))).collect();
+        let rebuilt = SearchLog::from_sorted_triplets(
+            Arc::clone(&log.users),
+            Arc::clone(&log.queries),
+            Arc::clone(&log.urls),
+            pair_keys,
+            triplets,
+        );
+        assert_eq!(rebuilt.records().collect::<Vec<_>>(), log.records().collect::<Vec<_>>());
+        for k in log.users_with_logs() {
+            assert_eq!(
+                rebuilt.user_log(k).collect::<Vec<_>>(),
+                log.user_log(k).collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(rebuilt.size(), log.size());
+        assert!(Arc::ptr_eq(&rebuilt.users, &log.users), "vocabulary is shared, not copied");
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly sorted")]
+    fn from_sorted_triplets_rejects_unsorted_input() {
+        let log = figure1_log();
+        let pair_keys = vec![log.pair_key(PairId(0))];
+        let _ = SearchLog::from_sorted_triplets(
+            Arc::clone(&log.users),
+            Arc::clone(&log.queries),
+            Arc::clone(&log.urls),
+            pair_keys,
+            vec![(PairId(0), UserId(1), 1), (PairId(0), UserId(0), 1)],
+        );
+    }
+
+    #[test]
+    fn derived_logs_share_the_vocabulary() {
+        let log = figure1_log();
+        let (sub, _) = log.retain_pairs(&vec![true; log.n_pairs()]);
+        assert!(Arc::ptr_eq(&sub.queries, &log.queries));
+        assert!(Arc::ptr_eq(&SearchLogBuilder::with_vocabulary_of(&log).build().urls, &log.urls));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! or an out-of-bounds read, because recovery feeds these functions
 //! bytes that may have been torn mid-write.
 
-use dpsan_stream::{ShardState, SketchState};
+use dpsan_stream::{ShardState, SketchState, VocabState};
 use std::fmt;
 
 /// Decoding failure: the bytes do not form a valid payload.
@@ -169,16 +169,19 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Current on-disk format version, embedded in every framed file.
+/// Format version of release-manifest frames. Checkpoint files carry
+/// their own version ([`crate::snapshot::CHECKPOINT_FORMAT_VERSION`]),
+/// so the checkpoint layout can change while the ledger of record stays
+/// readable.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Frame a whole-file payload: magic, format version, payload length,
 /// payload CRC-32, payload. Unlike WAL frames (a *stream* of records),
 /// a framed file holds exactly one payload and rejects trailing bytes.
-pub fn frame_file(magic: u32, payload: &[u8]) -> Vec<u8> {
+pub fn frame_file(magic: u32, version: u32, payload: &[u8]) -> Vec<u8> {
     let mut e = Encoder::new();
     e.u32(magic);
-    e.u32(FORMAT_VERSION);
+    e.u32(version);
     e.u32(payload.len() as u32);
     e.u32(crate::crc::crc32(payload));
     let mut out = e.finish();
@@ -186,16 +189,25 @@ pub fn frame_file(magic: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Verify and strip a whole-file frame, returning the payload.
-pub fn unframe_file(magic: u32, bytes: &[u8]) -> Result<&[u8], CodecError> {
+/// The format version a framed file claims, if it starts with `magic`
+/// — read before anything else is checked, so a file of another format
+/// generation can be refused by name instead of failing to decode.
+pub fn frame_version(magic: u32, bytes: &[u8]) -> Option<u32> {
+    let mut d = Decoder::new(bytes);
+    (d.u32().ok()? == magic).then(|| d.u32().ok()).flatten()
+}
+
+/// Verify and strip a whole-file frame of the given format `version`,
+/// returning the payload.
+pub fn unframe_file(magic: u32, version: u32, bytes: &[u8]) -> Result<&[u8], CodecError> {
     let mut d = Decoder::new(bytes);
     let got_magic = d.u32()?;
     if got_magic != magic {
         return Err(CodecError(format!("bad magic {got_magic:#010x}, wanted {magic:#010x}")));
     }
-    let version = d.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(CodecError(format!("unsupported format version {version}")));
+    let got_version = d.u32()?;
+    if got_version != version {
+        return Err(CodecError(format!("unsupported format version {got_version}")));
     }
     let len = d.u32()? as usize;
     let crc = d.u32()?;
@@ -228,37 +240,42 @@ fn get_strings(d: &mut Decoder<'_>) -> Result<Vec<String>, CodecError> {
     Ok(out)
 }
 
-fn put_u64s(e: &mut Encoder, v: &[u64]) {
-    e.u64(v.len() as u64);
-    for &x in v {
-        e.u64(x);
-    }
-}
-
-fn get_u64s(d: &mut Decoder<'_>) -> Result<Vec<u64>, CodecError> {
-    let n = d.count(8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(d.u64()?);
-    }
-    Ok(out)
-}
-
-/// Encode one shard's intake state.
-pub fn encode_shard(state: &ShardState) -> Vec<u8> {
+/// Encode the session vocabulary: user, query and url strings in id
+/// order, then the pair table.
+pub fn encode_vocab(state: &VocabState) -> Vec<u8> {
     let mut e = Encoder::new();
     put_strings(&mut e, &state.users);
     put_strings(&mut e, &state.queries);
     put_strings(&mut e, &state.urls);
-    put_u64s(&mut e, &state.user_first);
-    put_u64s(&mut e, &state.query_first);
-    put_u64s(&mut e, &state.url_first);
-    e.u64(state.pair_keys.len() as u64);
-    for &(q, u) in &state.pair_keys {
+    e.u64(state.pairs.len() as u64);
+    for &(q, u) in &state.pairs {
         e.u32(q);
         e.u32(u);
     }
-    put_u64s(&mut e, &state.pair_first);
+    e.finish()
+}
+
+/// Decode the session vocabulary (structural validation is the
+/// caller's job via `IngestSession::restore`).
+pub fn decode_vocab(bytes: &[u8]) -> Result<VocabState, CodecError> {
+    let mut d = Decoder::new(bytes);
+    let users = get_strings(&mut d)?;
+    let queries = get_strings(&mut d)?;
+    let urls = get_strings(&mut d)?;
+    let n_pairs = d.count(8)?;
+    let mut pairs = Vec::with_capacity(n_pairs);
+    for _ in 0..n_pairs {
+        let q = d.u32()?;
+        let u = d.u32()?;
+        pairs.push((q, u));
+    }
+    d.expect_end()?;
+    Ok(VocabState { users, queries, urls, pairs })
+}
+
+/// Encode one shard's intake state: integers only.
+pub fn encode_shard(state: &ShardState) -> Vec<u8> {
+    let mut e = Encoder::new();
     e.u64(state.triplets.len() as u64);
     for &(p, u, c) in &state.triplets {
         e.u32(p);
@@ -271,22 +288,8 @@ pub fn encode_shard(state: &ShardState) -> Vec<u8> {
 }
 
 /// Decode one shard's intake state (structural validation is the
-/// caller's job via `ShardIntake::from_state`).
+/// caller's job via `IngestSession::restore`).
 pub fn decode_shard(d: &mut Decoder<'_>) -> Result<ShardState, CodecError> {
-    let users = get_strings(d)?;
-    let queries = get_strings(d)?;
-    let urls = get_strings(d)?;
-    let user_first = get_u64s(d)?;
-    let query_first = get_u64s(d)?;
-    let url_first = get_u64s(d)?;
-    let n_pairs = d.count(8)?;
-    let mut pair_keys = Vec::with_capacity(n_pairs);
-    for _ in 0..n_pairs {
-        let q = d.u32()?;
-        let u = d.u32()?;
-        pair_keys.push((q, u));
-    }
-    let pair_first = get_u64s(d)?;
     let n_triplets = d.count(16)?;
     let mut triplets = Vec::with_capacity(n_triplets);
     for _ in 0..n_triplets {
@@ -297,19 +300,7 @@ pub fn decode_shard(d: &mut Decoder<'_>) -> Result<ShardState, CodecError> {
     }
     let rows = d.u64()?;
     let clicks = d.u64()?;
-    Ok(ShardState {
-        users,
-        queries,
-        urls,
-        user_first,
-        query_first,
-        url_first,
-        pair_keys,
-        pair_first,
-        triplets,
-        rows,
-        clicks,
-    })
+    Ok(ShardState { triplets, rows, clicks })
 }
 
 /// Encode one shard's heavy-hitter sketch state.
@@ -414,6 +405,26 @@ mod tests {
             assert_eq!(&shard2, shard);
             assert_eq!(sketch2.as_ref(), sketch);
         }
+    }
+
+    #[test]
+    fn vocab_roundtrip_is_exact_and_truncations_fail() {
+        let state = sample_session();
+        let bytes = encode_vocab(&state.vocab);
+        assert_eq!(decode_vocab(&bytes).unwrap(), state.vocab);
+        for cut in 0..bytes.len() {
+            assert!(decode_vocab(&bytes[..cut]).is_err(), "truncation to {cut} bytes");
+        }
+    }
+
+    #[test]
+    fn frames_carry_and_check_their_version() {
+        let framed = frame_file(0xABCD, 7, b"payload");
+        assert_eq!(frame_version(0xABCD, &framed), Some(7));
+        assert_eq!(frame_version(0x1234, &framed), None, "wrong magic");
+        assert_eq!(unframe_file(0xABCD, 7, &framed).unwrap(), b"payload");
+        let err = unframe_file(0xABCD, 8, &framed).unwrap_err();
+        assert!(err.0.contains("unsupported format version 7"), "{err}");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! budget. The operator must restore the file or retire the store
 //! directory; the daemon refuses to guess.
 
-use crate::codec::{frame_file, unframe_file, CodecError, Decoder, Encoder};
+use crate::codec::{frame_file, unframe_file, CodecError, Decoder, Encoder, FORMAT_VERSION};
 use crate::crc::crc32;
 use crate::io::StoreIo;
 use dpsan_dp::BudgetEntry;
@@ -121,14 +121,14 @@ pub fn write_manifest(
     manifest: &ReleaseManifest,
 ) -> io::Result<()> {
     io.create_dir_all(&releases_dir(store_dir))?;
-    let bytes = frame_file(MANIFEST_MAGIC, &encode_manifest(manifest));
+    let bytes = frame_file(MANIFEST_MAGIC, FORMAT_VERSION, &encode_manifest(manifest));
     io.write_atomic(&manifest_path(store_dir, manifest.seq), &bytes)
 }
 
 /// CRC-32 of a manifest's file bytes — the value the *next* manifest
 /// must embed as `prev_crc`.
 pub fn chain_crc(manifest: &ReleaseManifest) -> u32 {
-    crc32(&frame_file(MANIFEST_MAGIC, &encode_manifest(manifest)))
+    crc32(&frame_file(MANIFEST_MAGIC, FORMAT_VERSION, &encode_manifest(manifest)))
 }
 
 /// Read and verify the whole manifest chain. Returns the manifests in
@@ -164,7 +164,7 @@ pub fn read_chain(store_dir: &Path) -> Result<Vec<ReleaseManifest>, String> {
         }
         let path = manifest_path(store_dir, seq);
         let bytes = std::fs::read(&path).map_err(|e| format!("manifest {seq} unreadable: {e}"))?;
-        let payload = unframe_file(MANIFEST_MAGIC, &bytes)
+        let payload = unframe_file(MANIFEST_MAGIC, FORMAT_VERSION, &bytes)
             .map_err(|e| format!("manifest {seq} corrupt: {e}"))?;
         let m = decode_manifest(payload).map_err(|e| format!("manifest {seq} corrupt: {e}"))?;
         if m.seq != seq {

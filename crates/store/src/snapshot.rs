@@ -4,25 +4,33 @@
 //!
 //! ```text
 //! checkpoint-GGGGGGGG/
-//!   shard-0000.snap      framed shard state (+ sketch) per shard
+//!   vocab.snap           framed session vocabulary (every string, once)
+//!   shard-0000.snap      framed integer-only shard state (+ sketch)
 //!   shard-0001.snap
 //!   ...
 //!   meta.bin             framed metadata — written LAST, atomically
 //! ```
 //!
 //! `meta.bin` records the generation, the input-file offset at
-//! checkpoint time, the session counters, and the CRC-32 of every
-//! shard payload. Because it is written last with temp-file + rename,
-//! its presence *is* checkpoint validity: a crash mid-checkpoint
-//! leaves a directory without a decodable `meta.bin`, which recovery
-//! skips as if it never existed. A checkpoint whose meta decodes but
-//! whose shard files don't match their recorded CRCs is rejected the
-//! same way — recovery then falls back to the previous generation and
-//! replays both WAL segments (see [`crate::store`]).
+//! checkpoint time, the session counters, and the CRC-32 of the
+//! vocabulary and of every shard payload. Because it is written last
+//! with temp-file + rename, its presence *is* checkpoint validity: a
+//! crash mid-checkpoint leaves a directory without a decodable
+//! `meta.bin`, which recovery skips as if it never existed. A
+//! checkpoint whose meta decodes but whose files don't match their
+//! recorded CRCs is rejected the same way — recovery then falls back to
+//! the previous generation and replays both WAL segments (see
+//! [`crate::store`]).
+//!
+//! Checkpoint files carry their own format version,
+//! [`CHECKPOINT_FORMAT_VERSION`], independent of the manifest frames. A
+//! checkpoint written in another layout is refused as an "unsupported
+//! checkpoint format" before any of it is decoded, and recovery treats
+//! it like any other rejected checkpoint.
 
 use crate::codec::{
-    decode_shard_snapshot, encode_shard_snapshot, frame_file, unframe_file, CodecError, Decoder,
-    Encoder,
+    decode_shard_snapshot, decode_vocab, encode_shard_snapshot, encode_vocab, frame_file,
+    frame_version, unframe_file, CodecError, Decoder, Encoder,
 };
 use crate::crc::crc32;
 use crate::io::StoreIo;
@@ -30,8 +38,16 @@ use dpsan_stream::SessionState;
 use std::io;
 use std::path::{Path, PathBuf};
 
+/// Format version of every checkpoint file (`vocab.snap`, shard files,
+/// `meta.bin`). Version 1 stored a private vocabulary per shard; version
+/// 2 stores the session vocabulary once plus integer-only shards.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+
 /// Magic for shard snapshot files: `"DSNP"`.
 pub const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"DSNP");
+
+/// Magic for the vocabulary file: `"DVOC"`.
+pub const VOCAB_MAGIC: u32 = u32::from_le_bytes(*b"DVOC");
 
 /// Magic for checkpoint metadata files: `"DMET"`.
 pub const META_MAGIC: u32 = u32::from_le_bytes(*b"DMET");
@@ -44,6 +60,11 @@ pub fn checkpoint_dir(store_dir: &Path, gen: u64) -> PathBuf {
 /// File name of shard `idx` inside a checkpoint directory.
 pub fn shard_file(dir: &Path, idx: usize) -> PathBuf {
     dir.join(format!("shard-{idx:04}.snap"))
+}
+
+/// The vocabulary file inside a checkpoint directory.
+pub fn vocab_file(dir: &Path) -> PathBuf {
+    dir.join("vocab.snap")
 }
 
 /// Parse a generation number back out of a `checkpoint-GGGGGGGG` name.
@@ -67,6 +88,8 @@ pub struct CheckpointMeta {
     pub peak_chunk_rows: u64,
     /// Whether per-shard sketches are included.
     pub has_sketches: bool,
+    /// CRC-32 of the vocabulary file's *payload*.
+    pub vocab_crc: u32,
     /// CRC-32 of each shard file's *payload*, indexed by shard.
     pub shard_crcs: Vec<u32>,
 }
@@ -79,6 +102,7 @@ fn encode_meta(meta: &CheckpointMeta) -> Vec<u8> {
     e.u64(meta.lines);
     e.u64(meta.peak_chunk_rows);
     e.u32(meta.has_sketches as u32);
+    e.u32(meta.vocab_crc);
     e.u64(meta.shard_crcs.len() as u64);
     for &crc in &meta.shard_crcs {
         e.u32(crc);
@@ -98,6 +122,7 @@ fn decode_meta(payload: &[u8]) -> Result<CheckpointMeta, CodecError> {
         1 => true,
         other => return Err(CodecError(format!("bad sketch flag {other}"))),
     };
+    let vocab_crc = d.u32()?;
     let n = d.count(4)?;
     let mut shard_crcs = Vec::with_capacity(n);
     for _ in 0..n {
@@ -111,12 +136,30 @@ fn decode_meta(payload: &[u8]) -> Result<CheckpointMeta, CodecError> {
         lines,
         peak_chunk_rows,
         has_sketches,
+        vocab_crc,
         shard_crcs,
     })
 }
 
-/// Write a whole checkpoint for `state` at `gen`. Shard files first,
-/// `meta.bin` last — the commit point.
+/// Frame one checkpoint file at [`CHECKPOINT_FORMAT_VERSION`].
+fn frame_checkpoint(magic: u32, payload: &[u8]) -> Vec<u8> {
+    frame_file(magic, CHECKPOINT_FORMAT_VERSION, payload)
+}
+
+/// Strip a checkpoint file's frame. A file of another checkpoint format
+/// version is refused by name, before any of its layout is trusted.
+fn unframe_checkpoint(magic: u32, bytes: &[u8]) -> Result<&[u8], String> {
+    match frame_version(magic, bytes) {
+        Some(v) if v != CHECKPOINT_FORMAT_VERSION => Err(format!(
+            "unsupported checkpoint format version {v} (this build reads version \
+             {CHECKPOINT_FORMAT_VERSION})"
+        )),
+        _ => unframe_file(magic, CHECKPOINT_FORMAT_VERSION, bytes).map_err(|e| e.to_string()),
+    }
+}
+
+/// Write a whole checkpoint for `state` at `gen`. Vocabulary and shard
+/// files first, `meta.bin` last — the commit point.
 pub fn write_checkpoint(
     io: &dyn StoreIo,
     store_dir: &Path,
@@ -126,11 +169,14 @@ pub fn write_checkpoint(
 ) -> io::Result<()> {
     let dir = checkpoint_dir(store_dir, gen);
     io.create_dir_all(&dir)?;
+    let vocab = encode_vocab(&state.vocab);
+    let vocab_crc = crc32(&vocab);
+    io.write_atomic(&vocab_file(&dir), &frame_checkpoint(VOCAB_MAGIC, &vocab))?;
     let mut shard_crcs = Vec::with_capacity(state.shards.len());
     for (i, shard) in state.shards.iter().enumerate() {
         let payload = encode_shard_snapshot(shard, state.sketches.get(i));
         shard_crcs.push(crc32(&payload));
-        io.write_atomic(&shard_file(&dir, i), &frame_file(SNAP_MAGIC, &payload))?;
+        io.write_atomic(&shard_file(&dir, i), &frame_checkpoint(SNAP_MAGIC, &payload))?;
     }
     let meta = CheckpointMeta {
         generation: gen,
@@ -139,16 +185,18 @@ pub fn write_checkpoint(
         lines: state.lines,
         peak_chunk_rows: state.peak_chunk_rows as u64,
         has_sketches: !state.sketches.is_empty(),
+        vocab_crc,
         shard_crcs,
     };
-    io.write_atomic(&dir.join("meta.bin"), &frame_file(META_MAGIC, &encode_meta(&meta)))
+    io.write_atomic(&dir.join("meta.bin"), &frame_checkpoint(META_MAGIC, &encode_meta(&meta)))
 }
 
 /// Read and fully verify the checkpoint at `gen`, reconstructing the
-/// session state. Any failure — missing or undecodable meta, missing
-/// shard file, CRC mismatch against the meta's record, undecodable
-/// shard payload — is reported as a `String` so the caller can fall
-/// back to an older generation.
+/// session state. Any failure — missing or undecodable meta, a file of
+/// an unsupported checkpoint format, missing vocabulary or shard file,
+/// CRC mismatch against the meta's record, undecodable payload — is
+/// reported as a `String` so the caller can fall back to an older
+/// generation.
 pub fn read_checkpoint(
     store_dir: &Path,
     gen: u64,
@@ -156,7 +204,7 @@ pub fn read_checkpoint(
     let dir = checkpoint_dir(store_dir, gen);
     let meta_bytes = std::fs::read(dir.join("meta.bin"))
         .map_err(|e| format!("checkpoint {gen}: meta.bin unreadable: {e}"))?;
-    let meta_payload = unframe_file(META_MAGIC, &meta_bytes)
+    let meta_payload = unframe_checkpoint(META_MAGIC, &meta_bytes)
         .map_err(|e| format!("checkpoint {gen}: meta.bin: {e}"))?;
     let meta = decode_meta(meta_payload).map_err(|e| format!("checkpoint {gen}: meta.bin: {e}"))?;
     if meta.generation != gen {
@@ -165,23 +213,30 @@ pub fn read_checkpoint(
             meta.generation
         ));
     }
+    let read_verified = |path: &Path, magic: u32, what: &str, want_crc: u32| {
+        let bytes =
+            std::fs::read(path).map_err(|e| format!("checkpoint {gen}: {what} unreadable: {e}"))?;
+        let payload = unframe_checkpoint(magic, &bytes)
+            .map_err(|e| format!("checkpoint {gen}: {what}: {e}"))?;
+        if crc32(payload) != want_crc {
+            return Err(format!(
+                "checkpoint {gen}: {what} checksum does not match the meta record"
+            ));
+        }
+        Ok(payload.to_vec())
+    };
+    let vocab_payload = read_verified(&vocab_file(&dir), VOCAB_MAGIC, "vocab", meta.vocab_crc)?;
+    let vocab =
+        decode_vocab(&vocab_payload).map_err(|e| format!("checkpoint {gen}: vocab: {e}"))?;
     let mut shards = Vec::with_capacity(meta.shard_crcs.len());
     let mut sketches = Vec::new();
     for (i, &want_crc) in meta.shard_crcs.iter().enumerate() {
-        let path = shard_file(&dir, i);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| format!("checkpoint {gen}: shard {i} unreadable: {e}"))?;
-        let payload = unframe_file(SNAP_MAGIC, &bytes)
-            .map_err(|e| format!("checkpoint {gen}: shard {i}: {e}"))?;
-        if crc32(payload) != want_crc {
-            return Err(format!(
-                "checkpoint {gen}: shard {i} checksum does not match the meta record"
-            ));
-        }
-        let (shard, sketch) = decode_shard_snapshot(payload)
-            .map_err(|e| format!("checkpoint {gen}: shard {i}: {e}"))?;
+        let what = format!("shard {i}");
+        let payload = read_verified(&shard_file(&dir, i), SNAP_MAGIC, &what, want_crc)?;
+        let (shard, sketch) = decode_shard_snapshot(&payload)
+            .map_err(|e| format!("checkpoint {gen}: {what}: {e}"))?;
         if meta.has_sketches != sketch.is_some() {
-            return Err(format!("checkpoint {gen}: shard {i} sketch presence disagrees with meta"));
+            return Err(format!("checkpoint {gen}: {what} sketch presence disagrees with meta"));
         }
         shards.push(shard);
         if let Some(sk) = sketch {
@@ -189,6 +244,7 @@ pub fn read_checkpoint(
         }
     }
     let state = SessionState {
+        vocab,
         shards,
         sketches,
         rows: meta.rows,
@@ -314,6 +370,77 @@ mod tests {
         fs::write(shard_file(&cp, 1), &a).unwrap();
         let err = read_checkpoint(&dir, 0).unwrap_err();
         assert!(err.contains("checksum"), "got: {err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flipped_vocab_byte_is_rejected() {
+        let dir = tmpdir("flip-vocab");
+        let (_, state) = sample_state(0);
+        write_checkpoint(&DiskIo, &dir, 0, &state, 0).unwrap();
+        let vocab = vocab_file(&checkpoint_dir(&dir, 0));
+        let len = fs::metadata(&vocab).unwrap().len();
+        flip_byte(&vocab, len / 2).unwrap();
+        let err = read_checkpoint(&dir, 0).unwrap_err();
+        assert!(err.contains("vocab"), "got: {err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint in the version-1 layout (a private vocabulary and
+    /// first-row tables inside every shard file, no `vocab.snap`) is
+    /// refused by name; none of its bytes are decoded as version 2.
+    #[test]
+    fn old_layout_checkpoint_is_rejected_as_unsupported() {
+        let dir = tmpdir("old-layout");
+        let cp = checkpoint_dir(&dir, 1);
+        fs::create_dir_all(&cp).unwrap();
+        // version-1 shard payload: three string tables, first-row
+        // tables, pair keys, triplets, counters — then no sketch
+        let mut shard = Encoder::new();
+        for strings in [&["u1"][..], &["q"], &["l"]] {
+            shard.u64(strings.len() as u64);
+            for s in strings {
+                shard.str(s);
+            }
+        }
+        for _ in 0..3 {
+            shard.u64(1);
+            shard.u64(0);
+        }
+        shard.u64(1);
+        shard.u32(0);
+        shard.u32(0);
+        shard.u64(1);
+        shard.u64(0);
+        shard.u64(1);
+        shard.u32(0);
+        shard.u32(0);
+        shard.u64(3);
+        shard.u64(1);
+        shard.u64(3);
+        let mut payload = Encoder::new();
+        payload.bytes(&shard.finish());
+        payload.u32(0);
+        let payload = payload.finish();
+        fs::write(shard_file(&cp, 0), frame_file(SNAP_MAGIC, 1, &payload)).unwrap();
+        // version-1 meta: no vocabulary CRC
+        let mut meta = Encoder::new();
+        for v in [1u64, 10, 1, 1, 1] {
+            meta.u64(v);
+        }
+        meta.u32(0);
+        meta.u64(1);
+        meta.u32(crc32(&payload));
+        fs::write(cp.join("meta.bin"), frame_file(META_MAGIC, 1, &meta.finish())).unwrap();
+
+        let err = read_checkpoint(&dir, 1).unwrap_err();
+        assert!(err.contains("meta.bin: unsupported checkpoint format version 1"), "got: {err}");
+        // a version-1 shard file next to a current meta is refused too
+        let (_, state) = sample_state(0);
+        write_checkpoint(&DiskIo, &dir, 2, &state, 0).unwrap();
+        fs::copy(shard_file(&cp, 0), shard_file(&checkpoint_dir(&dir, 2), 0)).unwrap();
+        let err = read_checkpoint(&dir, 2).unwrap_err();
+        assert!(err.contains("shard 0: unsupported checkpoint format version 1"), "got: {err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -563,6 +563,32 @@ mod tests {
     }
 
     #[test]
+    fn old_format_checkpoint_is_rejected_by_name_and_recovery_falls_back() {
+        let dir = tmpdir("old-format");
+        drive(Arc::new(DiskIo), &dir, 5, &[2]).unwrap();
+        // re-frame checkpoint 1's meta under the previous format version
+        let meta = checkpoint_dir(&dir, 1).join("meta.bin");
+        let bytes = fs::read(&meta).unwrap();
+        let payload = crate::codec::unframe_file(
+            crate::snapshot::META_MAGIC,
+            crate::snapshot::CHECKPOINT_FORMAT_VERSION,
+            &bytes,
+        )
+        .unwrap();
+        fs::write(&meta, crate::codec::frame_file(crate::snapshot::META_MAGIC, 1, payload))
+            .unwrap();
+
+        let (_, recovered) = DurableStore::open(Arc::new(DiskIo), cfg(&dir)).unwrap();
+        assert!(recovered.report.base_generation.is_none());
+        assert_eq!(recovered.report.rejected.len(), 1);
+        let why = &recovered.report.rejected[0].1;
+        assert!(why.contains("unsupported checkpoint format version 1"), "got: {why}");
+        let session = recovered.resume_session(stream_cfg()).unwrap();
+        assert_eq!(session.export_state(), reference(5).export_state());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn both_recovery_roots_corrupt_is_a_hard_error() {
         let dir = tmpdir("dead");
         drive(Arc::new(DiskIo), &dir, 8, &[2, 5]).unwrap();

@@ -1,31 +1,33 @@
-//! The ingestion engine: chunked intake → user-hash shards → parallel
-//! drain → deterministic merge.
+//! The ingestion engine: chunked intake → one session-wide vocabulary
+//! + user-hash shards → parallel drain → sort-only merge.
 //!
-//! The merge is the load-bearing step. Shards intern independently, so
-//! their local ids are meaningless globally; what each shard *does*
-//! keep is the global row index of every first occurrence. Sorting the
-//! union of those tables by first row (unique per category — one row
-//! introduces at most one new user/query/url/pair) reconstructs
-//! exactly the interning order a sequential [`read_tsv`] build would
-//! have produced, and replaying the aggregated records in pair-first
-//! order through [`SearchLogBuilder::with_vocabulary`] reproduces the
-//! pair-id assignment too. The result: the streamed [`SearchLog`] is
-//! structurally identical to the one-shot in-memory build — same
-//! interners, same ids, same CSR arrays — for **any** shard count and
-//! any drain parallelism, so everything downstream (constraints, LP,
-//! sampling) is byte-identical.
+//! Every string is interned exactly once, at intake, into one
+//! vocabulary shared by all shards. Records are applied in file order,
+//! so users, queries and urls get their ids in first-occurrence order
+//! and each new `(query, url)` key gets the next global pair id —
+//! exactly the ids a sequential [`read_tsv`] build assigns. Shards then
+//! hold only integer `(pair, user) → count` maps. The merge never sees
+//! a string: each shard drains to a `(pair, user)`-sorted vector (in
+//! parallel), the sorted runs are merged, and
+//! [`SearchLog::from_sorted_triplets`] fills the CSR arrays in one
+//! pass. Because the ids are global from the start, the streamed
+//! [`SearchLog`] is structurally identical to the one-shot in-memory
+//! build — same interners, same ids, same CSR arrays — for **any**
+//! shard count and any drain parallelism, so everything downstream
+//! (constraints, LP, sampling) is byte-identical.
 //!
 //! [`read_tsv`]: dpsan_searchlog::io::read_tsv
 
 use std::collections::HashMap;
 use std::io::BufRead;
+use std::sync::Arc;
 
 use dpsan_searchlog::{
-    Interner, LogError, LogRecord, QueryId, SearchLog, SearchLogBuilder, TsvStream, UrlId, UserId,
+    Interner, LogError, PairId, QueryId, RawRecord, SearchLog, TsvStream, UrlId, UserId,
 };
 
 use crate::pool::run_sharded;
-use crate::shard::{shard_of, DrainedShard, ShardIntake, ShardState, ShardStats};
+use crate::shard::{shard_of, ShardIntake, ShardState, ShardStats};
 use crate::sketch::{PairSketch, SketchState};
 
 /// Ingestion knobs.
@@ -59,7 +61,7 @@ impl StreamConfig {
 }
 
 /// Whole-stream statistics assembled during the merge: the additive
-/// shard part plus the exact distinct counts from the union tables.
+/// shard part plus the distinct counts of the session vocabulary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Summed per-shard statistics (rows, clicks, users, triplets —
@@ -106,35 +108,49 @@ pub struct IngestResult {
     pub report: IngestReport,
 }
 
+/// The session-wide vocabulary: every user, query and url string
+/// interned once, in first-occurrence order, plus the global pair table
+/// in the same order. The interners sit behind [`Arc`] so a snapshot's
+/// log shares them; intake copies them only if such a log is still
+/// alive when the next chunk lands.
+#[derive(Debug, Default)]
+struct Vocabulary {
+    users: Arc<Interner>,
+    queries: Arc<Interner>,
+    urls: Arc<Interner>,
+    pair_index: HashMap<(u32, u32), u32>,
+    pair_keys: Vec<(QueryId, UrlId)>,
+}
+
 /// An incremental ingestion session: the always-on counterpart of
 /// [`ingest_tsv`].
 ///
 /// The one-shot engine ingests once and exits; a serving pipeline
 /// instead receives appended TSV chunks over time and must re-release
-/// between them. `IngestSession` keeps the per-shard interners,
-/// first-row tables, and heavy-hitter sketches **live across
-/// [`ingest`](IngestSession::ingest) calls**, with one global row
-/// counter carried over — so at every point in time the session's
-/// state is exactly what one-shot ingestion of the concatenated input
-/// would have produced.
+/// between them. `IngestSession` keeps the session vocabulary, the
+/// per-shard triplet maps, and the heavy-hitter sketches **live across
+/// [`ingest`](IngestSession::ingest) calls** — so at every point in
+/// time the session's state is exactly what one-shot ingestion of the
+/// concatenated input would have produced.
 ///
 /// [`snapshot`](IngestSession::snapshot) materializes the merged
-/// [`SearchLog`] *without* consuming the session (shards are cloned
-/// and drained in parallel; intake continues afterwards), and
-/// [`finish`](IngestSession::finish) is the consuming variant the
-/// one-shot path uses. Because the merge reconstructs the sequential
-/// interning order from global first-occurrence rows, every snapshot
-/// is structurally identical to a one-shot build of the prefix
-/// ingested so far — the invariant that makes windowed re-releases
-/// byte-identical to one-shot `sanitize` runs over the same window.
+/// [`SearchLog`] *without* consuming the session (intake continues
+/// afterwards), and [`finish`](IngestSession::finish) is the consuming
+/// variant the one-shot path uses. Every snapshot is structurally
+/// identical to a one-shot build of the prefix ingested so far — the
+/// invariant that makes windowed re-releases byte-identical to one-shot
+/// `sanitize` runs over the same window.
 ///
 /// An `ingest` call that fails (parse error) applies all complete
-/// chunks read before the error and discards the partial one; the
-/// session stays usable and the error's line number is global across
-/// every ingest call (continuation lines keep counting up).
+/// chunks read before the error and discards the partial one. A chunk
+/// is parsed in full before any of it is interned, so a discarded chunk
+/// leaves no trace — not even vocabulary. The session stays usable and
+/// the error's line number is global across every ingest call
+/// (continuation lines keep counting up).
 #[derive(Debug)]
 pub struct IngestSession {
     cfg: StreamConfig,
+    vocab: Vocabulary,
     shards: Vec<ShardIntake>,
     sketches: Vec<PairSketch>,
     report: IngestReport,
@@ -150,7 +166,13 @@ impl IngestSession {
             Vec::new()
         };
         let shards = (0..cfg.shards).map(|_| ShardIntake::new()).collect();
-        IngestSession { cfg, shards, sketches, report: IngestReport::default() }
+        IngestSession {
+            cfg,
+            vocab: Vocabulary::default(),
+            shards,
+            sketches,
+            report: IngestReport::default(),
+        }
     }
 
     /// The configuration in use.
@@ -171,20 +193,15 @@ impl IngestSession {
         let mut added: u64 = 0;
         let mut chunks: u64 = 0;
         let result = loop {
+            // `read_chunk` parses the whole chunk before returning, so
+            // an error discards it before anything is interned
             match stream.read_chunk(&mut buf, self.cfg.chunk_rows) {
                 Ok(0) => break Ok(added),
                 Ok(n) => {
                     chunks += 1;
                     self.report.peak_chunk_rows = self.report.peak_chunk_rows.max(n);
-                    for rec in &buf {
-                        let s = shard_of(&rec.user, self.cfg.shards);
-                        self.shards[s].add(self.report.rows, rec);
-                        if let Some(sk) = self.sketches.get_mut(s) {
-                            sk.offer(&rec.query, &rec.url, rec.count);
-                        }
-                        self.report.rows += 1;
-                        added += 1;
-                    }
+                    self.apply(&buf);
+                    added += n as u64;
                 }
                 Err(e) => break Err(offset_error_lines(e, lines_before)),
             }
@@ -195,9 +212,33 @@ impl IngestSession {
         // and the peak staged shard size.
         crate::obs::rows_total().add(added);
         crate::obs::chunks_total().add(chunks);
-        let peak = self.shards.iter().map(ShardIntake::staged_triplets).max().unwrap_or(0);
-        crate::obs::shard_triplets_max().max(peak as f64);
+        crate::obs::shard_triplets_max().max(self.max_shard_triplets() as f64);
         result
+    }
+
+    /// Intern and route one fully parsed chunk, in file order.
+    fn apply(&mut self, chunk: &[RawRecord]) {
+        let v = &mut self.vocab;
+        let users = Arc::make_mut(&mut v.users);
+        let queries = Arc::make_mut(&mut v.queries);
+        let urls = Arc::make_mut(&mut v.urls);
+        for rec in chunk {
+            let s = shard_of(&rec.user, self.cfg.shards);
+            let known_users = users.len();
+            let u = users.intern(&rec.user);
+            let q = queries.intern(&rec.query);
+            let l = urls.intern(&rec.url);
+            let next = u32::try_from(v.pair_keys.len()).expect("pair id overflow");
+            let p = *v.pair_index.entry((q, l)).or_insert_with(|| {
+                v.pair_keys.push((QueryId(q), UrlId(l)));
+                next
+            });
+            self.shards[s].add(p, u, rec.count, users.len() > known_users);
+            if let Some(sk) = self.sketches.get_mut(s) {
+                sk.offer(&rec.query, &rec.url, rec.count);
+            }
+        }
+        self.report.rows += chunk.len() as u64;
     }
 
     /// Records ingested so far (across every `ingest` call).
@@ -205,56 +246,89 @@ impl IngestSession {
         self.report.rows
     }
 
+    fn max_shard_triplets(&self) -> usize {
+        self.shards.iter().map(ShardIntake::staged_triplets).max().unwrap_or(0)
+    }
+
     /// The memory-bound counters so far. `max_shard_triplets` and
     /// `sketch_entries` reflect the *current* staged state.
     pub fn report(&self) -> IngestReport {
         let mut r = self.report;
-        r.max_shard_triplets =
-            self.shards.iter().map(ShardIntake::staged_triplets).max().unwrap_or(0);
-        r.sketch_entries = merge_sketch_refs(&self.sketches).as_ref().map_or(0, PairSketch::len);
+        r.max_shard_triplets = self.max_shard_triplets();
+        r.sketch_entries = merge_sketches(&self.sketches).as_ref().map_or(0, PairSketch::len);
         r
     }
 
     /// Merge the current state into an [`IngestResult`] without
-    /// consuming the session: shards are snapshot-drained in parallel
-    /// and intake can continue afterwards. The returned log is
+    /// consuming the session: shards drain to sorted vectors in
+    /// parallel, the runs are merged, and the log shares the session
+    /// vocabulary. Intake can continue afterwards. The returned log is
     /// structurally identical to a one-shot build of everything
     /// ingested so far.
     pub fn snapshot(&self) -> IngestResult {
         let views: Vec<&ShardIntake> = self.shards.iter().collect();
-        let drained: Vec<DrainedShard> = run_sharded(views, self.cfg.jobs, ShardIntake::snapshot);
-        let (log, stats) = merge_shards(&drained);
-        let sketch = merge_sketch_refs(&self.sketches);
+        let runs = run_sharded(views, self.cfg.jobs, ShardIntake::sorted_triplets);
+        // Shards are user-disjoint, so the (pair, user) keys of the runs
+        // never collide; the stable sort detects the sorted runs and
+        // merges them.
+        let mut triplets: Vec<(PairId, UserId, u64)> =
+            runs.into_iter().flatten().map(|(p, u, c)| (PairId(p), UserId(u), c)).collect();
+        triplets.sort_by_key(|&(p, u, _)| (p, u));
+        let v = &self.vocab;
+        let log = SearchLog::from_sorted_triplets(
+            Arc::clone(&v.users),
+            Arc::clone(&v.queries),
+            Arc::clone(&v.urls),
+            v.pair_keys.clone(),
+            triplets,
+        );
+        let stats = StreamStats {
+            shard: self.shards.iter().fold(ShardStats::default(), |mut acc, s| {
+                acc.merge(&s.stats());
+                acc
+            }),
+            queries: v.queries.len(),
+            urls: v.urls.len(),
+            pairs: v.pair_keys.len(),
+        };
+        let sketch = merge_sketches(&self.sketches);
         let mut report = self.report;
-        report.max_shard_triplets =
-            self.shards.iter().map(ShardIntake::staged_triplets).max().unwrap_or(0);
+        report.max_shard_triplets = self.max_shard_triplets();
         report.sketch_entries = sketch.as_ref().map_or(0, PairSketch::len);
         IngestResult { log, sketch, stats, report }
     }
 
-    /// Merge and consume the session (the one-shot path; avoids the
-    /// snapshot clone).
+    /// Merge and consume the session (the one-shot path).
     pub fn finish(self) -> IngestResult {
-        let mut report = self.report;
-        report.max_shard_triplets =
-            self.shards.iter().map(ShardIntake::staged_triplets).max().unwrap_or(0);
-        let drained: Vec<DrainedShard> =
-            run_sharded(self.shards, self.cfg.jobs, ShardIntake::drain);
-        let (log, stats) = merge_shards(&drained);
-        let sketch = merge_sketches(self.sketches);
-        report.sketch_entries = sketch.as_ref().map_or(0, PairSketch::len);
-        IngestResult { log, sketch, stats, report }
+        self.snapshot()
     }
+}
+
+/// The session vocabulary as plain data: strings in id order and the
+/// pair table as `(query id, url id)` per pair id.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct VocabState {
+    /// User strings in id order.
+    pub users: Vec<String>,
+    /// Query strings in id order.
+    pub queries: Vec<String>,
+    /// Url strings in id order.
+    pub urls: Vec<String>,
+    /// `(query, url)` ids per pair id.
+    pub pairs: Vec<(u32, u32)>,
 }
 
 /// A plain-data image of a whole [`IngestSession`] mid-stream — the
 /// unit the durable store (`dpsan-store`) checkpoints. Restoring it
 /// through [`IngestSession::restore`] yields a session
 /// indistinguishable from one that ingested the original stream:
-/// same shards, same sketches, same global row/line counters.
+/// same vocabulary, same shards, same sketches, same global row/line
+/// counters.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SessionState {
-    /// Per-shard intake state, indexed by shard number.
+    /// The session-wide vocabulary, held once.
+    pub vocab: VocabState,
+    /// Per-shard intake state (integers only), indexed by shard number.
     pub shards: Vec<ShardState>,
     /// Per-shard sketch state (empty when sketching is disabled).
     pub sketches: Vec<SketchState>,
@@ -270,7 +344,15 @@ pub struct SessionState {
 impl IngestSession {
     /// Export the full session state as plain data.
     pub fn export_state(&self) -> SessionState {
+        let strings = |i: &Interner| i.iter().map(|(_, s)| s.to_string()).collect();
+        let v = &self.vocab;
         SessionState {
+            vocab: VocabState {
+                users: strings(&v.users),
+                queries: strings(&v.queries),
+                urls: strings(&v.urls),
+                pairs: v.pair_keys.iter().map(|&(q, u)| (q.0, u.0)).collect(),
+            },
             shards: self.shards.iter().map(ShardIntake::export_state).collect(),
             sketches: self.sketches.iter().map(PairSketch::export_state).collect(),
             rows: self.report.rows,
@@ -285,7 +367,8 @@ impl IngestSession {
     /// function and sketch error bounds are baked into the persisted
     /// data, so restoring under different values would silently break
     /// the user-complete invariant. Violations (and structurally
-    /// corrupt state) are reported, never panicked on.
+    /// corrupt state: ids outside the vocabulary, a user stored in a
+    /// shard it does not route to) are reported, never panicked on.
     pub fn restore(cfg: StreamConfig, state: SessionState) -> Result<Self, String> {
         cfg.validate();
         if state.shards.len() != cfg.shards {
@@ -318,12 +401,26 @@ impl IngestSession {
                 state.rows
             ));
         }
-        let shards = state
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| ShardIntake::from_state(s).map_err(|e| format!("shard {i}: {e}")))
-            .collect::<Result<Vec<_>, _>>()?;
+        let vocab = restore_vocab(&state.vocab)?;
+        // every user routes to exactly one shard: that fixes both where
+        // its triplets may live and each shard's distinct-user count
+        let home: Vec<usize> = vocab.users.iter().map(|(_, s)| shard_of(s, cfg.shards)).collect();
+        let mut users_per_shard = vec![0usize; cfg.shards];
+        for &h in &home {
+            users_per_shard[h] += 1;
+        }
+        let mut shards = Vec::with_capacity(cfg.shards);
+        for (i, s) in state.shards.into_iter().enumerate() {
+            s.validate(vocab.pair_keys.len(), vocab.users.len())
+                .map_err(|e| format!("shard {i}: {e}"))?;
+            if let Some(&(_, u, _)) = s.triplets.iter().find(|t| home[t.1 as usize] != i) {
+                return Err(format!(
+                    "shard {i}: user {u} is stored here but routes to shard {}",
+                    home[u as usize]
+                ));
+            }
+            shards.push(ShardIntake::from_state(s, users_per_shard[i]));
+        }
         let sketches = state
             .sketches
             .into_iter()
@@ -332,6 +429,7 @@ impl IngestSession {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(IngestSession {
             cfg,
+            vocab,
             shards,
             sketches,
             report: IngestReport {
@@ -343,6 +441,35 @@ impl IngestSession {
             },
         })
     }
+}
+
+/// Rebuild the live vocabulary (interners and pair index) from its
+/// plain-data image, rejecting duplicates and out-of-range pair keys.
+fn restore_vocab(state: &VocabState) -> Result<Vocabulary, String> {
+    let intern = |name: &str, strings: &[String]| {
+        let mut i = Interner::with_capacity(strings.len());
+        for s in strings {
+            i.intern(s);
+        }
+        if i.len() != strings.len() {
+            return Err(format!("duplicate string in the {name} vocabulary"));
+        }
+        Ok(Arc::new(i))
+    };
+    let users = intern("user", &state.users)?;
+    let queries = intern("query", &state.queries)?;
+    let urls = intern("url", &state.urls)?;
+    let mut pair_index = HashMap::with_capacity(state.pairs.len());
+    for (id, &(q, l)) in state.pairs.iter().enumerate() {
+        if q as usize >= queries.len() || l as usize >= urls.len() {
+            return Err(format!("pair key ({q}, {l}) outside the vocabulary"));
+        }
+        if pair_index.insert((q, l), id as u32).is_some() {
+            return Err(format!("duplicate pair key ({q}, {l})"));
+        }
+    }
+    let pair_keys = state.pairs.iter().map(|&(q, l)| (QueryId(q), UrlId(l))).collect();
+    Ok(Vocabulary { users, queries, urls, pair_index, pair_keys })
 }
 
 /// Shift an error's line number by the lines already consumed in
@@ -373,125 +500,15 @@ pub fn ingest_path(
     ingest_tsv(std::io::BufReader::new(file), cfg)
 }
 
-fn merge_sketches(mut sketches: Vec<PairSketch>) -> Option<PairSketch> {
-    let mut merged = if sketches.is_empty() { None } else { Some(sketches.remove(0)) };
-    if let Some(m) = merged.as_mut() {
-        for sk in &sketches {
-            m.merge(sk);
-        }
-    }
-    merged
-}
-
-/// Non-consuming sketch merge for session snapshots.
-fn merge_sketch_refs(sketches: &[PairSketch]) -> Option<PairSketch> {
+/// Merge the per-shard sketches in shard order (`None` when sketching
+/// is disabled).
+fn merge_sketches(sketches: &[PairSketch]) -> Option<PairSketch> {
     let (head, rest) = sketches.split_first()?;
     let mut merged = head.clone();
     for sk in rest {
         merged.merge(sk);
     }
     Some(merged)
-}
-
-/// Rebuild the global log from drained shards (see module docs for why
-/// this reproduces the sequential build exactly).
-fn merge_shards(shards: &[DrainedShard]) -> (SearchLog, StreamStats) {
-    // 1. global interners in first-occurrence order. Users are disjoint
-    //    across shards; queries/urls take the min first row per string.
-    let users = merge_disjoint_vocab(shards, |s| (&s.users, &s.user_first));
-    let queries = merge_overlapping_vocab(shards, |s| (&s.queries, &s.query_first));
-    let urls = merge_overlapping_vocab(shards, |s| (&s.urls, &s.url_first));
-
-    // 2. global pair order: min first row per (global query, global url)
-    let mut pair_min: HashMap<(u32, u32), u64> = HashMap::new();
-    for s in shards {
-        for (i, &(lq, lu)) in s.pair_keys.iter().enumerate() {
-            let gq = queries.get(s.queries.resolve(lq)).expect("merged vocabulary is complete");
-            let gu = urls.get(s.urls.resolve(lu)).expect("merged vocabulary is complete");
-            let e = pair_min.entry((gq, gu)).or_insert(u64::MAX);
-            *e = (*e).min(s.pair_first[i]);
-        }
-    }
-
-    // 3. records with global ids, ordered by (pair first row, user id):
-    //    pair ids get assigned in pair-first-occurrence order, which is
-    //    exactly the sequential assignment
-    let mut records: Vec<(u64, LogRecord)> = Vec::new();
-    for s in shards {
-        for &(lp, lu, count) in &s.records {
-            let (lq, lurl) = s.pair_keys[lp as usize];
-            let gq = queries.get(s.queries.resolve(lq)).expect("merged vocabulary is complete");
-            let gu = urls.get(s.urls.resolve(lurl)).expect("merged vocabulary is complete");
-            let guser = users.get(s.users.resolve(lu)).expect("merged vocabulary is complete");
-            let first = pair_min[&(gq, gu)];
-            records.push((
-                first,
-                LogRecord { user: UserId(guser), query: QueryId(gq), url: UrlId(gu), count },
-            ));
-        }
-    }
-    records.sort_unstable_by_key(|&(first, r)| (first, r.user.0));
-
-    let stats = StreamStats {
-        shard: shards.iter().fold(ShardStats::default(), |mut acc, s| {
-            acc.merge(&s.stats);
-            acc
-        }),
-        queries: queries.len(),
-        urls: urls.len(),
-        pairs: pair_min.len(),
-    };
-
-    let mut builder = SearchLogBuilder::with_vocabulary(users, queries, urls);
-    for (_, r) in records {
-        builder.add_record(r).expect("counts validated at intake");
-    }
-    (builder.build(), stats)
-}
-
-/// Union of shard vocabularies whose strings are disjoint (users).
-fn merge_disjoint_vocab<'a>(
-    shards: &'a [DrainedShard],
-    view: impl Fn(&'a DrainedShard) -> (&'a Interner, &'a Vec<u64>),
-) -> Interner {
-    let mut entries: Vec<(u64, &str)> = Vec::new();
-    for s in shards {
-        let (interner, first) = view(s);
-        for (id, string) in interner.iter() {
-            entries.push((first[id as usize], string));
-        }
-    }
-    build_ordered(entries)
-}
-
-/// Union of shard vocabularies that may overlap (queries, urls): the
-/// global first row of a string is the min over shards.
-fn merge_overlapping_vocab<'a>(
-    shards: &'a [DrainedShard],
-    view: impl Fn(&'a DrainedShard) -> (&'a Interner, &'a Vec<u64>),
-) -> Interner {
-    let mut min_first: HashMap<&str, u64> = HashMap::new();
-    for s in shards {
-        let (interner, first) = view(s);
-        for (id, string) in interner.iter() {
-            let e = min_first.entry(string).or_insert(u64::MAX);
-            *e = (*e).min(first[id as usize]);
-        }
-    }
-    build_ordered(min_first.into_iter().map(|(s, f)| (f, s)).collect())
-}
-
-/// Interner from `(first_row, string)` entries, ordered by first row.
-/// First rows are unique within one category (a row introduces at most
-/// one new string per category), so the order is total and
-/// deterministic regardless of hash-map iteration.
-fn build_ordered(mut entries: Vec<(u64, &str)>) -> Interner {
-    entries.sort_unstable_by_key(|&(first, _)| first);
-    let mut interner = Interner::with_capacity(entries.len());
-    for (_, s) in entries {
-        interner.intern(s);
-    }
-    interner
 }
 
 #[cfg(test)]
@@ -502,8 +519,8 @@ mod tests {
 
     fn sample_tsv() -> String {
         let mut s = String::new();
-        // interleaved users so shard-local and global first-occurrence
-        // orders genuinely differ
+        // interleaved users so every shard sees ids out of global
+        // first-occurrence order
         for i in 0..30 {
             let user = format!("user{:02}", i % 7);
             let q = format!("q{}", i % 5);
@@ -651,18 +668,29 @@ mod tests {
     fn session_error_lines_are_global_and_session_survives() {
         let cfg = StreamConfig { chunk_rows: 2, ..Default::default() };
         let mut session = IngestSession::new(cfg);
-        session.ingest(Cursor::new("u1\tq\tl\t1\nu2\tq\tl\t2\n")).unwrap();
-        // line 2 of this chunk = global line 4
-        let err =
-            session.ingest(Cursor::new("u3\tq\tl\t3\nbroken line\nu4\tq\tl\t4\n")).unwrap_err();
+        let applied = "u1\tq\tl\t1\nu2\tq\tl\t2\n";
+        session.ingest(Cursor::new(applied)).unwrap();
+        // line 2 of this chunk = global line 4; its first row brings a
+        // new user, query and url that must not survive the discard
+        let err = session
+            .ingest(Cursor::new("u3\tq-lost\tl-lost\t3\nbroken line\nu4\tq\tl\t4\n"))
+            .unwrap_err();
         assert!(err.to_string().contains("line 4"), "global line number, got: {err}");
         // complete chunks before the error were applied; the partial
         // chunk holding the bad line was not
         assert_eq!(session.rows(), 2, "chunk_rows=2: the failing chunk was discarded whole");
-        // the session is still usable
-        session.ingest(Cursor::new("u5\tq\tl\t5\n")).unwrap();
+        // ...and it left no trace in the vocabulary: the snapshot is
+        // the one-shot build of the applied rows, ids and all
+        let reference = read_tsv(Cursor::new(applied)).unwrap();
+        assert_logs_identical(&session.snapshot().log, &reference);
+        // the session is still usable, and stays identical to the
+        // one-shot build after a further good append
+        let more = "u5\tq-new\tl\t5\n";
+        session.ingest(Cursor::new(more)).unwrap();
         assert_eq!(session.rows(), 3);
-        assert_eq!(session.snapshot().log.size(), 1 + 2 + 5);
+        let snap = session.snapshot().log;
+        assert_eq!(snap.size(), 1 + 2 + 5);
+        assert_logs_identical(&snap, &read_tsv(Cursor::new(format!("{applied}{more}"))).unwrap());
     }
 
     /// The durability contract: a session restored from exported
@@ -717,8 +745,60 @@ mod tests {
         assert!(IngestSession::restore(cfg.clone(), lied).unwrap_err().contains("counter"));
 
         let mut corrupt = state;
-        corrupt.shards[0].user_first.pop();
-        assert!(IngestSession::restore(cfg, corrupt).unwrap_err().contains("shard 0"));
+        corrupt.vocab.users.pop();
+        assert!(IngestSession::restore(cfg, corrupt)
+            .unwrap_err()
+            .contains("outside the vocabulary"));
+    }
+
+    #[test]
+    fn restore_rejects_triplet_ids_outside_the_vocabulary() {
+        let cfg = StreamConfig { shards: 3, chunk_rows: 4, sketch_capacity: 0, jobs: 1 };
+        let mut session = IngestSession::new(cfg.clone());
+        session.ingest(Cursor::new(sample_tsv().as_str())).unwrap();
+        let state = session.export_state();
+        let (i, _) = state.shards.iter().enumerate().find(|(_, s)| !s.triplets.is_empty()).unwrap();
+
+        let mut bad_pair = state.clone();
+        bad_pair.shards[i].triplets.last_mut().unwrap().0 = state.vocab.pairs.len() as u32;
+        let err = IngestSession::restore(cfg.clone(), bad_pair).unwrap_err();
+        assert!(
+            err.contains(&format!("shard {i}")) && err.contains("outside the vocabulary"),
+            "{err}"
+        );
+
+        let mut bad_user = state.clone();
+        bad_user.shards[i].triplets.last_mut().unwrap().1 = state.vocab.users.len() as u32;
+        let err = IngestSession::restore(cfg.clone(), bad_user).unwrap_err();
+        assert!(err.contains("outside the vocabulary"), "{err}");
+
+        let mut bad_key = state;
+        bad_key.vocab.pairs[0].1 = bad_key.vocab.urls.len() as u32;
+        let err = IngestSession::restore(cfg, bad_key).unwrap_err();
+        assert!(err.contains("pair key") && err.contains("outside the vocabulary"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_a_user_stored_in_a_foreign_shard() {
+        let cfg = StreamConfig { shards: 3, chunk_rows: 4, sketch_capacity: 0, jobs: 1 };
+        let mut session = IngestSession::new(cfg.clone());
+        session.ingest(Cursor::new(sample_tsv().as_str())).unwrap();
+        let mut state = session.export_state();
+        // move one shard's first triplet, unchanged, into the next shard
+        let from = state.shards.iter().position(|s| !s.triplets.is_empty()).unwrap();
+        let to = (from + 1) % cfg.shards;
+        let moved = state.shards[from].triplets.remove(0);
+        state.shards[to].triplets.push(moved);
+        state.shards[to].triplets.sort_unstable();
+        // keep the row counters consistent so only the routing is wrong
+        state.shards[from].rows -= 1;
+        state.shards[to].rows += 1;
+        let err = IngestSession::restore(cfg, state).unwrap_err();
+        assert!(
+            err.contains(&format!("shard {to}"))
+                && err.contains(&format!("routes to shard {from}")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -5,17 +5,20 @@
 //! without ever materializing the raw stream.
 //!
 //! ```text
-//! TSV file ──chunked reader──▶ user-hash shards ──parallel drain──▶
-//!     deterministic merge ──▶ SearchLog (≡ in-memory build) + sketch
+//! TSV file ──chunked reader──▶ intern once (session vocabulary,
+//!     global pair ids) ──▶ user-hash shards: integer (pair, user) → count
+//!     ──parallel drain to sorted runs──▶ sort-only merge
+//!     ──▶ SearchLog (≡ read_tsv build) + sketch
 //! ```
 //!
 //! * [`engine`] — the driver: chunked intake through
-//!   [`dpsan_searchlog::TsvStream`], per-shard aggregation, parallel
-//!   drain, and a first-occurrence merge that reproduces the one-shot
-//!   in-memory [`read_tsv`](dpsan_searchlog::io::read_tsv) build *bit
-//!   for bit* (same interners, same ids) for any shard count and any
-//!   `jobs` value,
-//! * [`shard`] — user-hash shards with per-shard interning and
+//!   [`dpsan_searchlog::TsvStream`], one session-wide vocabulary that
+//!   interns every string once in file order (so ids are exactly the
+//!   ones a one-shot [`read_tsv`](dpsan_searchlog::io::read_tsv) build
+//!   assigns), and a merge that only sorts integers — the result is the
+//!   `read_tsv` log *bit for bit* for any shard count and any `jobs`
+//!   value,
+//! * [`shard`] — user-hash shards holding integer-only triplet maps and
 //!   mergeable statistics,
 //! * [`sketch`] — a mergeable weighted Misra–Gries heavy-hitters
 //!   sketch over query–url pairs with the standard `N/(k+1)` error
@@ -38,7 +41,7 @@
 //! the privacy accounting downstream is untouched: sharding is an
 //! ingestion-layout choice, not a change to the mechanism. Splitting a
 //! user *across* shards would be equally safe here only because the
-//! merge re-aggregates before anything privacy-relevant happens — but
+//! merge re-sorts before anything privacy-relevant happens — but
 //! user-completeness is what would let a future out-of-core pipeline
 //! build per-user constraint rows shard-locally, so it is the
 //! invariant this crate commits to and tests.
@@ -54,7 +57,7 @@ pub mod sketch;
 
 pub use engine::{
     ingest_path, ingest_tsv, IngestReport, IngestResult, IngestSession, SessionState, StreamConfig,
-    StreamStats,
+    StreamStats, VocabState,
 };
 pub use shard::{shard_of, user_hash, ShardIntake, ShardState, ShardStats};
 pub use sketch::{sketch_frequent_pairs, PairSketch, SketchEntry, SketchState};

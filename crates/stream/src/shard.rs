@@ -1,18 +1,16 @@
-//! User-hash shards: per-shard interning and aggregation.
+//! User-hash shards: integer-only aggregation.
 //!
 //! The intake routes every record to `shard_of(user) = fnv1a(user) mod
 //! n_shards`, so a shard holds *complete* user logs — the invariant
-//! that keeps sharding privacy-neutral (see the crate docs). Each
-//! shard interns its own vocabulary and aggregates its own triplets,
-//! remembering the **global row index of every first occurrence**
-//! (user, query, url, and pair). Those first-row tables are what lets
-//! the merger rebuild the exact interning order a sequential one-shot
-//! build would have produced, making the streamed log bit-compatible
-//! with the in-memory path for any shard count.
+//! that keeps sharding privacy-neutral (see the crate docs). Strings
+//! never reach a shard: the session interns every user, query and url
+//! once, into one session-wide vocabulary, and assigns global pair ids
+//! at intake (see [`crate::engine`]). A shard keeps only its
+//! `(pair, user) → count` map and its row/click/user counters, and
+//! drains to a `(pair, user)`-sorted triplet vector that the engine
+//! merges without touching a string.
 
 use std::collections::HashMap;
-
-use dpsan_searchlog::{Interner, RawRecord};
 
 /// FNV-1a over the user string: a stable, seedless hash so shard
 /// assignment is identical across runs, platforms and processes (the
@@ -61,24 +59,15 @@ impl ShardStats {
     }
 }
 
-/// One shard mid-intake: local interners, aggregation map, first-row
-/// tables. Memory is proportional to the shard's *aggregated* content,
-/// never to the raw stream length. `Clone` supports the incremental
-/// engine's non-destructive [`snapshot`](ShardIntake::snapshot).
+/// One shard mid-intake: the aggregated triplets of its users, keyed
+/// by global `(pair, user)` ids. Memory is proportional to the shard's
+/// *aggregated* content, never to the raw stream length.
 #[derive(Debug, Default, Clone)]
 pub struct ShardIntake {
-    users: Interner,
-    queries: Interner,
-    urls: Interner,
-    user_first: Vec<u64>,
-    query_first: Vec<u64>,
-    url_first: Vec<u64>,
-    pair_index: HashMap<(u32, u32), u32>,
-    pair_keys: Vec<(u32, u32)>,
-    pair_first: Vec<u64>,
     triplets: HashMap<(u32, u32), u64>,
     rows: u64,
     clicks: u64,
+    users: usize,
 }
 
 impl ShardIntake {
@@ -87,23 +76,16 @@ impl ShardIntake {
         Self::default()
     }
 
-    /// Ingest one record that `row` (the global 0-based record index)
-    /// introduced. The caller is responsible for routing: every record
-    /// of one user must reach the same shard.
-    pub fn add(&mut self, row: u64, r: &RawRecord) {
-        debug_assert!(r.count > 0, "zero counts are rejected by the reader");
+    /// Aggregate one record of global pair `pair` by global user
+    /// `user`; `new_user` marks the user's first record in the session.
+    /// The caller is responsible for routing: every record of one user
+    /// must reach the same shard.
+    pub fn add(&mut self, pair: u32, user: u32, count: u64, new_user: bool) {
+        debug_assert!(count > 0, "zero counts are rejected by the reader");
         self.rows += 1;
-        self.clicks += r.count;
-        let u = intern_tracked(&mut self.users, &mut self.user_first, &r.user, row);
-        let q = intern_tracked(&mut self.queries, &mut self.query_first, &r.query, row);
-        let l = intern_tracked(&mut self.urls, &mut self.url_first, &r.url, row);
-        let next = u32::try_from(self.pair_keys.len()).expect("pair id overflow");
-        let pair = *self.pair_index.entry((q, l)).or_insert_with(|| {
-            self.pair_keys.push((q, l));
-            self.pair_first.push(row);
-            next
-        });
-        *self.triplets.entry((pair, u)).or_insert(0) += r.count;
+        self.clicks += count;
+        self.users += usize::from(new_user);
+        *self.triplets.entry((pair, user)).or_insert(0) += count;
     }
 
     /// Number of distinct `(pair, user)` triplets staged so far — the
@@ -113,67 +95,36 @@ impl ShardIntake {
         self.triplets.len()
     }
 
-    /// Non-destructive [`drain`](ShardIntake::drain): clone the staged
-    /// state and finalize the copy, leaving this shard live for further
-    /// intake. The incremental engine re-releases from snapshots while
-    /// the stream keeps appending.
-    pub fn snapshot(&self) -> DrainedShard {
-        self.clone().drain()
-    }
-
-    /// Finalize into an immutable, deterministically-ordered
-    /// [`DrainedShard`].
-    pub fn drain(self) -> DrainedShard {
-        let stats = ShardStats {
+    /// The additive statistics of this shard.
+    pub fn stats(&self) -> ShardStats {
+        ShardStats {
             rows: self.rows,
             clicks: self.clicks,
-            users: self.users.len(),
-            triplets: self.triplets.len(),
-        };
-        let mut records: Vec<(u32, u32, u64)> =
-            self.triplets.into_iter().map(|((p, u), c)| (p, u, c)).collect();
-        records.sort_unstable_by_key(|&(p, u, _)| (p, u));
-        DrainedShard {
             users: self.users,
-            queries: self.queries,
-            urls: self.urls,
-            user_first: self.user_first,
-            query_first: self.query_first,
-            url_first: self.url_first,
-            pair_keys: self.pair_keys,
-            pair_first: self.pair_first,
-            records,
-            stats,
+            triplets: self.triplets.len(),
         }
+    }
+
+    /// The staged triplets as `(pair, user, count)`, sorted by
+    /// `(pair, user)`. Non-destructive: intake can continue afterwards.
+    pub fn sorted_triplets(&self) -> Vec<(u32, u32, u64)> {
+        let mut out: Vec<(u32, u32, u64)> =
+            self.triplets.iter().map(|(&(p, u), &c)| (p, u, c)).collect();
+        out.sort_unstable_by_key(|&(p, u, _)| (p, u));
+        out
     }
 }
 
 /// A plain-data image of one [`ShardIntake`] mid-intake — what the
-/// durable store (`dpsan-store`) persists in a shard snapshot. Every
-/// derived index (interner hash maps, the pair index) is rebuilt on
-/// restore, so the state is exactly the information content of the
-/// shard and nothing layout-dependent. `triplets` is sorted by
+/// durable store (`dpsan-store`) persists in a shard snapshot. Only
+/// integers: the strings live once in the session vocabulary
+/// ([`VocabState`](crate::VocabState)). `triplets` is sorted by
 /// `(pair, user)` id so exporting the same shard twice yields the same
 /// bytes once encoded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardState {
-    /// User strings in shard-local id order.
-    pub users: Vec<String>,
-    /// Query strings in shard-local id order.
-    pub queries: Vec<String>,
-    /// Url strings in shard-local id order.
-    pub urls: Vec<String>,
-    /// Global first-occurrence row per local user id.
-    pub user_first: Vec<u64>,
-    /// Global first-occurrence row per local query id.
-    pub query_first: Vec<u64>,
-    /// Global first-occurrence row per local url id.
-    pub url_first: Vec<u64>,
-    /// Local `(query, url)` ids per local pair id.
-    pub pair_keys: Vec<(u32, u32)>,
-    /// Global first-occurrence row per local pair id.
-    pub pair_first: Vec<u64>,
-    /// Aggregated `(local pair, local user, count)`, sorted by ids.
+    /// Aggregated `(global pair, global user, count)`, strictly sorted
+    /// by ids.
     pub triplets: Vec<(u32, u32, u64)>,
     /// Raw records routed to this shard so far.
     pub rows: u64,
@@ -182,33 +133,25 @@ pub struct ShardState {
 }
 
 impl ShardState {
-    /// Structural sanity of a decoded state: side tables aligned with
-    /// their interners, ids in range. Returns a description of the
-    /// first violation, if any — a corrupt-but-checksum-valid snapshot
-    /// must never panic deep inside intake.
-    pub fn validate(&self) -> Result<(), String> {
-        let align = |name: &str, strings: usize, first: usize| -> Result<(), String> {
-            if strings != first {
-                return Err(format!("{name}: {strings} strings vs {first} first-row entries"));
-            }
-            Ok(())
-        };
-        align("users", self.users.len(), self.user_first.len())?;
-        align("queries", self.queries.len(), self.query_first.len())?;
-        align("urls", self.urls.len(), self.url_first.len())?;
-        align("pairs", self.pair_keys.len(), self.pair_first.len())?;
-        for &(q, l) in &self.pair_keys {
-            if q as usize >= self.queries.len() || l as usize >= self.urls.len() {
-                return Err(format!("pair key ({q}, {l}) out of vocabulary range"));
-            }
-        }
+    /// Structural sanity of a decoded state against a vocabulary of
+    /// `n_pairs` pairs and `n_users` users: ids in range, positive
+    /// counts, strictly sorted (hence duplicate-free) triplets. Returns
+    /// a description of the first violation, if any — a
+    /// corrupt-but-checksum-valid snapshot must never panic deep inside
+    /// intake.
+    pub fn validate(&self, n_pairs: usize, n_users: usize) -> Result<(), String> {
+        let mut prev: Option<(u32, u32)> = None;
         for &(p, u, c) in &self.triplets {
-            if p as usize >= self.pair_keys.len() || u as usize >= self.users.len() {
-                return Err(format!("triplet ({p}, {u}) out of range"));
+            if p as usize >= n_pairs || u as usize >= n_users {
+                return Err(format!("triplet ({p}, {u}) outside the vocabulary"));
             }
             if c == 0 {
                 return Err("zero-count triplet".into());
             }
+            if prev >= Some((p, u)) {
+                return Err(format!("triplet ({p}, {u}) out of order or duplicated"));
+            }
+            prev = Some((p, u));
         }
         Ok(())
     }
@@ -217,112 +160,26 @@ impl ShardState {
 impl ShardIntake {
     /// Export the live state as plain data (see [`ShardState`]).
     pub fn export_state(&self) -> ShardState {
-        let strings = |i: &Interner| i.iter().map(|(_, s)| s.to_string()).collect();
-        let mut triplets: Vec<(u32, u32, u64)> =
-            self.triplets.iter().map(|(&(p, u), &c)| (p, u, c)).collect();
-        triplets.sort_unstable_by_key(|&(p, u, _)| (p, u));
-        ShardState {
-            users: strings(&self.users),
-            queries: strings(&self.queries),
-            urls: strings(&self.urls),
-            user_first: self.user_first.clone(),
-            query_first: self.query_first.clone(),
-            url_first: self.url_first.clone(),
-            pair_keys: self.pair_keys.clone(),
-            pair_first: self.pair_first.clone(),
-            triplets,
-            rows: self.rows,
-            clicks: self.clicks,
-        }
+        ShardState { triplets: self.sorted_triplets(), rows: self.rows, clicks: self.clicks }
     }
 
-    /// Rebuild a live shard from exported state, reconstructing every
-    /// derived index. `state` must satisfy [`ShardState::validate`];
-    /// the restored shard is indistinguishable from one that ingested
-    /// the original stream.
-    pub fn from_state(state: ShardState) -> Result<Self, String> {
-        state.validate()?;
-        let build = |strings: &[String]| {
-            let mut i = Interner::with_capacity(strings.len());
-            for s in strings {
-                i.intern(s);
-            }
-            if i.len() != strings.len() {
-                return Err("duplicate string in interned vocabulary".to_string());
-            }
-            Ok(i)
-        };
-        let mut pair_index = HashMap::with_capacity(state.pair_keys.len());
-        for (id, &key) in state.pair_keys.iter().enumerate() {
-            if pair_index.insert(key, id as u32).is_some() {
-                return Err("duplicate pair key".into());
-            }
-        }
-        let triplets: HashMap<(u32, u32), u64> =
-            state.triplets.iter().map(|&(p, u, c)| ((p, u), c)).collect();
-        if triplets.len() != state.triplets.len() {
-            return Err("duplicate triplet key".into());
-        }
-        Ok(ShardIntake {
-            users: build(&state.users)?,
-            queries: build(&state.queries)?,
-            urls: build(&state.urls)?,
-            user_first: state.user_first,
-            query_first: state.query_first,
-            url_first: state.url_first,
-            pair_index,
-            pair_keys: state.pair_keys,
-            pair_first: state.pair_first,
-            triplets,
+    /// Rebuild a live shard from exported state that already passed
+    /// [`ShardState::validate`]. `users` is the number of distinct users
+    /// the shard holds — recomputed by the caller from the vocabulary,
+    /// since every user routes to exactly one shard.
+    pub fn from_state(state: ShardState, users: usize) -> Self {
+        ShardIntake {
+            triplets: state.triplets.iter().map(|&(p, u, c)| ((p, u), c)).collect(),
             rows: state.rows,
             clicks: state.clicks,
-        })
+            users,
+        }
     }
-}
-
-/// A finalized shard: everything the merger needs, in deterministic
-/// order (records sorted by local `(pair, user)` id).
-#[derive(Debug)]
-pub struct DrainedShard {
-    /// Shard-local user interner.
-    pub users: Interner,
-    /// Shard-local query interner.
-    pub queries: Interner,
-    /// Shard-local url interner.
-    pub urls: Interner,
-    /// Global row of each local user's first occurrence.
-    pub user_first: Vec<u64>,
-    /// Global row of each local query's first occurrence.
-    pub query_first: Vec<u64>,
-    /// Global row of each local url's first occurrence.
-    pub url_first: Vec<u64>,
-    /// Local `(query, url)` id pair of each local pair id.
-    pub pair_keys: Vec<(u32, u32)>,
-    /// Global row of each local pair's first occurrence.
-    pub pair_first: Vec<u64>,
-    /// Aggregated `(local pair, local user, count)`, sorted by ids.
-    pub records: Vec<(u32, u32, u64)>,
-    /// Additive shard statistics.
-    pub stats: ShardStats,
-}
-
-fn intern_tracked(interner: &mut Interner, first: &mut Vec<u64>, s: &str, row: u64) -> u32 {
-    let before = interner.len();
-    let id = interner.intern(s);
-    if interner.len() > before {
-        debug_assert_eq!(id as usize, first.len());
-        first.push(row);
-    }
-    id
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(user: &str, query: &str, url: &str, count: u64) -> RawRecord {
-        RawRecord { user: user.to_string(), query: query.to_string(), url: url.to_string(), count }
-    }
 
     #[test]
     fn hash_is_stable() {
@@ -343,25 +200,21 @@ mod tests {
     }
 
     #[test]
-    fn first_rows_track_first_occurrence() {
+    fn triplets_aggregate_and_drain_sorted() {
         let mut s = ShardIntake::new();
-        s.add(0, &rec("a", "q1", "l1", 2));
-        s.add(3, &rec("b", "q1", "l2", 1));
-        s.add(7, &rec("a", "q1", "l1", 4));
-        let d = s.drain();
-        assert_eq!(d.user_first, vec![0, 3]);
-        assert_eq!(d.query_first, vec![0]);
-        assert_eq!(d.url_first, vec![0, 3]);
-        assert_eq!(d.pair_first, vec![0, 3]);
-        assert_eq!(d.records, vec![(0, 0, 6), (1, 1, 1)], "duplicates aggregate");
-        assert_eq!(d.stats, ShardStats { rows: 3, clicks: 7, users: 2, triplets: 2 });
+        s.add(1, 3, 1, true);
+        s.add(0, 0, 2, true);
+        s.add(1, 0, 5, false);
+        s.add(0, 0, 4, false);
+        assert_eq!(s.sorted_triplets(), vec![(0, 0, 6), (1, 0, 5), (1, 3, 1)]);
+        assert_eq!(s.stats(), ShardStats { rows: 4, clicks: 12, users: 2, triplets: 3 });
     }
 
     #[test]
     fn staged_triplets_counts_aggregates_not_rows() {
         let mut s = ShardIntake::new();
         for row in 0..50 {
-            s.add(row, &rec("a", "q", "l", 1));
+            s.add(0, 0, 1, row == 0);
         }
         assert_eq!(s.staged_triplets(), 1, "memory tracks aggregation, not stream length");
     }
@@ -369,36 +222,36 @@ mod tests {
     #[test]
     fn state_roundtrip_is_exact() {
         let mut s = ShardIntake::new();
-        s.add(0, &rec("a", "q1", "l1", 2));
-        s.add(3, &rec("b", "q1", "l2", 1));
-        s.add(7, &rec("a", "q2", "l1", 4));
+        s.add(0, 0, 2, true);
+        s.add(1, 1, 1, true);
+        s.add(2, 0, 4, false);
         let state = s.export_state();
-        let restored = ShardIntake::from_state(state.clone()).unwrap();
+        state.validate(3, 2).unwrap();
+        let restored = ShardIntake::from_state(state.clone(), 2);
         assert_eq!(restored.export_state(), state, "export∘restore is the identity");
+        assert_eq!(restored.stats(), s.stats());
         // the restored shard keeps ingesting identically
         let mut a = s.clone();
         let mut b = restored;
-        a.add(9, &rec("c", "q1", "l1", 5));
-        b.add(9, &rec("c", "q1", "l1", 5));
-        let (da, db) = (a.drain(), b.drain());
-        assert_eq!(da.records, db.records);
-        assert_eq!(da.stats, db.stats);
-        assert_eq!(da.pair_keys, db.pair_keys);
+        a.add(0, 2, 5, true);
+        b.add(0, 2, 5, true);
+        assert_eq!(a.sorted_triplets(), b.sorted_triplets());
+        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]
     fn corrupt_state_is_rejected_not_panicked() {
         let mut s = ShardIntake::new();
-        s.add(0, &rec("a", "q", "l", 2));
-        let mut bad = s.export_state();
-        bad.pair_keys[0] = (7, 0); // query id out of range
-        assert!(ShardIntake::from_state(bad).unwrap_err().contains("out of vocabulary"));
-        let mut bad = s.export_state();
-        bad.user_first.push(9);
-        assert!(ShardIntake::from_state(bad).unwrap_err().contains("users"));
-        let mut bad = s.export_state();
+        s.add(0, 0, 2, true);
+        s.add(1, 0, 1, false);
+        let good = s.export_state();
+        assert!(good.validate(1, 1).unwrap_err().contains("outside the vocabulary"));
+        let mut bad = good.clone();
         bad.triplets[0].2 = 0;
-        assert!(ShardIntake::from_state(bad).unwrap_err().contains("zero-count"));
+        assert!(bad.validate(2, 1).unwrap_err().contains("zero-count"));
+        let mut bad = good;
+        bad.triplets.swap(0, 1);
+        assert!(bad.validate(2, 1).unwrap_err().contains("out of order"));
     }
 
     #[test]
