@@ -14,7 +14,6 @@ use dpsan_core::constraints::PrivacyConstraints;
 use dpsan_core::mechanism::{
     LdpSanitizer, Sanitizer, TriggerPolicy, UmpSanitizer, UtilityObjective, ZealousSanitizer,
 };
-use dpsan_core::session::{SolveSession, Strategy};
 use dpsan_core::ump::frequent::{solve_fump_with, FumpOptions};
 use dpsan_core::ump::output_size::{solve_oump_with, OumpOptions};
 use dpsan_datagen::{generate, presets, write_log_tsv};
@@ -30,13 +29,9 @@ use dpsan_store::wal::{append_record, WalRecord};
 use dpsan_store::{DiskIo, DurableStore, StoreConfig};
 use dpsan_stream::{ingest_tsv, IngestSession, PairSketch, StreamConfig};
 
-/// The budget sweep used by the cold/warm/dual sweep benches: twelve
-/// `(e^ε, δ)` cells with distinct, ascending collapsed budgets —
-/// the length of a real Table-4 prefetch chain (13 distinct budgets on
-/// the 7×7 grid), so per-step reoptimization cost is weighted the way
-/// the actual workload weighs it rather than drowned by the one cold
-/// first solve. (Grew from 6 cells alongside the dual-reopt work; the
-/// committed baseline was refreshed with the bench change.)
+/// The budget sweep used by the `oump_cold_sweep` bench: twelve
+/// `(e^ε, δ)` cells with distinct, ascending collapsed budgets — about
+/// the 13 distinct budgets of Table 4's 7×7 grid.
 const SWEEP: [(f64, f64); 12] = [
     (1.1, 1e-2),
     (1.2, 0.05),
@@ -61,9 +56,9 @@ fn tiny_log() -> SearchLog {
 /// the cold first release, then append three rounds of recurring
 /// traffic (lines resampled from the same trace, spread evenly so no
 /// user's counts move violently) and re-release after each. Returns
-/// the re-release latencies — the cold first release is excluded, and
-/// every re-release is asserted onto the dual-reopt fast path, so the
-/// p50/p99 below track the steady-state serving cost, not start-up.
+/// the re-release latencies — the first release is excluded, and every
+/// re-release is asserted to cost exactly one LP solve, so the p50/p99
+/// below track the steady-state serving cost, not start-up.
 fn serve_replay_latencies(trace: &str) -> Vec<Duration> {
     let lines: Vec<&str> = trace.lines().collect();
     let stream = StreamConfig { shards: 4, chunk_rows: 256, sketch_capacity: 0, jobs: 1 };
@@ -85,20 +80,10 @@ fn serve_replay_latencies(trace: &str) -> Vec<Duration> {
     }
     let records = session.records();
     for r in &records[1..] {
-        // a re-release either rides the dual path or is vetoed by the
-        // determinism guard (a degenerate optimum forces a cold
-        // re-solve so the release stays byte-identical to one-shot);
-        // an *unexplained* cold start is a shape change and a bug here
         assert_eq!(
-            r.solver.cold_starts, r.solver.degenerate_fallbacks,
-            "re-release {} fell off the fast path: {:?}",
+            r.solver.solves, 1,
+            "re-release {} solved more than once: {:?}",
             r.index, r.solver
-        );
-        assert!(
-            r.solver.dual_reopts + r.solver.degenerate_fallbacks >= 1,
-            "re-release {} did neither dual-reopt nor guard-veto: {:?}",
-            r.index,
-            r.solver
         );
     }
     records[1..].iter().map(|r| r.latency).collect()
@@ -125,55 +110,6 @@ fn bench(c: &mut Criterion) {
     g.bench_function("oump_cold_sweep", |b| {
         b.iter(|| {
             constraints.iter().map(|cons| solve_oump_with(cons, &opts).unwrap().lambda).sum::<u64>()
-        })
-    });
-
-    g.bench_function("oump_warm_sweep", |b| {
-        // pinned to the warm-*primal* path (the PR 2 behaviour) so this
-        // entry keeps measuring what its baseline history measured and
-        // stays an honest comparison point for the dual sweep below
-        b.iter(|| {
-            let mut session =
-                SolveSession::new(SimplexOptions::default()).with_strategy(Strategy::PrimalOnly);
-            constraints
-                .iter()
-                .map(|cons| session.solve_oump(cons, &opts).unwrap().lambda)
-                .sum::<u64>()
-        })
-    });
-
-    g.bench_function("oump_dual_sweep", |b| {
-        // the same sweep through the default strategy: every step after
-        // the first is a declared rhs-only move, so the dual simplex
-        // reoptimizes from the previous basis
-        b.iter(|| {
-            let mut session = SolveSession::new(SimplexOptions::default());
-            constraints
-                .iter()
-                .map(|cons| session.solve_oump(cons, &opts).unwrap().lambda)
-                .sum::<u64>()
-        })
-    });
-
-    g.bench_function("fump_dual_sweep", |b| {
-        // F-UMP budget sweep at fixed |O| and support: the session's
-        // fingerprint detection routes the budget-only steps through
-        // the dual path (an |O| move would rewrite matrix coefficients
-        // and fall back to warm primal). Only cells whose λ can host a
-        // common |O| participate — the tightest budgets of SWEEP have
-        // λ < 2 at tiny scale.
-        let lambdas: Vec<u64> =
-            constraints.iter().map(|c| solve_oump_with(c, &opts).unwrap().lambda).collect();
-        let feasible: Vec<&PrivacyConstraints> =
-            constraints.iter().zip(&lambdas).filter(|&(_, &l)| l >= 2).map(|(c, _)| c).collect();
-        let lambda_min = lambdas.iter().copied().filter(|&l| l >= 2).min().unwrap_or(2);
-        let fopts = FumpOptions::new(0.02, (lambda_min / 2).max(1));
-        b.iter(|| {
-            let mut session = SolveSession::new(SimplexOptions::default());
-            feasible
-                .iter()
-                .map(|cons| session.solve_fump(&pre, cons, &fopts).unwrap().lp_objective)
-                .sum::<f64>()
         })
     });
 
@@ -313,7 +249,8 @@ fn bench(c: &mut Criterion) {
         // SolveSession and the WAL/release paths emit). Gated so the
         // "observational only" contract stays cheap enough to be true —
         // if this entry regresses, every instrumented hot loop does.
-        let solves = dpsan_obs::global().counter_with("dpsan_bench_solves_total", "path", "warm");
+        let solves =
+            dpsan_obs::global().counter_with("dpsan_bench_solves_total", "path", "cold_primal");
         let lat = dpsan_obs::global()
             .histogram("dpsan_bench_solve_seconds", dpsan_obs::default_latency_bounds());
         let mut v = 1.0e-6f64;
@@ -424,8 +361,8 @@ fn bench(c: &mut Criterion) {
     // same per-release latencies).
     {
         // the same recurring-traffic trace shape the serve equivalence
-        // suite pins to the fast path: one population, no new users or
-        // pairs after the first window, so appends move counts only
+        // suite uses: one population, no new users or pairs after the
+        // first window, so appends move counts only
         let cfg = dpsan_datagen::AolLikeConfig {
             n_users: 60,
             n_queries: 60,

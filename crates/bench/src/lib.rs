@@ -1,6 +1,5 @@
-//! Bench-only crate: see `benches/` for the criterion targets, one per
-//! paper table/figure family plus the ablations of DESIGN.md §5, and
-//! `benches/pipeline.rs` for the *tracked* set CI gates.
+//! Bench-only crate: `benches/pipeline.rs` is the one criterion target,
+//! the *tracked* set CI gates.
 //!
 //! The library half holds the regression-gate logic consumed by the
 //! `bench_gate` binary: compare a freshly measured `BENCH_pipeline.json`
@@ -15,7 +14,7 @@ use criterion::json::parse_flat_object;
 /// Maximum tolerated `current / baseline` median ratio before the gate
 /// fails. 2× absorbs shared-runner noise and hardware drift between the
 /// baseline machine and CI while still catching real hot-path
-/// regressions (the warm-start win alone is >3×).
+/// regressions.
 pub const DEFAULT_MAX_RATIO: f64 = 2.0;
 
 /// Outcome of gating one tracked bench. Every variant carries the raw

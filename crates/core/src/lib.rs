@@ -53,7 +53,7 @@ pub use mechanism::{
     LdpSanitizer, MechanismInfo, PrivacyModel, Release, ReleasePlanner, Sanitizer, TriggerPolicy,
     UmpSanitizer, UtilityObjective, ZealousSanitizer,
 };
-pub use session::{SessionStats, SolveSession, Strategy};
+pub use session::{SessionStats, SolveSession};
 pub use ump::diversity::{solve_dump, DumpOptions, DumpSolution, DumpSolver};
 pub use ump::frequent::{solve_fump, FumpOptions, FumpSolution};
 pub use ump::output_size::{solve_oump, OumpOptions, OumpSolution};

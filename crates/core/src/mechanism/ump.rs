@@ -6,11 +6,11 @@
 //!      x* ──(optional Laplace, §4.2)──▶ x̃ ──multinomial sampling──▶ O
 //! ```
 //!
-//! One [`UmpSanitizer`] owns a [`SolveSession`], so consecutive
-//! releases at nearby parameters warm-start from the previous optimal
-//! basis exactly like the evaluation harness's grid sweeps; a single
-//! release solves cold and is byte-identical to the plain
-//! [`solve_oump`](crate::ump::output_size::solve_oump)-style pipeline.
+//! One [`UmpSanitizer`] owns a [`SolveSession`] that carries the LP
+//! options and counts solver work across releases. Every release solves
+//! cold, so it is byte-identical to the plain
+//! [`solve_oump`](crate::ump::output_size::solve_oump)-style pipeline
+//! whatever was released before.
 
 use std::sync::Mutex;
 
@@ -116,7 +116,7 @@ impl UmpSanitizer {
     }
 
     /// Override the LP options of the wrapped [`SolveSession`]
-    /// (resets any accumulated warm-start state).
+    /// (resets its counters).
     pub fn with_lp_options(mut self, lp: SimplexOptions) -> Self {
         self.session = Mutex::new(SolveSession::new(lp));
         self
@@ -128,7 +128,7 @@ impl UmpSanitizer {
     /// [`crate::ump::output_size::OumpOptions::anytime`]). What lets a
     /// 10⁵-user sanitize finish under a wall-clock budget — phase-2
     /// iterates are always privacy-feasible, so the cap trades utility
-    /// (λ), never privacy. Resets any accumulated warm-start state.
+    /// (λ), never privacy. Resets the session's counters.
     pub fn with_lp_iteration_budget(mut self, max_iter: usize) -> Self {
         let lp = SimplexOptions { max_iter, ..SimplexOptions::default() };
         self.session = Mutex::new(SolveSession::new(lp));
@@ -291,9 +291,9 @@ mod tests {
         let c = PrivacyConstraints::build(&out.reference, params()).unwrap();
         assert!(c.satisfied_by(&out.counts, 1e-9));
         assert!(out.output.size() > 0, "a generous budget yields a non-empty output");
-        // one release = one LP solve, cold
+        // one release = one LP solve
         assert_eq!(out.solver.solves, 1);
-        assert_eq!(out.solver.cold_starts, 1);
+        assert_eq!(out.solver.capped, 0);
     }
 
     #[test]
@@ -371,17 +371,16 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_releases_warm_start() {
+    fn consecutive_releases_share_one_session() {
         let input = input_log();
         let s = UmpSanitizer::new(UtilityObjective::OutputSize);
         let a = s.sanitize(&input, PrivacyParams::from_e_epsilon(1.4, 0.5), SEED).unwrap();
-        assert_eq!(a.solver.cold_starts, 1);
-        // a budget move on the same log is an rhs-only perturbation:
-        // the second release reoptimizes from the previous basis
+        assert_eq!(a.solver.solves, 1);
         let b = s.sanitize(&input, PrivacyParams::from_e_epsilon(2.0, 0.5), SEED).unwrap();
-        assert_eq!(b.solver.cold_starts, 0, "second release reuses the session basis");
-        assert_eq!(b.solver.solves, 1);
-        assert_eq!(s.session_stats().solves, 2, "cumulative counters span releases");
+        assert_eq!(b.solver.solves, 1, "per-release counters are deltas");
+        let st = s.session_stats();
+        assert_eq!(st.solves, 2, "cumulative counters span releases");
+        assert_eq!(st.iterations, a.solver.iterations + b.solver.iterations);
     }
 
     #[test]

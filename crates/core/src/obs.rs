@@ -2,43 +2,28 @@
 //!
 //! | series | type | meaning |
 //! |---|---|---|
-//! | `dpsan_solves_total{path=...}` | counter | solves by path actually taken: `dual_reopt`, `warm_primal`, `cold_primal`, plus `_sparse`-suffixed variants when the LP layer routed the solve onto its sparse kernels |
-//! | `dpsan_solve_iterations_total` | counter | simplex iterations (all algorithms, including failed dual attempts) |
+//! | `dpsan_solves_total{path=...}` | counter | solves by kernel route: `cold_primal`, or `cold_primal_sparse` when the LP layer routed the solve onto its sparse kernels |
+//! | `dpsan_solve_iterations_total` | counter | simplex iterations |
 //! | `dpsan_solve_refactorizations_total` | counter | basis (re)factorizations |
-//! | `dpsan_solve_dual_fallbacks_total` | counter | dual reoptimizations that bowed out to the primal path |
-//! | `dpsan_solve_degenerate_fallbacks_total` | counter | warm answers vetoed by the alternate-optima guard (re-solved cold) |
+//! | `dpsan_solves_capped_total` | counter | O-UMP solves that stopped at the iteration cap and returned the anytime incumbent |
 //!
 //! These mirror [`crate::SessionStats`] one-for-one: every increment in
-//! `SolveSession::solve_with_hint` lands in both the per-session struct
-//! and the process-wide registry, so a stats line rendered from either
-//! source agrees with the other by construction. `warm_starts` needs no
-//! series of its own — it is `dual_reopt + warm_primal` by definition,
-//! which label arithmetic recovers.
+//! `SolveSession` lands in both the per-session struct and the
+//! process-wide registry, so a stats line rendered from either source
+//! agrees with the other by construction.
 
 use dpsan_obs::{global, Counter};
 use std::sync::OnceLock;
 
-/// Solves that finished on the given path (`dual_reopt`, `warm_primal`,
-/// `cold_primal`, or their `_sparse`-suffixed variants). Handles are
-/// cached per path so the hot solve loop never touches the registry
-/// lock.
-pub fn solves_total(path: &str) -> Counter {
-    static DUAL: OnceLock<Counter> = OnceLock::new();
-    static WARM: OnceLock<Counter> = OnceLock::new();
-    static COLD: OnceLock<Counter> = OnceLock::new();
-    static DUAL_SP: OnceLock<Counter> = OnceLock::new();
-    static WARM_SP: OnceLock<Counter> = OnceLock::new();
-    static COLD_SP: OnceLock<Counter> = OnceLock::new();
-    let cache = match path {
-        "dual_reopt" => &DUAL,
-        "warm_primal" => &WARM,
-        "cold_primal" => &COLD,
-        "dual_reopt_sparse" => &DUAL_SP,
-        "warm_primal_sparse" => &WARM_SP,
-        "cold_primal_sparse" => &COLD_SP,
-        other => return global().counter_with("dpsan_solves_total", "path", other),
-    };
-    cache.get_or_init(|| global().counter_with("dpsan_solves_total", "path", path)).clone()
+/// Solves on the dense (`cold_primal`) or sparse (`cold_primal_sparse`)
+/// kernel route. Handles are cached per route so the solve loop never
+/// touches the registry lock.
+pub fn solves_total(sparse: bool) -> &'static Counter {
+    static DENSE: OnceLock<Counter> = OnceLock::new();
+    static SPARSE: OnceLock<Counter> = OnceLock::new();
+    let (cache, path) =
+        if sparse { (&SPARSE, "cold_primal_sparse") } else { (&DENSE, "cold_primal") };
+    cache.get_or_init(|| global().counter_with("dpsan_solves_total", "path", path))
 }
 
 /// Simplex iterations summed over all solves.
@@ -53,14 +38,8 @@ pub fn refactorizations_total() -> &'static Counter {
     H.get_or_init(|| global().counter("dpsan_solve_refactorizations_total"))
 }
 
-/// Dual reoptimizations that fell back to the primal path.
-pub fn dual_fallbacks_total() -> &'static Counter {
+/// O-UMP solves accepted at the iteration cap (anytime incumbents).
+pub fn solves_capped_total() -> &'static Counter {
     static H: OnceLock<Counter> = OnceLock::new();
-    H.get_or_init(|| global().counter("dpsan_solve_dual_fallbacks_total"))
-}
-
-/// Warm answers discarded by the alternate-optima guard.
-pub fn degenerate_fallbacks_total() -> &'static Counter {
-    static H: OnceLock<Counter> = OnceLock::new();
-    H.get_or_init(|| global().counter("dpsan_solve_degenerate_fallbacks_total"))
+    H.get_or_init(|| global().counter("dpsan_solves_capped_total"))
 }

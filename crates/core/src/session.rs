@@ -1,60 +1,42 @@
-//! Warm-started solve sessions with algorithm selection for parameter
-//! sweeps.
+//! Solve sessions: shared LP options plus per-scope solver counters.
 //!
-//! The evaluation workload (Tables 4–6, Figures 3–4) re-solves the same
-//! privacy polytope across an `(ε, δ)`/budget grid: the constraint
-//! matrix is fixed and only the right-hand side (budget, output size)
-//! moves between adjacent grid points. A [`SolveSession`] owns the LP
-//! options plus the [`Basis`] snapshot of the previous optimum and
-//! picks the cheapest sound path per solve:
+//! The evaluation workload (Tables 4–6, Figures 3–4) solves one LP per
+//! `(ε, δ)`/budget grid cell, and a long-running sanitizer solves one
+//! per release. A [`SolveSession`] holds the LP options those solves
+//! share and counts what they cost in [`SessionStats`].
 //!
-//! * **dual reoptimization** when the step moved only `b`/`l`/`u` —
-//!   either declared by the caller ([`SolveSession::solve_rhs_step`])
-//!   or detected by fingerprinting the previous problem's matrix,
-//!   objective, and sense ([`SolveSession::solve`]) — restoring the
-//!   previous basis (still dual feasible) and repairing primal
-//!   feasibility in a handful of dual pivots;
-//! * **warm primal** when the shape matches but the step was not
-//!   rhs-only (or the dual attempt bowed out);
-//! * **cold two-phase primal** otherwise.
-//!
-//! Selection never changes *what* is computed, only how fast: every
-//! fast path verifies its own premise on the new data and silently
-//! degrades. [`SessionStats`] counts which paths actually ran so
-//! sweeps can prove their speedup instead of assuming it.
+//! Every solve is the plain two-phase primal simplex
+//! ([`dpsan_lp::simplex::solve`]) from the slack basis, so a session's
+//! answer is a function of the problem alone — never of the solves
+//! before it. That is what keeps "same window + same seed ⇒ identical
+//! release" true across re-releases, retractions, and sharded grids.
+//! The O-UMP's optimum is almost always non-unique, so a solve seeded
+//! from an earlier basis could legally stop at a different optimal
+//! vertex and floor to different counts; a future warm start must first
+//! make the optimum canonical.
 
 use dpsan_lp::error::LpError;
-use dpsan_lp::problem::{Problem, Sense};
-use dpsan_lp::simplex::{
-    solve_parametric, solve_parametric_cached, Algorithm, Basis, ReoptCache, SimplexOptions,
-    Solution, SolveStatus, StepHint,
-};
+use dpsan_lp::problem::Problem;
+use dpsan_lp::simplex::{solve, SimplexOptions, Solution};
 
 /// Counters describing how a session's solves went.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Total solves issued through the session.
     pub solves: usize,
-    /// Solves seeded from the previous optimal basis (dual
-    /// reoptimizations plus warm primal starts).
-    pub warm_starts: usize,
-    /// Solves finished by the dual simplex from the restored basis.
-    pub dual_reopts: usize,
-    /// Solves that ran the full two-phase primal from scratch.
-    pub cold_starts: usize,
-    /// Dual reoptimizations that were attempted but fell back to the
-    /// primal path (lost dual feasibility, stall, unusable snapshot).
-    pub dual_fallbacks: usize,
-    /// Warm results discarded because the optimum was not unique
-    /// (alternate optimal vertices): the session re-solved cold so the
-    /// answer never depends on solver history. Counted on top of the
-    /// cold start the re-solve performs.
-    pub degenerate_fallbacks: usize,
-    /// Simplex iterations summed over all solves (all algorithms,
-    /// including failed dual attempts).
+    /// Simplex iterations summed over all solves.
     pub iterations: usize,
     /// Basis (re)factorizations summed over all solves.
     pub refactorizations: usize,
+    /// O-UMP solves that stopped at the iteration cap and returned the
+    /// anytime incumbent instead of a proven optimum.
+    pub capped: usize,
+    /// Always `0`: every solve is cold. Kept only because the
+    /// `perfbench` driver reads it as its `core.warm_kept` metric.
+    pub warm_starts: usize,
+    /// Always `0`: there is no warm answer to veto. Kept only because
+    /// the `perfbench` driver reads it as its `core.warm_vetoed` metric.
+    pub degenerate_fallbacks: usize,
 }
 
 impl SessionStats {
@@ -62,18 +44,9 @@ impl SessionStats {
     /// per-shard sessions into experiment-wide totals).
     pub fn merge(&mut self, other: &SessionStats) {
         self.solves += other.solves;
-        self.warm_starts += other.warm_starts;
-        self.dual_reopts += other.dual_reopts;
-        self.cold_starts += other.cold_starts;
-        self.dual_fallbacks += other.dual_fallbacks;
-        self.degenerate_fallbacks += other.degenerate_fallbacks;
         self.iterations += other.iterations;
         self.refactorizations += other.refactorizations;
-    }
-
-    /// Warm primal starts (seeded solves that did not finish dual).
-    pub fn warm_primal(&self) -> usize {
-        self.warm_starts - self.dual_reopts
+        self.capped += other.capped;
     }
 
     /// The counter increments since `before` (a snapshot of the same
@@ -82,128 +55,25 @@ impl SessionStats {
     pub fn delta(&self, before: &SessionStats) -> SessionStats {
         SessionStats {
             solves: self.solves - before.solves,
-            warm_starts: self.warm_starts - before.warm_starts,
-            dual_reopts: self.dual_reopts - before.dual_reopts,
-            cold_starts: self.cold_starts - before.cold_starts,
-            dual_fallbacks: self.dual_fallbacks - before.dual_fallbacks,
-            degenerate_fallbacks: self.degenerate_fallbacks - before.degenerate_fallbacks,
             iterations: self.iterations - before.iterations,
             refactorizations: self.refactorizations - before.refactorizations,
+            capped: self.capped - before.capped,
+            ..SessionStats::default()
         }
     }
 }
 
-/// Which solve paths a session may pick from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Full selection: dual reoptimization on rhs-only steps, warm or
-    /// cold primal otherwise.
-    #[default]
-    Auto,
-    /// Never attempt the dual path — the pre-dual behaviour (warm
-    /// primal when the snapshot fits, cold otherwise). Useful for
-    /// benchmarking the dual path against its predecessor.
-    PrimalOnly,
-}
-
-/// Fingerprint of the parts of a [`Problem`] that must be unchanged for
-/// a step to qualify as rhs/bounds-only: sense, shape, objective, and
-/// matrix, the latter two condensed to an FNV-1a hash so per-solve
-/// bookkeeping allocates nothing.
-///
-/// This fingerprint is *advisory routing only* — it decides whether to
-/// try the dual path, and the LP layer's carried cache re-verifies the
-/// matrix and objective exactly before reusing anything (see
-/// `ReoptCache` in `dpsan_lp::simplex`). A hash collision can therefore
-/// at worst cost one rejected dual attempt, never a wrong answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ShapePrint {
-    sense: Sense,
-    n_rows: usize,
-    n_cols: usize,
-    hash: u64,
-}
-
-/// FNV-1a over the objective and matrix triplets (bit patterns, so the
-/// comparison is exact-equality-shaped, like the LP layer's check).
-fn shape_hash(p: &Problem) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mix = |v: u64, h: &mut u64| {
-        *h ^= v;
-        *h = h.wrapping_mul(PRIME);
-    };
-    for &c in p.objective() {
-        mix(c.to_bits(), &mut h);
-    }
-    for &(r, c, v) in p.triplets() {
-        mix(r as u64, &mut h);
-        mix(c as u64, &mut h);
-        mix(v.to_bits(), &mut h);
-    }
-    h
-}
-
-impl ShapePrint {
-    fn of(p: &Problem) -> ShapePrint {
-        ShapePrint { sense: p.sense(), n_rows: p.n_rows(), n_cols: p.n_cols(), hash: shape_hash(p) }
-    }
-}
-
-/// A solver session that carries the optimal basis (and thereby the
-/// factorization work) from one solve to the next.
-///
-/// Use one session per *sweep of related problems* (e.g. one shard of a
-/// budget grid). Interleaving unrelated problem shapes through a single
-/// session is safe but defeats the warm start, since each shape change
-/// discards the snapshot.
-#[derive(Debug)]
+/// A solver session: the LP options every solve uses, plus counters.
+#[derive(Debug, Clone)]
 pub struct SolveSession {
     lp: SimplexOptions,
-    strategy: Strategy,
-    basis: Option<Basis>,
-    prev: Option<ShapePrint>,
-    /// Carried scale factors + standard form + LU factorization for the
-    /// dual fast path (self-validating; see [`ReoptCache`]).
-    cache: ReoptCache,
     stats: SessionStats,
 }
 
-impl Clone for SolveSession {
-    /// Clones carry the options, snapshot, and stats — but not the
-    /// factorization cache (it is rebuilt lazily by the clone's first
-    /// solve), so cloning stays cheap and sessions stay `Clone` even
-    /// though a live LU factorization is not.
-    fn clone(&self) -> SolveSession {
-        SolveSession {
-            lp: self.lp.clone(),
-            strategy: self.strategy,
-            basis: self.basis.clone(),
-            prev: self.prev,
-            cache: ReoptCache::new(),
-            stats: self.stats,
-        }
-    }
-}
-
 impl SolveSession {
-    /// New session with the given LP options and no snapshot.
+    /// New session with the given LP options.
     pub fn new(lp: SimplexOptions) -> SolveSession {
-        SolveSession {
-            lp,
-            strategy: Strategy::default(),
-            basis: None,
-            prev: None,
-            cache: ReoptCache::new(),
-            stats: SessionStats::default(),
-        }
-    }
-
-    /// Restrict the session to the given solve paths.
-    pub fn with_strategy(mut self, strategy: Strategy) -> SolveSession {
-        self.strategy = strategy;
-        self
+        SolveSession { lp, stats: SessionStats::default() }
     }
 
     /// The LP options every solve of this session uses.
@@ -216,134 +86,25 @@ impl SolveSession {
         self.stats
     }
 
-    /// Drop the stored snapshot, fingerprint, and factorization cache
-    /// (the next solve starts cold).
-    pub fn reset(&mut self) {
-        self.basis = None;
-        self.prev = None;
-        self.cache.clear();
-    }
-
-    /// Solve `problem`, auto-selecting the algorithm: when the problem
-    /// matches the previous one in matrix, objective, and sense (only
-    /// `b`/`l`/`u` moved), the previous basis is restored and the dual
-    /// simplex reoptimizes; otherwise the warm/cold primal path runs.
+    /// Solve `problem` with the session's options and count the work.
     pub fn solve(&mut self, problem: &Problem) -> Result<Solution, LpError> {
-        // one fingerprint computation serves both the comparison with
-        // the previous solve and the stored print for the next one
-        let fp = (self.strategy == Strategy::Auto).then(|| ShapePrint::of(problem));
-        let rhs_only = self.basis.is_some() && fp.is_some() && fp == self.prev;
-        let hint = if rhs_only { StepHint::RhsOnly } else { StepHint::Fresh };
-        self.solve_with_hint(problem, hint, fp)
-    }
-
-    /// Solve `problem` declaring that, relative to the previous solve,
-    /// only the right-hand side and/or variable bounds moved (a grid
-    /// step). This skips the fingerprint work of [`SolveSession::solve`]
-    /// entirely (neither comparing nor storing one — an interleaved
-    /// `solve` call right after a declared step conservatively runs the
-    /// primal path once) and goes straight to the dual reoptimization
-    /// attempt. The declaration is advisory: the dual path re-verifies
-    /// dual feasibility on the actual new data and falls back to the
-    /// primal path when the claim does not hold, so a wrong declaration
-    /// costs time, never correctness.
-    pub fn solve_rhs_step(&mut self, problem: &Problem) -> Result<Solution, LpError> {
-        let hint = match self.strategy {
-            Strategy::Auto if self.basis.is_some() => StepHint::RhsOnly,
-            _ => StepHint::Fresh,
-        };
-        self.solve_with_hint(problem, hint, None)
-    }
-
-    fn solve_with_hint(
-        &mut self,
-        problem: &Problem,
-        hint: StepHint,
-        fp: Option<ShapePrint>,
-    ) -> Result<Solution, LpError> {
-        // a PrimalOnly session can never consult the carried cache
-        // (every hint is Fresh), so it uses the stateless entry point
-        // and skips cache population entirely — keeping the pinned
-        // PR 2 baseline behaviour honest in benches
-        let mut out = match self.strategy {
-            Strategy::Auto => solve_parametric_cached(
-                problem,
-                &self.lp,
-                self.basis.as_ref(),
-                hint,
-                &mut self.cache,
-            )?,
-            Strategy::PrimalOnly => {
-                solve_parametric(problem, &self.lp, self.basis.as_ref(), StepHint::Fresh)?
-            }
-        };
-        // Determinism guard: a warm-seeded solve that lands on a
-        // non-unique optimum may sit at a *different* optimal vertex
-        // than the cold solve of the same problem would pick — under a
-        // retraction step (shrunken caps) the dual repair routinely
-        // does. Downstream, different vertices floor to different
-        // counts and break the "same window + same seed ⇒ identical
-        // release, independent of solver history" guarantee, so the
-        // warm answer is discarded and the canonical cold path re-runs.
-        // Cold solves are deterministic, so cold-vs-cold needs no guard.
-        let mut degenerate_retry = false;
-        if out.solution.status == SolveStatus::Optimal
-            && out.stats.algorithm != Algorithm::ColdPrimal
-            && out.solution.alternate_optima
-        {
-            degenerate_retry = true;
-            let spent_iterations = out.stats.iterations;
-            let spent_refactorizations = out.stats.refactorizations;
-            // the canonical answer is kept unconditionally, and the
-            // vetoed solve already certified this LP's optimum as
-            // non-unique — skip paying for the certificate again (on
-            // massively degenerate LPs it rivals the solve itself) and
-            // carry the established flag forward
-            let lp = SimplexOptions { skip_optima_certificate: true, ..self.lp.clone() };
-            out = solve_parametric_cached(problem, &lp, None, StepHint::Fresh, &mut self.cache)?;
-            out.solution.alternate_optima = true;
-            out.stats.iterations += spent_iterations;
-            out.stats.refactorizations += spent_refactorizations;
-        }
+        let sol = solve(problem, &self.lp)?;
         // every increment mirrors into the process-wide registry so the
         // exported series and this session's stats agree by construction
         self.stats.solves += 1;
-        if degenerate_retry {
-            self.stats.degenerate_fallbacks += 1;
-            crate::obs::degenerate_fallbacks_total().inc();
-        }
-        // the path label carries the kernel route too: `_sparse` when
-        // the LP layer ran on its sparse kernels (large instances)
-        let sparse = out.stats.sparse;
-        match out.stats.algorithm {
-            Algorithm::DualReopt => {
-                self.stats.dual_reopts += 1;
-                self.stats.warm_starts += 1;
-                crate::obs::solves_total(if sparse { "dual_reopt_sparse" } else { "dual_reopt" })
-                    .inc();
-            }
-            Algorithm::WarmPrimal => {
-                self.stats.warm_starts += 1;
-                crate::obs::solves_total(if sparse { "warm_primal_sparse" } else { "warm_primal" })
-                    .inc();
-            }
-            Algorithm::ColdPrimal => {
-                self.stats.cold_starts += 1;
-                crate::obs::solves_total(if sparse { "cold_primal_sparse" } else { "cold_primal" })
-                    .inc();
-            }
-        }
-        if out.stats.dual_fallback {
-            self.stats.dual_fallbacks += 1;
-            crate::obs::dual_fallbacks_total().inc();
-        }
-        self.stats.iterations += out.stats.iterations;
-        self.stats.refactorizations += out.stats.refactorizations;
-        crate::obs::iterations_total().add(out.stats.iterations as u64);
-        crate::obs::refactorizations_total().add(out.stats.refactorizations as u64);
-        self.basis = if out.solution.status == SolveStatus::Optimal { out.basis } else { None };
-        self.prev = fp;
-        Ok(out.solution)
+        self.stats.iterations += sol.iterations;
+        self.stats.refactorizations += sol.refactorizations;
+        crate::obs::solves_total(sol.sparse).inc();
+        crate::obs::iterations_total().add(sol.iterations as u64);
+        crate::obs::refactorizations_total().add(sol.refactorizations as u64);
+        Ok(sol)
+    }
+
+    /// Count one solve that ended at the iteration cap and was accepted
+    /// as an anytime incumbent.
+    pub(crate) fn count_capped(&mut self) {
+        self.stats.capped += 1;
+        crate::obs::solves_capped_total().inc();
     }
 }
 
@@ -351,172 +112,70 @@ impl SolveSession {
 mod tests {
     use super::*;
     use dpsan_lp::problem::{RowBounds, Sense, VarBounds};
+    use dpsan_lp::simplex::SolveStatus;
 
-    /// `max x0 + 0.8·x1` s.t. `x0 + x1 ≤ rhs`, `x ∈ [0, 10]`. The
-    /// distinct objective coefficients make the optimum unique (all
-    /// budget goes to `x0` for `rhs ≤ 10`), so warm paths are never
-    /// vetoed by the alternate-optima guard.
-    fn capped(rhs: f64) -> Problem {
+    /// `max x0 + x1` over one shared row: the optimal face is the whole
+    /// segment `x0 + x1 = rhs`, so any optimal vertex is a legal answer.
+    fn flat(rhs: f64) -> Problem {
         let mut p = Problem::new(Sense::Maximize);
         let a = p.add_col(1.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
-        let b = p.add_col(0.8, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
+        let b = p.add_col(1.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
         p.add_row(RowBounds::at_most(rhs), &[(a, 1.0), (b, 1.0)]).unwrap();
         p
     }
 
     #[test]
-    fn sweep_warm_starts_after_first_solve() {
+    fn sweep_counts_every_solve() {
         let mut s = SolveSession::new(SimplexOptions::default());
+        let mut iterations = 0;
         for (i, rhs) in [2.0, 3.0, 5.0, 8.0].into_iter().enumerate() {
-            let sol = s.solve(&capped(rhs)).unwrap();
+            let sol = s.solve(&flat(rhs)).unwrap();
             assert_eq!(sol.status, SolveStatus::Optimal);
             assert!((sol.objective - rhs).abs() < 1e-9);
+            iterations += sol.iterations;
             let st = s.stats();
             assert_eq!(st.solves, i + 1);
+            assert_eq!(st.iterations, iterations);
+            assert!(st.refactorizations > i, "each solve factors at least once: {st:?}");
         }
-        assert!(s.stats().warm_starts >= 3, "rhs-only sweeps reuse the basis: {:?}", s.stats());
+        assert_eq!((s.stats().warm_starts, s.stats().degenerate_fallbacks), (0, 0));
     }
 
     #[test]
-    fn auto_detection_routes_rhs_sweeps_through_dual() {
+    fn session_answers_do_not_depend_on_history() {
+        // a down-sweep over a degenerate optimum: a session that has
+        // solved other budgets first must return the same vertex as a
+        // fresh session, so releases never depend on solver history
         let mut s = SolveSession::new(SimplexOptions::default());
-        // down-sweep: the old vertex leaves the shrinking polytope every
-        // step, which the warm primal path can only fix by cold
-        // starting — the dual path repairs it in place
-        for rhs in [9.0, 7.0, 5.0, 3.0, 1.0] {
-            let sol = s.solve(&capped(rhs)).unwrap();
-            assert_eq!(sol.status, SolveStatus::Optimal);
-            assert!((sol.objective - rhs).abs() < 1e-9);
+        for rhs in [9.0, 7.0, 5.0, 3.0] {
+            let swept = s.solve(&flat(rhs)).unwrap();
+            let fresh = SolveSession::new(SimplexOptions::default()).solve(&flat(rhs)).unwrap();
+            assert_eq!(swept.status, SolveStatus::Optimal);
+            assert_eq!(swept.x, fresh.x, "rhs={rhs}: history leaked into the vertex");
         }
-        let st = s.stats();
-        assert_eq!(st.dual_reopts, 4, "every step after the first goes dual: {st:?}");
-        assert_eq!(st.cold_starts, 1, "only the first solve is cold: {st:?}");
-        assert_eq!(st.dual_fallbacks, 0, "{st:?}");
-    }
-
-    #[test]
-    fn declared_rhs_step_goes_dual_without_fingerprint() {
-        let mut s = SolveSession::new(SimplexOptions::default());
-        s.solve_rhs_step(&capped(4.0)).unwrap();
-        s.solve_rhs_step(&capped(2.0)).unwrap();
-        let st = s.stats();
-        assert_eq!(st.dual_reopts, 1, "{st:?}");
-    }
-
-    #[test]
-    fn primal_only_strategy_never_runs_dual() {
-        let mut s =
-            SolveSession::new(SimplexOptions::default()).with_strategy(Strategy::PrimalOnly);
-        for rhs in [9.0, 7.0, 5.0] {
-            s.solve(&capped(rhs)).unwrap();
-        }
-        let st = s.stats();
-        assert_eq!(st.dual_reopts, 0, "{st:?}");
-        assert_eq!(st.dual_fallbacks, 0, "{st:?}");
-        assert_eq!(st.solves, 3);
-    }
-
-    #[test]
-    fn objective_change_is_not_treated_as_rhs_step() {
-        let mut s = SolveSession::new(SimplexOptions::default());
-        s.solve(&capped(4.0)).unwrap();
-        // same shape, different objective: fingerprint must refuse the
-        // dual route (the warm primal path still applies)
-        let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_col(3.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
-        let b = p.add_col(1.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
-        p.add_row(RowBounds::at_most(4.0), &[(a, 1.0), (b, 1.0)]).unwrap();
-        let sol = s.solve(&p).unwrap();
-        assert_eq!(sol.status, SolveStatus::Optimal);
-        assert!((sol.objective - 12.0).abs() < 1e-9);
-        let st = s.stats();
-        assert_eq!(st.dual_reopts, 0, "{st:?}");
-        assert_eq!(st.dual_fallbacks, 0, "no wasted dual attempt either: {st:?}");
-    }
-
-    #[test]
-    fn shape_change_degrades_to_cold() {
-        let mut s = SolveSession::new(SimplexOptions::default());
-        s.solve(&capped(2.0)).unwrap();
-        // different shape: two rows
-        let mut p = capped(4.0);
-        p.add_row(RowBounds::at_most(3.0), &[(0, 1.0)]).unwrap();
-        let sol = s.solve(&p).unwrap();
-        assert_eq!(sol.status, SolveStatus::Optimal);
-        assert_eq!(s.stats().warm_starts, 0, "mismatched shape cannot warm-start");
-        // and the session recovers: next same-shape solve warms again
-        s.solve(&{
-            let mut q = capped(5.0);
-            q.add_row(RowBounds::at_most(4.0), &[(0, 1.0)]).unwrap();
-            q
-        })
-        .unwrap();
-        assert_eq!(s.stats().warm_starts, 1);
-    }
-
-    #[test]
-    fn reset_forces_cold() {
-        let mut s = SolveSession::new(SimplexOptions::default());
-        s.solve(&capped(2.0)).unwrap();
-        s.reset();
-        s.solve(&capped(3.0)).unwrap();
-        assert_eq!(s.stats().warm_starts, 0);
-        assert_eq!(s.stats().cold_starts, 2);
     }
 
     #[test]
     fn stats_merge_adds_fieldwise() {
         let mut a = SessionStats {
             solves: 1,
-            warm_starts: 1,
-            dual_reopts: 1,
-            cold_starts: 0,
-            dual_fallbacks: 0,
-            degenerate_fallbacks: 0,
             iterations: 5,
             refactorizations: 2,
+            capped: 0,
+            ..SessionStats::default()
         };
         let b = SessionStats {
             solves: 2,
-            warm_starts: 0,
-            dual_reopts: 0,
-            cold_starts: 2,
-            dual_fallbacks: 1,
-            degenerate_fallbacks: 1,
             iterations: 11,
             refactorizations: 3,
+            capped: 1,
+            ..SessionStats::default()
         };
         a.merge(&b);
         assert_eq!(a.solves, 3);
         assert_eq!(a.iterations, 16);
         assert_eq!(a.refactorizations, 5);
-        assert_eq!(a.dual_fallbacks, 1);
-        assert_eq!(a.degenerate_fallbacks, 1);
-        assert_eq!(a.warm_primal(), 0);
-    }
-
-    #[test]
-    fn degenerate_optimum_discards_the_warm_answer() {
-        // `max x0 + x1` over one shared row: the optimal face is the
-        // whole segment x0 + x1 = rhs, so a dual reopt may sit at a
-        // different corner than a cold solve — the guard must re-solve
-        // cold so the session's answer never depends on history
-        let flat = |rhs: f64| {
-            let mut p = Problem::new(Sense::Maximize);
-            let a = p.add_col(1.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
-            let b = p.add_col(1.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
-            p.add_row(RowBounds::at_most(rhs), &[(a, 1.0), (b, 1.0)]).unwrap();
-            p
-        };
-        let mut s = SolveSession::new(SimplexOptions::default());
-        for rhs in [9.0, 7.0, 5.0, 3.0] {
-            let warm_sol = s.solve(&flat(rhs)).unwrap();
-            let cold_sol = SolveSession::new(SimplexOptions::default()).solve(&flat(rhs)).unwrap();
-            assert_eq!(warm_sol.status, SolveStatus::Optimal);
-            assert_eq!(warm_sol.x, cold_sol.x, "rhs={rhs}: history leaked into the vertex");
-        }
-        let st = s.stats();
-        assert!(st.degenerate_fallbacks >= 3, "every warm attempt must be vetoed: {st:?}");
-        assert_eq!(st.dual_reopts, 0, "no degenerate dual answer may be kept: {st:?}");
+        assert_eq!(a.capped, 1);
+        assert_eq!(a.delta(&b).iterations, 5);
     }
 }

@@ -104,16 +104,8 @@ pub fn solve_fump_with(
 }
 
 impl SolveSession {
-    /// Solve the F-UMP through this session, warm-starting from the
-    /// previous optimal basis. Consecutive cells that share the
-    /// frequent-pair set keep the same LP shape, so the snapshot
-    /// carries over; a support change silently degrades that one solve
-    /// to a cold start. Unlike the O-UMP, an F-UMP grid step is only
-    /// *sometimes* rhs-only (budget moves keep the matrix fixed, `|O|`
-    /// moves rewrite the abs-value-split coefficients), so the
-    /// session's fingerprint-based auto-detection decides per step
-    /// whether the dual fast path applies. The session's LP options
-    /// override `opts.lp`.
+    /// Solve the F-UMP through this session, counting the solve in the
+    /// session's stats. The session's LP options override `opts.lp`.
     pub fn solve_fump(
         &mut self,
         log: &SearchLog,

@@ -94,19 +94,19 @@ pub fn solve_oump_with(
 }
 
 impl SolveSession {
-    /// Solve the O-UMP through this session, reusing the previous
-    /// optimal basis (ideal for budget sweeps over one constraint
-    /// system). O-UMP grid steps are *declared* rhs-only
-    /// perturbations: for a fixed preprocessed log only the row
-    /// right-hand side `B` moves, so consecutive solves restore the
-    /// previous basis and dual-reoptimize in a handful of pivots. The
-    /// session's LP options override `opts.lp`.
+    /// Solve the O-UMP through this session, counting the solve (and
+    /// whether it was capped) in the session's stats. The session's LP
+    /// options override `opts.lp`.
     pub fn solve_oump(
         &mut self,
         constraints: &PrivacyConstraints,
         opts: &OumpOptions,
     ) -> Result<OumpSolution, CoreError> {
-        solve_oump_inner(constraints, opts, Some(self))
+        let sol = solve_oump_inner(constraints, opts, Some(&mut *self))?;
+        if sol.capped {
+            self.count_capped();
+        }
+        Ok(sol)
     }
 }
 
@@ -145,10 +145,7 @@ fn solve_oump_inner(
 
     let p = build_problem(constraints, opts);
     let sol: Solution = match session {
-        // budget sweeps move only the row rhs: declare it so the
-        // session skips the fingerprint scan and goes straight to the
-        // dual-reoptimization attempt
-        Some(s) => s.solve_rhs_step(&p)?,
+        Some(s) => s.solve(&p)?,
         None => solve(&p, &opts.lp)?,
     };
     let capped = sol.status == SolveStatus::IterationLimit && opts.anytime;
@@ -295,6 +292,21 @@ mod tests {
         let full = solve_oump(&log, p, &OumpOptions::default()).unwrap();
         assert!(!full.capped);
         assert!(s.lambda <= full.lambda);
+    }
+
+    #[test]
+    fn session_counts_capped_solves() {
+        let log = two_pair_log();
+        let c = PrivacyConstraints::build(&log, params(2.0, 0.5)).unwrap();
+        let lp = SimplexOptions { max_iter: 1, ..SimplexOptions::default() };
+        let mut session = SolveSession::new(lp.clone());
+        let anytime = OumpOptions { lp, anytime: true, ..Default::default() };
+        assert!(session.solve_oump(&c, &anytime).unwrap().capped);
+        assert_eq!((session.stats().solves, session.stats().capped), (1, 1));
+        // a strict solve that hits the cap is an error, not a capped solve
+        let strict = OumpOptions { anytime: false, ..anytime };
+        assert!(session.solve_oump(&c, &strict).is_err());
+        assert_eq!((session.stats().solves, session.stats().capped), (2, 1));
     }
 
     #[test]

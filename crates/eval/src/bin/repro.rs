@@ -12,8 +12,8 @@
 //! byte-identical for every `N`; jobs only trades wall-clock for CPU.
 //!
 //! `--stats` prints, after each experiment, the aggregate LP-solver
-//! counters (dual reoptimizations vs warm/cold primal solves, simplex
-//! iterations, refactorizations) to **stderr**, so the golden-gated
+//! counters (solves, simplex iterations, refactorizations, capped
+//! solves) to **stderr**, so the golden-gated
 //! stdout stays untouched. `--metrics-json <path>` dumps the full
 //! telemetry registry (the same counters plus histograms with exact
 //! p50/p99) as JSON at exit — also observational only.

@@ -10,22 +10,19 @@
 //!
 //! The caches are behind mutexes so grid sweeps can be *prefetched* in
 //! parallel (see [`crate::pool`]): the grid is split into data-defined
-//! shards, each shard chains a [`SolveSession`] over its cells, and the
-//! shard layout never depends on the worker count — so output is
-//! byte-identical for every `--jobs` value. Within a chain the grid
-//! steps are rhs-only perturbations (O-UMP budget moves are declared as
-//! such; F-UMP steps are fingerprint-detected), so consecutive cells
-//! reoptimize with the dual simplex from the previous optimal basis
-//! rather than re-running the primal phases. Every session's
+//! shards, each shard solves its cells through one [`SolveSession`],
+//! and the shard layout never depends on the worker count. Every solve
+//! is cold, so a cell's answer depends only on the cell — output is
+//! byte-identical for every `--jobs` value. Every session's
 //! [`SessionStats`] are merged into a context-wide aggregate
-//! ([`Ctx::solve_stats`]) so sweeps can show which path handled their
-//! cells (`repro --stats`).
+//! ([`Ctx::solve_stats`]) so sweeps can show what their cells cost
+//! (`repro --stats`).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use dpsan_core::constraints::PrivacyConstraints;
-use dpsan_core::session::{SessionStats, SolveSession, Strategy};
+use dpsan_core::session::{SessionStats, SolveSession};
 use dpsan_core::ump::frequent::{FumpOptions, FumpSolution};
 use dpsan_core::ump::output_size::{OumpOptions, OumpSolution};
 use dpsan_core::CoreError;
@@ -36,12 +33,9 @@ use dpsan_searchlog::{preprocess, LogStats, PreprocessReport, SearchLog};
 
 use crate::pool::run_sharded;
 
-/// Budgets per warm-start chain when prefetching an O-UMP grid. The
-/// chunking is over the *sorted distinct budget list*, so it is a
-/// property of the requested grid, not of the worker count — a
-/// determinism requirement (see module docs). 4 balances chain reuse
-/// (longer chains amortize more cold solves) against parallelism
-/// (shorter chains make more shards).
+/// Budgets per shard when prefetching an O-UMP grid. The chunking is
+/// over the *sorted distinct budget list*, so it is a property of the
+/// requested grid, not of the worker count (see module docs).
 const OUMP_SHARD_LEN: usize = 4;
 
 /// Dataset scale of an experiment run.
@@ -114,7 +108,7 @@ pub struct Ctx {
     constraints_cache: Mutex<HashMap<u64, Arc<PrivacyConstraints>>>,
     fump_cache: Mutex<HashMap<FumpKey, Arc<FumpSolution>>>,
     /// Aggregate solver counters across every session this context ran
-    /// (prefetch chains and on-demand cache misses). Sums are
+    /// (prefetch shards and on-demand cache misses). Sums are
     /// independent of `jobs` because shard composition is.
     solve_stats: Mutex<SessionStats>,
 }
@@ -157,9 +151,8 @@ impl Ctx {
         (LogStats::of(&self.raw), LogStats::of(&self.pre))
     }
 
-    /// Aggregate LP-solver counters accumulated so far (dual
-    /// reoptimizations vs warm/cold primal solves, iterations,
-    /// refactorizations). Independent of [`Ctx::jobs`].
+    /// Aggregate LP-solver counters accumulated so far (solves,
+    /// iterations, refactorizations). Independent of [`Ctx::jobs`].
     pub fn solve_stats(&self) -> SessionStats {
         *self.solve_stats.lock().expect("stats poisoned")
     }
@@ -201,10 +194,9 @@ impl Ctx {
             return Ok(Arc::clone(s));
         }
         let constraints = self.constraints(params)?;
-        // a one-shot session: solves cold exactly like a plain solve
-        // would, but feeds the shared stats aggregate; PrimalOnly skips
-        // populating a reopt cache that is dropped right away
-        let mut session = SolveSession::new(self.lp.clone()).with_strategy(Strategy::PrimalOnly);
+        // a one-shot session: solves exactly like a plain solve would,
+        // but feeds the shared stats aggregate
+        let mut session = SolveSession::new(self.lp.clone());
         let sol = Arc::new(session.solve_oump(
             &constraints,
             &OumpOptions { lp: self.lp.clone(), ..Default::default() },
@@ -224,7 +216,7 @@ impl Ctx {
 
     /// Solve the O-UMP for every distinct budget in `grid` that is not
     /// cached yet, sharding the sorted budget list into fixed-size
-    /// warm-start chains run on up to [`Ctx::jobs`] workers.
+    /// shards run on up to [`Ctx::jobs`] workers.
     pub fn prefetch_oump(&self, grid: &[PrivacyParams]) -> Result<(), CoreError> {
         let mut todo: Vec<PrivacyParams> = Vec::new();
         {
@@ -241,7 +233,7 @@ impl Ctx {
         if todo.is_empty() {
             return Ok(());
         }
-        // ascending budgets: adjacent chain steps move the rhs least
+        // a fixed order makes the shard layout a property of the grid
         todo.sort_by(|a, b| {
             a.budget().value().partial_cmp(&b.budget().value()).expect("budgets are finite")
         });
@@ -284,7 +276,7 @@ impl Ctx {
         }
         let constraints = self.constraints(cell.params)?;
         // one-shot (see the O-UMP cache-miss path above)
-        let mut session = SolveSession::new(self.lp.clone()).with_strategy(Strategy::PrimalOnly);
+        let mut session = SolveSession::new(self.lp.clone());
         let sol = Arc::new(session.solve_fump(
             &self.pre,
             &constraints,
@@ -306,10 +298,9 @@ impl Ctx {
             .or_insert_with(|| Arc::clone(sol));
     }
 
-    /// Solve the F-UMP cells of a grid, one warm-start chain per given
-    /// shard (callers pick shards along the axis that keeps the LP
-    /// shape fixed — e.g. one δ-curve, or one support row). Cached
-    /// cells are skipped.
+    /// Solve the F-UMP cells of a grid, one session per given shard
+    /// (callers pick data-defined shards — e.g. one δ-curve, or one
+    /// support row). Cached cells are skipped.
     pub fn prefetch_fump(&self, shards: Vec<Vec<FumpCell>>) -> Result<(), CoreError> {
         let shards: Vec<Vec<FumpCell>> = {
             let cache = self.fump_cache.lock().expect("cache poisoned");

@@ -10,9 +10,8 @@
 //! directly comparable ([`dpsan_core::metrics::mechanism_score`]).
 //!
 //! The sweep runs serially: each mechanism release is deterministic in
-//! `(log, params, seed)` and the O-UMP sanitizer chains warm starts
-//! across the ascending-budget cells, so output is byte-identical for
-//! every `--jobs` value. Per-release solver counters are merged into
+//! `(log, params, seed)` (every LP solve is cold), so output is
+//! byte-identical for every `--jobs` value. Per-release solver counters are merged into
 //! the context aggregate — `repro compare --stats` reports LP activity
 //! for the UMP rows and true zeros for the non-LP mechanisms.
 
@@ -66,8 +65,8 @@ pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
             .map(str::to_string)
             .to_vec(),
     );
-    // one persistent O-UMP sanitizer: consecutive releases warm-start
-    // from the previous cell's basis exactly like a grid prefetch chain
+    // one persistent O-UMP sanitizer: its session counts every cell's
+    // solve
     let oump = UmpSanitizer::new(UtilityObjective::OutputSize);
     let mut cell = 0u64;
     for &delta in &COMPARE_DELTAS {

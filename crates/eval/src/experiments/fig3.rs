@@ -25,8 +25,8 @@ fn fig3_target_output(ctx: &Ctx) -> Result<u64, Box<dyn Error>> {
     Ok(((lambda_ref as f64 * FIG3_OUTPUT_FRACTION).round() as u64).max(1))
 }
 
-/// Prefetch the Figure 3(a)/(b) sweep: one warm-start chain per
-/// δ-curve, ε ascending (budget-only moves within a chain).
+/// Prefetch the Figure 3(a)/(b) sweep: one shard per δ-curve, ε
+/// ascending.
 fn prefetch_sweep(ctx: &Ctx, s_eff: f64, target: u64) -> Result<(), Box<dyn Error>> {
     let grid: Vec<PrivacyParams> = DELTA_CURVES
         .iter()
@@ -120,7 +120,7 @@ pub fn run_c(ctx: &Ctx, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         "Figure 3(c): average support distance vs minimum support (e^ε = 2, δ = 0.5, λ = {lambda})"
     )?;
     writeln!(out)?;
-    // shared with Tables 5/6: same cells, same warm-start chain layout
+    // shared with Tables 5/6: same cells, same shard layout
     prefetch_reference_grid(ctx, &outputs)?;
     let mut headers = vec!["s".to_string()];
     headers.extend(outputs.iter().map(|o| format!("|O|={o}")));

@@ -57,11 +57,10 @@ pub fn reference_outputs(ctx: &Ctx) -> Result<(u64, Vec<u64>), CoreError> {
     Ok((lambda, outs))
 }
 
-/// Prefetch the shared `(|O|, s)` reference grid: one warm-start chain
-/// per support row, |O| ascending. Tables 5/6 and Figure 3(c) must all
-/// go through this single definition — if their chain layouts ever
-/// diverged, the shared cache cells would depend on which experiment
-/// ran first and per-experiment output would drift from `repro all`.
+/// Prefetch the shared `(|O|, s)` reference grid: one shard per support
+/// row, |O| ascending. Tables 5/6 and Figure 3(c) all go through this
+/// single definition, so the shared cache cells are filled the same way
+/// whichever experiment runs first.
 pub fn prefetch_reference_grid(ctx: &Ctx, outs: &[u64]) -> Result<(), CoreError> {
     let params = reference_params();
     let rows: Vec<(f64, Vec<(PrivacyParams, u64)>)> = SUPPORT_GRID
@@ -74,11 +73,9 @@ pub fn prefetch_reference_grid(ctx: &Ctx, outs: &[u64]) -> Result<(), CoreError>
     prefetch_fump_rows(ctx, &rows)
 }
 
-/// Prefetch an F-UMP grid: one warm-start chain (shard) per row of
-/// `rows`, where a row is `(support, cells)` and each cell is
-/// `(params, target |O|)`. Rows should follow the axis that keeps the
-/// LP shape fixed — a δ-curve with ascending ε, or a support row with
-/// ascending `|O|` — so the chain's basis snapshots stay reusable.
+/// Prefetch an F-UMP grid: one shard per row of `rows`, where a row is
+/// `(support, cells)` and each cell is `(params, target |O|)` — e.g. a
+/// δ-curve with ascending ε, or a support row with ascending `|O|`.
 pub fn prefetch_fump_rows(
     ctx: &Ctx,
     rows: &[(f64, Vec<(PrivacyParams, u64)>)],

@@ -11,7 +11,7 @@ use crate::table::Table;
 
 /// Regenerate Table 4. Cells with identical budgets share one cached LP
 /// solve, which also surfaces the paper's plateau structure directly;
-/// the distinct budgets are prefetched as parallel warm-start chains.
+/// the distinct budgets are prefetched as parallel shards.
 pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let grid: Vec<PrivacyParams> = E_EPS_GRID
         .iter()

@@ -4,9 +4,8 @@
 //! (fixed-size chunks of a sorted budget list, one δ-curve, one support
 //! row …) and run them here. Shard composition never depends on the
 //! worker count, and each shard is processed sequentially by exactly
-//! one worker, so warm-start chains live entirely inside a shard and
-//! the results — hence the rendered tables — are byte-identical for
-//! every `--jobs` value. `jobs` only controls how many shards are in
+//! one worker, so the results — hence the rendered tables — are
+//! byte-identical for every `--jobs` value. `jobs` only controls how many shards are in
 //! flight at once.
 //!
 //! The implementation lives in [`dpsan_stream::pool`] since the

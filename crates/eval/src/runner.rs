@@ -4,8 +4,8 @@
 //! [`Ctx`] caches are filled in a deterministic sequence, which keeps
 //! `repro` output byte-identical across runs and `--jobs` values — but
 //! each experiment renders into its own buffer and parallelizes its
-//! parameter grid internally through [`crate::pool`] (worker per grid
-//! shard, warm-start chain per shard).
+//! parameter grid internally through [`crate::pool`] (one worker per
+//! grid shard at a time).
 
 use std::error::Error;
 use std::io::Write;

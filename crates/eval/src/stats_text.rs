@@ -27,30 +27,21 @@ use dpsan_obs::Snapshot;
 pub struct SolverCounters {
     /// Total solves.
     pub solves: u64,
-    /// Solves finished by the dual simplex from a restored basis.
-    pub dual_reopts: u64,
-    /// Warm primal starts (seeded, but not finished dual).
-    pub warm_primal: u64,
-    /// Cold two-phase primal solves.
-    pub cold_starts: u64,
-    /// Dual attempts that fell back to the primal path.
-    pub dual_fallbacks: u64,
     /// Simplex iterations over all solves.
     pub iterations: u64,
     /// Basis (re)factorizations over all solves.
     pub refactorizations: u64,
+    /// O-UMP solves accepted at the iteration cap (anytime incumbents).
+    pub capped: u64,
 }
 
 impl From<&SessionStats> for SolverCounters {
     fn from(s: &SessionStats) -> Self {
         SolverCounters {
             solves: s.solves as u64,
-            dual_reopts: s.dual_reopts as u64,
-            warm_primal: s.warm_primal() as u64,
-            cold_starts: s.cold_starts as u64,
-            dual_fallbacks: s.dual_fallbacks as u64,
             iterations: s.iterations as u64,
             refactorizations: s.refactorizations as u64,
+            capped: s.capped as u64,
         }
     }
 }
@@ -60,44 +51,32 @@ impl SolverCounters {
     /// [`Snapshot::delta`], to scope the counters to one experiment or
     /// release).
     pub fn from_snapshot(s: &Snapshot) -> Self {
-        let dual = s.counter("dpsan_solves_total{path=\"dual_reopt\"}");
-        let warm = s.counter("dpsan_solves_total{path=\"warm_primal\"}");
-        let cold = s.counter("dpsan_solves_total{path=\"cold_primal\"}");
         SolverCounters {
-            solves: dual + warm + cold,
-            dual_reopts: dual,
-            warm_primal: warm,
-            cold_starts: cold,
-            dual_fallbacks: s.counter("dpsan_solve_dual_fallbacks_total"),
+            solves: s.counter("dpsan_solves_total{path=\"cold_primal\"}")
+                + s.counter("dpsan_solves_total{path=\"cold_primal_sparse\"}"),
             iterations: s.counter("dpsan_solve_iterations_total"),
             refactorizations: s.counter("dpsan_solve_refactorizations_total"),
+            capped: s.counter("dpsan_solves_capped_total"),
         }
     }
 
-    /// The shared `key=value` payload of the full-width solver lines.
-    fn full_kv(&self) -> String {
+    /// The shared `key=value` payload of every solver line.
+    fn kv(&self) -> String {
         format!(
-            "solves={} dual-reopt={} warm-primal={} cold={} dual-fallbacks={} iterations={} \
-             refactorizations={}",
-            self.solves,
-            self.dual_reopts,
-            self.warm_primal,
-            self.cold_starts,
-            self.dual_fallbacks,
-            self.iterations,
-            self.refactorizations,
+            "solves={} iterations={} refactorizations={} capped={}",
+            self.solves, self.iterations, self.refactorizations, self.capped,
         )
     }
 }
 
 /// The `repro --stats` per-experiment line: `stats[scope]: solves=…`.
 pub fn solver_stats_line(scope: &str, c: &SolverCounters) -> String {
-    format!("stats[{scope}]: {}", c.full_kv())
+    format!("stats[{scope}]: {}", c.kv())
 }
 
 /// The one-shot `sanitize --stats` line: `solver: solves=…`.
 pub fn solver_line(c: &SolverCounters) -> String {
-    format!("solver: {}", c.full_kv())
+    format!("solver: {}", c.kv())
 }
 
 /// The serve per-release line: `release[N]: rows=… eps-total=…`.
@@ -112,13 +91,10 @@ pub fn release_line(
     out: &std::path::Path,
 ) -> String {
     format!(
-        "release[{index}]: rows={rows} latency_ms={:.1} dual-reopt={} warm-primal={} cold={} \
-         dual-fallbacks={} eps-total={epsilon_total:.6} delta-total={delta_total:.6} out={}",
+        "release[{index}]: rows={rows} latency_ms={:.1} {} eps-total={epsilon_total:.6} \
+         delta-total={delta_total:.6} out={}",
         latency.as_secs_f64() * 1e3,
-        c.dual_reopts,
-        c.warm_primal,
-        c.cold_starts,
-        c.dual_fallbacks,
+        c.kv(),
         out.display(),
     )
 }
@@ -155,20 +131,22 @@ mod tests {
         // identically for the same underlying history
         let stats = SessionStats {
             solves: 5,
-            warm_starts: 4,
-            dual_reopts: 3,
-            cold_starts: 1,
-            dual_fallbacks: 1,
-            degenerate_fallbacks: 0,
             iterations: 42,
             refactorizations: 7,
+            capped: 1,
+            ..SessionStats::default()
         };
+        let registry = dpsan_obs::Registry::new();
+        registry.counter_with("dpsan_solves_total", "path", "cold_primal").add(3);
+        registry.counter_with("dpsan_solves_total", "path", "cold_primal_sparse").add(2);
+        registry.counter("dpsan_solve_iterations_total").add(42);
+        registry.counter("dpsan_solve_refactorizations_total").add(7);
+        registry.counter("dpsan_solves_capped_total").inc();
         let from_stats = SolverCounters::from(&stats);
-        assert_eq!(from_stats.warm_primal, 1);
+        assert_eq!(from_stats, SolverCounters::from_snapshot(&registry.snapshot()));
         assert_eq!(
             solver_stats_line("t", &from_stats),
-            "stats[t]: solves=5 dual-reopt=3 warm-primal=1 cold=1 dual-fallbacks=1 iterations=42 \
-             refactorizations=7"
+            "stats[t]: solves=5 iterations=42 refactorizations=7 capped=1"
         );
     }
 

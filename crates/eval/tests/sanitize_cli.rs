@@ -98,3 +98,32 @@ fn follow_mode_flag_validation() {
     let stderr = String::from_utf8_lossy(&o.stderr);
     assert!(stderr.contains("--follow"), "got: {stderr}");
 }
+
+#[test]
+fn stats_report_whether_the_oump_solve_was_capped() {
+    let dir = scratch("capped");
+    let input = dir.join("tiny.tsv");
+    let o = Command::new(env!("CARGO_BIN_EXE_genlog"))
+        .args(["--scale", "tiny", "--out", input.to_str().unwrap()])
+        .output()
+        .expect("spawn genlog");
+    assert!(o.status.success(), "stderr: {}", String::from_utf8_lossy(&o.stderr));
+    let out = dir.join("out.tsv");
+    let solver_line = |budget: &[&str]| {
+        let mut args = vec![input.to_str().unwrap(), "--mechanism", "oump", "--stats", "--out"];
+        args.push(out.to_str().unwrap());
+        args.extend_from_slice(budget);
+        let o = run_sanitize(&args);
+        assert!(o.status.success(), "stderr: {}", String::from_utf8_lossy(&o.stderr));
+        let stderr = String::from_utf8_lossy(&o.stderr).into_owned();
+        stderr.lines().find(|l| l.starts_with("solver: ")).expect("solver line").to_string()
+    };
+    // one simplex iteration never proves this LP optimal: the anytime
+    // incumbent is released and the solve is reported as capped
+    let capped = solver_line(&["--lp-budget", "1"]);
+    assert!(capped.ends_with(" capped=1"), "got: {capped}");
+    let full = solver_line(&[]);
+    assert!(full.ends_with(" capped=0"), "got: {full}");
+    assert!(full.starts_with("solver: solves=1 "), "got: {full}");
+    fs::remove_dir_all(&dir).ok();
+}

@@ -48,7 +48,4 @@ pub mod standard;
 
 pub use error::LpError;
 pub use problem::{Problem, RowBounds, Sense, VarBounds};
-pub use simplex::{
-    solve, solve_parametric, solve_parametric_cached, solve_with_basis, Algorithm, Basis,
-    ReoptCache, SimplexOptions, Solution, SolveStats, SolveStatus, StepHint, WarmOutcome,
-};
+pub use simplex::{solve, SimplexOptions, Solution, SolveStatus};

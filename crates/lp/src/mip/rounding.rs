@@ -71,7 +71,7 @@ pub fn lp_round_packing(p: &Problem, opts: &SimplexOptions) -> Option<Vec<f64>> 
 
 /// The rounding half of [`lp_round_packing`], starting from an already
 /// computed optimal relaxation point (lets callers solve the relaxation
-/// through a warm-started session).
+/// through a counting session).
 pub fn lp_round_packing_from(p: &Problem, relax_x: &[f64]) -> Vec<f64> {
     let mut x = round_down(p, relax_x);
     let mut order: Vec<usize> = (0..p.n_cols()).filter(|&j| p.integers()[j]).collect();

@@ -1,5 +1,4 @@
-//! Two-phase bounded-variable revised simplex, with a dual simplex for
-//! parametric reoptimization.
+//! Two-phase bounded-variable revised simplex.
 //!
 //! The solver works on the [`StandardForm`] `min c'x, Ax = b, l ≤ x ≤ u`
 //! (one slack per row). A starting basis is built from slacks; rows
@@ -9,16 +8,13 @@
 //! to Bland's rule after a stall (anti-cycling); the basis inverse is
 //! maintained as sparse LU + eta file with periodic refactorization.
 //!
-//! For *parametric* re-solves — the same constraint matrix and
-//! objective with only `b`/`l`/`u` moved, as happens across a privacy
-//! budget grid — [`solve_parametric`] with [`StepHint::RhsOnly`]
-//! restores the previous optimal basis (still dual feasible by
-//! construction) and runs a bounded-variable **dual simplex** (the
-//! `dual` submodule), which typically restores primal feasibility in a
-//! handful of pivots instead of re-running both primal phases.
+//! Every solve starts cold: [`solve`] is a deterministic function of the
+//! problem and the options, so the answer never depends on what was
+//! solved before. The O-UMP's all-ones objective makes its optimum
+//! almost always non-unique, and a solve seeded from an earlier basis
+//! could land on a different optimal vertex (hence different floored
+//! counts) than the cold solve of the same problem.
 
-mod basis;
-mod dual;
 mod pricing;
 mod ratio;
 
@@ -29,19 +25,8 @@ use crate::problem::{Problem, Sense};
 use crate::scaling::{self, ScaleFactors};
 use crate::sparse::{CscMatrix, CsrMatrix, SparseVec};
 use crate::standard::StandardForm;
-pub use basis::Basis;
-use basis::SnapStatus;
-use dual::DualOutcome;
 pub(crate) use pricing::{price_bland, Devex, Direction};
 pub(crate) use ratio::{ratio_test, ratio_test_sparse, RatioOutcome};
-
-/// Bound-violation tolerance under which a restored basis still counts
-/// as primal feasible. Looser than `tol_primal` because the restored
-/// basic values come from a single FTRAN against freshly scaled data
-/// rather than from a converged solve; violations beyond it mean the
-/// old vertex genuinely left the new polytope, and the solver falls
-/// back to a cold start.
-const WARM_FEASIBILITY_TOL: f64 = 1e-7;
 
 /// Row count at and above which solves take the sparse kernel route
 /// (pattern-driven FTRAN/BTRAN, sector partial pricing, incremental
@@ -61,7 +46,7 @@ const SPARSE_MIN_ROWS: usize = 512;
 /// users through shared pairs) a fixed update count lets per-iteration
 /// cost grow without bound. [`Core::sparse_refactor_due`] therefore also
 /// refactors when the eta fill outgrows the LU fill.
-pub(crate) const SPARSE_REFACTOR_MIN: usize = 128;
+const SPARSE_REFACTOR_MIN: usize = 128;
 
 /// Solver tuning knobs.
 #[derive(Debug, Clone)]
@@ -86,16 +71,6 @@ pub struct SimplexOptions {
     /// selects by problem size — sparse at `SPARSE_MIN_ROWS` rows and
     /// above, dense below.
     pub sparse: Option<bool>,
-    /// Skip the alternate-optima certificate on an optimal finish and
-    /// report [`Solution::alternate_optima`] as `false` unexamined.
-    ///
-    /// The certificate ratio-tests every near-zero-reduced-cost
-    /// nonbasic column (one FTRAN each), which on massively degenerate
-    /// LPs rivals the solve itself. Callers whose answer will be kept
-    /// regardless of uniqueness — e.g. a determinism guard's canonical
-    /// cold re-solve, whose *triggering* solve already certified the
-    /// optimum non-unique — can skip paying for it a second time.
-    pub skip_optima_certificate: bool,
 }
 
 impl Default for SimplexOptions {
@@ -109,130 +84,8 @@ impl Default for SimplexOptions {
             scaling: true,
             stall_limit: 2_000,
             sparse: None,
-            skip_optima_certificate: false,
         }
     }
-}
-
-/// Which solve path produced a result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algorithm {
-    /// Dual simplex reoptimization from a restored (still dual
-    /// feasible) basis — the parametric fast path.
-    DualReopt,
-    /// Primal simplex warm-started from a restored, primal-feasible
-    /// basis (phase 1 skipped).
-    WarmPrimal,
-    /// Full two-phase primal simplex from the slack/artificial basis.
-    ColdPrimal,
-}
-
-/// Per-solve counters describing how a solve went. All counts include
-/// any failed dual-reoptimization attempt that preceded the primal
-/// fallback, so they reflect the true work done.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolveStats {
-    /// The path that produced the returned solution.
-    pub algorithm: Algorithm,
-    /// Simplex iterations across all phases and attempts.
-    pub iterations: usize,
-    /// Basis (re)factorizations, including the initial one per attempt.
-    pub refactorizations: usize,
-    /// A dual reoptimization was attempted but fell back to the primal
-    /// path (lost dual feasibility, stall, or unusable snapshot).
-    pub dual_fallback: bool,
-    /// The solve ran on the sparse kernel route (pattern-driven solves,
-    /// partial pricing) rather than the dense-vector route.
-    pub sparse: bool,
-}
-
-impl SolveStats {
-    fn cold_trivial() -> SolveStats {
-        SolveStats {
-            algorithm: Algorithm::ColdPrimal,
-            iterations: 0,
-            refactorizations: 0,
-            dual_fallback: false,
-            sparse: false,
-        }
-    }
-}
-
-/// What the caller knows about how a problem relates to the previous
-/// one solved with the basis snapshot being passed in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StepHint {
-    /// No structural relationship is claimed: warm-start the primal
-    /// simplex when the snapshot fits, else solve cold.
-    #[default]
-    Fresh,
-    /// Only `b` (row bounds) and/or `l`/`u` (column bounds) moved since
-    /// the snapshot's solve; the matrix, objective, and sense are
-    /// unchanged. The previous optimal basis is then still dual
-    /// feasible and the dual simplex reoptimizes from it. A wrong hint
-    /// never corrupts the result — the dual path verifies dual
-    /// feasibility on the *new* data and falls back to the primal path
-    /// when the claim does not hold.
-    RhsOnly,
-}
-
-/// Carry-over state between parametric solves: the scaled standard
-/// form, the optimal basis, and — crucially — the live LU+eta
-/// [`BasisFactor`], so an rhs/bounds-only re-solve skips rescaling,
-/// standard-form construction, *and* refactorization entirely.
-///
-/// Opaque to callers: feed the same cache to consecutive
-/// [`solve_parametric_cached`] calls and it validates itself against
-/// each new problem (sense, objective, and matrix must be unchanged —
-/// verified, not trusted), degrading to the ordinary paths and
-/// repopulating whenever the problem genuinely changed shape.
-#[derive(Debug, Default)]
-pub struct ReoptCache {
-    state: Option<CacheState>,
-}
-
-impl ReoptCache {
-    /// Fresh, empty cache.
-    pub fn new() -> ReoptCache {
-        ReoptCache::default()
-    }
-
-    /// Drop any carried state (the next solve rebuilds from scratch).
-    pub fn clear(&mut self) {
-        self.state = None;
-    }
-}
-
-/// The invariants a cached solve verifies before reusing carried state.
-#[derive(Debug, Clone)]
-struct CacheChecks {
-    sense: Sense,
-    objective: Vec<f64>,
-    triplets: Vec<(usize, usize, f64)>,
-}
-
-impl CacheChecks {
-    fn of(p: &Problem) -> CacheChecks {
-        CacheChecks {
-            sense: p.sense(),
-            objective: p.objective().to_vec(),
-            triplets: p.triplets().to_vec(),
-        }
-    }
-
-    fn matches(&self, p: &Problem) -> bool {
-        self.sense == p.sense() && self.objective == p.objective() && self.triplets == p.triplets()
-    }
-}
-
-#[derive(Debug)]
-struct CacheState {
-    checks: CacheChecks,
-    factors: ScaleFactors,
-    sf: StandardForm,
-    factor: BasisFactor,
-    basis: Vec<usize>,
-    status: Vec<VarStatus>,
 }
 
 /// Terminal status of a solve.
@@ -261,16 +114,12 @@ pub struct Solution {
     pub duals: Vec<f64>,
     /// Simplex iterations used across both phases.
     pub iterations: usize,
-    /// The optimum is (possibly) not unique: some nonbasic column with
-    /// room to move prices out to a near-zero reduced cost, so an edge
-    /// of the optimal face leaves this vertex without changing the
-    /// objective. Different solve paths (cold, warm, dual reopt) may
-    /// then legitimately return *different* optimal vertices — callers
-    /// that need path-independent answers (e.g. deterministic release
-    /// pipelines) should treat a flagged warm result as "re-solve cold".
-    /// Conservative: `true` can be a false alarm (a degenerate zero-
-    /// length edge), `false` guarantees a unique optimal vertex.
-    pub alternate_optima: bool,
+    /// Basis factorizations performed (the initial one plus every
+    /// refactorization).
+    pub refactorizations: usize,
+    /// The solve ran on the sparse kernel route (pattern-driven solves,
+    /// partial pricing) rather than the dense-vector route.
+    pub sparse: bool,
 }
 
 /// Variable status in the simplex.
@@ -288,254 +137,23 @@ pub(crate) enum VarStatus {
 
 /// Solve an LP (ignores integrality marks; see [`crate::mip`] for those).
 pub fn solve(problem: &Problem, opts: &SimplexOptions) -> Result<Solution, LpError> {
-    Ok(solve_with_basis(problem, opts, None)?.solution)
-}
-
-/// Result of a warm-startable solve: the solution, a basis snapshot to
-/// seed the next related solve, and whether the provided snapshot was
-/// actually usable this time.
-#[derive(Debug, Clone)]
-pub struct WarmOutcome {
-    /// The solution, identical in meaning to what [`solve`] returns.
-    pub solution: Solution,
-    /// Snapshot of the optimal basis (`None` unless the solve ended
-    /// [`SolveStatus::Optimal`] with a snapshotable basis).
-    pub basis: Option<Basis>,
-    /// Whether carried state seeded this solve — a [`Basis`] snapshot
-    /// (dual reoptimization or warm primal) or a [`ReoptCache`] hit
-    /// (which can seed a dual reoptimization even when no snapshot was
-    /// passed). `false` means a cold start ran: nothing to seed from,
-    /// shape mismatch, singular restored basis, or the old vertex left
-    /// the new polytope. [`SolveStats::algorithm`] has the precise
-    /// path.
-    pub warm_used: bool,
-    /// How the solve went: path chosen, iterations, refactorizations.
-    pub stats: SolveStats,
-}
-
-/// Solve an LP, optionally warm-starting from a [`Basis`] snapshot of a
-/// previous solve over the same row/column shape.
-///
-/// Warm starting is strictly best-effort: whenever the snapshot cannot
-/// be reused *exactly* (shape mismatch, singular basis under the new
-/// coefficients, or primal infeasibility at the restored vertex beyond
-/// `WARM_FEASIBILITY_TOL`), the solve silently falls back to the cold
-/// two-phase path, so the result is always as trustworthy as [`solve`].
-///
-/// Equivalent to [`solve_parametric`] with [`StepHint::Fresh`]; pass
-/// [`StepHint::RhsOnly`] there to unlock dual reoptimization on
-/// rhs/bounds-only sweeps.
-pub fn solve_with_basis(
-    problem: &Problem,
-    opts: &SimplexOptions,
-    warm: Option<&Basis>,
-) -> Result<WarmOutcome, LpError> {
-    solve_parametric(problem, opts, warm, StepHint::Fresh)
-}
-
-/// Solve an LP with full algorithm selection: dual reoptimization for
-/// declared rhs/bounds-only steps, warm primal when the snapshot's
-/// vertex is still feasible, cold two-phase primal otherwise.
-///
-/// The hint is advisory. [`StepHint::RhsOnly`] with a fitting snapshot
-/// tries the dual simplex first; any failure (dual infeasibility on the
-/// new data, stall, iteration cap, shape mismatch) falls back to the
-/// primal path and is recorded in [`SolveStats::dual_fallback`], so a
-/// wrong hint costs time, never correctness.
-///
-/// Stateless convenience over [`solve_parametric_cached`]: without a
-/// carried [`ReoptCache`] every dual reoptimization pays one rescale +
-/// refactorization to restore the snapshot. Sweep drivers should hold a
-/// cache and call the cached variant.
-pub fn solve_parametric(
-    problem: &Problem,
-    opts: &SimplexOptions,
-    warm: Option<&Basis>,
-    hint: StepHint,
-) -> Result<WarmOutcome, LpError> {
-    solve_parametric_inner(problem, opts, warm, hint, None)
-}
-
-/// [`solve_parametric`] with carried state: consecutive rhs/bounds-only
-/// solves reuse the cached scale factors, standard form, **and** LU+eta
-/// factorization, so a grid step costs one verification scan of the
-/// matrix/objective (they must be unchanged — checked, not trusted),
-/// an `O(m+n)` bound refresh, one FTRAN for the basic values, and the
-/// few dual pivots the step actually needs.
-///
-/// The cache is self-validating: on any mismatch (changed matrix,
-/// objective, sense, or shape) or dual setback the solve transparently
-/// degrades to the snapshot/warm/cold paths and repopulates the cache
-/// from the finished solve, so callers may feed *any* problem sequence
-/// through one cache without correctness risk.
-pub fn solve_parametric_cached(
-    problem: &Problem,
-    opts: &SimplexOptions,
-    warm: Option<&Basis>,
-    hint: StepHint,
-    cache: &mut ReoptCache,
-) -> Result<WarmOutcome, LpError> {
-    solve_parametric_inner(problem, opts, warm, hint, Some(cache))
-}
-
-fn solve_parametric_inner(
-    problem: &Problem,
-    opts: &SimplexOptions,
-    warm: Option<&Basis>,
-    hint: StepHint,
-    mut cache: Option<&mut ReoptCache>,
-) -> Result<WarmOutcome, LpError> {
     // trivial case: no rows — every variable goes to its objective-best bound
     if problem.n_rows() == 0 {
-        let solution = solve_unconstrained(problem)?;
-        return Ok(WarmOutcome {
-            solution,
-            basis: None,
-            warm_used: false,
-            stats: SolveStats::cold_trivial(),
-        });
+        return solve_unconstrained(problem);
     }
-
-    let mut dual_fallback = false;
-    let mut spent_iterations = 0;
-    let mut spent_refactorizations = 0;
-
-    // fastest path: rhs-only step with carried state — no rescale, no
-    // standard-form rebuild, no refactorization
-    if hint == StepHint::RhsOnly {
-        if let Some(state) = cache.as_deref_mut().and_then(|c| c.state.take()) {
-            if state.checks.matches(problem)
-                && state.sf.m == problem.n_rows()
-                && state.sf.n_structural == problem.n_cols()
-            {
-                // a rejected cache restore (`Err`, e.g. a parked bound
-                // vanished) is NOT a dual fallback: the snapshot path
-                // below can re-park such columns and still run the
-                // dual simplex
-                if let Ok((mut core, factors, checks)) =
-                    Core::from_cache(state, opts.clone(), problem)
-                {
-                    match dual::reoptimize(&mut core)? {
-                        DualOutcome::Optimal => {
-                            let (solution, basis) =
-                                finish(&core, SolveStatus::Optimal, problem, &factors);
-                            let stats = SolveStats {
-                                algorithm: Algorithm::DualReopt,
-                                iterations: core.iterations,
-                                refactorizations: core.refactor_count,
-                                dual_fallback: false,
-                                sparse: core.sparse,
-                            };
-                            if let Some(c) = cache.as_deref_mut() {
-                                c.state = core.into_cache_state(factors, checks);
-                            }
-                            return Ok(WarmOutcome { solution, basis, warm_used: true, stats });
-                        }
-                        DualOutcome::PrimalInfeasible
-                        | DualOutcome::IterationLimit
-                        | DualOutcome::LostDualFeasibility
-                        | DualOutcome::Stalled => {
-                            dual_fallback = true;
-                            spent_iterations = core.iterations;
-                            spent_refactorizations = core.refactor_count;
-                        }
-                    }
-                }
-            }
-            // on any miss the carried state is dropped; the slow path
-            // below repopulates it
-        }
-    }
-
     let (scaled, factors) = if opts.scaling {
         let f = scaling::geometric_scaling(problem, 2);
         (scaling::apply(problem, &f), f)
     } else {
         (problem.clone(), ScaleFactors::identity(problem.n_rows(), problem.n_cols()))
     };
-
-    let mut sf = StandardForm::from_problem(&scaled);
-
-    // snapshot-seeded dual path (no carried state, e.g. the first
-    // rhs-only step after a cache miss elsewhere in the sweep)
-    if hint == StepHint::RhsOnly && !dual_fallback {
-        if let Some(b) = warm {
-            // scaling factors depend only on the matrix, so an honest
-            // rhs-only step scales the costs identically and the old
-            // basis stays dual feasible in scaled space too
-            match Core::from_basis(sf, opts.clone(), b, RestoreMode::Dual) {
-                Ok(mut core) => match dual::reoptimize(&mut core)? {
-                    DualOutcome::Optimal => {
-                        let (solution, basis) =
-                            finish(&core, SolveStatus::Optimal, problem, &factors);
-                        let stats = SolveStats {
-                            algorithm: Algorithm::DualReopt,
-                            iterations: core.iterations,
-                            refactorizations: core.refactor_count,
-                            dual_fallback: false,
-                            sparse: core.sparse,
-                        };
-                        if let Some(c) = cache.as_deref_mut() {
-                            c.state = core.into_cache_state(factors, CacheChecks::of(problem));
-                        }
-                        return Ok(WarmOutcome { solution, basis, warm_used: true, stats });
-                    }
-                    // `PrimalInfeasible` (dual unbounded) proves
-                    // infeasibility in exact arithmetic, but the primal
-                    // phase 1 is the arbiter here: fall through so a
-                    // numerically marginal ray cannot misreport a
-                    // feasible problem.
-                    DualOutcome::PrimalInfeasible
-                    | DualOutcome::IterationLimit
-                    | DualOutcome::LostDualFeasibility
-                    | DualOutcome::Stalled => {
-                        dual_fallback = true;
-                        spent_iterations += core.iterations;
-                        spent_refactorizations += core.refactor_count;
-                        sf = core.into_standard_form();
-                    }
-                },
-                Err(returned) => {
-                    dual_fallback = true;
-                    sf = returned;
-                }
-            }
-        }
-    }
-
-    let (mut core, warm_used) = match warm {
-        Some(b) => match Core::from_basis(sf, opts.clone(), b, RestoreMode::Primal) {
-            Ok(core) => (core, true),
-            Err(sf) => (Core::new(sf, opts.clone()), false),
-        },
-        None => (Core::new(sf, opts.clone()), false),
-    };
+    let mut core = Core::new(StandardForm::from_problem(&scaled), opts.clone());
     let status = core.run()?;
-    let (solution, basis) = finish(&core, status, problem, &factors);
-    let stats = SolveStats {
-        algorithm: if warm_used { Algorithm::WarmPrimal } else { Algorithm::ColdPrimal },
-        iterations: solution.iterations + spent_iterations,
-        refactorizations: core.refactor_count + spent_refactorizations,
-        dual_fallback,
-        sparse: core.sparse,
-    };
-    if status == SolveStatus::Optimal {
-        // only a caller-carried cache is worth populating; one-shot
-        // solves would clone the matrix fingerprint just to drop it
-        if let Some(c) = cache {
-            c.state = core.into_cache_state(factors, CacheChecks::of(problem));
-        }
-    }
-    Ok(WarmOutcome { solution, basis, warm_used, stats })
+    Ok(finish(&core, status, problem, &factors))
 }
 
 /// Unscale, clamp, and package a finished core into user-space terms.
-fn finish(
-    core: &Core,
-    status: SolveStatus,
-    problem: &Problem,
-    factors: &ScaleFactors,
-) -> (Solution, Option<Basis>) {
+fn finish(core: &Core, status: SolveStatus, problem: &Problem, factors: &ScaleFactors) -> Solution {
     let mut x = factors.unscale_x(&core.structural_x());
     let mut duals = factors.unscale_duals(&core.row_duals());
     if problem.sense() == Sense::Maximize {
@@ -550,14 +168,15 @@ fn finish(
         }
     }
     let objective = problem.objective_value(&x);
-
-    let basis = if status == SolveStatus::Optimal { core.snapshot() } else { None };
-    let alternate_optima = status == SolveStatus::Optimal
-        && !core.opts.skip_optima_certificate
-        && core.objective_degenerate();
-    let solution =
-        Solution { status, objective, x, duals, iterations: core.iterations, alternate_optima };
-    (solution, basis)
+    Solution {
+        status,
+        objective,
+        x,
+        duals,
+        iterations: core.iterations,
+        refactorizations: core.refactor_count,
+        sparse: core.sparse,
+    }
 }
 
 fn solve_unconstrained(problem: &Problem) -> Result<Solution, LpError> {
@@ -583,39 +202,22 @@ fn solve_unconstrained(problem: &Problem) -> Result<Solution, LpError> {
                 x: vec![],
                 duals: vec![],
                 iterations: 0,
-                alternate_optima: false,
+                refactorizations: 0,
+                sparse: false,
             });
         }
         x.push(v);
     }
     let objective = problem.objective_value(&x);
-    // with no rows, a zero-cost column with any slack in its box walks
-    // freely between optima
-    let alternate_optima = problem
-        .objective()
-        .iter()
-        .zip(problem.col_bounds())
-        .any(|(&c, b)| c == 0.0 && b.upper > b.lower);
     Ok(Solution {
         status: SolveStatus::Optimal,
         objective,
         x,
         duals: vec![],
         iterations: 0,
-        alternate_optima,
+        refactorizations: 0,
+        sparse: false,
     })
-}
-
-/// How a snapshot restore treats the recomputed basic values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RestoreMode {
-    /// Reject the snapshot when the restored vertex violates a bound
-    /// beyond `WARM_FEASIBILITY_TOL` (the warm-primal contract: phase 2
-    /// requires a primal-feasible start).
-    Primal,
-    /// Keep the restored vertex even when it is primal infeasible —
-    /// the dual simplex's whole job is to repair that.
-    Dual,
 }
 
 /// Internal solver state over the standard form plus artificials.
@@ -635,14 +237,14 @@ pub(crate) struct Core {
     x_val: Vec<f64>,
     basis: Vec<usize>,
     factor: BasisFactor,
-    pub(crate) iterations: usize,
+    iterations: usize,
     /// Basis factorizations performed (initial factor + refactors).
-    pub(crate) refactor_count: usize,
+    refactor_count: usize,
     n_artificial: usize,
     /// Whether this core runs on the sparse kernel route.
-    pub(crate) sparse: bool,
+    sparse: bool,
     /// CSR mirror of `a`, built lazily on the sparse route for the
-    /// row-oriented passes (devex updates, dual breakpoint pricing).
+    /// row-oriented devex updates.
     csr: Option<CsrMatrix>,
 }
 
@@ -745,224 +347,6 @@ impl Core {
             sparse,
             csr: None,
         }
-    }
-
-    /// Restore a snapshotted basis over a (possibly re-scaled) standard
-    /// form. Returns the standard form back when the snapshot cannot be
-    /// used, so the caller can cold-start without recomputing it.
-    ///
-    /// A restored core has no artificial columns. In
-    /// [`RestoreMode::Primal`] the restored vertex must be (near)
-    /// feasible: phase 1 is skipped and phase 2 re-optimizes from the
-    /// old vertex. In [`RestoreMode::Dual`] a primal-infeasible vertex
-    /// is accepted as the dual simplex's starting point.
-    // the Err variant intentionally hands the (large) standard form
-    // back so the cold-start fallback does not rebuild it
-    #[allow(clippy::result_large_err)]
-    fn from_basis(
-        sf: StandardForm,
-        opts: SimplexOptions,
-        snap: &Basis,
-        mode: RestoreMode,
-    ) -> Result<Core, StandardForm> {
-        if !snap.fits(&sf) {
-            return Err(sf);
-        }
-        let (m, n) = (sf.m, sf.n);
-        if snap.statuses.iter().filter(|s| matches!(s, SnapStatus::Basic)).count() != m {
-            return Err(sf); // every basic column must appear in exactly one row
-        }
-
-        let mut status = Vec::with_capacity(n);
-        let mut x_val = Vec::with_capacity(n);
-        for j in 0..n {
-            let (st, v) = match snap.statuses[j] {
-                SnapStatus::Basic => (VarStatus::Basic(0), 0.0), // row fixed below
-                SnapStatus::AtLower if sf.lower[j].is_finite() => (VarStatus::AtLower, sf.lower[j]),
-                SnapStatus::AtUpper if sf.upper[j].is_finite() => (VarStatus::AtUpper, sf.upper[j]),
-                SnapStatus::Free if sf.lower[j] <= 0.0 && 0.0 <= sf.upper[j] => {
-                    (VarStatus::Free, 0.0)
-                }
-                // a formerly-free column gained bounds: park it on one
-                // like a fresh nonbasic start
-                SnapStatus::Free if sf.lower[j].is_finite() => (VarStatus::AtLower, sf.lower[j]),
-                SnapStatus::Free if sf.upper[j].is_finite() => (VarStatus::AtUpper, sf.upper[j]),
-                // a bound the snapshot parked this column on no longer
-                // exists; any fallback value could sit outside the new
-                // bounds and the feasibility check below only covers
-                // basic columns — reject rather than risk an infeasible
-                // "optimal"
-                _ => return Err(sf),
-            };
-            status.push(st);
-            x_val.push(v);
-        }
-        let mut seen = vec![false; n];
-        for (i, &col) in snap.rows.iter().enumerate() {
-            if col >= n || seen[col] || !matches!(snap.statuses[col], SnapStatus::Basic) {
-                return Err(sf);
-            }
-            seen[col] = true;
-            status[col] = VarStatus::Basic(i);
-        }
-
-        let basis = snap.rows.clone();
-        let a = sf.a.clone();
-        let sparse = opts.sparse.unwrap_or(m >= SPARSE_MIN_ROWS);
-        let t0 = std::time::Instant::now();
-        let Ok(factor) = BasisFactor::factor(&a, &basis) else {
-            return Err(sf); // basis went singular under the new coefficients
-        };
-        if sparse {
-            crate::obs::record_factorization(t0.elapsed().as_secs_f64(), factor.lu_nnz());
-        }
-
-        let lower = sf.lower.clone();
-        let upper = sf.upper.clone();
-        let mut core = Core {
-            sf,
-            opts,
-            a,
-            n_total: n,
-            phase1_cost: vec![0.0; n],
-            lower,
-            upper,
-            status,
-            x_val,
-            basis,
-            factor,
-            iterations: 0,
-            refactor_count: 1,
-            n_artificial: 0,
-            sparse,
-            csr: None,
-        };
-
-        // x_B = B^-1 (b - N x_N); in Primal mode, reject the snapshot
-        // if the old vertex is no longer inside the new polytope
-        core.recompute_basic_values();
-        if mode == RestoreMode::Primal {
-            for &col in &core.basis {
-                let v = core.x_val[col];
-                if v < core.lower[col] - WARM_FEASIBILITY_TOL
-                    || v > core.upper[col] + WARM_FEASIBILITY_TOL
-                {
-                    return Err(core.sf);
-                }
-            }
-        }
-        Ok(core)
-    }
-
-    /// Hand the standard form back after a failed dual attempt so the
-    /// primal fallback does not rebuild it.
-    fn into_standard_form(self) -> StandardForm {
-        self.sf
-    }
-
-    /// Rebuild a core from carried parametric state: the cached scaled
-    /// standard form gets its `b`/`l`/`u` refreshed from the new
-    /// problem, the cached LU+eta factorization is reused as-is (the
-    /// matrix is unchanged — the caller verified that), and only one
-    /// FTRAN recomputes the basic values. `Err` means a parked bound
-    /// vanished and the slow path must take over.
-    #[allow(clippy::result_unit_err, clippy::type_complexity)]
-    fn from_cache(
-        state: CacheState,
-        opts: SimplexOptions,
-        problem: &Problem,
-    ) -> Result<(Core, ScaleFactors, CacheChecks), ()> {
-        let CacheState { checks, factors, mut sf, factor, basis, status } = state;
-        sf.update_parametric(problem, &factors);
-        let (m, n) = (sf.m, sf.n);
-        debug_assert_eq!(status.len(), n);
-        debug_assert_eq!(basis.len(), m);
-
-        // nonbasic values re-park on the (possibly moved) bounds; the
-        // same rejection rules as a snapshot restore apply
-        let mut x_val = vec![0.0; n];
-        for (j, st) in status.iter().enumerate() {
-            match st {
-                VarStatus::Basic(_) => {}
-                VarStatus::AtLower if sf.lower[j].is_finite() => x_val[j] = sf.lower[j],
-                VarStatus::AtUpper if sf.upper[j].is_finite() => x_val[j] = sf.upper[j],
-                VarStatus::Free if sf.lower[j] <= 0.0 && 0.0 <= sf.upper[j] => {}
-                _ => return Err(()),
-            }
-        }
-
-        let a = sf.a.clone();
-        let lower = sf.lower.clone();
-        let upper = sf.upper.clone();
-        let sparse = opts.sparse.unwrap_or(m >= SPARSE_MIN_ROWS);
-        let mut core = Core {
-            sf,
-            opts,
-            a,
-            n_total: n,
-            phase1_cost: vec![0.0; n],
-            lower,
-            upper,
-            status,
-            x_val,
-            basis,
-            factor,
-            iterations: 0,
-            refactor_count: 0,
-            n_artificial: 0,
-            sparse,
-            csr: None,
-        };
-
-        // x_B = B^-1 (b - N x_N) through the carried factorization
-        core.recompute_basic_values();
-        Ok((core, factors, checks))
-    }
-
-    /// Package a finished core into carry-over state for the next
-    /// parametric solve. `None` when an artificial column is still
-    /// basic (the factorization would not be representable over the
-    /// standard form alone).
-    fn into_cache_state(self, factors: ScaleFactors, checks: CacheChecks) -> Option<CacheState> {
-        let n = self.sf.n;
-        if self.basis.iter().any(|&col| col >= n) {
-            return None;
-        }
-        let mut status = self.status;
-        status.truncate(n);
-        Some(CacheState {
-            checks,
-            factors,
-            sf: self.sf,
-            factor: self.factor,
-            basis: self.basis,
-            status,
-        })
-    }
-
-    /// Snapshot the current basis for reuse by a later warm start.
-    /// `None` when an artificial column is still basic (rare degenerate
-    /// endings), which a snapshot cannot represent.
-    fn snapshot(&self) -> Option<Basis> {
-        if self.basis.iter().any(|&col| col >= self.sf.n) {
-            return None;
-        }
-        let statuses = self.status[..self.sf.n]
-            .iter()
-            .map(|s| match s {
-                VarStatus::Basic(_) => SnapStatus::Basic,
-                VarStatus::AtLower => SnapStatus::AtLower,
-                VarStatus::AtUpper => SnapStatus::AtUpper,
-                VarStatus::Free => SnapStatus::Free,
-            })
-            .collect();
-        Some(Basis {
-            m: self.sf.m,
-            n: self.sf.n,
-            n_structural: self.sf.n_structural,
-            statuses,
-            rows: self.basis.clone(),
-        })
     }
 
     fn run(&mut self) -> Result<SolveStatus, LpError> {
@@ -1343,8 +727,7 @@ impl Core {
     }
 
     /// Recompute `x_B = B^-1 (b - N x_N)` from the current statuses and
-    /// nonbasic values through the current factorization (shared by
-    /// snapshot restore, cache restore, and refactorization).
+    /// nonbasic values through the current factorization.
     fn recompute_basic_values(&mut self) {
         let mut rhs = self.sf.b.clone();
         for j in 0..self.n_total {
@@ -1364,59 +747,6 @@ impl Core {
     /// Structural part of the current point.
     fn structural_x(&self) -> Vec<f64> {
         self.x_val[..self.sf.n_structural].to_vec()
-    }
-
-    /// Whether the finished (optimal) basis admits alternate optimal
-    /// vertices: a nonbasic structural or slack column with room to
-    /// move whose reduced cost is (near-)zero marks an objective-flat
-    /// edge out of this vertex — *provided the edge has positive
-    /// length*. A zero-reduced-cost column whose ratio test allows no
-    /// step at all (every blocking basic variable is already at its
-    /// bound) does not lead to a different optimal vertex, so it is
-    /// de-flagged; this keeps warm reoptimization on degenerate bases
-    /// from discarding answers it could legally keep. Free flagged
-    /// columns are flagged outright (conservative: either direction
-    /// may open an edge). The tolerance is deliberately looser than
-    /// `tol_dual` so reduced costs the solve itself treated as zero
-    /// are candidates.
-    fn objective_degenerate(&self) -> bool {
-        let y = self.row_duals();
-        let tol = (self.opts.tol_dual * 100.0).max(1e-7);
-        let mut w = SparseVec::new(self.sf.m);
-        let mut ws = LuScratch::new(self.sf.m);
-        // artificials (j ≥ sf.n) are excluded: they are not columns of
-        // the caller's problem, merely phase-1 scaffolding
-        for j in 0..self.sf.n {
-            if matches!(self.status[j], VarStatus::Basic(_)) || self.upper[j] - self.lower[j] <= 0.0
-            {
-                continue;
-            }
-            let d = self.sf.c[j] - self.a.col_dot(j, &y);
-            if d.abs() > tol {
-                continue;
-            }
-            let dir = match self.status[j] {
-                VarStatus::AtLower => Direction::Up,
-                VarStatus::AtUpper => Direction::Down,
-                _ => return true,
-            };
-            w.clear();
-            let (rows, vals) = self.a.col(j);
-            for (&r, &v) in rows.iter().zip(vals) {
-                w.add(r, v);
-            }
-            self.factor.ftran_sparse(&mut w, &mut ws);
-            w.sort_pattern();
-            match ratio_test_sparse(self, j, dir, &w) {
-                RatioOutcome::Unbounded => return true,
-                RatioOutcome::BoundFlip { t } | RatioOutcome::Pivot { t, .. } => {
-                    if t > self.opts.tol_primal {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
     }
 
     /// Row duals for the phase-2 objective (internal minimization sense).

@@ -289,157 +289,6 @@ fn equality_chain_solved() {
     }
 }
 
-// --- dual reoptimization (solve_parametric with StepHint::RhsOnly) ---
-
-/// `max x0 + x1` s.t. `x0 + x1 ≤ rhs0`, `0.9 x0 + 0.2 x1 ≤ rhs1`,
-/// `x ∈ [0, 10]` — a miniature O-UMP cell.
-fn budget_lp(rhs0: f64, rhs1: f64) -> Problem {
-    let mut p = Problem::new(Sense::Maximize);
-    let a = p.add_col(1.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
-    let b = p.add_col(1.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
-    p.add_row(RowBounds::at_most(rhs0), &[(a, 1.0), (b, 1.0)]).unwrap();
-    p.add_row(RowBounds::at_most(rhs1), &[(a, 0.9), (b, 0.2)]).unwrap();
-    p
-}
-
-#[test]
-fn dual_reopt_matches_cold_on_shrinking_rhs() {
-    // shrinking the budget kicks the old vertex out of the polytope —
-    // the warm primal path would cold-start, the dual path re-optimizes
-    let o = opts();
-    let first = solve_parametric(&budget_lp(8.0, 4.0), &o, None, StepHint::Fresh).unwrap();
-    assert_eq!(first.solution.status, SolveStatus::Optimal);
-    let basis = first.basis.clone().expect("optimal solve snapshots");
-
-    for (rhs0, rhs1) in [(5.0, 3.0), (2.0, 1.0), (6.0, 0.5), (0.5, 0.25)] {
-        let p = budget_lp(rhs0, rhs1);
-        let dual = solve_parametric(&p, &o, Some(&basis), StepHint::RhsOnly).unwrap();
-        let cold = solve(&p, &o).unwrap();
-        assert_eq!(dual.solution.status, SolveStatus::Optimal, "({rhs0},{rhs1})");
-        assert!(
-            (dual.solution.objective - cold.objective).abs() < 1e-9,
-            "({rhs0},{rhs1}): dual {} vs cold {}",
-            dual.solution.objective,
-            cold.objective
-        );
-        assert!(p.max_violation(&dual.solution.x) < 1e-7);
-        assert_eq!(dual.stats.algorithm, Algorithm::DualReopt, "({rhs0},{rhs1})");
-        assert!(!dual.stats.dual_fallback);
-    }
-}
-
-#[test]
-fn dual_reopt_handles_bound_moves() {
-    // tightening a column cap is a bounds-only move: still dual-legal
-    let o = opts();
-    let first = solve_parametric(&budget_lp(8.0, 4.0), &o, None, StepHint::Fresh).unwrap();
-    let basis = first.basis.clone().unwrap();
-
-    let mut p = budget_lp(8.0, 4.0);
-    p.set_bounds(1, VarBounds { lower: 0.0, upper: 1.5 }).unwrap();
-    let dual = solve_parametric(&p, &o, Some(&basis), StepHint::RhsOnly).unwrap();
-    let cold = solve(&p, &o).unwrap();
-    assert_eq!(dual.solution.status, SolveStatus::Optimal);
-    assert!((dual.solution.objective - cold.objective).abs() < 1e-9);
-    assert!(p.max_violation(&dual.solution.x) < 1e-7);
-}
-
-#[test]
-fn wrong_rhs_only_hint_still_solves_correctly() {
-    // the "rhs-only" claim is false here: the objective now rewards `a`
-    // five-fold, making the restored basis dual infeasible. Every
-    // column of this problem is boxed (or implied-boxable through its
-    // row), so the dual path repairs the wrong-sign reduced costs by
-    // bound flips and must still land exactly on the cold answer — a
-    // wrong hint may cost time, never correctness.
-    let o = opts();
-    let first = solve_parametric(&budget_lp(8.0, 4.0), &o, None, StepHint::Fresh).unwrap();
-    let basis = first.basis.clone().unwrap();
-
-    let mut p = Problem::new(Sense::Maximize);
-    let a = p.add_col(5.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
-    let b = p.add_col(-1.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
-    p.add_row(RowBounds::at_most(5.0), &[(a, 1.0), (b, 1.0)]).unwrap();
-    p.add_row(RowBounds::at_most(3.0), &[(a, 0.9), (b, 0.2)]).unwrap();
-    let out = solve_parametric(&p, &o, Some(&basis), StepHint::RhsOnly).unwrap();
-    let cold = solve(&p, &o).unwrap();
-    assert_eq!(out.solution.status, SolveStatus::Optimal);
-    assert!((out.solution.objective - cold.objective).abs() < 1e-9);
-    assert!(p.max_violation(&out.solution.x) < 1e-7);
-}
-
-#[test]
-fn unrepairable_dual_start_falls_back_not_corrupts() {
-    // `z` has no upper bound and sits in TWO rows, so no flip and no
-    // single-row implied bound can repair its wrong-sign reduced cost:
-    // the dual path must bow out and the primal path takes over with a
-    // correct answer
-    let o = opts();
-    let build = |c_z: f64| {
-        let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_col(1.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
-        let z = p.add_col(c_z, VarBounds { lower: 0.0, upper: f64::INFINITY }).unwrap();
-        p.add_row(RowBounds::at_most(8.0), &[(a, 1.0), (z, 1.0)]).unwrap();
-        p.add_row(RowBounds::at_most(6.0), &[(a, 0.5), (z, 1.0)]).unwrap();
-        p
-    };
-    // worthless `z` stays parked at its lower bound in the optimum
-    let first = solve_parametric(&build(0.0), &o, None, StepHint::Fresh).unwrap();
-    let basis = first.basis.clone().unwrap();
-
-    // now `z` is rewarded: the restored basis is dual infeasible at an
-    // unparkable, un-boundable column
-    let p = build(5.0);
-    let out = solve_parametric(&p, &o, Some(&basis), StepHint::RhsOnly).unwrap();
-    let cold = solve(&p, &o).unwrap();
-    assert_eq!(out.solution.status, SolveStatus::Optimal);
-    assert!((out.solution.objective - cold.objective).abs() < 1e-9);
-    assert!(p.max_violation(&out.solution.x) < 1e-7);
-    assert!(out.stats.dual_fallback, "must have bowed out: {:?}", out.stats);
-    assert_ne!(out.stats.algorithm, Algorithm::DualReopt);
-}
-
-#[test]
-fn dual_reopt_grid_sweep_uses_few_iterations() {
-    // an ascending-then-descending budget sweep: every step re-uses the
-    // previous optimal basis through the dual path
-    let o = opts();
-    let mut basis =
-        solve_parametric(&budget_lp(1.0, 0.5), &o, None, StepHint::Fresh).unwrap().basis;
-    for step in [2.0, 3.0, 4.5, 6.0, 4.0, 2.5, 1.5] {
-        let p = budget_lp(step, step / 2.0);
-        let out = solve_parametric(&p, &o, basis.as_ref(), StepHint::RhsOnly).unwrap();
-        let cold = solve(&p, &o).unwrap();
-        assert_eq!(out.solution.status, SolveStatus::Optimal);
-        assert!((out.solution.objective - cold.objective).abs() < 1e-9, "step {step}");
-        assert!(
-            out.solution.iterations <= cold.iterations,
-            "step {step}: dual used {} iters, cold {}",
-            out.solution.iterations,
-            cold.iterations
-        );
-        basis = out.basis;
-    }
-}
-
-#[test]
-fn dual_reopt_detects_infeasible_bounds_via_fallback() {
-    // moving a bound so the polytope empties: the dual path sees an
-    // unbounded dual ray, the primal phase 1 confirms infeasibility
-    let o = opts();
-    let mut p0 = Problem::new(Sense::Maximize);
-    let a = p0.add_col(1.0, VarBounds { lower: 0.0, upper: 10.0 }).unwrap();
-    p0.add_row(RowBounds { lower: 2.0, upper: 8.0 }, &[(a, 1.0)]).unwrap();
-    let first = solve_parametric(&p0, &o, None, StepHint::Fresh).unwrap();
-    let basis = first.basis.clone().unwrap();
-
-    let mut p1 = Problem::new(Sense::Maximize);
-    let a = p1.add_col(1.0, VarBounds { lower: 0.0, upper: 1.0 }).unwrap();
-    p1.add_row(RowBounds { lower: 2.0, upper: 8.0 }, &[(a, 1.0)]).unwrap();
-    let out = solve_parametric(&p1, &o, Some(&basis), StepHint::RhsOnly).unwrap();
-    assert_eq!(out.solution.status, SolveStatus::Infeasible);
-}
-
 #[test]
 fn ratio_test_tie_prefers_large_pivot() {
     // two rows block at the same (degenerate, zero) step; the tiny

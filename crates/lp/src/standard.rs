@@ -74,40 +74,6 @@ impl StandardForm {
         StandardForm { m, n: n_structural + m, n_structural, a, b, c, lower, upper, maximize }
     }
 
-    /// Re-derive the parametric parts — `b` and the column bounds,
-    /// structural and slack — from a problem whose matrix, objective,
-    /// and sense are unchanged, applying the given scale factors.
-    ///
-    /// This is the rhs/bounds-only slice of [`StandardForm::from_problem`]
-    /// composed with [`crate::scaling::apply`]: row bounds scale by the
-    /// row factor, column bounds divide by the column factor (factors
-    /// are powers of two, so no rounding error), and the slack-bound
-    /// encoding of the row types is reproduced exactly. Everything else
-    /// (`a`, `c`, shape) is left untouched, which is what makes a
-    /// cached standard form reusable across a budget sweep.
-    pub fn update_parametric(&mut self, p: &Problem, f: &crate::scaling::ScaleFactors) {
-        assert_eq!(self.m, p.n_rows(), "parametric update must keep the row count");
-        assert_eq!(self.n_structural, p.n_cols(), "parametric update must keep the column count");
-        for (j, vb) in p.col_bounds().iter().enumerate() {
-            self.lower[j] = vb.lower / f.col[j];
-            self.upper[j] = vb.upper / f.col[j];
-        }
-        for (i, rb) in p.row_bounds().iter().enumerate() {
-            let (rl, ru) = (rb.lower * f.row[i], rb.upper * f.row[i]);
-            let (rhs, s_lo, s_hi) = if ru.is_finite() {
-                let hi = if rl.is_finite() { ru - rl } else { f64::INFINITY };
-                (ru, 0.0, hi)
-            } else if rl.is_finite() {
-                (rl, f64::NEG_INFINITY, 0.0)
-            } else {
-                (0.0, f64::NEG_INFINITY, f64::INFINITY)
-            };
-            self.b[i] = rhs;
-            self.lower[self.n_structural + i] = s_lo;
-            self.upper[self.n_structural + i] = s_hi;
-        }
-    }
-
     /// Convert an internal (minimization) objective value back to the
     /// user's sense.
     pub fn user_objective(&self, internal: f64) -> f64 {
@@ -188,30 +154,6 @@ mod tests {
         assert_eq!(sf.nonbasic_start(0), 0.0); // [0, inf)
         assert_eq!(sf.nonbasic_start(1), 0.0); // free
         assert_eq!(sf.nonbasic_start(3), 0.0); // (-inf, 0] -> upper
-    }
-
-    #[test]
-    fn update_parametric_matches_rebuild() {
-        use crate::scaling;
-        let p0 = model();
-        let f = scaling::geometric_scaling(&p0, 2);
-        let mut sf = StandardForm::from_problem(&scaling::apply(&p0, &f));
-
-        // move every rhs and one column bound, keep the matrix
-        let mut p1 = Problem::new(Sense::Maximize);
-        p1.add_col(3.0, VarBounds { lower: 0.0, upper: 7.5 }).unwrap();
-        p1.add_col(1.0, VarBounds::free()).unwrap();
-        p1.add_row(RowBounds::at_most(20.0), &[(0, 1.0), (1, 2.0)]).unwrap();
-        p1.add_row(RowBounds::at_least(-2.0), &[(1, 1.0)]).unwrap();
-        p1.add_row(RowBounds::equal(6.0), &[(0, 1.0), (1, 1.0)]).unwrap();
-        p1.add_row(RowBounds { lower: 0.5, upper: 4.0 }, &[(0, 1.0)]).unwrap();
-
-        sf.update_parametric(&p1, &f);
-        let rebuilt = StandardForm::from_problem(&scaling::apply(&p1, &f));
-        assert_eq!(sf.b, rebuilt.b);
-        assert_eq!(sf.lower, rebuilt.lower);
-        assert_eq!(sf.upper, rebuilt.upper);
-        assert_eq!(sf.c, rebuilt.c, "objective untouched by a parametric update");
     }
 
     #[test]

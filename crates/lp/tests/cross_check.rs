@@ -5,7 +5,7 @@ use dpsan_lp::dense_simplex::solve_dense;
 use dpsan_lp::mip::{solve_mip, BbOptions};
 use dpsan_lp::presolve::presolve;
 use dpsan_lp::problem::{Problem, RowBounds, Sense, VarBounds};
-use dpsan_lp::simplex::{solve, SimplexOptions, SolveStatus};
+use dpsan_lp::simplex::{solve, SimplexOptions, Solution, SolveStatus};
 use proptest::prelude::*;
 
 /// A random bounded LP: maximize over non-negative variables with
@@ -121,6 +121,98 @@ proptest! {
     }
 }
 
+/// A bounded packing LP in the O-UMP shape: `max Σ x`, non-negative
+/// rows `a'x ≤ rhs_i`, and column caps (the O-UMP's `x_ij ≤ c_ij`)
+/// keeping every optimum finite without a covering row.
+fn capped_packing_lp(n: usize, m: usize, coefs: &[f64], rhs: &[f64]) -> Problem {
+    let mut p = Problem::new(Sense::Maximize);
+    for _ in 0..n {
+        p.add_col(1.0, VarBounds { lower: 0.0, upper: 8.0 }).unwrap();
+    }
+    let mut it = coefs.iter().copied();
+    for (i, &rhs_i) in rhs.iter().enumerate().take(m) {
+        let entries: Vec<(usize, f64)> =
+            (0..n).filter_map(|j| it.next().map(|v| (j, v))).filter(|&(_, v)| v > 0.05).collect();
+        let entries = if entries.is_empty() { vec![(i % n, 0.5)] } else { entries };
+        p.add_row(RowBounds::at_most(rhs_i), &entries).unwrap();
+    }
+    p
+}
+
+/// Rebuild the LP with rhs scaled by `t` and every column cap scaled by
+/// `s` — the budget-grid and retraction perturbations of the O-UMP
+/// (same matrix, moved polytope).
+fn perturb_rhs_and_caps(p: &Problem, t: f64, s: f64) -> Problem {
+    let mut q = Problem::new(Sense::Maximize);
+    for (j, b) in p.col_bounds().iter().enumerate() {
+        q.add_col(p.objective()[j], VarBounds { lower: b.lower, upper: b.upper * s }).unwrap();
+    }
+    for (i, rb) in p.row_bounds().iter().enumerate() {
+        let entries: Vec<(usize, f64)> =
+            p.triplets().iter().filter(|&&(r, _, _)| r == i).map(|&(_, c, v)| (c, v)).collect();
+        q.add_row(RowBounds::at_most(rb.upper * t), &entries).unwrap();
+    }
+    q
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Capped columns make many optimal vertices sit on upper bounds,
+    /// which the uncapped generator above never exercises: the default
+    /// route must still land on the dense tableau reference to 1e-9.
+    #[test]
+    fn revised_matches_dense_on_capped_packing_after_rhs_and_cap_moves(
+        n in 2usize..8,
+        m in 1usize..6,
+        coefs in prop::collection::vec(0.0f64..2.0, 48),
+        rhs in prop::collection::vec(0.5f64..4.0, 6),
+        t in 0.2f64..3.0,
+        s in 0.3f64..2.0,
+    ) {
+        let p = perturb_rhs_and_caps(&capped_packing_lp(n, m, &coefs, &rhs), t, s);
+        capped_packing_matches_dense(&p, &SimplexOptions::default())?;
+    }
+
+    /// The same capped, perturbed packing LPs forced onto the sparse
+    /// kernel route.
+    #[test]
+    fn sparse_route_matches_dense_on_capped_packing_after_rhs_and_cap_moves(
+        n in 2usize..8,
+        m in 1usize..6,
+        coefs in prop::collection::vec(0.0f64..2.0, 48),
+        rhs in prop::collection::vec(0.5f64..4.0, 6),
+        t in 0.2f64..3.0,
+        s in 0.3f64..2.0,
+    ) {
+        let p = perturb_rhs_and_caps(&capped_packing_lp(n, m, &coefs, &rhs), t, s);
+        let sol = capped_packing_matches_dense(&p, &force_sparse())?;
+        prop_assert!(sol.sparse, "forced sparse must be honored");
+    }
+}
+
+/// Solve `p` cold under `opts` and check it against the dense tableau
+/// reference: both optimal, objectives within 1e-9, revised vertex
+/// feasible.
+fn capped_packing_matches_dense(
+    p: &Problem,
+    opts: &SimplexOptions,
+) -> Result<Solution, TestCaseError> {
+    let dense = solve_dense(p);
+    prop_assert_eq!(dense.status, SolveStatus::Optimal);
+    let cold = solve(p, opts).unwrap();
+    prop_assert_eq!(cold.status, SolveStatus::Optimal);
+    prop_assert!(
+        (cold.objective - dense.objective).abs() <= 1e-9,
+        "sparse={}: revised {} vs dense {}",
+        cold.sparse,
+        cold.objective,
+        dense.objective
+    );
+    prop_assert!(p.max_violation(&cold.x) < 1e-6);
+    Ok(cold)
+}
+
 #[test]
 fn moderate_lp_solves_quickly_and_feasibly() {
     // a 200-var, 80-row packing LP in the O-UMP shape
@@ -170,43 +262,37 @@ fn fump_sweep_problem(budget: f64) -> Problem {
     p
 }
 
-#[test]
-fn dual_reopt_matches_dense_on_fump_shaped_rhs_sweep() {
-    // swept over its budget rhs: dual reoptimization from the previous
-    // basis must track the independent dense solver at every step
-    use dpsan_lp::simplex::{solve_parametric_cached, ReoptCache, StepHint};
-    let build = fump_sweep_problem;
-    let opts = SimplexOptions::default();
-    let mut cache = ReoptCache::new();
-    let first =
-        solve_parametric_cached(&build(4.0), &opts, None, StepHint::Fresh, &mut cache).unwrap();
-    assert_eq!(first.solution.status, SolveStatus::Optimal);
-    let mut basis = first.basis;
-    for budget in [3.0, 2.2, 2.8, 1.9, 3.5] {
-        let p = build(budget);
-        let fast =
-            solve_parametric_cached(&p, &opts, basis.as_ref(), StepHint::RhsOnly, &mut cache)
-                .unwrap();
+/// Sweep the F-UMP shape over its budget rhs out of order, as a grid
+/// shard visits it: every cold solve under `opts` must track the
+/// independent dense solver to 1e-9 at every step.
+fn fump_budget_sweep_tracks_dense(opts: &SimplexOptions) {
+    for budget in [4.0, 3.0, 2.2, 2.8, 1.9, 3.5] {
+        let p = fump_sweep_problem(budget);
+        let fast = solve(&p, opts).unwrap();
         let slow = solve_dense(&p);
-        assert_eq!(fast.solution.status, SolveStatus::Optimal, "budget {budget}");
+        assert_eq!(fast.status, SolveStatus::Optimal, "budget {budget}");
         assert_eq!(slow.status, SolveStatus::Optimal, "budget {budget}");
-        // the equality row's fixed slack must not scare the dual path
-        // off (its reduced cost is an equality dual — any sign is fine)
-        assert_eq!(
-            fast.stats.algorithm,
-            dpsan_lp::simplex::Algorithm::DualReopt,
-            "budget {budget}: rhs-only F-UMP steps ride the dual path: {:?}",
-            fast.stats
-        );
         assert!(
-            (fast.solution.objective - slow.objective).abs() < 1e-9,
-            "budget {budget}: dual {} vs dense {}",
-            fast.solution.objective,
+            (fast.objective - slow.objective).abs() < 1e-9,
+            "budget {budget} (sparse={}): revised {} vs dense {}",
+            fast.sparse,
+            fast.objective,
             slow.objective
         );
-        assert!(p.max_violation(&fast.solution.x) < 1e-7, "budget {budget}");
-        basis = fast.basis;
+        assert!(p.max_violation(&fast.x) < 1e-7, "budget {budget}");
     }
+}
+
+#[test]
+fn fump_budget_sweep_matches_dense() {
+    fump_budget_sweep_tracks_dense(&SimplexOptions::default());
+}
+
+#[test]
+fn sparse_route_fump_budget_sweep_matches_dense() {
+    let opts = force_sparse();
+    assert!(solve(&fump_sweep_problem(4.0), &opts).unwrap().sparse, "forced sparse");
+    fump_budget_sweep_tracks_dense(&opts);
 }
 
 #[test]
@@ -333,7 +419,6 @@ fn sparse_route_matches_dense_on_fump_and_moderate_shapes() {
 fn auto_routing_selects_sparse_at_scale_and_matches_dense() {
     // an O-UMP-shaped block LP with ≥ 512 rows routes sparse by
     // default; the answer must still match the forced-dense oracle
-    use dpsan_lp::simplex::solve_with_basis;
     let blocks = 280; // 280 users x 2 rows/user = 560 rows ≥ 512
     let mut p = Problem::new(Sense::Maximize);
     let mut cols = Vec::new();
@@ -353,54 +438,16 @@ fn auto_routing_selects_sparse_at_scale_and_matches_dense() {
         p.add_row(RowBounds::at_most(1.0), &[(cols[base + 1], 0.6), (cols[base + 2], 0.2)])
             .unwrap();
     }
-    let auto = solve_with_basis(&p, &SimplexOptions::default(), None).unwrap();
-    assert!(auto.stats.sparse, "560-row LP must route sparse by default");
-    assert_eq!(auto.solution.status, SolveStatus::Optimal);
+    let auto = solve(&p, &SimplexOptions::default()).unwrap();
+    assert!(auto.sparse, "560-row LP must route sparse by default");
+    assert_eq!(auto.status, SolveStatus::Optimal);
     let de = solve(&p, &force_dense()).unwrap();
     assert!(
-        (auto.solution.objective - de.objective).abs() < ROUTE_TOL * de.objective.abs().max(1.0),
+        (auto.objective - de.objective).abs() < ROUTE_TOL * de.objective.abs().max(1.0),
         "sparse {} vs dense {}",
-        auto.solution.objective,
+        auto.objective,
         de.objective
     );
-}
-
-#[test]
-fn dual_reopt_sparse_route_matches_dense_oracle_on_rhs_sweep() {
-    // the same F-UMP rhs sweep as the dense-route test, but forced onto
-    // the sparse dual path: must stay on DualReopt and track the
-    // independent dense solver to 1e-9 at every step
-    use dpsan_lp::simplex::{solve_parametric_cached, ReoptCache, StepHint};
-    let opts = force_sparse();
-    let mut cache = ReoptCache::new();
-    let first =
-        solve_parametric_cached(&fump_sweep_problem(4.0), &opts, None, StepHint::Fresh, &mut cache)
-            .unwrap();
-    assert_eq!(first.solution.status, SolveStatus::Optimal);
-    assert!(first.stats.sparse, "forced sparse");
-    let mut basis = first.basis;
-    for budget in [3.0, 2.2, 2.8, 1.9, 3.5] {
-        let p = fump_sweep_problem(budget);
-        let fast =
-            solve_parametric_cached(&p, &opts, basis.as_ref(), StepHint::RhsOnly, &mut cache)
-                .unwrap();
-        let slow = solve_dense(&p);
-        assert_eq!(fast.solution.status, SolveStatus::Optimal, "budget {budget}");
-        assert_eq!(
-            fast.stats.algorithm,
-            dpsan_lp::simplex::Algorithm::DualReopt,
-            "budget {budget}: rhs-only steps ride the dual path even when sparse: {:?}",
-            fast.stats
-        );
-        assert!(
-            (fast.solution.objective - slow.objective).abs() < ROUTE_TOL,
-            "budget {budget}: sparse dual {} vs dense {}",
-            fast.solution.objective,
-            slow.objective
-        );
-        assert!(p.max_violation(&fast.solution.x) < 1e-7, "budget {budget}");
-        basis = fast.basis;
-    }
 }
 
 #[test]

@@ -180,8 +180,8 @@ mod tests {
     fn sample_registry() -> Registry {
         let r = Registry::new();
         r.counter("dpsan_releases_total").add(3);
-        r.counter_with("dpsan_solves_total", "path", "dual_reopt").add(2);
-        r.counter_with("dpsan_solves_total", "path", "warm_primal").inc();
+        r.counter_with("dpsan_solves_total", "path", "cold_primal").add(2);
+        r.counter_with("dpsan_solves_total", "path", "cold_primal_sparse").inc();
         r.gauge("dpsan_budget_epsilon_spent").set(1.5);
         let h = r.histogram("dpsan_wal_fsync_seconds", vec![0.001, 0.01]);
         h.record(0.0005);
@@ -199,8 +199,8 @@ dpsan_budget_epsilon_spent 1.5
 # TYPE dpsan_releases_total counter
 dpsan_releases_total 3
 # TYPE dpsan_solves_total counter
-dpsan_solves_total{path=\"dual_reopt\"} 2
-dpsan_solves_total{path=\"warm_primal\"} 1
+dpsan_solves_total{path=\"cold_primal\"} 2
+dpsan_solves_total{path=\"cold_primal_sparse\"} 1
 # TYPE dpsan_wal_fsync_seconds histogram
 dpsan_wal_fsync_seconds_bucket{le=\"0.001\"} 2
 dpsan_wal_fsync_seconds_bucket{le=\"0.01\"} 2
@@ -225,7 +225,7 @@ dpsan_wal_fsync_seconds_count 3
         assert_eq!(a, b, "no activity between snapshots — identical dumps");
         assert!(a.starts_with('{') && a.ends_with("}\n"));
         assert!(a.contains("\"dpsan_releases_total\":3"));
-        assert!(a.contains("\"dpsan_solves_total{path=\\\"dual_reopt\\\"}\":2"));
+        assert!(a.contains("\"dpsan_solves_total{path=\\\"cold_primal\\\"}\":2"));
         assert!(a.contains("\"p50\":0.0005"));
         assert!(a.contains("\"exact\":true"));
         // Balanced braces/quotes as a cheap well-formedness check.

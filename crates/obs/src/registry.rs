@@ -12,7 +12,7 @@
 //! (`[a-zA-Z_:][a-zA-Z0-9_:]*`), optionally with a single
 //! `{key="value"}` label pair appended by [`Registry::counter_with`] —
 //! enough to model e.g. the solver-path family
-//! `dpsan_solves_total{path="dual_reopt"}` without a full label
+//! `dpsan_solves_total{path="cold_primal"}` without a full label
 //! engine. Snapshots iterate in sorted name order, so two snapshots of
 //! identical state render byte-identically.
 
@@ -291,10 +291,10 @@ mod tests {
     #[test]
     fn labeled_counters_are_distinct_series() {
         let r = Registry::new();
-        r.counter_with("dpsan_solves_total", "path", "dual_reopt").inc();
+        r.counter_with("dpsan_solves_total", "path", "cold_primal_sparse").inc();
         r.counter_with("dpsan_solves_total", "path", "cold_primal").add(2);
         let s = r.snapshot();
-        assert_eq!(s.counter("dpsan_solves_total{path=\"dual_reopt\"}"), 1);
+        assert_eq!(s.counter("dpsan_solves_total{path=\"cold_primal_sparse\"}"), 1);
         assert_eq!(s.counter("dpsan_solves_total{path=\"cold_primal\"}"), 2);
     }
 

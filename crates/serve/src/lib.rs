@@ -8,7 +8,7 @@
 //! ```text
 //! appended TSV ──FollowReader (line-atomic)──▶ IngestSession (live
 //!   shards + sketches) ──trigger──▶ ReleasePlanner (budget ledger)
-//!   ──▶ persistent SolveSession (dual reopt) ──▶ release-NNNN.tsv
+//!   ──▶ persistent SolveSession (cold solve) ──▶ release-NNNN.tsv
 //! ```
 //!
 //! Three properties carry the design:
@@ -19,13 +19,12 @@
 //!    re-release is byte-identical to a one-shot `sanitize` over the
 //!    same prefix with the same seed — for any shard count or drain
 //!    parallelism (CI diffs this).
-//! 2. **Re-solves ride the parametric fast path.** The mechanism
-//!    object (and so the `SolveSession` inside a `UmpSanitizer`)
-//!    persists across releases: appended events move the per-user
-//!    counts, the re-solve starts from the previous optimal basis, and
-//!    the dual simplex reoptimizes in a few pivots. Cold solves recur
-//!    only when the LP shape changes (new pairs surviving
-//!    preprocessing).
+//! 2. **Every re-solve is one cold solve.** The mechanism object (and
+//!    so the `SolveSession` inside a `UmpSanitizer`) persists across
+//!    releases to carry the LP options and count solver work, but each
+//!    release solves its LP from scratch: the answer depends only on
+//!    the window, never on earlier releases, which is what property 1
+//!    needs.
 //! 3. **Composition is enforced, not just recorded.** The lifetime
 //!    `(ε, δ)` ledger refuses a release it cannot afford
 //!    ([`dpsan_dp::BudgetError`]); the service treats that refusal as

@@ -10,12 +10,10 @@
 //!
 //! Because the mechanism object is persistent, a `UmpSanitizer`'s
 //! internal [`SolveSession`](dpsan_core::session::SolveSession)
-//! survives across re-releases: each re-solve starts from the
-//! previous release's optimal basis, so an appended-counts re-release
-//! is a dual reoptimization, not a cold start (cold solves reappear
-//! only when the LP *shape* changes — new pairs entering the
-//! preprocessed support). The per-release [`ReleaseRecord::solver`]
-//! deltas make that visible.
+//! survives across re-releases and accumulates their solver counters;
+//! every re-solve is still a cold solve of the current window. The
+//! per-release [`ReleaseRecord::solver`] deltas show what each release
+//! cost.
 
 use std::io::BufRead;
 use std::time::{Duration, Instant};

@@ -4,8 +4,8 @@
 //! chunks of a sorted budget list, one user-hash shard of a log
 //! intake, one δ-curve …) and run them here. Shard composition never
 //! depends on the worker count, and each shard is processed
-//! sequentially by exactly one worker, so per-shard state (warm-start
-//! chains, shard interners) lives entirely inside a shard and the
+//! sequentially by exactly one worker, so per-shard state (a solve
+//! session, shard counts) lives entirely inside a shard and the
 //! results — returned in shard order — are byte-identical for every
 //! `jobs` value. `jobs` only controls how many shards are in flight at
 //! once.

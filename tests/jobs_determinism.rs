@@ -1,6 +1,6 @@
 //! `--jobs N` must never change results: the parallel prefetch shards
-//! are data-defined (fixed chunks of the sorted grid, one warm-start
-//! chain per shard), so the worker count only affects wall-clock. This
+//! are data-defined (fixed chunks of the sorted grid, one solve
+//! session per shard), so the worker count only affects wall-clock. This
 //! is the contract that keeps the golden fixture and the paper tables
 //! reproducible on any machine.
 
