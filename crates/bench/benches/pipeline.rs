@@ -273,15 +273,16 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // ---- the 10^5-user sparse-route entries ----
+    // ---- the 10^5-user entries ----
     // Shared setup, built once and untimed: the tiny preset scaled to
     // 100k users exactly the way `genlog --scale tiny --users 100000`
     // scales it (vocabulary grows with the population so pair sharing
     // keeps its shape), preprocessed and compiled to the real O-UMP
     // constraint system. Everything below 512 rows takes the dense
-    // route; these two entries are the only tracked coverage of the
-    // sparse kernels at the scale they exist for.
-    let (big_cons, big_matrix, big_basis) = {
+    // route; `sparse_factor_100k` and `sparse_pivots_100k` are the only
+    // tracked coverage of the sparse kernels at the scale they exist
+    // for, and `oump_packing_100k` is what an anytime O-UMP pays there.
+    let (big_cons, big_problem, big_matrix, big_basis) = {
         let mut cfg = dpsan_eval::Scale::Tiny.config();
         let users = 100_000usize;
         let ratio = users as f64 / cfg.n_users as f64;
@@ -325,7 +326,7 @@ fn bench(c: &mut Criterion) {
             .enumerate()
             .map(|(i, &j)| if j == usize::MAX { n + i } else { j })
             .collect();
-        (cons, a, basis)
+        (cons, p, a, basis)
     };
 
     g.bench_function("sparse_factor_100k", |b| {
@@ -335,21 +336,25 @@ fn bench(c: &mut Criterion) {
         b.iter(|| BasisFactor::factor(&big_matrix, &big_basis).expect("nonsingular").lu_nnz())
     });
 
-    g.bench_function("oump_sparse_solve_100k", |b| {
-        // pivot throughput at scale: a cold sparse-route solve capped
-        // at 1000 iterations in anytime mode. Proving optimality at
-        // this density takes hours regardless of kernel (hypersparsity
-        // collapses — see ROADMAP), so the tracked number is what the
-        // serving path's --lp-budget actually pays: initial
-        // factorization plus 1000 sparse pivots on the real LP.
-        let opts = OumpOptions {
-            lp: SimplexOptions { max_iter: 1_000, ..SimplexOptions::default() },
-            anytime: true,
-            ..Default::default()
-        };
+    g.bench_function("oump_packing_100k", |b| {
+        // the serving path's anytime O-UMP at scale: ≥512 rows route to
+        // the packing solver (transpose, 50 dual steps, greedy)
+        let opts = OumpOptions { anytime: true, ..Default::default() };
         b.iter(|| {
             let s = solve_oump_with(&big_cons, &opts).unwrap();
             (s.lambda, s.capped)
+        })
+    });
+
+    g.bench_function("sparse_pivots_100k", |b| {
+        // sparse pivot throughput at scale: a cold sparse-route simplex
+        // on the same O-UMP LP, capped at 1000 iterations. Non-anytime
+        // O-UMP, F-UMP and the D-UMP relaxations still pivot on these
+        // kernels at ≥512 rows.
+        let lp = SimplexOptions { max_iter: 1_000, ..SimplexOptions::default() };
+        b.iter(|| {
+            let s = dpsan_lp::simplex::solve(&big_problem, &lp).unwrap();
+            (s.iterations, s.status)
         })
     });
 

@@ -150,6 +150,7 @@ impl Sanitizer for LdpSanitizer {
             report,
             ledger,
             solver: SessionStats::default(),
+            upper_bound: None,
         })
     }
 }

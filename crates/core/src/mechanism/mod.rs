@@ -121,6 +121,11 @@ pub struct Release {
     /// --stats` aggregates these unconditionally instead of special-
     /// casing non-LP mechanisms.
     pub solver: SessionStats,
+    /// The certified upper bound on the optimal output size λ* that the
+    /// O-UMP solve reported ([`crate::ump::output_size::OumpSolution::upper_bound`]).
+    /// `None` for every other mechanism and objective. Data-dependent
+    /// operator diagnostics, like the LP value: not part of the release.
+    pub upper_bound: Option<f64>,
 }
 
 /// A differentially private search-log sanitization mechanism.

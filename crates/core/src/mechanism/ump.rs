@@ -122,13 +122,15 @@ impl UmpSanitizer {
         self
     }
 
-    /// Budgeted "anytime" solving: cap the LP at `max_iter` simplex
-    /// iterations and accept the best feasible iterate when the cap
-    /// strikes (O-UMP objective only; see
-    /// [`crate::ump::output_size::OumpOptions::anytime`]). What lets a
-    /// 10⁵-user sanitize finish under a wall-clock budget — phase-2
-    /// iterates are always privacy-feasible, so the cap trades utility
-    /// (λ), never privacy. Resets the session's counters.
+    /// Budgeted "anytime" solving (O-UMP objective only; see
+    /// [`crate::ump::output_size::OumpOptions::anytime`]): below 512
+    /// constraint rows, cap the LP at `max_iter` simplex iterations and
+    /// accept the best feasible iterate when the cap strikes; at 512
+    /// rows and above, answer with the packing solver and leave
+    /// `max_iter` unused. What lets a 10⁵-user sanitize finish in
+    /// seconds — both answers are always privacy-feasible, so the mode
+    /// trades utility (λ), never privacy. Resets the session's
+    /// counters.
     pub fn with_lp_iteration_budget(mut self, max_iter: usize) -> Self {
         let lp = SimplexOptions { max_iter, ..SimplexOptions::default() };
         self.session = Mutex::new(SolveSession::new(lp));
@@ -196,18 +198,19 @@ impl Sanitizer for UmpSanitizer {
         let constraints = PrivacyConstraints::build(&pre, params)?;
 
         // step 1: optimal output counts, through the shared session
+        let mut upper_bound = None;
         let (mut counts, solver) = {
             let mut session = self.session.lock().expect("session poisoned");
             let before = session.stats();
             let lp = session.lp_options().clone();
             let counts = match &self.objective {
                 UtilityObjective::OutputSize => {
-                    session
-                        .solve_oump(
-                            &constraints,
-                            &OumpOptions { lp, anytime: self.anytime, ..Default::default() },
-                        )?
-                        .counts
+                    let sol = session.solve_oump(
+                        &constraints,
+                        &OumpOptions { lp, anytime: self.anytime, ..Default::default() },
+                    )?;
+                    upper_bound = Some(sol.upper_bound);
+                    sol.counts
                 }
                 UtilityObjective::FrequentPairs { min_support, output_size } => {
                     session
@@ -261,7 +264,7 @@ impl Sanitizer for UmpSanitizer {
         let mut ledger = BudgetLedger::new();
         ledger.try_spend_all(&batch).expect("fresh ledger is uncapped");
 
-        Ok(Release { output, reference: pre, counts, report, ledger, solver })
+        Ok(Release { output, reference: pre, counts, report, ledger, solver, upper_bound })
     }
 }
 

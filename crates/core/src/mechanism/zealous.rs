@@ -239,6 +239,7 @@ impl Sanitizer for ZealousSanitizer {
             report,
             ledger,
             solver: SessionStats::default(),
+            upper_bound: None,
         })
     }
 }

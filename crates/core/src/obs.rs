@@ -2,10 +2,10 @@
 //!
 //! | series | type | meaning |
 //! |---|---|---|
-//! | `dpsan_solves_total{path=...}` | counter | solves by kernel route: `cold_primal`, or `cold_primal_sparse` when the LP layer routed the solve onto its sparse kernels |
+//! | `dpsan_solves_total{path=...}` | counter | solves by route: `cold_primal`, `cold_primal_sparse` when the LP layer routed the solve onto its sparse kernels, or `packing` when an anytime O-UMP took the packing solver |
 //! | `dpsan_solve_iterations_total` | counter | simplex iterations |
 //! | `dpsan_solve_refactorizations_total` | counter | basis (re)factorizations |
-//! | `dpsan_solves_capped_total` | counter | O-UMP solves that stopped at the iteration cap and returned the anytime incumbent |
+//! | `dpsan_solves_capped_total` | counter | O-UMP solves that returned an anytime answer (the simplex incumbent at the iteration cap, or a packing-route answer) |
 //!
 //! These mirror [`crate::SessionStats`] one-for-one: every increment in
 //! `SolveSession` lands in both the per-session struct and the
@@ -26,6 +26,12 @@ pub fn solves_total(sparse: bool) -> &'static Counter {
     cache.get_or_init(|| global().counter_with("dpsan_solves_total", "path", path))
 }
 
+/// O-UMP solves answered by the packing route (`path="packing"`).
+pub fn packing_solves_total() -> &'static Counter {
+    static H: OnceLock<Counter> = OnceLock::new();
+    H.get_or_init(|| global().counter_with("dpsan_solves_total", "path", "packing"))
+}
+
 /// Simplex iterations summed over all solves.
 pub fn iterations_total() -> &'static Counter {
     static H: OnceLock<Counter> = OnceLock::new();
@@ -38,7 +44,7 @@ pub fn refactorizations_total() -> &'static Counter {
     H.get_or_init(|| global().counter("dpsan_solve_refactorizations_total"))
 }
 
-/// O-UMP solves accepted at the iteration cap (anytime incumbents).
+/// O-UMP solves accepted as anytime answers.
 pub fn solves_capped_total() -> &'static Counter {
     static H: OnceLock<Counter> = OnceLock::new();
     H.get_or_init(|| global().counter("dpsan_solves_capped_total"))

@@ -28,8 +28,9 @@ pub struct SessionStats {
     pub iterations: usize,
     /// Basis (re)factorizations summed over all solves.
     pub refactorizations: usize,
-    /// O-UMP solves that stopped at the iteration cap and returned the
-    /// anytime incumbent instead of a proven optimum.
+    /// O-UMP solves that returned an anytime answer instead of a proven
+    /// optimum: the simplex incumbent at the iteration cap, or a
+    /// packing-route answer.
     pub capped: usize,
     /// Always `0`: every solve is cold. Kept only because the
     /// `perfbench` driver reads it as its `core.warm_kept` metric.
@@ -100,8 +101,16 @@ impl SolveSession {
         Ok(sol)
     }
 
-    /// Count one solve that ended at the iteration cap and was accepted
-    /// as an anytime incumbent.
+    /// Count one O-UMP solve answered by the packing route: a solve
+    /// with no simplex iterations or factorizations.
+    pub(crate) fn count_packing_solve(&mut self) {
+        self.stats.solves += 1;
+        crate::obs::packing_solves_total().inc();
+    }
+
+    /// Count one solve that was accepted as an anytime answer: the
+    /// simplex incumbent at the iteration cap, or a packing-route
+    /// answer.
     pub(crate) fn count_capped(&mut self) {
         self.stats.capped += 1;
         crate::obs::solves_capped_total().inc();

@@ -4,6 +4,9 @@
 //!   maximum achievable output size λ),
 //! * [`frequent`] — F-UMP: minimize the sum of support distances of the
 //!   frequent pairs at a fixed output size `|O| ∈ (0, λ]`,
+//! * [`packing`] — the O-UMP as a packing LP: the certified bound every
+//!   O-UMP answer carries, and the dual-guided greedy that answers
+//!   large anytime solves,
 //! * [`diversity`] — D-UMP: maximize the number of distinct pairs kept
 //!   (a packing BIP; NP-hard, solved by the SPE heuristic of
 //!   Algorithm 2 and several comparison solvers).
@@ -16,6 +19,7 @@
 pub mod diversity;
 pub mod frequent;
 pub mod output_size;
+pub mod packing;
 
 use crate::constraints::PrivacyConstraints;
 use crate::error::CoreError;

@@ -9,16 +9,23 @@
 //! the constraints since `M ≥ 0`). The optimal value is the maximum
 //! output size λ used by Table 4 and as the upper bound of the F-UMP's
 //! `|O|` parameter.
+//!
+//! Anytime solves ([`OumpOptions::anytime`]) with at least
+//! [`SPARSE_MIN_ROWS`] constraint rows skip the simplex and take the
+//! packing route ([`crate::ump::packing`]): a dual-guided greedy whose
+//! integer counts lie in the same polytope. Every answer, on either
+//! route, carries a certified [`OumpSolution::upper_bound`] on the
+//! optimal λ.
 
 use dpsan_dp::params::PrivacyParams;
 use dpsan_lp::problem::{Problem, Sense, VarBounds};
-use dpsan_lp::simplex::{solve, SimplexOptions, Solution, SolveStatus};
+use dpsan_lp::simplex::{solve, SimplexOptions, Solution, SolveStatus, SPARSE_MIN_ROWS};
 use dpsan_searchlog::SearchLog;
 
 use crate::constraints::PrivacyConstraints;
 use crate::error::CoreError;
 use crate::session::SolveSession;
-use crate::ump::{floor_counts, verify_counts};
+use crate::ump::{floor_counts, packing, verify_counts};
 
 /// O-UMP options.
 #[derive(Debug, Clone)]
@@ -36,13 +43,17 @@ pub struct OumpOptions {
     /// satisfies it) and reproduces the saturation shape. Upper bounds
     /// never break Lemma 1: `⌊x*⌋ ≤ x* ≤ c`.
     pub cap_at_input: bool,
-    /// Accept the best iterate found so far when the LP hits
-    /// `lp.max_iter` before proving optimality ("anytime" mode).
+    /// Accept an answer that is feasible but not proven optimal
+    /// ("anytime" mode).
     ///
-    /// Sound because the O-UMP starts primal feasible (x = 0 satisfies
+    /// Below [`SPARSE_MIN_ROWS`] constraint rows this caps the simplex
+    /// at `lp.max_iter` and accepts the best iterate found so far:
+    /// sound because the O-UMP starts primal feasible (x = 0 satisfies
     /// `Mx ≤ b`, `b > 0`) and every phase-2 simplex iterate stays
-    /// primal feasible — a capped solve sacrifices utility (a smaller
-    /// λ), never privacy. [`verify_counts`] still checks the returned
+    /// primal feasible. At [`SPARSE_MIN_ROWS`] rows and above the
+    /// packing route answers instead and `lp.max_iter` is unused.
+    /// Either way an anytime answer sacrifices utility (a smaller λ),
+    /// never privacy, and [`verify_counts`] still checks the returned
     /// counts against every constraint as a backstop. Off by default:
     /// an uncapped solve that exhausts its iteration budget remains an
     /// error.
@@ -58,20 +69,28 @@ impl Default for OumpOptions {
 /// O-UMP solution.
 #[derive(Debug, Clone)]
 pub struct OumpSolution {
-    /// Floored optimal counts `⌊x*_ij⌋`, one per pair.
+    /// Floored optimal counts `⌊x*_ij⌋`, one per pair (on the packing
+    /// route, the greedy's integer counts).
     pub counts: Vec<u64>,
-    /// The LP-optimal counts before flooring.
+    /// The LP-optimal counts before flooring (on the packing route, the
+    /// counts themselves).
     pub lp_counts: Vec<f64>,
     /// The integer maximum output size `λ = Σ ⌊x*_ij⌋`.
     pub lambda: u64,
-    /// The LP optimum before flooring.
+    /// The objective at `lp_counts`: the LP optimum before flooring.
     pub lp_value: f64,
-    /// Simplex iterations used.
+    /// Simplex iterations used (0 on the packing route).
     pub iterations: usize,
-    /// Whether the solve stopped at the iteration budget (anytime
-    /// mode) rather than at a proven optimum. The counts are feasible
-    /// either way; a capped λ is a lower bound on the optimal one.
+    /// Whether the answer is not proven optimal: the simplex stopped at
+    /// the iteration budget, or the packing route answered (anytime
+    /// mode). The counts are feasible either way; a capped λ is a lower
+    /// bound on the optimal one.
     pub capped: bool,
+    /// A certified upper bound on the optimal LP value, hence on every
+    /// feasible λ: `UB(y)` of [`packing::upper_bound`] at the packing
+    /// dual, or at the simplex row duals clamped at 0. `1 − λ / UB`
+    /// bounds how far λ can be from optimal.
+    pub upper_bound: f64,
 }
 
 /// Solve the O-UMP on a preprocessed log.
@@ -140,6 +159,25 @@ fn solve_oump_inner(
             lp_value: 0.0,
             iterations: 0,
             capped: false,
+            upper_bound: 0.0,
+        });
+    }
+
+    if opts.anytime && constraints.n_rows() >= SPARSE_MIN_ROWS {
+        let sol = packing::solve(constraints, opts.cap_at_input);
+        if let Some(s) = session {
+            s.count_packing_solve();
+        }
+        verify_counts(constraints, &sol.counts)?;
+        let lambda = sol.counts.iter().sum();
+        return Ok(OumpSolution {
+            lp_counts: sol.counts.iter().map(|&c| c as f64).collect(),
+            counts: sol.counts,
+            lambda,
+            lp_value: lambda as f64,
+            iterations: 0,
+            capped: true,
+            upper_bound: sol.upper_bound,
         });
     }
 
@@ -160,6 +198,7 @@ fn solve_oump_inner(
     let counts = floor_counts(&sol.x);
     verify_counts(constraints, &counts)?;
     let lambda = counts.iter().sum();
+    let bounds = packing::column_bounds(constraints, opts.cap_at_input);
     Ok(OumpSolution {
         counts,
         lp_counts: sol.x,
@@ -167,6 +206,7 @@ fn solve_oump_inner(
         lp_value: sol.objective,
         iterations: sol.iterations,
         capped,
+        upper_bound: packing::upper_bound(constraints, &bounds, &sol.duals),
     })
 }
 

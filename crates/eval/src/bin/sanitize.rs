@@ -46,11 +46,14 @@ const USAGE: &str = "usage: sanitize <input.tsv> [options]
   --zealous-cap <n>        zealous per-user contribution cap (default: 8)
   --zealous-coarse <n>     zealous coarse cutoff tau'        (default: 2)
   --ldp-cap <n>            ldp-rr per-user pair cap          (default: 4)
-  --lp-budget <n>          oump only: cap the LP at n simplex iterations and
-                           release the best feasible iterate found (anytime
-                           mode). Feasibility — and hence privacy — holds at
-                           every iterate; only utility is traded. This is the
-                           knob that bounds wall-clock at 10^5+ users.
+  --lp-budget <n>          oump only: anytime mode. Below 512 constraint rows
+                           (users), cap the LP at n simplex iterations and
+                           release the best feasible iterate found; at 512
+                           rows and above the packing solver answers in
+                           seconds even at 10^5+ users, and n is unused.
+                           Either answer is feasible — hence private — and
+                           carries a certified bound (--stats: gap); only
+                           utility is traded.
   --seed <n>               sampling / noise seed     (default: fixed)
   --shards <n>             user-hash shards          (default: 16)
   --chunk-rows <n>         max raw rows in memory    (default: 8192)
@@ -385,8 +388,10 @@ fn build_mechanism(
             let output_size = match args.output_size {
                 Some(o) => o,
                 None => {
-                    let lambda = solve_oump(pre, params, &OumpOptions::default())?.lambda;
-                    (lambda / 2).max(1)
+                    // anytime: exact below 512 rows, the packing
+                    // route's feasible λ (≤ λ*) at and above
+                    let opts = OumpOptions { anytime: true, ..OumpOptions::default() };
+                    (solve_oump(pre, params, &opts)?.lambda / 2).max(1)
                 }
             };
             let frequent: Vec<FrequentPair> = match sketch {
@@ -600,6 +605,10 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 &release.solver
             ))
         );
+        if let Some(ub) = release.upper_bound {
+            let lambda = release.counts.iter().sum();
+            eprintln!("{}", dpsan_eval::stats_text::bound_line(lambda, ub));
+        }
     }
 
     // 3. release: same schema as the input

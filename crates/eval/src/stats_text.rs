@@ -31,7 +31,8 @@ pub struct SolverCounters {
     pub iterations: u64,
     /// Basis (re)factorizations over all solves.
     pub refactorizations: u64,
-    /// O-UMP solves accepted at the iteration cap (anytime incumbents).
+    /// O-UMP solves accepted as anytime answers (capped simplex
+    /// incumbents or packing-route answers).
     pub capped: u64,
 }
 
@@ -53,7 +54,8 @@ impl SolverCounters {
     pub fn from_snapshot(s: &Snapshot) -> Self {
         SolverCounters {
             solves: s.counter("dpsan_solves_total{path=\"cold_primal\"}")
-                + s.counter("dpsan_solves_total{path=\"cold_primal_sparse\"}"),
+                + s.counter("dpsan_solves_total{path=\"cold_primal_sparse\"}")
+                + s.counter("dpsan_solves_total{path=\"packing\"}"),
             iterations: s.counter("dpsan_solve_iterations_total"),
             refactorizations: s.counter("dpsan_solve_refactorizations_total"),
             capped: s.counter("dpsan_solves_capped_total"),
@@ -77,6 +79,15 @@ pub fn solver_stats_line(scope: &str, c: &SolverCounters) -> String {
 /// The one-shot `sanitize --stats` line: `solver: solves=…`.
 pub fn solver_line(c: &SolverCounters) -> String {
     format!("solver: {}", c.kv())
+}
+
+/// The one-shot `sanitize --stats` certificate line of an O-UMP
+/// release: `bound: lambda=… upper_bound=… gap=…`, where the gap is
+/// `1 − λ / UB` (0 when the bound is 0). CI's scale-smoke job greps the
+/// `gap=` key.
+pub fn bound_line(lambda: u64, upper_bound: f64) -> String {
+    let gap = if upper_bound > 0.0 { 1.0 - lambda as f64 / upper_bound } else { 0.0 };
+    format!("bound: lambda={lambda} upper_bound={upper_bound:.3} gap={gap:.4}")
 }
 
 /// The serve per-release line: `release[N]: rows=… eps-total=…`.
@@ -137,8 +148,9 @@ mod tests {
             ..SessionStats::default()
         };
         let registry = dpsan_obs::Registry::new();
-        registry.counter_with("dpsan_solves_total", "path", "cold_primal").add(3);
+        registry.counter_with("dpsan_solves_total", "path", "cold_primal").add(2);
         registry.counter_with("dpsan_solves_total", "path", "cold_primal_sparse").add(2);
+        registry.counter_with("dpsan_solves_total", "path", "packing").inc();
         registry.counter("dpsan_solve_iterations_total").add(42);
         registry.counter("dpsan_solve_refactorizations_total").add(7);
         registry.counter("dpsan_solves_capped_total").inc();
@@ -148,6 +160,12 @@ mod tests {
             solver_stats_line("t", &from_stats),
             "stats[t]: solves=5 iterations=42 refactorizations=7 capped=1"
         );
+    }
+
+    #[test]
+    fn bound_line_reports_the_certified_gap() {
+        assert_eq!(bound_line(75, 100.0), "bound: lambda=75 upper_bound=100.000 gap=0.2500");
+        assert_eq!(bound_line(0, 0.0), "bound: lambda=0 upper_bound=0.000 gap=0.0000");
     }
 
     #[test]

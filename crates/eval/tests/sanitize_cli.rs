@@ -127,3 +127,39 @@ fn stats_report_whether_the_oump_solve_was_capped() {
     assert!(full.starts_with("solver: solves=1 "), "got: {full}");
     fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn stats_print_the_certified_bound_for_oump_releases_only() {
+    let dir = scratch("bound");
+    let input = dir.join("tiny.tsv");
+    let o = Command::new(env!("CARGO_BIN_EXE_genlog"))
+        .args(["--scale", "tiny", "--out", input.to_str().unwrap()])
+        .output()
+        .expect("spawn genlog");
+    assert!(o.status.success(), "stderr: {}", String::from_utf8_lossy(&o.stderr));
+    let out = dir.join("out.tsv");
+    let stats = |mechanism: &str| {
+        let o = run_sanitize(&[
+            input.to_str().unwrap(),
+            "--mechanism",
+            mechanism,
+            "--stats",
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        assert!(o.status.success(), "stderr: {}", String::from_utf8_lossy(&o.stderr));
+        String::from_utf8_lossy(&o.stderr).into_owned()
+    };
+    let oump = stats("oump");
+    let line = oump.lines().find(|l| l.starts_with("bound: ")).expect("bound line");
+    let field = |key: &str| -> f64 {
+        let kv = line.split(' ').find(|kv| kv.starts_with(key)).expect(key);
+        kv[key.len()..].parse().expect("numeric field")
+    };
+    let (lambda, ub, gap) = (field("lambda="), field("upper_bound="), field("gap="));
+    assert!(lambda > 0.0 && lambda <= ub, "got: {line}");
+    assert!((0.0..1.0).contains(&gap), "got: {line}");
+    assert!(oump.contains(&format!(" output_size={lambda} ")), "λ is the released size: {oump}");
+    assert!(!stats("zealous").contains("bound: "), "no O-UMP bound for zealous");
+    fs::remove_dir_all(&dir).ok();
+}

@@ -33,7 +33,9 @@ pub(crate) use ratio::{ratio_test, ratio_test_sparse, RatioOutcome};
 /// duals) unless [`SimplexOptions::sparse`] overrides the choice. Below
 /// it the legacy dense-vector route runs — it is faster on small
 /// instances and doubles as the cross-check oracle for the sparse path.
-const SPARSE_MIN_ROWS: usize = 512;
+/// `dpsan-core` routes anytime O-UMP solves to its packing solver at
+/// the same threshold.
+pub const SPARSE_MIN_ROWS: usize = 512;
 
 /// Floor on the refactorization cadence for the sparse route. Sparse
 /// solves recompute the dense dual vector and the incremental objective
@@ -68,7 +70,7 @@ pub struct SimplexOptions {
     pub stall_limit: usize,
     /// Kernel route override: `Some(true)` forces the sparse route,
     /// `Some(false)` forces the dense route, `None` (the default)
-    /// selects by problem size — sparse at `SPARSE_MIN_ROWS` rows and
+    /// selects by problem size — sparse at [`SPARSE_MIN_ROWS`] rows and
     /// above, dense below.
     pub sparse: Option<bool>,
 }
