@@ -23,7 +23,7 @@ use dpsan_lp::factor::BasisFactor;
 use dpsan_lp::problem::{Problem, Sense, VarBounds};
 use dpsan_lp::simplex::SimplexOptions;
 use dpsan_lp::sparse::CscMatrix;
-use dpsan_searchlog::{preprocess, SearchLog};
+use dpsan_searchlog::{preprocess, QueryId, SearchLog, UrlId};
 use dpsan_serve::ServeSession;
 use dpsan_store::wal::{append_record, WalRecord};
 use dpsan_store::{DiskIo, DurableStore, StoreConfig};
@@ -151,6 +151,28 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    g.bench_function("ingest_sketch_20k", |b| {
+        // intake at a realistic scale: the small preset scaled to 20k
+        // users exactly the way `genlog --scale small --users 20000`
+        // scales it (≈0.95M rows, generated once, untimed), ingested
+        // the way `sanitize --mechanism zealous` ingests it — 16
+        // shards, 8192-row chunks, a 4096-counter sketch per shard —
+        // parse, intern, route, sketch, drain and merge on one worker
+        let mut cfg = dpsan_eval::Scale::Small.config();
+        let users = 20_000usize;
+        let ratio = users as f64 / cfg.n_users as f64;
+        cfg.n_queries = ((cfg.n_queries as f64 * ratio).ceil() as usize).max(1);
+        cfg.n_users = users;
+        let mut tsv = Vec::new();
+        write_log_tsv(&cfg, &mut tsv).expect("spool 20k-user log");
+        let stream =
+            StreamConfig { shards: 16, chunk_rows: 8 * 1024, sketch_capacity: 4096, jobs: 1 };
+        b.iter(|| {
+            let r = ingest_tsv(std::io::Cursor::new(&tsv[..]), &stream).unwrap();
+            (r.log.size(), r.sketch.map(|s| s.len()))
+        })
+    });
+
     g.bench_function("sketch_merge", |b| {
         // merging 8 shard sketches at a capacity that forces real
         // evictions and subtraction rounds (the drain's merge step)
@@ -159,7 +181,7 @@ fn bench(c: &mut Criterion) {
                 let mut sk = PairSketch::new(256);
                 for i in 0..2_000u64 {
                     let q = (i * 7 + s * 13) % 600; // zipf-free but overlapping keys
-                    sk.offer(&format!("q{q}"), &format!("l{}", q % 40), 1 + i % 3);
+                    sk.offer(QueryId(q as u32), UrlId((q % 40) as u32), 1 + i % 3);
                 }
                 sk
             })

@@ -59,17 +59,23 @@ pub fn prometheus_text(snapshot: &Snapshot) -> String {
             SnapValue::Counter(v) => out.push_str(&format!("{name} {v}\n")),
             SnapValue::Gauge(v) => out.push_str(&format!("{name} {}\n", fmt_f64(*v))),
             SnapValue::Histogram(h) => {
+                // a labeled series `fam{k="v"}` expands to
+                // `fam_bucket{k="v",le="…"}`, `fam_sum{k="v"}`, …
+                let labels = &name[fam.len()..];
+                let lead = labels
+                    .strip_prefix('{')
+                    .map_or(String::new(), |l| format!("{},", l.strip_suffix('}').unwrap_or(l)));
                 let mut cumulative = 0u64;
                 for (bound, count) in h.bounds.iter().zip(&h.buckets) {
                     cumulative += count;
                     out.push_str(&format!(
-                        "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
+                        "{fam}_bucket{{{lead}le=\"{}\"}} {cumulative}\n",
                         fmt_f64(*bound)
                     ));
                 }
-                out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-                out.push_str(&format!("{name}_sum {}\n", fmt_f64(h.sum)));
-                out.push_str(&format!("{name}_count {}\n", h.count));
+                out.push_str(&format!("{fam}_bucket{{{lead}le=\"+Inf\"}} {}\n", h.count));
+                out.push_str(&format!("{fam}_sum{labels} {}\n", fmt_f64(h.sum)));
+                out.push_str(&format!("{fam}_count{labels} {}\n", h.count));
             }
         }
     }
@@ -209,6 +215,25 @@ dpsan_wal_fsync_seconds_sum 0.021
 dpsan_wal_fsync_seconds_count 3
 ";
         assert_eq!(text, expected);
+    }
+
+    #[test]
+    fn labeled_histograms_merge_the_le_label() {
+        let r = Registry::new();
+        r.histogram("dpsan_stage_seconds{stage=\"ingest\"}", vec![0.5]).record(0.25);
+        r.histogram("dpsan_stage_seconds{stage=\"merge\"}", vec![0.5]).record(1.0);
+        let expected = "\
+# TYPE dpsan_stage_seconds histogram
+dpsan_stage_seconds_bucket{stage=\"ingest\",le=\"0.5\"} 1
+dpsan_stage_seconds_bucket{stage=\"ingest\",le=\"+Inf\"} 1
+dpsan_stage_seconds_sum{stage=\"ingest\"} 0.25
+dpsan_stage_seconds_count{stage=\"ingest\"} 1
+dpsan_stage_seconds_bucket{stage=\"merge\",le=\"0.5\"} 0
+dpsan_stage_seconds_bucket{stage=\"merge\",le=\"+Inf\"} 1
+dpsan_stage_seconds_sum{stage=\"merge\"} 1
+dpsan_stage_seconds_count{stage=\"merge\"} 1
+";
+        assert_eq!(prometheus_text(&r.snapshot()), expected);
     }
 
     #[test]

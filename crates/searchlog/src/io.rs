@@ -12,11 +12,12 @@
 //!   aggregate.
 //!
 //! TSV parsing is exposed at two altitudes: [`read_tsv`] materializes a
-//! whole [`SearchLog`] in one shot, and [`TsvStream`] yields parsed
-//! [`RawRecord`]s one line (or one bounded chunk) at a time so callers
-//! like `dpsan-stream` can ingest logs far larger than memory. Both run
-//! the identical parser, so a streamed-then-merged log can be proven
-//! equal to the one-shot build.
+//! whole [`SearchLog`] in one shot, and [`TsvStream`] parses a bounded
+//! chunk of lines at a time into one reused buffer, handing out
+//! borrowed [`RecordRef`]s, so callers like `dpsan-stream` can ingest
+//! logs far larger than memory without allocating per row. Both run
+//! the identical field parser, so a streamed-then-merged log can be
+//! proven equal to the one-shot build.
 
 use std::io::{BufRead, Write};
 
@@ -27,9 +28,8 @@ use crate::log::{SearchLog, SearchLogBuilder};
 /// One parsed-but-uninterned line of the native TSV format: owned
 /// strings, exactly as they appeared in the file.
 ///
-/// This is the unit the streaming reader hands out; interning happens
-/// downstream (once per session, in `dpsan-stream`) so the reader
-/// itself holds no vocabulary state.
+/// This is what the [`TsvStream`] iterator yields; the chunked intake
+/// path borrows the same fields as [`RecordRef`]s instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawRecord {
     /// Pseudonymous user id string.
@@ -42,25 +42,129 @@ pub struct RawRecord {
     pub count: u64,
 }
 
+/// One parsed line of the native TSV format, borrowing its fields from
+/// the reader's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Pseudonymous user id string.
+    pub user: &'a str,
+    /// Query string.
+    pub query: &'a str,
+    /// Clicked url string.
+    pub url: &'a str,
+    /// Click-through count (strictly positive).
+    pub count: u64,
+}
+
+impl RecordRef<'_> {
+    /// Copy the fields into a [`RawRecord`].
+    pub fn to_raw(&self) -> RawRecord {
+        RawRecord {
+            user: self.user.to_string(),
+            query: self.query.to_string(),
+            url: self.url.to_string(),
+            count: self.count,
+        }
+    }
+}
+
+/// The one field parser of the native format: `None` for a comment or
+/// blank line, otherwise the four fields of `line` (`\r\n` accepted).
+/// `lineno` is the line's number, for errors.
+fn parse_line(line: &str, lineno: usize) -> Result<Option<RecordRef<'_>>, LogError> {
+    let line = line.trim_end_matches(['\r', '\n']);
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let mut f = line.split('\t');
+    let (user, query, url, count) = match (f.next(), f.next(), f.next(), f.next(), f.next()) {
+        (Some(u), Some(q), Some(l), Some(c), None) => (u, q, l, c),
+        _ => {
+            return Err(LogError::Parse {
+                line: lineno,
+                message: "expected 4 tab-separated fields: user, query, url, count".into(),
+            })
+        }
+    };
+    let count: u64 = count.parse().map_err(|e| LogError::Parse {
+        line: lineno,
+        message: format!("bad count {count:?}: {e}"),
+    })?;
+    if count == 0 {
+        return Err(LogError::ZeroCount { line: lineno });
+    }
+    Ok(Some(RecordRef { user, query, url, count }))
+}
+
+/// Where one parsed row's fields sit in the chunk buffer: the line
+/// starts at `start` with the user, and single tabs separate the fields.
+#[derive(Debug, Clone, Copy)]
+struct RowSpan {
+    start: usize,
+    user_len: usize,
+    query_len: usize,
+    url_len: usize,
+    count: u64,
+}
+
 /// An incremental reader of the native 4-column TSV format.
 ///
-/// Yields one [`RawRecord`] per data line (comments and blank lines are
-/// skipped), in file order, without buffering more than the current
-/// line. [`TsvStream::read_chunk`] bounds the resident row count for
-/// chunked intake.
+/// [`TsvStream::read_chunk`] is the bounded-memory intake primitive: it
+/// reads up to `max` data lines into one buffer that every chunk
+/// reuses, parses them all, and lends them out as a [`TsvChunk`] — no
+/// allocation per row. As an [`Iterator`] it yields one owned
+/// [`RawRecord`] per data line instead. Either way comments and blank
+/// lines are skipped, records come in file order, and errors carry the
+/// physical line number.
 #[derive(Debug)]
 pub struct TsvStream<R> {
     reader: R,
     lineno: usize,
-    // reusable line buffer: one allocation for the whole stream, not
-    // one per physical line (this is the ingestion hot loop)
-    line: String,
+    // one buffer for the whole stream: the data lines of the current
+    // chunk, back to back (or the iterator's current line)
+    text: String,
+    rows: Vec<RowSpan>,
+}
+
+/// One chunk of parsed records, borrowed from a [`TsvStream`]'s buffer
+/// (see [`TsvStream::read_chunk`]).
+#[derive(Debug, Clone, Copy)]
+pub struct TsvChunk<'a> {
+    text: &'a str,
+    rows: &'a [RowSpan],
+}
+
+impl<'a> TsvChunk<'a> {
+    /// Number of records in the chunk.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the chunk holds no record (end of input).
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The records, in file order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = RecordRef<'a>> + 'a {
+        let text = self.text;
+        self.rows.iter().map(move |r| {
+            let query = r.start + r.user_len + 1;
+            let url = query + r.query_len + 1;
+            RecordRef {
+                user: &text[r.start..r.start + r.user_len],
+                query: &text[query..query + r.query_len],
+                url: &text[url..url + r.url_len],
+                count: r.count,
+            }
+        })
+    }
 }
 
 impl<R: BufRead> TsvStream<R> {
     /// Wrap a buffered reader.
     pub fn new(reader: R) -> Self {
-        TsvStream { reader, lineno: 0, line: String::new() }
+        TsvStream { reader, lineno: 0, text: String::new(), rows: Vec::new() }
     }
 
     /// The number of physical lines consumed so far (including skipped
@@ -69,50 +173,34 @@ impl<R: BufRead> TsvStream<R> {
         self.lineno
     }
 
-    /// Read up to `max` records into `buf` (which is cleared first).
-    /// Returns the number of records read; `0` means end of input.
+    /// Read and parse up to `max` records; an empty chunk means end of
+    /// input. The whole chunk is parsed before it is returned, so an
+    /// error discards it whole.
     ///
-    /// This is the bounded-memory intake primitive: a caller that
-    /// re-uses one buffer never holds more than `max` raw rows at once.
-    pub fn read_chunk(&mut self, buf: &mut Vec<RawRecord>, max: usize) -> Result<usize, LogError> {
-        buf.clear();
-        while buf.len() < max {
-            match self.next() {
-                Some(rec) => buf.push(rec?),
-                None => break,
+    /// A caller that reads chunk after chunk never holds more than `max`
+    /// raw rows at once, and the buffer behind them is reused.
+    pub fn read_chunk(&mut self, max: usize) -> Result<TsvChunk<'_>, LogError> {
+        self.text.clear();
+        self.rows.clear();
+        while self.rows.len() < max {
+            let start = self.text.len();
+            if self.reader.read_line(&mut self.text)? == 0 {
+                break;
+            }
+            self.lineno += 1;
+            let span = parse_line(&self.text[start..], self.lineno)?.map(|r| RowSpan {
+                start,
+                user_len: r.user.len(),
+                query_len: r.query.len(),
+                url_len: r.url.len(),
+                count: r.count,
+            });
+            match span {
+                Some(span) => self.rows.push(span),
+                None => self.text.truncate(start),
             }
         }
-        Ok(buf.len())
-    }
-
-    fn parse_line(&self, line: &str) -> Result<Option<RawRecord>, LogError> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        if line.is_empty() || line.starts_with('#') {
-            return Ok(None);
-        }
-        let mut f = line.split('\t');
-        let (user, query, url, count) = match (f.next(), f.next(), f.next(), f.next(), f.next()) {
-            (Some(u), Some(q), Some(l), Some(c), None) => (u, q, l, c),
-            _ => {
-                return Err(LogError::Parse {
-                    line: self.lineno,
-                    message: "expected 4 tab-separated fields: user, query, url, count".into(),
-                })
-            }
-        };
-        let count: u64 = count.parse().map_err(|e| LogError::Parse {
-            line: self.lineno,
-            message: format!("bad count {count:?}: {e}"),
-        })?;
-        if count == 0 {
-            return Err(LogError::ZeroCount { line: self.lineno });
-        }
-        Ok(Some(RawRecord {
-            user: user.to_string(),
-            query: query.to_string(),
-            url: url.to_string(),
-            count,
-        }))
+        Ok(TsvChunk { text: &self.text, rows: &self.rows })
     }
 }
 
@@ -121,15 +209,15 @@ impl<R: BufRead> Iterator for TsvStream<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            self.line.clear();
-            match self.reader.read_line(&mut self.line) {
+            self.text.clear();
+            match self.reader.read_line(&mut self.text) {
                 Ok(0) => return None,
                 Ok(_) => {}
                 Err(e) => return Some(Err(e.into())),
             }
             self.lineno += 1;
-            match self.parse_line(&self.line) {
-                Ok(Some(rec)) => return Some(Ok(rec)),
+            match parse_line(&self.text, self.lineno) {
+                Ok(Some(rec)) => return Some(Ok(rec.to_raw())),
                 Ok(None) => continue,
                 Err(e) => return Some(Err(e)),
             }
@@ -291,11 +379,10 @@ mod tests {
     fn stream_chunking_bounds_resident_rows() {
         let text: String = (0..10).map(|i| format!("u{i}\tq\tl\t1\n")).collect();
         let mut stream = TsvStream::new(Cursor::new(text));
-        let mut buf = Vec::new();
         let mut total = 0;
         let mut chunks = 0;
         loop {
-            let n = stream.read_chunk(&mut buf, 4).unwrap();
+            let n = stream.read_chunk(4).unwrap().len();
             if n == 0 {
                 break;
             }
@@ -306,6 +393,34 @@ mod tests {
         assert_eq!(total, 10);
         assert_eq!(chunks, 3);
         assert_eq!(stream.lines_read(), 10);
+    }
+
+    #[test]
+    fn chunks_borrow_the_fields_the_iterator_owns() {
+        let text = "# c\r\nu1\tq1\tl1\t5\r\n\nuser-two\t\tl2\t3\nu3\tq3\tl3\t7";
+        let owned: Vec<RawRecord> =
+            TsvStream::new(Cursor::new(text)).collect::<Result<_, _>>().unwrap();
+        let mut stream = TsvStream::new(Cursor::new(text));
+        let mut borrowed = Vec::new();
+        loop {
+            let chunk = stream.read_chunk(2).unwrap();
+            if chunk.is_empty() {
+                break;
+            }
+            borrowed.extend(chunk.iter().map(|r| r.to_raw()));
+        }
+        assert_eq!(borrowed, owned, "one parser: \\r\\n, empty fields, no final newline");
+        assert_eq!(owned[1].query, "");
+        assert_eq!(stream.lines_read(), 5);
+    }
+
+    #[test]
+    fn chunk_errors_carry_global_line_numbers() {
+        let text = "u1\tq\tl\t2\n#\nu2\tq\tl\t1\nu3\tq\tl\n";
+        let mut stream = TsvStream::new(Cursor::new(text));
+        assert_eq!(stream.read_chunk(2).unwrap().len(), 2);
+        let err = stream.read_chunk(2).unwrap_err();
+        assert!(matches!(err, LogError::Parse { line: 4, .. }), "{err}");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! of the query–url *pair* `(q_i, u_j)` for that user. This crate
 //! provides:
 //!
-//! * interned, typed identifiers ([`ids`], [`intern`]),
+//! * interned, typed identifiers ([`ids`], [`intern`]) and the keyed
+//!   integer hasher of id-keyed maps ([`IdMap`]),
 //! * an immutable aggregated [`SearchLog`] with both the pair histogram
 //!   `c_ij` and the triplet histogram `c_ijk` in CSR form, indexed by
 //!   pair *and* by user (the user log `A_k` of Definition 1),
@@ -17,9 +18,9 @@
 //!   user) in [`preprocess`](preprocess()),
 //! * Table-3 style dataset statistics in [`stats`],
 //! * frequent-pair (support) extraction in [`frequent`],
-//! * AOL-format and native TSV io in [`io`], including the chunked
-//!   [`TsvStream`] reader that feeds the `dpsan-stream` bounded-memory
-//!   ingestion engine.
+//! * AOL-format and native TSV io in [`io`], including the chunked,
+//!   zero-copy [`TsvStream`] reader that feeds the `dpsan-stream`
+//!   bounded-memory ingestion engine.
 //!
 //! Everything downstream (privacy constraints, utility-maximizing
 //! problems, multinomial sampling) is a pure function of the histograms
@@ -40,9 +41,9 @@ pub mod stats;
 
 pub use error::LogError;
 pub use frequent::{frequent_pairs, FrequentPair};
-pub use ids::{PairId, QueryId, UrlId, UserId};
+pub use ids::{id_map_with_capacity, IdMap, IdPair, PairId, QueryId, UrlId, UserId};
 pub use intern::Interner;
-pub use io::{RawRecord, TsvStream};
+pub use io::{RawRecord, RecordRef, TsvChunk, TsvStream};
 pub use log::{PairEntry, SearchLog, SearchLogBuilder, TripletRef, UserLogRef};
 pub use preprocess::{preprocess, PreprocessReport};
 pub use record::LogRecord;

@@ -13,11 +13,10 @@
 //! sampling, mechanism outputs) shares its id space, so it shares the
 //! interners instead of copying them.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::LogError;
-use crate::ids::{PairId, QueryId, UrlId, UserId};
+use crate::ids::{id_map_with_capacity, IdMap, IdPair, PairId, QueryId, UrlId, UserId};
 use crate::intern::Interner;
 use crate::record::LogRecord;
 
@@ -29,7 +28,8 @@ pub struct SearchLog {
     urls: Arc<Interner>,
 
     pair_keys: Vec<(QueryId, UrlId)>,
-    pair_index: HashMap<(QueryId, UrlId), PairId>,
+    // (query, url) -> pair
+    pair_index: IdMap<PairId>,
     pair_total: Vec<u64>,
 
     // triplets grouped by pair (users sorted within each pair)
@@ -112,7 +112,7 @@ impl SearchLog {
 
     /// Look up a pair id by its `(query, url)` key.
     pub fn pair_id(&self, q: QueryId, u: UrlId) -> Option<PairId> {
-        self.pair_index.get(&(q, u)).copied()
+        self.pair_index.get(&IdPair(q.0, u.0)).copied()
     }
 
     /// Iterate all pairs with their totals.
@@ -253,11 +253,11 @@ impl SearchLog {
         pair_keys: Vec<(QueryId, UrlId)>,
         triplets: Vec<(PairId, UserId, u64)>,
     ) -> SearchLog {
-        let mut pair_index = HashMap::with_capacity(pair_keys.len());
+        let mut pair_index = id_map_with_capacity(pair_keys.len());
         for (i, &(q, u)) in pair_keys.iter().enumerate() {
             assert!(q.index() < queries.len(), "query id outside vocabulary");
             assert!(u.index() < urls.len(), "url id outside vocabulary");
-            let fresh = pair_index.insert((q, u), PairId::from_index(i)).is_none();
+            let fresh = pair_index.insert(IdPair(q.0, u.0), PairId::from_index(i)).is_none();
             assert!(fresh, "duplicate pair key");
         }
         Self::assemble(users, queries, urls, pair_keys, pair_index, triplets)
@@ -270,7 +270,7 @@ impl SearchLog {
         queries: Arc<Interner>,
         urls: Arc<Interner>,
         pair_keys: Vec<(QueryId, UrlId)>,
-        pair_index: HashMap<(QueryId, UrlId), PairId>,
+        pair_index: IdMap<PairId>,
         triplets: Vec<(PairId, UserId, u64)>,
     ) -> SearchLog {
         let n_pairs = pair_keys.len();
@@ -339,10 +339,11 @@ pub struct SearchLogBuilder {
     users: Arc<Interner>,
     queries: Arc<Interner>,
     urls: Arc<Interner>,
-    pair_index: HashMap<(QueryId, UrlId), PairId>,
+    // (query, url) -> pair
+    pair_index: IdMap<PairId>,
     pair_keys: Vec<(QueryId, UrlId)>,
     // (pair, user) -> count
-    triplets: HashMap<(PairId, UserId), u64>,
+    triplets: IdMap<u64>,
 }
 
 impl SearchLogBuilder {
@@ -392,11 +393,11 @@ impl SearchLogBuilder {
 
     fn push(&mut self, user: UserId, query: QueryId, url: UrlId, count: u64) {
         let next = PairId::from_index(self.pair_keys.len());
-        let pair = *self.pair_index.entry((query, url)).or_insert_with(|| {
+        let pair = *self.pair_index.entry(IdPair(query.0, url.0)).or_insert_with(|| {
             self.pair_keys.push((query, url));
             next
         });
-        *self.triplets.entry((pair, user)).or_insert(0) += count;
+        *self.triplets.entry(IdPair(pair.0, user.0)).or_insert(0) += count;
     }
 
     /// Number of tuples (distinct `(pair, user)` triplets) staged so far.
@@ -406,9 +407,10 @@ impl SearchLogBuilder {
 
     /// Finalize into an immutable [`SearchLog`].
     pub fn build(self) -> SearchLog {
-        let mut triplets: Vec<(PairId, UserId, u64)> =
-            self.triplets.into_iter().map(|((p, u), c)| (p, u, c)).collect();
-        triplets.sort_unstable_by_key(|&(p, u, _)| (p, u));
+        let mut keyed: Vec<(IdPair, u64)> = self.triplets.into_iter().collect();
+        keyed.sort_unstable_by_key(|&(key, _)| key);
+        let triplets =
+            keyed.into_iter().map(|(IdPair(p, u), c)| (PairId(p), UserId(u), c)).collect();
         SearchLog::assemble(
             self.users,
             self.queries,

@@ -18,12 +18,13 @@
 //!
 //! [`read_tsv`]: dpsan_searchlog::io::read_tsv
 
-use std::collections::HashMap;
 use std::io::BufRead;
 use std::sync::Arc;
+use std::time::Instant;
 
 use dpsan_searchlog::{
-    Interner, LogError, PairId, QueryId, RawRecord, SearchLog, TsvStream, UrlId, UserId,
+    id_map_with_capacity, IdMap, IdPair, Interner, LogError, PairId, QueryId, SearchLog, TsvChunk,
+    TsvStream, UrlId, UserId,
 };
 
 use crate::pool::run_sharded;
@@ -118,8 +119,17 @@ struct Vocabulary {
     users: Arc<Interner>,
     queries: Arc<Interner>,
     urls: Arc<Interner>,
-    pair_index: HashMap<(u32, u32), u32>,
+    // (query, url) -> pair
+    pair_index: IdMap<u32>,
     pair_keys: Vec<(QueryId, UrlId)>,
+}
+
+impl Vocabulary {
+    /// The ids of `(query, url)` if the session has seen that pair.
+    fn pair_of(&self, query: &str, url: &str) -> Option<(QueryId, UrlId)> {
+        let (q, u) = (self.queries.get(query)?, self.urls.get(url)?);
+        self.pair_index.contains_key(&IdPair(q, u)).then_some((QueryId(q), UrlId(u)))
+    }
 }
 
 /// An incremental ingestion session: the always-on counterpart of
@@ -187,55 +197,56 @@ impl IngestSession {
     /// line of the third appended chunk reports the stream-wide line
     /// number, not `1`.
     pub fn ingest<R: BufRead>(&mut self, reader: R) -> Result<u64, LogError> {
+        let started = Instant::now();
         let lines_before = self.report.lines;
         let mut stream = TsvStream::new(reader);
-        let mut buf = Vec::with_capacity(self.cfg.chunk_rows.min(64 * 1024));
         let mut added: u64 = 0;
         let mut chunks: u64 = 0;
         let result = loop {
             // `read_chunk` parses the whole chunk before returning, so
             // an error discards it before anything is interned
-            match stream.read_chunk(&mut buf, self.cfg.chunk_rows) {
-                Ok(0) => break Ok(added),
-                Ok(n) => {
+            match stream.read_chunk(self.cfg.chunk_rows) {
+                Ok(chunk) if chunk.is_empty() => break Ok(added),
+                Ok(chunk) => {
                     chunks += 1;
-                    self.report.peak_chunk_rows = self.report.peak_chunk_rows.max(n);
-                    self.apply(&buf);
-                    added += n as u64;
+                    self.report.peak_chunk_rows = self.report.peak_chunk_rows.max(chunk.len());
+                    added += chunk.len() as u64;
+                    self.apply(chunk);
                 }
                 Err(e) => break Err(offset_error_lines(e, lines_before)),
             }
         };
         self.report.lines = lines_before + stream.lines_read() as u64;
         // Observational telemetry, once per call: the applied rows and
-        // chunks (complete chunks land even when a later chunk errors)
-        // and the peak staged shard size.
+        // chunks (complete chunks land even when a later chunk errors),
+        // the peak staged shard size and the call's wall time.
         crate::obs::rows_total().add(added);
         crate::obs::chunks_total().add(chunks);
         crate::obs::shard_triplets_max().max(self.max_shard_triplets() as f64);
+        crate::obs::ingest_seconds().record(started.elapsed().as_secs_f64());
         result
     }
 
     /// Intern and route one fully parsed chunk, in file order.
-    fn apply(&mut self, chunk: &[RawRecord]) {
+    fn apply(&mut self, chunk: TsvChunk<'_>) {
         let v = &mut self.vocab;
         let users = Arc::make_mut(&mut v.users);
         let queries = Arc::make_mut(&mut v.queries);
         let urls = Arc::make_mut(&mut v.urls);
-        for rec in chunk {
-            let s = shard_of(&rec.user, self.cfg.shards);
+        for rec in chunk.iter() {
+            let s = shard_of(rec.user, self.cfg.shards);
             let known_users = users.len();
-            let u = users.intern(&rec.user);
-            let q = queries.intern(&rec.query);
-            let l = urls.intern(&rec.url);
+            let u = users.intern(rec.user);
+            let q = queries.intern(rec.query);
+            let l = urls.intern(rec.url);
             let next = u32::try_from(v.pair_keys.len()).expect("pair id overflow");
-            let p = *v.pair_index.entry((q, l)).or_insert_with(|| {
+            let p = *v.pair_index.entry(IdPair(q, l)).or_insert_with(|| {
                 v.pair_keys.push((QueryId(q), UrlId(l)));
                 next
             });
             self.shards[s].add(p, u, rec.count, users.len() > known_users);
             if let Some(sk) = self.sketches.get_mut(s) {
-                sk.offer(&rec.query, &rec.url, rec.count);
+                sk.offer(QueryId(q), UrlId(l), rec.count);
             }
         }
         self.report.rows += chunk.len() as u64;
@@ -266,6 +277,7 @@ impl IngestSession {
     /// structurally identical to a one-shot build of everything
     /// ingested so far.
     pub fn snapshot(&self) -> IngestResult {
+        let started = Instant::now();
         let views: Vec<&ShardIntake> = self.shards.iter().collect();
         let runs = run_sharded(views, self.cfg.jobs, ShardIntake::sorted_triplets);
         // Shards are user-disjoint, so the (pair, user) keys of the runs
@@ -295,6 +307,7 @@ impl IngestSession {
         let mut report = self.report;
         report.max_shard_triplets = self.max_shard_triplets();
         report.sketch_entries = sketch.as_ref().map_or(0, PairSketch::len);
+        crate::obs::merge_seconds().record(started.elapsed().as_secs_f64());
         IngestResult { log, sketch, stats, report }
     }
 
@@ -319,7 +332,10 @@ pub struct VocabState {
 }
 
 /// A plain-data image of a whole [`IngestSession`] mid-stream — the
-/// unit the durable store (`dpsan-store`) checkpoints. Restoring it
+/// unit the durable store (`dpsan-store`) checkpoints. It holds strings
+/// only in the vocabulary and in the sketch keys (`query \t url`, so a
+/// checkpoint does not depend on how the live sketch keys its
+/// counters). Restoring it
 /// through [`IngestSession::restore`] yields a session
 /// indistinguishable from one that ingested the original stream:
 /// same vocabulary, same shards, same sketches, same global row/line
@@ -354,7 +370,7 @@ impl IngestSession {
                 pairs: v.pair_keys.iter().map(|&(q, u)| (q.0, u.0)).collect(),
             },
             shards: self.shards.iter().map(ShardIntake::export_state).collect(),
-            sketches: self.sketches.iter().map(PairSketch::export_state).collect(),
+            sketches: self.sketches.iter().map(|s| s.export_state(&v.queries, &v.urls)).collect(),
             rows: self.report.rows,
             lines: self.report.lines,
             peak_chunk_rows: self.report.peak_chunk_rows,
@@ -368,7 +384,8 @@ impl IngestSession {
     /// data, so restoring under different values would silently break
     /// the user-complete invariant. Violations (and structurally
     /// corrupt state: ids outside the vocabulary, a user stored in a
-    /// shard it does not route to) are reported, never panicked on.
+    /// shard it does not route to, a sketch key that names no known
+    /// pair) are reported, never panicked on.
     pub fn restore(cfg: StreamConfig, state: SessionState) -> Result<Self, String> {
         cfg.validate();
         if state.shards.len() != cfg.shards {
@@ -425,7 +442,10 @@ impl IngestSession {
             .sketches
             .into_iter()
             .enumerate()
-            .map(|(i, s)| PairSketch::from_state(s).map_err(|e| format!("sketch {i}: {e}")))
+            .map(|(i, s)| {
+                PairSketch::from_state(s, |q, u| vocab.pair_of(q, u))
+                    .map_err(|e| format!("sketch {i}: {e}"))
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(IngestSession {
             cfg,
@@ -459,12 +479,12 @@ fn restore_vocab(state: &VocabState) -> Result<Vocabulary, String> {
     let users = intern("user", &state.users)?;
     let queries = intern("query", &state.queries)?;
     let urls = intern("url", &state.urls)?;
-    let mut pair_index = HashMap::with_capacity(state.pairs.len());
+    let mut pair_index = id_map_with_capacity(state.pairs.len());
     for (id, &(q, l)) in state.pairs.iter().enumerate() {
         if q as usize >= queries.len() || l as usize >= urls.len() {
             return Err(format!("pair key ({q}, {l}) outside the vocabulary"));
         }
-        if pair_index.insert((q, l), id as u32).is_some() {
+        if pair_index.insert(IdPair(q, l), id as u32).is_some() {
             return Err(format!("duplicate pair key ({q}, {l})"));
         }
     }
@@ -776,6 +796,83 @@ mod tests {
         bad_key.vocab.pairs[0].1 = bad_key.vocab.urls.len() as u32;
         let err = IngestSession::restore(cfg, bad_key).unwrap_err();
         assert!(err.contains("pair key") && err.contains("outside the vocabulary"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_corrupt_sketch_keys() {
+        let cfg = StreamConfig { shards: 1, chunk_rows: 4, sketch_capacity: 8, jobs: 1 };
+        let mut session = IngestSession::new(cfg.clone());
+        session.ingest(Cursor::new("u1\tqa\tla\t2\nu2\tqb\tlb\t1\n")).unwrap();
+        let state = session.export_state();
+        assert_eq!(state.sketches[0].counters[0].0, "qa\tla");
+        let restore_with_key = |key: &str| {
+            let mut bad = state.clone();
+            bad.sketches[0].counters[0].0 = key.to_string();
+            IngestSession::restore(cfg.clone(), bad).unwrap_err()
+        };
+        let err = restore_with_key("qala");
+        assert!(err.contains("sketch 0") && err.contains("not query"), "{err}");
+        // both strings are known, but the session never saw them paired
+        assert!(restore_with_key("qa\tlb").contains("names no known pair"));
+        assert!(restore_with_key("qz\tla").contains("names no known pair"));
+        assert!(restore_with_key("qa\tla\tx").contains("names no known pair"));
+    }
+
+    /// The checkpoint image of the sketches, pinned: a fixed stream
+    /// that forces evictions (capacity 4, 41 distinct pairs) exports
+    /// exactly these `query \t url`-keyed states, as checkpoint format 2
+    /// has always stored them — however the live sketch keys its
+    /// counters.
+    #[test]
+    fn sketch_checkpoint_image_is_pinned() {
+        let tsv: String = (0..48u32)
+            .map(|i| {
+                let (q, l, c) =
+                    if i % 6 == 0 { (99, 99, 9) } else { (i % 8, (i * 3) % 7, 1 + (i * i) % 5) };
+                format!("u{}\tq{q}\tl{l}\t{c}\n", i % 5)
+            })
+            .collect();
+        let cfg = StreamConfig { shards: 2, chunk_rows: 8, sketch_capacity: 4, jobs: 1 };
+        let mut session = IngestSession::new(cfg.clone());
+        session.ingest(Cursor::new(tsv.as_str())).unwrap();
+        let state = session.export_state();
+        assert_eq!(state.vocab.pairs.len(), 41);
+        let counters = |c: &[(&str, u64)]| c.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+        let pinned = vec![
+            SketchState {
+                capacity: 4,
+                counters: counters(&[
+                    ("q4\tl6", 1),
+                    ("q5\tl6", 2),
+                    ("q7\tl1", 5),
+                    ("q99\tl99", 31),
+                ]),
+                weight: 109,
+                decrements: 14,
+            },
+            SketchState {
+                capacity: 4,
+                counters: counters(&[
+                    ("q3\tl3", 4),
+                    ("q6\tl2", 2),
+                    ("q6\tl5", 2),
+                    ("q99\tl99", 15),
+                ]),
+                weight: 83,
+                decrements: 12,
+            },
+        ];
+        assert_eq!(state.sketches, pinned);
+        let merged = session.snapshot().sketch.unwrap();
+        assert_eq!(merged.error_bound(), 28);
+        let v = &session.vocab;
+        assert_eq!(
+            merged.export_state(&v.queries, &v.urls).counters,
+            counters(&[("q3\tl3", 2), ("q7\tl1", 3), ("q99\tl99", 44)])
+        );
+        // the pinned image restores and round-trips
+        let restored = IngestSession::restore(cfg, state.clone()).unwrap();
+        assert_eq!(restored.export_state(), state);
     }
 
     #[test]

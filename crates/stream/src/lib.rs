@@ -5,11 +5,18 @@
 //! without ever materializing the raw stream.
 //!
 //! ```text
-//! TSV file ──chunked reader──▶ intern once (session vocabulary,
-//!     global pair ids) ──▶ user-hash shards: integer (pair, user) → count
+//! TSV file ──zero-copy chunked reader──▶ intern once (session
+//!     vocabulary, global pair ids) ──▶ user-hash shards: integer
+//!     (pair, user) → count, sketch keyed by (query, url) ids
 //!     ──parallel drain to sorted runs──▶ sort-only merge
 //!     ──▶ SearchLog (≡ read_tsv build) + sketch
 //! ```
+//!
+//! Per row the intake parses borrowed fields out of one reused chunk
+//! buffer, interns three strings, and then does integer work only:
+//! one pair-table lookup, one shard-map update and at most one sketch
+//! offer, each keyed by two ids that the keyed integer hasher
+//! ([`dpsan_searchlog::IdMap`]) hashes as one packed `u64`.
 //!
 //! * [`engine`] — the driver: chunked intake through
 //!   [`dpsan_searchlog::TsvStream`], one session-wide vocabulary that
@@ -21,12 +28,13 @@
 //! * [`shard`] — user-hash shards holding integer-only triplet maps and
 //!   mergeable statistics,
 //! * [`sketch`] — a mergeable weighted Misra–Gries heavy-hitters
-//!   sketch over query–url pairs with the standard `N/(k+1)` error
-//!   bound, plus exactified frequent-pair mining,
+//!   sketch over interned `(query, url)` ids with the standard
+//!   `N/(k+1)` error bound, plus exactified frequent-pair mining,
 //! * [`pool`] — the scoped worker pool (shared with `dpsan-eval`,
 //!   which re-exports it),
 //! * [`obs`] — the layer's metric handles (rows/chunks ingested, peak
-//!   shard size, sketch evictions), recorded off the per-record path.
+//!   shard size, sketch evictions, ingest and merge stage seconds),
+//!   recorded off the per-record path.
 //!
 //! ## Privacy invariant: shards are user-complete
 //!

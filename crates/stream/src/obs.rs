@@ -6,14 +6,17 @@
 //! | `dpsan_ingest_chunks_total` | counter | bounded chunks consumed |
 //! | `dpsan_ingest_shard_triplets_max` | gauge | peak staged triplets in any shard |
 //! | `dpsan_sketch_evictions_total` | counter | Misra–Gries eviction rounds (offer + merge) |
+//! | `dpsan_stage_seconds{stage="ingest"}` | histogram | wall time of one `IngestSession::ingest` call (parse, intern, route, sketch) |
+//! | `dpsan_stage_seconds{stage="merge"}` | histogram | wall time of one `IngestSession::snapshot` (drain, merge, sketch merge) |
 //!
 //! Recording is observational only and off the per-record path: row
 //! and chunk counts add once per `ingest` call, the shard gauge is a
-//! running maximum, and the eviction counter ticks only when a full
-//! sketch actually evicts.
+//! running maximum, the eviction counter ticks only when a full sketch
+//! actually evicts, and each stage time is one record per call.
 
-use dpsan_obs::{global, Counter, Gauge};
-use std::sync::OnceLock;
+use dpsan_obs::histogram::Histogram;
+use dpsan_obs::{default_latency_bounds, global, Counter, Gauge};
+use std::sync::{Arc, OnceLock};
 
 /// Records ingested across all sessions.
 pub fn rows_total() -> &'static Counter {
@@ -37,4 +40,20 @@ pub fn shard_triplets_max() -> &'static Gauge {
 pub fn sketch_evictions_total() -> &'static Counter {
     static H: OnceLock<Counter> = OnceLock::new();
     H.get_or_init(|| global().counter("dpsan_sketch_evictions_total"))
+}
+
+/// Wall time of each `IngestSession::ingest` call.
+pub fn ingest_seconds() -> &'static Arc<Histogram> {
+    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+    H.get_or_init(|| {
+        global().histogram("dpsan_stage_seconds{stage=\"ingest\"}", default_latency_bounds())
+    })
+}
+
+/// Wall time of each `IngestSession::snapshot` (and so `finish`) call.
+pub fn merge_seconds() -> &'static Arc<Histogram> {
+    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+    H.get_or_init(|| {
+        global().histogram("dpsan_stage_seconds{stage=\"merge\"}", default_latency_bounds())
+    })
 }

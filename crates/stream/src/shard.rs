@@ -9,8 +9,12 @@
 //! `(pair, user) → count` map and its row/click/user counters, and
 //! drains to a `(pair, user)`-sorted triplet vector that the engine
 //! merges without touching a string.
+//!
+//! Per row a shard does one lookup in a map keyed by the `(pair, user)`
+//! ids, hashed as one packed `u64` by the keyed integer hasher
+//! ([`dpsan_searchlog::IdMap`]).
 
-use std::collections::HashMap;
+use dpsan_searchlog::{IdMap, IdPair};
 
 /// FNV-1a over the user string: a stable, seedless hash so shard
 /// assignment is identical across runs, platforms and processes (the
@@ -64,7 +68,8 @@ impl ShardStats {
 /// *aggregated* content, never to the raw stream length.
 #[derive(Debug, Default, Clone)]
 pub struct ShardIntake {
-    triplets: HashMap<(u32, u32), u64>,
+    // (pair, user) -> count
+    triplets: IdMap<u64>,
     rows: u64,
     clicks: u64,
     users: usize,
@@ -85,7 +90,7 @@ impl ShardIntake {
         self.rows += 1;
         self.clicks += count;
         self.users += usize::from(new_user);
-        *self.triplets.entry((pair, user)).or_insert(0) += count;
+        *self.triplets.entry(IdPair(pair, user)).or_insert(0) += count;
     }
 
     /// Number of distinct `(pair, user)` triplets staged so far — the
@@ -109,7 +114,7 @@ impl ShardIntake {
     /// `(pair, user)`. Non-destructive: intake can continue afterwards.
     pub fn sorted_triplets(&self) -> Vec<(u32, u32, u64)> {
         let mut out: Vec<(u32, u32, u64)> =
-            self.triplets.iter().map(|(&(p, u), &c)| (p, u, c)).collect();
+            self.triplets.iter().map(|(&IdPair(p, u), &c)| (p, u, c)).collect();
         out.sort_unstable_by_key(|&(p, u, _)| (p, u));
         out
     }
@@ -169,7 +174,7 @@ impl ShardIntake {
     /// since every user routes to exactly one shard.
     pub fn from_state(state: ShardState, users: usize) -> Self {
         ShardIntake {
-            triplets: state.triplets.iter().map(|&(p, u, c)| ((p, u), c)).collect(),
+            triplets: state.triplets.iter().map(|&(p, u, c)| (IdPair(p, u), c)).collect(),
             rows: state.rows,
             clicks: state.clicks,
             users,

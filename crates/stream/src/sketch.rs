@@ -17,6 +17,19 @@
 //! sketches its own substream, and the drain merges them in shard
 //! order into one bounded summary of the whole log.
 //!
+//! ## Keys
+//!
+//! A counter is keyed by the pair's interned `(QueryId, UrlId)`, hashed
+//! as one packed `u64` by the keyed integer hasher ([`IdMap`]). An offer is therefore one integer lookup: no
+//! string is built, hashed or boxed per row. Query and url ids survive
+//! preprocessing (it renumbers pairs but shares the interners), so
+//! mining finds each candidate with one [`SearchLog::pair_id`] call.
+//! Offer, evict and merge never depend on iteration order, so the
+//! counters are the same whatever the key encoding; only the persisted
+//! image ([`SketchState`]) spells keys as `query \t url` strings, which
+//! [`PairSketch::export_state`] and [`PairSketch::from_state`] translate
+//! through the session vocabulary.
+//!
 //! Frequent-pair mining uses the sketch as a *candidate generator*:
 //! every pair whose true count clears the support threshold is
 //! guaranteed to survive (estimate + error ≥ true count), and the
@@ -26,20 +39,20 @@
 //!
 //! [`frequent_pairs`]: dpsan_searchlog::frequent_pairs
 
-use std::collections::HashMap;
+use dpsan_searchlog::{
+    frequent_pairs, id_map_with_capacity, FrequentPair, IdMap, IdPair, Interner, QueryId,
+    SearchLog, UrlId,
+};
 
-use dpsan_searchlog::{frequent_pairs, FrequentPair, QueryId, SearchLog, UrlId};
-
-/// A bounded-size weighted Misra–Gries summary keyed by
-/// `query \t url` (the native TSV separator, so it cannot appear
-/// inside either field).
+/// A bounded-size weighted Misra–Gries summary keyed by interned
+/// `(query, url)` ids.
 #[derive(Debug, Clone)]
 pub struct PairSketch {
     capacity: usize,
-    counters: HashMap<Box<str>, u64>,
+    // (query, url) -> estimate
+    counters: IdMap<u64>,
     weight: u64,
     decrements: u64,
-    scratch: String,
 }
 
 /// A plain-data image of a [`PairSketch`] — what the durable store
@@ -58,12 +71,12 @@ pub struct SketchState {
 }
 
 /// One surviving sketch entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SketchEntry {
-    /// The query string.
-    pub query: String,
-    /// The url string.
-    pub url: String,
+    /// The query id.
+    pub query: QueryId,
+    /// The url id.
+    pub url: UrlId,
     /// The (under)estimated count: `true − error_bound ≤ estimate ≤
     /// true`.
     pub estimate: u64,
@@ -76,10 +89,9 @@ impl PairSketch {
         assert!(capacity >= 1, "sketch capacity must be at least 1");
         PairSketch {
             capacity,
-            counters: HashMap::with_capacity(capacity + 1),
+            counters: id_map_with_capacity(capacity + 1),
             weight: 0,
             decrements: 0,
-            scratch: String::new(),
         }
     }
 
@@ -111,19 +123,16 @@ impl PairSketch {
     }
 
     /// Offer `count` observations of `(query, url)`.
-    pub fn offer(&mut self, query: &str, url: &str, count: u64) {
+    pub fn offer(&mut self, query: QueryId, url: UrlId, count: u64) {
         debug_assert!(count > 0, "counts are strictly positive in a valid log");
         self.weight += count;
-        self.scratch.clear();
-        self.scratch.push_str(query);
-        self.scratch.push('\t');
-        self.scratch.push_str(url);
-        if let Some(c) = self.counters.get_mut(self.scratch.as_str()) {
+        let key = IdPair(query.0, url.0);
+        if let Some(c) = self.counters.get_mut(&key) {
             *c += count;
             return;
         }
         if self.counters.len() < self.capacity {
-            self.counters.insert(self.scratch.as_str().into(), count);
+            self.counters.insert(key, count);
             return;
         }
         // all slots full: decrement everything (and the incoming
@@ -138,7 +147,7 @@ impl PairSketch {
             *c > 0
         });
         if count > d {
-            self.counters.insert(self.scratch.as_str().into(), count - d);
+            self.counters.insert(key, count - d);
         }
     }
 
@@ -149,8 +158,8 @@ impl PairSketch {
         assert_eq!(self.capacity, other.capacity, "can only merge sketches of equal capacity");
         self.weight += other.weight;
         self.decrements += other.decrements;
-        for (k, &v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        for (&k, &v) in &other.counters {
+            *self.counters.entry(k).or_insert(0) += v;
         }
         if self.counters.len() > self.capacity {
             let mut vals: Vec<u64> = self.counters.values().copied().collect();
@@ -171,37 +180,42 @@ impl PairSketch {
 
     /// The estimate for one pair, if it survived (`None` means the
     /// true count is at most [`PairSketch::error_bound`]).
-    pub fn estimate(&self, query: &str, url: &str) -> Option<u64> {
-        let key = format!("{query}\t{url}");
-        self.counters.get(key.as_str()).copied()
+    pub fn estimate(&self, query: QueryId, url: UrlId) -> Option<u64> {
+        self.counters.get(&IdPair(query.0, url.0)).copied()
     }
 
     /// All surviving entries, sorted by descending estimate, then
-    /// query, then url — a deterministic order independent of hash
-    /// iteration.
+    /// query id, then url id — a deterministic order independent of
+    /// hash iteration.
     pub fn entries(&self) -> Vec<SketchEntry> {
         let mut out: Vec<SketchEntry> = self
             .counters
             .iter()
-            .map(|(k, &estimate)| {
-                let (query, url) = k.split_once('\t').expect("keys are query\\turl");
-                SketchEntry { query: query.to_string(), url: url.to_string(), estimate }
+            .map(|(&IdPair(q, u), &estimate)| SketchEntry {
+                query: QueryId(q),
+                url: UrlId(u),
+                estimate,
             })
             .collect();
         out.sort_unstable_by(|a, b| {
-            b.estimate
-                .cmp(&a.estimate)
-                .then_with(|| a.query.cmp(&b.query))
-                .then_with(|| a.url.cmp(&b.url))
+            b.estimate.cmp(&a.estimate).then_with(|| (a.query, a.url).cmp(&(b.query, b.url)))
         });
         out
     }
 
     /// Export the live counters as plain data (see [`SketchState`]),
-    /// sorted by key so equal sketches export equal states.
-    pub fn export_state(&self) -> SketchState {
-        let mut counters: Vec<(String, u64)> =
-            self.counters.iter().map(|(k, &v)| (k.to_string(), v)).collect();
+    /// spelling each key as `query \t url` through the vocabularies the
+    /// ids came from, sorted by that key so equal sketches export equal
+    /// states.
+    ///
+    /// # Panics
+    /// If a key's id lies outside `queries` or `urls`.
+    pub fn export_state(&self, queries: &Interner, urls: &Interner) -> SketchState {
+        let mut counters: Vec<(String, u64)> = self
+            .counters
+            .iter()
+            .map(|(&IdPair(q, u), &v)| (format!("{}\t{}", queries.resolve(q), urls.resolve(u)), v))
+            .collect();
         counters.sort_unstable();
         SketchState {
             capacity: self.capacity,
@@ -211,11 +225,16 @@ impl PairSketch {
         }
     }
 
-    /// Rebuild a sketch from exported state. Rejects states that could
-    /// never have come from a valid sketch (zero capacity, over-full
-    /// counter set, zero or duplicate counters) rather than panicking
-    /// later.
-    pub fn from_state(state: SketchState) -> Result<Self, String> {
+    /// Rebuild a sketch from exported state. `pair_of` maps a key's
+    /// query and url strings back to the ids of a pair the session
+    /// knows, or `None`. Rejects states that could never have come from
+    /// a valid sketch (zero capacity, over-full counter set, zero or
+    /// duplicate counters, a key that is not `query \t url` or names no
+    /// known pair) rather than panicking later.
+    pub fn from_state(
+        state: SketchState,
+        pair_of: impl Fn(&str, &str) -> Option<(QueryId, UrlId)>,
+    ) -> Result<Self, String> {
         if state.capacity == 0 {
             return Err("sketch capacity must be at least 1".into());
         }
@@ -226,12 +245,16 @@ impl PairSketch {
                 state.capacity
             ));
         }
-        let mut counters = HashMap::with_capacity(state.capacity + 1);
+        let mut counters = id_map_with_capacity(state.capacity + 1);
         for (k, v) in &state.counters {
             if *v == 0 {
                 return Err("zero-valued sketch counter".into());
             }
-            if counters.insert(k.as_str().into(), *v).is_some() {
+            let (query, url) =
+                k.split_once('\t').ok_or_else(|| format!("sketch key {k:?} is not query\\turl"))?;
+            let (q, u) = pair_of(query, url)
+                .ok_or_else(|| format!("sketch key {k:?} names no known pair"))?;
+            if counters.insert(IdPair(q.0, u.0), *v).is_some() {
                 return Err("duplicate sketch key".into());
             }
         }
@@ -240,7 +263,6 @@ impl PairSketch {
             counters,
             weight: state.weight,
             decrements: state.decrements,
-            scratch: String::new(),
         })
     }
 
@@ -263,6 +285,9 @@ impl PairSketch {
 /// sketch of the *raw* stream: sketch candidates at the absolute count
 /// threshold `min_support · |log|`, then exactify each against the
 /// log's pair totals.
+///
+/// The sketch's ids must come from `log`'s vocabulary — the ingestion
+/// engine's sketch and any log derived from its output share it.
 ///
 /// Returns exactly [`frequent_pairs`]`(log, min_support)` — same
 /// pairs, same counts, same order — whenever the sketch saw every
@@ -293,9 +318,7 @@ pub fn sketch_frequent_pairs(
         .candidates_at_least(threshold)
         .into_iter()
         .filter_map(|e| {
-            let q = QueryId(log.queries().get(&e.query)?);
-            let u = UrlId(log.urls().get(&e.url)?);
-            let pair = log.pair_id(q, u)?;
+            let pair = log.pair_id(e.query, e.url)?;
             let count = log.pair_total(pair);
             let support = count as f64 / size;
             (support >= min_support).then_some(FrequentPair { pair, count, support })
@@ -310,56 +333,98 @@ mod tests {
     use super::*;
     use dpsan_searchlog::SearchLogBuilder;
 
+    /// Names pairs by strings in the tests: interns them into ids the
+    /// way the ingestion session does.
+    #[derive(Default)]
+    struct Vocab {
+        queries: Interner,
+        urls: Interner,
+    }
+
+    impl Vocab {
+        fn ids(&mut self, q: &str, u: &str) -> (QueryId, UrlId) {
+            (QueryId(self.queries.intern(q)), UrlId(self.urls.intern(u)))
+        }
+
+        fn offer(&mut self, sk: &mut PairSketch, q: &str, u: &str, count: u64) {
+            let (q, u) = self.ids(q, u);
+            sk.offer(q, u, count);
+        }
+
+        fn estimate(&mut self, sk: &PairSketch, q: &str, u: &str) -> Option<u64> {
+            let (q, u) = self.ids(q, u);
+            sk.estimate(q, u)
+        }
+
+        fn query(&self, e: &SketchEntry) -> &str {
+            self.queries.resolve(e.query.0)
+        }
+
+        fn export(&self, sk: &PairSketch) -> SketchState {
+            sk.export_state(&self.queries, &self.urls)
+        }
+
+        fn restore(&self, state: SketchState) -> Result<PairSketch, String> {
+            PairSketch::from_state(state, |q, u| {
+                Some((QueryId(self.queries.get(q)?), UrlId(self.urls.get(u)?)))
+            })
+        }
+    }
+
     #[test]
     fn exact_when_under_capacity() {
+        let mut v = Vocab::default();
         let mut sk = PairSketch::new(8);
-        sk.offer("a", "x", 5);
-        sk.offer("b", "y", 3);
-        sk.offer("a", "x", 2);
-        assert_eq!(sk.estimate("a", "x"), Some(7));
-        assert_eq!(sk.estimate("b", "y"), Some(3));
+        v.offer(&mut sk, "a", "x", 5);
+        v.offer(&mut sk, "b", "y", 3);
+        v.offer(&mut sk, "a", "x", 2);
+        assert_eq!(v.estimate(&sk, "a", "x"), Some(7));
+        assert_eq!(v.estimate(&sk, "b", "y"), Some(3));
         assert_eq!(sk.error_bound(), 0);
         assert_eq!(sk.total_weight(), 10);
     }
 
     #[test]
     fn eviction_underestimates_within_bound() {
+        let mut v = Vocab::default();
         let mut sk = PairSketch::new(2);
-        sk.offer("a", "x", 10);
-        sk.offer("b", "y", 4);
-        sk.offer("c", "z", 6); // evicts: decrement all by 4
+        v.offer(&mut sk, "a", "x", 10);
+        v.offer(&mut sk, "b", "y", 4);
+        v.offer(&mut sk, "c", "z", 6); // evicts: decrement all by 4
         assert!(sk.len() <= 2);
         let err = sk.error_bound();
         assert!(err <= sk.total_weight() / 3, "MG bound N/(k+1)");
         // heavy key survives with estimate in [true - err, true]
-        let est = sk.estimate("a", "x").expect("heavy key survives");
+        let est = v.estimate(&sk, "a", "x").expect("heavy key survives");
         assert!(est <= 10 && est + err >= 10);
     }
 
     #[test]
     fn absorbed_light_key_still_bounded() {
+        let mut v = Vocab::default();
         let mut sk = PairSketch::new(1);
-        sk.offer("a", "x", 5);
-        sk.offer("b", "y", 2); // absorbed entirely (2 <= min 5)
-        assert_eq!(sk.estimate("b", "y"), None);
+        v.offer(&mut sk, "a", "x", 5);
+        v.offer(&mut sk, "b", "y", 2); // absorbed entirely (2 <= min 5)
+        assert_eq!(v.estimate(&sk, "b", "y"), None);
         assert!(sk.error_bound() >= 2, "absorbed weight counts toward the bound");
-        let est = sk.estimate("a", "x").unwrap();
+        let est = v.estimate(&sk, "a", "x").unwrap();
         assert!(est + sk.error_bound() >= 5);
     }
 
     #[test]
     fn merge_matches_single_stream_guarantees() {
+        let mut v = Vocab::default();
         let stream: Vec<(&str, u64)> =
             vec![("a", 9), ("b", 2), ("c", 7), ("a", 4), ("d", 1), ("c", 3), ("e", 2), ("a", 5)];
         let mut whole = PairSketch::new(3);
         let mut left = PairSketch::new(3);
         let mut right = PairSketch::new(3);
         for (i, &(q, w)) in stream.iter().enumerate() {
-            whole.offer(q, "u", w);
+            v.offer(&mut whole, q, "u", w);
             if i % 2 == 0 {
-                left.offer(q, "u", w);
+                v.offer(&mut left, q, "u", w);
             } else {
-                right.offer(q, "u", w);
+                v.offer(&mut right, q, "u", w);
             }
         }
         left.merge(&right);
@@ -368,7 +433,7 @@ mod tests {
         assert!(left.error_bound() <= left.total_weight() / 4, "merged bound N/(k+1)");
         // per-key guarantee on the merged sketch
         let true_a: u64 = stream.iter().filter(|&&(q, _)| q == "a").map(|&(_, w)| w).sum();
-        let est_a = left.estimate("a", "u").unwrap_or(0);
+        let est_a = v.estimate(&left, "a", "u").unwrap_or(0);
         assert!(est_a <= true_a && est_a + left.error_bound() >= true_a);
     }
 
@@ -382,34 +447,35 @@ mod tests {
 
     #[test]
     fn entries_are_deterministically_sorted() {
+        let mut v = Vocab::default();
         let mut sk = PairSketch::new(8);
-        sk.offer("b", "y", 3);
-        sk.offer("a", "x", 3);
-        sk.offer("c", "z", 9);
+        v.offer(&mut sk, "b", "y", 3);
+        v.offer(&mut sk, "a", "x", 3);
+        v.offer(&mut sk, "c", "z", 9);
         let e = sk.entries();
-        assert_eq!(e[0].query, "c");
-        assert_eq!(e[1].query, "a", "ties break by query string");
-        assert_eq!(e[2].query, "b");
+        assert_eq!(v.query(&e[0]), "c");
+        assert_eq!(v.query(&e[1]), "b", "ties break by query id (first occurrence)");
+        assert_eq!(v.query(&e[2]), "a");
     }
 
     #[test]
     fn candidates_are_complete_above_threshold() {
         // tight capacity so real evictions happen
+        let mut v = Vocab::default();
         let mut sk = PairSketch::new(3);
         let counts: &[(&str, u64)] =
             &[("hot", 40), ("warm", 20), ("a", 3), ("b", 2), ("c", 3), ("d", 1), ("hot", 10)];
         for &(q, w) in counts {
-            sk.offer(q, "u", w);
+            v.offer(&mut sk, q, "u", w);
         }
         let cands = sk.candidates_at_least(20.0);
-        assert!(cands.iter().any(|e| e.query == "hot"));
-        assert!(cands.iter().any(|e| e.query == "warm"));
+        assert!(cands.iter().any(|e| v.query(e) == "hot"));
+        assert!(cands.iter().any(|e| v.query(e) == "warm"));
     }
 
     #[test]
     fn sketch_mining_equals_exact_mining() {
         let mut b = SearchLogBuilder::new();
-        let mut sk = PairSketch::new(4);
         let tuples: &[(&str, &str, &str, u64)] = &[
             ("u1", "google", "google.com", 9),
             ("u2", "google", "google.com", 8),
@@ -424,9 +490,17 @@ mod tests {
         ];
         for &(user, q, u, c) in tuples {
             b.add(user, q, u, c).unwrap();
-            sk.offer(q, u, c);
         }
         let log = b.build();
+        // the builder interned in tuple order, so offering the tuples
+        // through the log's ids is the stream the sketch would have seen
+        let mut sk = PairSketch::new(4);
+        for &(_, q, u, c) in tuples {
+            let q = QueryId(log.queries().get(q).unwrap());
+            let u = UrlId(log.urls().get(u).unwrap());
+            sk.offer(q, u, c);
+        }
+        assert!(sk.error_bound() > 0, "capacity 4 < 5 pairs: the inexact path runs");
         for s in [0.05, 0.1, 0.25, 0.5] {
             let exact = frequent_pairs(&log, s);
             let mined = sketch_frequent_pairs(&log, &sk, s);
@@ -442,33 +516,45 @@ mod tests {
 
     #[test]
     fn state_roundtrip_preserves_behavior() {
+        let mut v = Vocab::default();
         let mut sk = PairSketch::new(3);
         for &(q, w) in &[("a", 9u64), ("b", 2), ("c", 7), ("d", 1), ("a", 4)] {
-            sk.offer(q, "u", w);
+            v.offer(&mut sk, q, "u", w);
         }
-        let state = sk.export_state();
-        let mut restored = PairSketch::from_state(state.clone()).unwrap();
-        assert_eq!(restored.export_state(), state);
+        let state = v.export(&sk);
+        let mut restored = v.restore(state.clone()).unwrap();
+        assert_eq!(v.export(&restored), state);
         // identical future behavior, including eviction arithmetic
-        sk.offer("e", "u", 6);
-        restored.offer("e", "u", 6);
-        assert_eq!(restored.export_state(), sk.export_state());
+        v.offer(&mut sk, "e", "u", 6);
+        v.offer(&mut restored, "e", "u", 6);
+        assert_eq!(v.export(&restored), v.export(&sk));
         assert_eq!(restored.error_bound(), sk.error_bound());
     }
 
     #[test]
     fn corrupt_sketch_state_is_rejected() {
+        let mut v = Vocab::default();
         let mut sk = PairSketch::new(2);
-        sk.offer("a", "u", 3);
-        let mut bad = sk.export_state();
+        v.offer(&mut sk, "a", "u", 3);
+        v.ids("b", "u");
+        let mut bad = v.export(&sk);
         bad.capacity = 0;
-        assert!(PairSketch::from_state(bad).is_err());
-        let mut bad = sk.export_state();
+        assert!(v.restore(bad).is_err());
+        let mut bad = v.export(&sk);
         bad.counters.push(("b\tu".into(), 1));
         bad.counters.push(("c\tu".into(), 1));
-        assert!(PairSketch::from_state(bad).unwrap_err().contains("exceed capacity"));
-        let mut bad = sk.export_state();
+        assert!(v.restore(bad).unwrap_err().contains("exceed capacity"));
+        let mut bad = v.export(&sk);
         bad.counters[0].1 = 0;
-        assert!(PairSketch::from_state(bad).unwrap_err().contains("zero-valued"));
+        assert!(v.restore(bad).unwrap_err().contains("zero-valued"));
+        let mut bad = v.export(&sk);
+        bad.counters.push(("a\tu".into(), 1));
+        assert!(v.restore(bad).unwrap_err().contains("duplicate"));
+        let mut bad = v.export(&sk);
+        bad.counters[0].0 = "au".into();
+        assert!(v.restore(bad).unwrap_err().contains("not query"));
+        let mut bad = v.export(&sk);
+        bad.counters[0].0 = "a\tnowhere".into();
+        assert!(v.restore(bad).unwrap_err().contains("no known pair"));
     }
 }

@@ -7,7 +7,7 @@
 use std::io::Cursor;
 
 use dpsan_searchlog::io::read_tsv;
-use dpsan_searchlog::{frequent_pairs, LogStats};
+use dpsan_searchlog::{frequent_pairs, LogStats, QueryId, UrlId};
 use dpsan_stream::{ingest_tsv, sketch_frequent_pairs, PairSketch, StreamConfig};
 use proptest::prelude::*;
 
@@ -97,7 +97,7 @@ proptest! {
             }
             let (q, u) = got.log.pair_key(f.pair);
             let est = sketch
-                .estimate(got.log.queries().resolve(q.0), got.log.urls().resolve(u.0))
+                .estimate(q, u)
                 .expect("pair above the slack band survives in the sketch");
             prop_assert!(est <= f.count);
             prop_assert!(est + sketch.error_bound() >= f.count);
@@ -115,9 +115,12 @@ proptest! {
         let cfg = StreamConfig { shards, sketch_capacity: 64, ..Default::default() };
         let got = ingest_tsv(Cursor::new(text.as_str()), &cfg).unwrap();
         let merged = got.sketch.unwrap();
+        // the single stream keys by the same session ids
         let mut single = PairSketch::new(64);
         for &(_, q, l, c) in &tuples {
-            single.offer(&format!("q{q}"), &format!("l{l}"), c as u64);
+            let q = QueryId(got.log.queries().get(&format!("q{q}")).unwrap());
+            let l = UrlId(got.log.urls().get(&format!("l{l}")).unwrap());
+            single.offer(q, l, c as u64);
         }
         prop_assert_eq!(merged.error_bound(), 0);
         prop_assert_eq!(merged.entries(), single.entries());

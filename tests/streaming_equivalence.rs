@@ -66,12 +66,21 @@ fn fump_release_via_sketch_matches_exact_mining() {
     let reference =
         release(&reference_log, UtilityObjective::FrequentPairs { min_support, output_size });
 
-    // streaming path: sketch-mined candidates, exactified
+    // streaming path: sketch-mined candidates, exactified. 384
+    // counters per shard evict, yet keep the error bound under the
+    // support threshold: the inexact candidate path runs, not the
+    // exact-scan fallback
     for jobs in [1usize, 4] {
-        let cfg = StreamConfig { shards: 6, jobs, chunk_rows: 256, sketch_capacity: 256 };
+        let cfg = StreamConfig { shards: 6, jobs, chunk_rows: 256, sketch_capacity: 384 };
         let got = ingest_tsv(Cursor::new(&file[..]), &cfg).unwrap();
         let (pre_s, _) = preprocess(&got.log);
-        let frequent = sketch_frequent_pairs(&pre_s, &got.sketch.unwrap(), min_support);
+        let sketch = got.sketch.unwrap();
+        assert!(sketch.error_bound() > 0, "the sketch evicted");
+        assert!(
+            (sketch.error_bound() as f64) < min_support * pre_s.size() as f64,
+            "mining used the sketch candidates"
+        );
+        let frequent = sketch_frequent_pairs(&pre_s, &sketch, min_support);
         let released = release(
             &got.log,
             UtilityObjective::SketchedFrequentPairs { frequent, min_support, output_size },
