@@ -151,13 +151,13 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("ingest_sketch_20k", |b| {
+    g.bench_function("ingest_20k", |b| {
         // intake at a realistic scale: the small preset scaled to 20k
         // users exactly the way `genlog --scale small --users 20000`
         // scales it (≈0.95M rows, generated once, untimed), ingested
-        // the way `sanitize --mechanism zealous` ingests it — 16
-        // shards, 8192-row chunks, a 4096-counter sketch per shard —
-        // parse, intern, route, sketch, drain and merge on one worker
+        // the way `sanitize` ingests it for every mechanism — 16
+        // shards, 8192-row chunks, no sketch — parse, intern, route,
+        // drain and merge on one worker
         let mut cfg = dpsan_eval::Scale::Small.config();
         let users = 20_000usize;
         let ratio = users as f64 / cfg.n_users as f64;
@@ -165,11 +165,10 @@ fn bench(c: &mut Criterion) {
         cfg.n_users = users;
         let mut tsv = Vec::new();
         write_log_tsv(&cfg, &mut tsv).expect("spool 20k-user log");
-        let stream =
-            StreamConfig { shards: 16, chunk_rows: 8 * 1024, sketch_capacity: 4096, jobs: 1 };
+        let stream = StreamConfig { shards: 16, chunk_rows: 8 * 1024, sketch_capacity: 0, jobs: 1 };
         b.iter(|| {
             let r = ingest_tsv(std::io::Cursor::new(&tsv[..]), &stream).unwrap();
-            (r.log.size(), r.sketch.map(|s| s.len()))
+            r.log.size()
         })
     });
 

@@ -39,26 +39,12 @@ pub enum UtilityObjective {
     /// O-UMP: maximize the output size.
     OutputSize,
     /// F-UMP: preserve frequent-pair supports at a fixed output size.
+    /// The frequent set is mined exactly from each release's
+    /// preprocessed log.
     FrequentPairs {
         /// Minimum support `s`.
         min_support: f64,
-        /// Target output size `|O| ∈ (0, λ]`.
-        output_size: u64,
-    },
-    /// F-UMP over an externally supplied frequent-pair set — the
-    /// streaming entrypoint: `dpsan-stream` mines candidates with its
-    /// heavy-hitters sketch and exactifies them against the
-    /// preprocessed log, so the solve skips the full-histogram scan.
-    /// Pair ids must refer to the *preprocessed* input (preprocessing
-    /// is idempotent and id-stable, so passing an already-preprocessed
-    /// log through [`Sanitizer::sanitize`] keeps them valid).
-    SketchedFrequentPairs {
-        /// The frequent pairs to protect (exact counts/supports).
-        frequent: Vec<dpsan_searchlog::FrequentPair>,
-        /// The support threshold the set was mined at (reporting /
-        /// validation only; the LP uses the supplied set as-is).
-        min_support: f64,
-        /// Target output size `|O| ∈ (0, λ]`.
+        /// Target output size `|O| ∈ [0, λ]` (`0` releases nothing).
         output_size: u64,
     },
     /// D-UMP: maximize pair diversity.
@@ -154,8 +140,7 @@ impl Sanitizer for UmpSanitizer {
     fn info(&self) -> MechanismInfo {
         let (id, name) = match &self.objective {
             UtilityObjective::OutputSize => ("oump", "O-UMP (max output size)"),
-            UtilityObjective::FrequentPairs { .. }
-            | UtilityObjective::SketchedFrequentPairs { .. } => {
+            UtilityObjective::FrequentPairs { .. } => {
                 ("fump", "F-UMP (frequent-pair preservation)")
             }
             UtilityObjective::Diversity { .. } => ("dump", "D-UMP (max pair diversity)"),
@@ -212,25 +197,17 @@ impl Sanitizer for UmpSanitizer {
                     upper_bound = Some(sol.upper_bound);
                     sol.counts
                 }
+                // |O| = 0 is the empty release, the one output size a log
+                // with λ = 0 admits; there is no LP to solve
+                UtilityObjective::FrequentPairs { output_size: 0, .. } => {
+                    vec![0; constraints.n_pairs()]
+                }
                 UtilityObjective::FrequentPairs { min_support, output_size } => {
                     session
                         .solve_fump(
                             &pre,
                             &constraints,
                             &FumpOptions { lp, ..FumpOptions::new(*min_support, *output_size) },
-                        )?
-                        .counts
-                }
-                UtilityObjective::SketchedFrequentPairs { frequent, min_support, output_size } => {
-                    session
-                        .solve_fump(
-                            &pre,
-                            &constraints,
-                            &FumpOptions {
-                                lp,
-                                ..FumpOptions::new(*min_support, *output_size)
-                                    .with_frequent(frequent.clone())
-                            },
                         )?
                         .counts
                 }
@@ -320,36 +297,20 @@ mod tests {
     }
 
     #[test]
-    fn sketched_frequent_set_matches_mined_pipeline() {
-        let input = input_log();
-        let lambda: u64 = UmpSanitizer::new(UtilityObjective::OutputSize)
-            .sanitize(&input, params(), SEED)
-            .unwrap()
-            .counts
-            .iter()
-            .sum();
-        let mined = UmpSanitizer::new(UtilityObjective::FrequentPairs {
-            min_support: 0.1,
-            output_size: lambda / 2,
-        })
-        .sanitize(&input, params(), SEED)
-        .unwrap();
-        // supply the exact frequent set of the preprocessed log — the
-        // streamed-ingestion contract — and expect identical output
-        let (pre, _) = dpsan_searchlog::preprocess(&input);
-        let frequent = dpsan_searchlog::frequent_pairs(&pre, 0.1);
-        let sketched = UmpSanitizer::new(UtilityObjective::SketchedFrequentPairs {
-            frequent,
-            min_support: 0.1,
-            output_size: lambda / 2,
-        })
-        .sanitize(&input, params(), SEED)
-        .unwrap();
-        assert_eq!(sketched.counts, mined.counts);
-        assert_eq!(
-            output_pair_counts(&sketched.reference, &sketched.output),
-            output_pair_counts(&mined.reference, &mined.output),
-        );
+    fn fump_zero_output_size_releases_nothing() {
+        let s =
+            UmpSanitizer::new(UtilityObjective::FrequentPairs { min_support: 0.1, output_size: 0 });
+        let out = s.sanitize(&input_log(), params(), SEED).unwrap();
+        assert!(out.counts.iter().all(|&c| c == 0));
+        assert_eq!(out.output.size(), 0);
+        assert_eq!(out.solver.solves, 0, "no LP is solved");
+        // a log with nothing to release (every pair unique) answers the
+        // same way
+        let mut b = dpsan_searchlog::SearchLogBuilder::new();
+        b.add("u1", "q1", "l1", 3).unwrap();
+        b.add("u2", "q2", "l2", 4).unwrap();
+        let out = s.sanitize(&b.build(), params(), SEED).unwrap();
+        assert!(out.counts.is_empty() && out.output.size() == 0);
     }
 
     #[test]

@@ -17,13 +17,11 @@
 //! the pseudonymous user `"*"` (schema-compatible with the 4-column
 //! TSV, but without the per-user structure the UMP mechanisms keep).
 //!
-//! The candidate phase composes with streamed ingestion: the weighted
-//! Misra–Gries `PairSketch` of `dpsan-stream` mines a superset of the
-//! pairs with raw total ≥ τ′ in one bounded-memory pass; passing those
-//! through [`ZealousOptions::candidates`] yields byte-identical output
-//! to the exact in-memory scan (candidates are re-filtered against the
-//! exact totals, so the mask — and therefore the noise stream — is the
-//! same on both paths).
+//! The coarse phase reads the exact pair totals of the preprocessed
+//! log, one pass over them. [`ZealousOptions::candidates`] can narrow
+//! that pass to an externally mined superset of the candidates; it is
+//! re-filtered against the exact totals, so the mask — and therefore
+//! the noise stream — is the same either way.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,9 +44,12 @@ pub struct ZealousOptions {
     /// Coarse candidate cutoff `τ′` on the capped histogram.
     pub coarse_threshold: u64,
     /// Optional externally mined candidate set: pairs whose *raw* input
-    /// total may reach `τ′` (the streaming path passes sketch-mined
-    /// candidates here). Re-filtered against exact totals internally,
-    /// so any superset of the true candidates gives identical output.
+    /// total may reach `τ′`. Re-filtered against exact totals
+    /// internally, so any superset of the true candidates gives
+    /// identical output. `None` scans the exact totals.
+    ///
+    /// No production caller; kept for the perfbench driver, which
+    /// passes candidates mined by the `dpsan-stream` sketch.
     pub candidates: Option<Vec<FrequentPair>>,
 }
 
@@ -101,7 +102,7 @@ pub fn zealous_plan(
     let tau_prime = opts.coarse_threshold;
 
     // candidate mask on raw totals — identical whether the candidates
-    // come from the exact scan or a (superset-complete) sketch
+    // come from the exact scan or a supplied superset
     let candidate: Vec<bool> = match &opts.candidates {
         Some(mined) => {
             let mut mask = vec![false; n];

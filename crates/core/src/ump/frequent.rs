@@ -38,32 +38,13 @@ pub struct FumpOptions {
     /// Cap counts at `x_ij ≤ c_ij` (see
     /// [`crate::ump::output_size::OumpOptions::cap_at_input`]).
     pub cap_at_input: bool,
-    /// Externally supplied frequent-pair set (pair ids must refer to
-    /// the log being solved). `None` mines exactly via
-    /// [`frequent_pairs`] — the default. Streaming callers pass the
-    /// set mined by the `dpsan-stream` heavy-hitters sketch (already
-    /// exactified against the preprocessed log), so the solve never
-    /// re-scans the full pair histogram.
-    pub frequent: Option<Vec<FrequentPair>>,
 }
 
 impl FumpOptions {
     /// Options with the given support and output size, defaults
     /// elsewhere.
     pub fn new(min_support: f64, output_size: u64) -> Self {
-        FumpOptions {
-            min_support,
-            output_size,
-            lp: SimplexOptions::default(),
-            cap_at_input: true,
-            frequent: None,
-        }
-    }
-
-    /// Use an externally supplied frequent-pair set instead of mining.
-    pub fn with_frequent(mut self, frequent: Vec<FrequentPair>) -> Self {
-        self.frequent = Some(frequent);
-        self
+        FumpOptions { min_support, output_size, lp: SimplexOptions::default(), cap_at_input: true }
     }
 }
 
@@ -173,16 +154,7 @@ fn solve_fump_inner(
     }
 
     let n = constraints.n_pairs();
-    let frequent = match &opts.frequent {
-        Some(f) => {
-            assert!(
-                f.iter().all(|fp| fp.pair.index() < n),
-                "supplied frequent pairs must refer to the solved log"
-            );
-            f.clone()
-        }
-        None => frequent_pairs(log, opts.min_support),
-    };
+    let frequent = frequent_pairs(log, opts.min_support);
     let p = build_problem(log, constraints, opts, &frequent);
 
     let sol = match session {
@@ -323,31 +295,5 @@ mod tests {
     fn bad_support_panics() {
         let log = skewed_log();
         let _ = solve_fump(&log, params(), &opts(0.0, 10));
-    }
-
-    #[test]
-    fn supplied_frequent_set_matches_mined_solve() {
-        let log = skewed_log();
-        let lambda = solve_oump(&log, params(), &OumpOptions::default()).unwrap().lambda;
-        let o = (lambda / 2).max(1);
-        let mined = solve_fump(&log, params(), &opts(0.1, o)).unwrap();
-        // hand the mined set back explicitly: identical LP, identical optimum
-        let given = dpsan_searchlog::frequent_pairs(&log, 0.1);
-        let s = solve_fump(&log, params(), &opts(0.1, o).with_frequent(given.clone())).unwrap();
-        assert_eq!(s.counts, mined.counts);
-        assert_eq!(s.frequent, given);
-        assert!((s.lp_objective - mined.lp_objective).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "refer to the solved log")]
-    fn out_of_range_supplied_pair_rejected() {
-        let log = skewed_log();
-        let bad = vec![FrequentPair {
-            pair: dpsan_searchlog::PairId::from_index(log.n_pairs() + 7),
-            count: 1,
-            support: 0.5,
-        }];
-        let _ = solve_fump(&log, params(), &opts(0.1, 1).with_frequent(bad));
     }
 }

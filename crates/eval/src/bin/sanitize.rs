@@ -17,11 +17,11 @@
 //! Ingestion is the `dpsan-stream` sharded engine: chunked intake that
 //! interns every string once into one session vocabulary, user-hash
 //! shards (user-complete, so the privacy accounting of every mechanism
-//! is untouched), a mergeable heavy-hitters sketch that mines candidate
-//! pairs for fump/zealous in the same pass, and a sort-only merge. The
-//! log it builds is the one a one-shot `read_tsv` build produces, so
-//! output is **byte-identical for every `--shards`/`--jobs` value** (CI
-//! diffs them).
+//! is untouched), and a sort-only merge. The log it builds is the one a
+//! one-shot `read_tsv` build produces, so output is **byte-identical
+//! for every `--shards`/`--jobs` value** (CI diffs them). That log
+//! holds every pair total, so fump and zealous mine their frequent
+//! pairs exactly from it.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -33,8 +33,8 @@ use dpsan_core::mechanism::{
 use dpsan_core::ump::diversity::DumpSolver;
 use dpsan_core::ump::output_size::{solve_oump, OumpOptions};
 use dpsan_dp::params::PrivacyParams;
-use dpsan_searchlog::{frequent_pairs, preprocess, FrequentPair, SearchLog};
-use dpsan_stream::{ingest_path, sketch_frequent_pairs, StreamConfig};
+use dpsan_searchlog::{frequent_pairs, preprocess, SearchLog};
+use dpsan_stream::{ingest_path, StreamConfig};
 
 const USAGE: &str = "usage: sanitize <input.tsv> [options]
   --out <path>             write the sanitized log here (default: stdout)
@@ -42,7 +42,8 @@ const USAGE: &str = "usage: sanitize <input.tsv> [options]
   --e-epsilon <v>          privacy parameter e^eps, > 1      (default: 2.0)
   --delta <v>              privacy parameter delta, in (0,1) (default: 0.5)
   --min-support <v>        fump support threshold, in (0,1]  (default: 0.05)
-  --output-size <n|auto>   fump output size |O|      (default: auto = lambda/2)
+  --output-size <n|auto>   fump output size |O|      (default: auto = lambda/2,
+                           at least 1; 0 when lambda = 0)
   --zealous-cap <n>        zealous per-user contribution cap (default: 8)
   --zealous-coarse <n>     zealous coarse cutoff tau'        (default: 2)
   --ldp-cap <n>            ldp-rr per-user pair cap          (default: 4)
@@ -57,8 +58,6 @@ const USAGE: &str = "usage: sanitize <input.tsv> [options]
   --seed <n>               sampling / noise seed     (default: fixed)
   --shards <n>             user-hash shards          (default: 16)
   --chunk-rows <n>         max raw rows in memory    (default: 8192)
-  --sketch-capacity <n>    heavy-hitter counters (default: 4096 for fump and
-                           zealous, 0 = off otherwise)
   --jobs <n>               shard-drain workers       (default: available cores)
   --stats                  ingestion + run + solver report to stderr
   --metrics-file <path>    write a Prometheus-text telemetry snapshot here at
@@ -87,7 +86,7 @@ follow mode (always-on service; requires --out-dir):
   seed. Releases compose: with a lifetime budget set, a release that
   would exceed it is refused and the service stops cleanly, state
   intact. fump needs an explicit --output-size here (auto would peek at
-  the growing data); zealous ignores the sketch (exact totals only).";
+  the growing data).";
 
 /// The default RNG seed — the repository-wide determinism convention.
 const DEFAULT_SEED: u64 = 0xd95a_11ce;
@@ -107,7 +106,6 @@ struct Args {
     seed: u64,
     shards: usize,
     chunk_rows: usize,
-    sketch_capacity: Option<usize>,
     jobs: usize,
     stats: bool,
     follow: bool,
@@ -122,20 +120,6 @@ struct Args {
     checkpoint_rows: u64,
     metrics_file: Option<String>,
     metrics_interval_ms: Option<u64>,
-}
-
-impl Args {
-    /// Per-shard sketch capacity: an explicit `--sketch-capacity`
-    /// wins; otherwise sketching runs only for the mechanisms that
-    /// consume mined candidates (fump, zealous) and stays off the
-    /// oump/dump/ldp-rr hot path.
-    fn effective_sketch_capacity(&self) -> usize {
-        self.sketch_capacity.unwrap_or(if matches!(self.mechanism.as_str(), "fump" | "zealous") {
-            4096
-        } else {
-            0
-        })
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -154,7 +138,6 @@ fn parse_args() -> Result<Args, String> {
         seed: DEFAULT_SEED,
         shards: 16,
         chunk_rows: 8192,
-        sketch_capacity: None,
         jobs: std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1),
         stats: false,
         follow: false,
@@ -216,13 +199,6 @@ fn parse_args() -> Result<Args, String> {
             "--shards" => args.shards = parse_count(&value("--shards", &mut it)?, "--shards")?,
             "--chunk-rows" => {
                 args.chunk_rows = parse_count(&value("--chunk-rows", &mut it)?, "--chunk-rows")?
-            }
-            "--sketch-capacity" => {
-                args.sketch_capacity = Some(
-                    value("--sketch-capacity", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("bad --sketch-capacity: {e}"))?,
-                )
             }
             "--jobs" => args.jobs = parse_count(&value("--jobs", &mut it)?, "--jobs")?,
             "--stats" => args.stats = true,
@@ -363,91 +339,10 @@ fn parse_count64(v: &str, flag: &str) -> Result<u64, String> {
     parse_count(v, flag).map(|n| n as u64)
 }
 
-/// Build the selected mechanism. `sketch`-mined candidates feed the
-/// fump LP and the zealous coarse phase; both re-filter exactly against
-/// the preprocessed log, so the sketch path stays byte-identical to the
-/// exact scan.
-fn build_mechanism(
-    args: &Args,
-    pre: &SearchLog,
-    params: PrivacyParams,
-    sketch: Option<&dpsan_stream::PairSketch>,
-) -> Result<Box<dyn Sanitizer>, Box<dyn std::error::Error>> {
-    Ok(match args.mechanism.as_str() {
-        "oump" => {
-            let mut s = UmpSanitizer::new(UtilityObjective::OutputSize);
-            if let Some(budget) = args.lp_budget {
-                s = s.with_lp_iteration_budget(budget);
-            }
-            Box::new(s)
-        }
-        "dump" => {
-            Box::new(UmpSanitizer::new(UtilityObjective::Diversity { solver: DumpSolver::Spe }))
-        }
-        "fump" => {
-            let output_size = match args.output_size {
-                Some(o) => o,
-                None => {
-                    // anytime: exact below 512 rows, the packing
-                    // route's feasible λ (≤ λ*) at and above
-                    let opts = OumpOptions { anytime: true, ..OumpOptions::default() };
-                    (solve_oump(pre, params, &opts)?.lambda / 2).max(1)
-                }
-            };
-            let frequent: Vec<FrequentPair> = match sketch {
-                Some(sk) => sketch_frequent_pairs(pre, sk, args.min_support),
-                None => frequent_pairs(pre, args.min_support),
-            };
-            if args.stats {
-                eprintln!(
-                    "fump: frequent_pairs={} output_size={output_size} mined_via={}",
-                    frequent.len(),
-                    if sketch.is_some() { "sketch" } else { "exact-scan" },
-                );
-            }
-            Box::new(UmpSanitizer::new(UtilityObjective::SketchedFrequentPairs {
-                frequent,
-                min_support: args.min_support,
-                output_size,
-            }))
-        }
-        "zealous" => {
-            // streamed runs mine the coarse-phase candidates from the
-            // sketch at support tau'/|D| — a (division is monotone)
-            // exact match of `total >= tau'`, and zealous re-filters
-            // against exact totals anyway, so both paths draw the
-            // identical noise stream
-            let candidates = match sketch {
-                Some(sk) if pre.size() > 0 => {
-                    let support = (args.zealous_coarse as f64 / pre.size() as f64)
-                        .clamp(f64::MIN_POSITIVE, 1.0);
-                    let mined = sketch_frequent_pairs(pre, sk, support);
-                    if args.stats {
-                        eprintln!("zealous: candidates={} mined_via=sketch", mined.len());
-                    }
-                    Some(mined)
-                }
-                _ => None,
-            };
-            Box::new(ZealousSanitizer::with_options(ZealousOptions {
-                contribution_cap: args.zealous_cap,
-                coarse_threshold: args.zealous_coarse,
-                candidates,
-            }))
-        }
-        "ldp-rr" => {
-            Box::new(LdpSanitizer::with_options(LdpOptions { max_pairs_per_user: args.ldp_cap }))
-        }
-        _ => unreachable!("validated in parse_args"),
-    })
-}
-
-/// The mechanisms a follow session can host: everything whose
-/// configuration is fixed up front. fump mines its frequent set from
-/// the current window on every release ([`UtilityObjective::FrequentPairs`]);
-/// zealous runs without sketch-mined candidates — the exact-totals path
-/// the sketch path is byte-identical to anyway.
-fn build_follow_mechanism(args: &Args) -> Box<dyn Sanitizer> {
+/// Build the selected mechanism: the same one for a one-shot run and
+/// for every release of a follow session. `output_size` is the resolved
+/// fump `|O|` (`Some` whenever the mechanism is fump).
+fn build_mechanism(args: &Args, output_size: Option<u64>) -> Box<dyn Sanitizer> {
     match args.mechanism.as_str() {
         "oump" => {
             let mut s = UmpSanitizer::new(UtilityObjective::OutputSize);
@@ -461,7 +356,7 @@ fn build_follow_mechanism(args: &Args) -> Box<dyn Sanitizer> {
         }
         "fump" => Box::new(UmpSanitizer::new(UtilityObjective::FrequentPairs {
             min_support: args.min_support,
-            output_size: args.output_size.expect("validated in parse_args"),
+            output_size: output_size.expect("fump output size resolved before building"),
         })),
         "zealous" => Box::new(ZealousSanitizer::with_options(ZealousOptions {
             contribution_cap: args.zealous_cap,
@@ -475,6 +370,19 @@ fn build_follow_mechanism(args: &Args) -> Box<dyn Sanitizer> {
     }
 }
 
+/// `--output-size auto`: half the privacy-feasible maximum λ and at
+/// least 1, or 0 — the empty release — when λ = 0. λ comes from an
+/// anytime solve: exact below 512 rows, the packing route's feasible
+/// λ (≤ λ*) at and above.
+fn auto_output_size(
+    pre: &SearchLog,
+    params: PrivacyParams,
+) -> Result<u64, Box<dyn std::error::Error>> {
+    let opts = OumpOptions { anytime: true, ..OumpOptions::default() };
+    let lambda = solve_oump(pre, params, &opts)?.lambda;
+    Ok(if lambda == 0 { 0 } else { (lambda / 2).max(1) })
+}
+
 /// The always-on service: tail the input for appended chunks,
 /// re-release on the event-count trigger, debit one lifetime ledger.
 fn run_follow(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
@@ -483,7 +391,7 @@ fn run_follow(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         stream: StreamConfig {
             shards: args.shards,
             chunk_rows: args.chunk_rows,
-            sketch_capacity: 0, // no consumer in follow mode (see above)
+            sketch_capacity: 0,
             jobs: args.jobs,
         },
         params,
@@ -501,7 +409,7 @@ fn run_follow(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         metrics_file: args.metrics_file.as_deref().map(Into::into),
         metrics_interval: args.metrics_interval_ms.map(std::time::Duration::from_millis),
     };
-    let mechanism = build_follow_mechanism(args);
+    let mechanism = build_mechanism(args, args.output_size);
     let report = dpsan_serve::serve(mechanism, std::path::Path::new(&args.input), &opts)?;
 
     if args.stats {
@@ -555,25 +463,22 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let cfg = StreamConfig {
         shards: args.shards,
         chunk_rows: args.chunk_rows,
-        sketch_capacity: args.effective_sketch_capacity(),
+        sketch_capacity: 0,
         jobs: args.jobs,
     };
     let ingested = ingest_path(&args.input, &cfg)?;
     if args.stats {
         let r = &ingested.report;
         eprintln!(
-            "ingest: rows={} shards={} peak_chunk_rows={} max_shard_triplets={} \
-             sketch_entries={}",
-            r.rows, args.shards, r.peak_chunk_rows, r.max_shard_triplets, r.sketch_entries,
+            "ingest: rows={} shards={} peak_chunk_rows={} max_shard_triplets={}",
+            r.rows, args.shards, r.peak_chunk_rows, r.max_shard_triplets,
         );
     }
-    let (raw, sketch) = (ingested.log, ingested.sketch);
 
-    // 2. preprocess once here: the fump frequent set and the zealous
-    //    candidate mining refer to the preprocessed log, and
-    //    preprocessing is idempotent + id-stable, so the mechanism's
-    //    internal pass is a no-op on `pre`
-    let (pre, report) = preprocess(&raw);
+    // 2. preprocess once here: fump's auto output size refers to the
+    //    preprocessed log, and preprocessing is idempotent + id-stable,
+    //    so the mechanism's internal pass is a no-op on `pre`
+    let (pre, report) = preprocess(&ingested.log);
     if args.stats {
         eprintln!(
             "preprocess: removed_pairs={} removed_clicks={} kept_pairs={} kept_size={}",
@@ -584,7 +489,18 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let mechanism = build_mechanism(args, &pre, params, sketch.as_ref())?;
+    let output_size = match (args.mechanism.as_str(), args.output_size) {
+        ("fump", None) => Some(auto_output_size(&pre, params)?),
+        (_, given) => given,
+    };
+    if args.stats && args.mechanism == "fump" {
+        eprintln!(
+            "fump: frequent_pairs={} output_size={}",
+            frequent_pairs(&pre, args.min_support).len(),
+            output_size.expect("resolved above"),
+        );
+    }
+    let mechanism = build_mechanism(args, output_size);
     let release = mechanism.sanitize(&pre, params, args.seed)?;
     if args.stats {
         let info = mechanism.info();

@@ -163,3 +163,39 @@ fn stats_print_the_certified_bound_for_oump_releases_only() {
     assert!(!stats("zealous").contains("bound: "), "no O-UMP bound for zealous");
     fs::remove_dir_all(&dir).ok();
 }
+
+/// A log whose every pair is unique (or which is empty) preprocesses to
+/// nothing, so λ = 0: every mechanism releases an empty log, fump's
+/// `--output-size auto` included. An explicit size above λ stays an
+/// error.
+#[test]
+fn every_mechanism_releases_nothing_when_lambda_is_zero() {
+    let dir = scratch("lambda0");
+    let unique = dir.join("unique.tsv");
+    fs::write(&unique, "u1\tq1\tl1\t3\nu2\tq2\tl2\t4\n").unwrap();
+    let empty = dir.join("empty.tsv");
+    fs::write(&empty, "").unwrap();
+    for input in [&unique, &empty] {
+        for mech in ["oump", "fump", "dump", "zealous", "ldp-rr"] {
+            let out = dir.join(format!("{mech}.tsv"));
+            let o = run_sanitize(&[
+                input.to_str().unwrap(),
+                "--mechanism",
+                mech,
+                "--out",
+                out.to_str().unwrap(),
+            ]);
+            assert!(
+                o.status.success(),
+                "{mech} on {input:?}: {}",
+                String::from_utf8_lossy(&o.stderr)
+            );
+            assert_eq!(fs::read(&out).unwrap(), b"", "{mech} on {input:?} releases nothing");
+        }
+    }
+    let o = run_sanitize(&[unique.to_str().unwrap(), "--mechanism", "fump", "--output-size", "1"]);
+    assert!(!o.status.success());
+    let stderr = String::from_utf8_lossy(&o.stderr);
+    assert!(stderr.contains("exceeds the privacy-feasible maximum"), "got: {stderr}");
+    fs::remove_dir_all(&dir).ok();
+}

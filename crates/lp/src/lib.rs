@@ -25,8 +25,6 @@
 //! * [`obs`] — telemetry handles for the sparse kernels,
 //! * [`dense_simplex`] — an independent dense tableau simplex used to
 //!   cross-check the revised implementation in tests,
-//! * [`presolve`] — light presolve (fixed columns, singleton rows,
-//!   empty rows/columns),
 //! * [`mip`] — branch & bound plus packing-aware rounding and a
 //!   feasibility-pump-style heuristic for binary programs.
 
@@ -39,7 +37,6 @@ pub mod error;
 pub mod factor;
 pub mod mip;
 pub mod obs;
-pub mod presolve;
 pub mod problem;
 pub mod scaling;
 pub mod simplex;

@@ -3,7 +3,6 @@
 
 use dpsan_lp::dense_simplex::solve_dense;
 use dpsan_lp::mip::{solve_mip, BbOptions};
-use dpsan_lp::presolve::presolve;
 use dpsan_lp::problem::{Problem, RowBounds, Sense, VarBounds};
 use dpsan_lp::simplex::{solve, SimplexOptions, Solution, SolveStatus};
 use proptest::prelude::*;
@@ -61,23 +60,6 @@ proptest! {
         let without = solve(&p, &SimplexOptions { scaling: false, ..Default::default() }).unwrap();
         prop_assert!((with.objective - without.objective).abs() < 1e-5,
             "scaled {} vs unscaled {}", with.objective, without.objective);
-    }
-
-    #[test]
-    fn presolve_preserves_optimum(
-        n in 2usize..6,
-        m in 1usize..5,
-        coefs in prop::collection::vec(0.0f64..2.0, 30),
-        rhs in prop::collection::vec(0.5f64..4.0, 5),
-    ) {
-        let p = random_packing_lp(n, m, coefs, rhs);
-        let direct = solve(&p, &SimplexOptions::default()).unwrap();
-        let pre = presolve(&p);
-        prop_assert!(pre.verdict.is_none());
-        let sub = solve(&pre.reduced, &SimplexOptions::default()).unwrap();
-        let lifted = pre.postsolve(&sub.x);
-        prop_assert!((p.objective_value(&lifted) - direct.objective).abs() < 1e-5);
-        prop_assert!(p.max_violation(&lifted) < 1e-6);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! appended TSV ──FollowReader (line-atomic)──▶ IngestSession (live
-//!   shards + sketches) ──trigger──▶ ReleasePlanner (budget ledger)
+//!   vocabulary + shards) ──trigger──▶ ReleasePlanner (budget ledger)
 //!   ──▶ persistent SolveSession (cold solve) ──▶ release-NNNN.tsv
 //! ```
 //!
@@ -68,7 +68,9 @@ use dpsan_stream::{IngestReport, StreamConfig};
 /// Configuration of the follow/serve loop.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Sharded-ingestion knobs (shards, chunk rows, sketch, jobs).
+    /// Sharded-ingestion knobs (shards, chunk rows, jobs). Its
+    /// `sketch_capacity` must be 0 when a store is attached: a
+    /// checkpoint carries no sketch.
     pub stream: StreamConfig,
     /// Privacy parameters of every release.
     pub params: PrivacyParams,

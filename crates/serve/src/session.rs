@@ -2,7 +2,7 @@
 //! re-release, one struct.
 //!
 //! [`ServeSession`] glues a [`dpsan_stream::IngestSession`] (live
-//! session vocabulary, shard counts and sketches) to a
+//! session vocabulary and shard counts) to a
 //! [`dpsan_core::mechanism::ReleasePlanner`] (mechanism + trigger +
 //! enforced cross-release budget ledger). The file-tailing loop in
 //! [`crate::serve`] drives it against a wall clock; benches and tests

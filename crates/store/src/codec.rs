@@ -13,7 +13,7 @@
 //! or an out-of-bounds read, because recovery feeds these functions
 //! bytes that may have been torn mid-write.
 
-use dpsan_stream::{ShardState, SketchState, VocabState};
+use dpsan_stream::{ShardState, VocabState};
 use std::fmt;
 
 /// Decoding failure: the bytes do not form a valid payload.
@@ -303,73 +303,36 @@ pub fn decode_shard(d: &mut Decoder<'_>) -> Result<ShardState, CodecError> {
     Ok(ShardState { triplets, rows, clicks })
 }
 
-/// Encode one shard's heavy-hitter sketch state.
-pub fn encode_sketch(state: &SketchState) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u64(state.capacity as u64);
-    e.u64(state.counters.len() as u64);
-    for (key, w) in &state.counters {
-        e.str(key);
-        e.u64(*w);
-    }
-    e.u64(state.weight);
-    e.u64(state.decrements);
-    e.finish()
-}
-
-/// Decode one shard's sketch state.
-pub fn decode_sketch(d: &mut Decoder<'_>) -> Result<SketchState, CodecError> {
-    let capacity = d.u64()? as usize;
-    let n = d.count(16)?; // length prefix + weight per counter
-    let mut counters = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = d.str()?;
-        let w = d.u64()?;
-        counters.push((key, w));
-    }
-    let weight = d.u64()?;
-    let decrements = d.u64()?;
-    Ok(SketchState { capacity, counters, weight, decrements })
-}
-
-/// Encode the per-shard payload of one snapshot file: the shard state
-/// plus its sketch (if sketching is enabled).
-pub fn encode_shard_snapshot(shard: &ShardState, sketch: Option<&SketchState>) -> Vec<u8> {
+/// Encode the per-shard payload of one snapshot file: the shard state,
+/// then a flag word that is always `0`. Format 2 reserved the flag for
+/// a sketch section; sessions that sketch are never checkpointed, so
+/// no such section is written.
+pub fn encode_shard_snapshot(shard: &ShardState) -> Vec<u8> {
     let mut e = Encoder::new();
     e.bytes(&encode_shard(shard));
-    match sketch {
-        Some(sk) => {
-            e.u32(1);
-            e.bytes(&encode_sketch(sk));
-        }
-        None => e.u32(0),
-    }
+    e.u32(0);
     e.finish()
 }
 
-/// Decode one snapshot file's payload back into shard + sketch state.
-pub fn decode_shard_snapshot(
-    bytes: &[u8],
-) -> Result<(ShardState, Option<SketchState>), CodecError> {
+/// Decode one snapshot file's payload back into shard state. A nonzero
+/// flag word (a sketch section) is rejected.
+pub fn decode_shard_snapshot(bytes: &[u8]) -> Result<ShardState, CodecError> {
     let mut d = Decoder::new(bytes);
     let shard_bytes = d.bytes()?;
     let mut sd = Decoder::new(shard_bytes);
     let shard = decode_shard(&mut sd)?;
     sd.expect_end()?;
-    let has_sketch = d.u32()?;
-    let sketch = match has_sketch {
-        0 => None,
-        1 => {
-            let sk_bytes = d.bytes()?;
-            let mut kd = Decoder::new(sk_bytes);
-            let sk = decode_sketch(&mut kd)?;
-            kd.expect_end()?;
-            Some(sk)
-        }
-        other => return Err(CodecError(format!("bad sketch flag {other}"))),
-    };
+    expect_no_sketch(&mut d)?;
     d.expect_end()?;
-    Ok((shard, sketch))
+    Ok(shard)
+}
+
+/// Read the format-2 sketch flag word and require it to be `0`.
+pub(crate) fn expect_no_sketch(d: &mut Decoder<'_>) -> Result<(), CodecError> {
+    match d.u32()? {
+        0 => Ok(()),
+        other => Err(CodecError(format!("sketch flag {other}: checkpoints carry no sketch"))),
+    }
 }
 
 #[cfg(test)]
@@ -389,7 +352,7 @@ mod tests {
                 1 + i % 3
             ));
         }
-        let cfg = StreamConfig { shards: 3, chunk_rows: 8, sketch_capacity: 8, jobs: 1 };
+        let cfg = StreamConfig { shards: 3, chunk_rows: 8, sketch_capacity: 0, jobs: 1 };
         let mut s = IngestSession::new(cfg);
         s.ingest(Cursor::new(tsv)).unwrap();
         s.export_state()
@@ -398,12 +361,9 @@ mod tests {
     #[test]
     fn shard_snapshot_roundtrip_is_exact() {
         let state = sample_session();
-        for (i, shard) in state.shards.iter().enumerate() {
-            let sketch = state.sketches.get(i);
-            let bytes = encode_shard_snapshot(shard, sketch);
-            let (shard2, sketch2) = decode_shard_snapshot(&bytes).unwrap();
-            assert_eq!(&shard2, shard);
-            assert_eq!(sketch2.as_ref(), sketch);
+        for shard in &state.shards {
+            let bytes = encode_shard_snapshot(shard);
+            assert_eq!(&decode_shard_snapshot(&bytes).unwrap(), shard);
         }
     }
 
@@ -430,16 +390,34 @@ mod tests {
     #[test]
     fn sketchless_snapshot_roundtrip() {
         let shard = ShardState { rows: 0, ..Default::default() };
-        let bytes = encode_shard_snapshot(&shard, None);
-        let (shard2, sketch2) = decode_shard_snapshot(&bytes).unwrap();
-        assert_eq!(shard2, shard);
-        assert!(sketch2.is_none());
+        let bytes = encode_shard_snapshot(&shard);
+        assert_eq!(decode_shard_snapshot(&bytes).unwrap(), shard);
+        // the payload ends in the format-2 sketch flag, written as 0
+        assert_eq!(bytes[bytes.len() - 4..], [0, 0, 0, 0]);
+    }
+
+    /// A snapshot whose flag word announces a sketch section is
+    /// rejected with an error, whatever follows the flag.
+    #[test]
+    fn nonzero_sketch_flag_is_rejected() {
+        let state = sample_session();
+        let good = encode_shard_snapshot(&state.shards[0]);
+        let flag_at = good.len() - 4;
+        for (flag, tail) in
+            [(1u32, &[][..]), (1, &[7u8; 24][..]), (2, &[][..]), (u32::MAX, &[][..])]
+        {
+            let mut bad = good[..flag_at].to_vec();
+            bad.extend_from_slice(&flag.to_le_bytes());
+            bad.extend_from_slice(tail);
+            let err = decode_shard_snapshot(&bad).unwrap_err();
+            assert!(err.0.contains(&format!("sketch flag {flag}")), "{err}");
+        }
     }
 
     #[test]
     fn every_truncation_is_an_error_not_a_panic() {
         let state = sample_session();
-        let bytes = encode_shard_snapshot(&state.shards[0], state.sketches.first());
+        let bytes = encode_shard_snapshot(&state.shards[0]);
         for cut in 0..bytes.len() {
             assert!(
                 decode_shard_snapshot(&bytes[..cut]).is_err(),
@@ -451,7 +429,7 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let state = sample_session();
-        let mut bytes = encode_shard_snapshot(&state.shards[0], state.sketches.first());
+        let mut bytes = encode_shard_snapshot(&state.shards[0]);
         bytes.push(0xAB);
         assert!(decode_shard_snapshot(&bytes).is_err());
     }

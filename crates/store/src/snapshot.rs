@@ -5,7 +5,7 @@
 //! ```text
 //! checkpoint-GGGGGGGG/
 //!   vocab.snap           framed session vocabulary (every string, once)
-//!   shard-0000.snap      framed integer-only shard state (+ sketch)
+//!   shard-0000.snap      framed integer-only shard state
 //!   shard-0001.snap
 //!   ...
 //!   meta.bin             framed metadata — written LAST, atomically
@@ -27,10 +27,15 @@
 //! checkpoint written in another layout is refused as an "unsupported
 //! checkpoint format" before any of it is decoded, and recovery treats
 //! it like any other rejected checkpoint.
+//!
+//! Format 2 reserved a flag word in every shard file and in `meta.bin`
+//! for per-shard sketch sections. Sessions that sketch are never
+//! checkpointed, so both words are always written as `0`, and a
+//! nonzero word is rejected as a decode error.
 
 use crate::codec::{
-    decode_shard_snapshot, decode_vocab, encode_shard_snapshot, encode_vocab, frame_file,
-    frame_version, unframe_file, CodecError, Decoder, Encoder,
+    decode_shard_snapshot, decode_vocab, encode_shard_snapshot, encode_vocab, expect_no_sketch,
+    frame_file, frame_version, unframe_file, CodecError, Decoder, Encoder,
 };
 use crate::crc::crc32;
 use crate::io::StoreIo;
@@ -86,8 +91,6 @@ pub struct CheckpointMeta {
     pub lines: u64,
     /// Session peak chunk buffer at checkpoint time.
     pub peak_chunk_rows: u64,
-    /// Whether per-shard sketches are included.
-    pub has_sketches: bool,
     /// CRC-32 of the vocabulary file's *payload*.
     pub vocab_crc: u32,
     /// CRC-32 of each shard file's *payload*, indexed by shard.
@@ -101,7 +104,7 @@ fn encode_meta(meta: &CheckpointMeta) -> Vec<u8> {
     e.u64(meta.rows);
     e.u64(meta.lines);
     e.u64(meta.peak_chunk_rows);
-    e.u32(meta.has_sketches as u32);
+    e.u32(0); // the format-2 sketch flag: no shard file carries a sketch
     e.u32(meta.vocab_crc);
     e.u64(meta.shard_crcs.len() as u64);
     for &crc in &meta.shard_crcs {
@@ -117,11 +120,7 @@ fn decode_meta(payload: &[u8]) -> Result<CheckpointMeta, CodecError> {
     let rows = d.u64()?;
     let lines = d.u64()?;
     let peak_chunk_rows = d.u64()?;
-    let has_sketches = match d.u32()? {
-        0 => false,
-        1 => true,
-        other => return Err(CodecError(format!("bad sketch flag {other}"))),
-    };
+    expect_no_sketch(&mut d)?;
     let vocab_crc = d.u32()?;
     let n = d.count(4)?;
     let mut shard_crcs = Vec::with_capacity(n);
@@ -135,7 +134,6 @@ fn decode_meta(payload: &[u8]) -> Result<CheckpointMeta, CodecError> {
         rows,
         lines,
         peak_chunk_rows,
-        has_sketches,
         vocab_crc,
         shard_crcs,
     })
@@ -174,7 +172,7 @@ pub fn write_checkpoint(
     io.write_atomic(&vocab_file(&dir), &frame_checkpoint(VOCAB_MAGIC, &vocab))?;
     let mut shard_crcs = Vec::with_capacity(state.shards.len());
     for (i, shard) in state.shards.iter().enumerate() {
-        let payload = encode_shard_snapshot(shard, state.sketches.get(i));
+        let payload = encode_shard_snapshot(shard);
         shard_crcs.push(crc32(&payload));
         io.write_atomic(&shard_file(&dir, i), &frame_checkpoint(SNAP_MAGIC, &payload))?;
     }
@@ -184,7 +182,6 @@ pub fn write_checkpoint(
         rows: state.rows,
         lines: state.lines,
         peak_chunk_rows: state.peak_chunk_rows as u64,
-        has_sketches: !state.sketches.is_empty(),
         vocab_crc,
         shard_crcs,
     };
@@ -229,24 +226,17 @@ pub fn read_checkpoint(
     let vocab =
         decode_vocab(&vocab_payload).map_err(|e| format!("checkpoint {gen}: vocab: {e}"))?;
     let mut shards = Vec::with_capacity(meta.shard_crcs.len());
-    let mut sketches = Vec::new();
     for (i, &want_crc) in meta.shard_crcs.iter().enumerate() {
         let what = format!("shard {i}");
         let payload = read_verified(&shard_file(&dir, i), SNAP_MAGIC, &what, want_crc)?;
-        let (shard, sketch) = decode_shard_snapshot(&payload)
-            .map_err(|e| format!("checkpoint {gen}: {what}: {e}"))?;
-        if meta.has_sketches != sketch.is_some() {
-            return Err(format!("checkpoint {gen}: {what} sketch presence disagrees with meta"));
-        }
-        shards.push(shard);
-        if let Some(sk) = sketch {
-            sketches.push(sk);
-        }
+        shards.push(
+            decode_shard_snapshot(&payload)
+                .map_err(|e| format!("checkpoint {gen}: {what}: {e}"))?,
+        );
     }
     let state = SessionState {
         vocab,
         shards,
-        sketches,
         rows: meta.rows,
         lines: meta.lines,
         peak_chunk_rows: meta.peak_chunk_rows as usize,
@@ -292,12 +282,12 @@ mod tests {
         dir
     }
 
-    fn sample_state(sketch_capacity: usize) -> (StreamConfig, SessionState) {
+    fn sample_state() -> (StreamConfig, SessionState) {
         let mut tsv = String::new();
         for i in 0..50 {
             tsv.push_str(&format!("u{:02}\tq{}\ts{}.com\t{}\n", i % 11, i % 7, i % 3, 1 + i % 4));
         }
-        let cfg = StreamConfig { shards: 4, chunk_rows: 8, sketch_capacity, jobs: 1 };
+        let cfg = StreamConfig { shards: 4, chunk_rows: 8, sketch_capacity: 0, jobs: 1 };
         let mut s = IngestSession::new(cfg.clone());
         s.ingest(Cursor::new(tsv)).unwrap();
         (cfg, s.export_state())
@@ -305,24 +295,22 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip_is_exact() {
-        for cap in [0usize, 8] {
-            let dir = tmpdir(&format!("roundtrip-{cap}"));
-            let (cfg, state) = sample_state(cap);
-            write_checkpoint(&DiskIo, &dir, 3, &state, 12345).unwrap();
-            let (got, meta) = read_checkpoint(&dir, 3).unwrap();
-            assert_eq!(got, state);
-            assert_eq!(meta.input_offset, 12345);
-            assert_eq!(meta.generation, 3);
-            // and the state actually restores into a working session
-            IngestSession::restore(cfg, got).unwrap();
-            fs::remove_dir_all(&dir).unwrap();
-        }
+        let dir = tmpdir("roundtrip");
+        let (cfg, state) = sample_state();
+        write_checkpoint(&DiskIo, &dir, 3, &state, 12345).unwrap();
+        let (got, meta) = read_checkpoint(&dir, 3).unwrap();
+        assert_eq!(got, state);
+        assert_eq!(meta.input_offset, 12345);
+        assert_eq!(meta.generation, 3);
+        // and the state actually restores into a working session
+        IngestSession::restore(cfg, got).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_meta_invalidates_the_checkpoint() {
         let dir = tmpdir("no-meta");
-        let (_, state) = sample_state(8);
+        let (_, state) = sample_state();
         write_checkpoint(&DiskIo, &dir, 0, &state, 0).unwrap();
         fs::remove_file(checkpoint_dir(&dir, 0).join("meta.bin")).unwrap();
         let err = read_checkpoint(&dir, 0).unwrap_err();
@@ -333,7 +321,7 @@ mod tests {
     #[test]
     fn flipped_shard_byte_is_rejected() {
         let dir = tmpdir("flip-shard");
-        let (_, state) = sample_state(8);
+        let (_, state) = sample_state();
         write_checkpoint(&DiskIo, &dir, 0, &state, 0).unwrap();
         let shard0 = shard_file(&checkpoint_dir(&dir, 0), 0);
         let len = fs::metadata(&shard0).unwrap().len();
@@ -346,7 +334,7 @@ mod tests {
     #[test]
     fn flipped_meta_byte_is_rejected() {
         let dir = tmpdir("flip-meta");
-        let (_, state) = sample_state(0);
+        let (_, state) = sample_state();
         write_checkpoint(&DiskIo, &dir, 0, &state, 0).unwrap();
         let meta = checkpoint_dir(&dir, 0).join("meta.bin");
         let len = fs::metadata(&meta).unwrap().len();
@@ -360,7 +348,7 @@ mod tests {
         // Same format, valid frames — but the meta's per-shard CRCs
         // pin each file to its slot.
         let dir = tmpdir("swap");
-        let (_, state) = sample_state(8);
+        let (_, state) = sample_state();
         write_checkpoint(&DiskIo, &dir, 0, &state, 0).unwrap();
         let cp = checkpoint_dir(&dir, 0);
         let a = fs::read(shard_file(&cp, 0)).unwrap();
@@ -376,7 +364,7 @@ mod tests {
     #[test]
     fn flipped_vocab_byte_is_rejected() {
         let dir = tmpdir("flip-vocab");
-        let (_, state) = sample_state(0);
+        let (_, state) = sample_state();
         write_checkpoint(&DiskIo, &dir, 0, &state, 0).unwrap();
         let vocab = vocab_file(&checkpoint_dir(&dir, 0));
         let len = fs::metadata(&vocab).unwrap().len();
@@ -436,7 +424,7 @@ mod tests {
         let err = read_checkpoint(&dir, 1).unwrap_err();
         assert!(err.contains("meta.bin: unsupported checkpoint format version 1"), "got: {err}");
         // a version-1 shard file next to a current meta is refused too
-        let (_, state) = sample_state(0);
+        let (_, state) = sample_state();
         write_checkpoint(&DiskIo, &dir, 2, &state, 0).unwrap();
         fs::copy(shard_file(&cp, 0), shard_file(&checkpoint_dir(&dir, 2), 0)).unwrap();
         let err = read_checkpoint(&dir, 2).unwrap_err();
@@ -444,10 +432,91 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Checkpoint format 2, pinned byte for byte: a fixed 3-shard
+    /// session that does not sketch writes exactly these files. The
+    /// literals were taken from the build that still carried the sketch
+    /// codec, so dropping it moved no byte.
+    #[test]
+    fn format2_checkpoint_bytes_are_pinned() {
+        let tsv: String = (0..12u32)
+            .map(|i| format!("u{}\tq{}\tl{}\t{}\n", i % 5, i % 4, (i * 3) % 5, 1 + i % 3))
+            .collect();
+        let cfg = StreamConfig { shards: 3, chunk_rows: 4, sketch_capacity: 0, jobs: 1 };
+        let mut session = IngestSession::new(cfg);
+        session.ingest(Cursor::new(tsv)).unwrap();
+        let dir = tmpdir("pinned");
+        write_checkpoint(&DiskIo, &dir, 5, &session.export_state(), 777).unwrap();
+        let cp = checkpoint_dir(&dir, 5);
+        let hex = |name: &str| -> String {
+            fs::read(cp.join(name)).unwrap().iter().map(|b| format!("{b:02x}")).collect()
+        };
+        let vocab = fs::read(vocab_file(&cp)).unwrap();
+        assert_eq!((vocab.len(), crc32(&vocab)), (284, 0x1c12_ef6e), "vocab.snap");
+        assert_eq!(
+            hex("shard-0000.snap"),
+            concat!(
+                "44534e50020000004400000050a53ad638000000000000000200000000000000",
+                "0200000002000000030000000000000007000000020000000200000000000000",
+                "02000000000000000500000000000000",
+                "00000000", // sketch flag
+            )
+        );
+        for (name, len, crc) in
+            [("shard-0001.snap", 132, 0xb867_e86a), ("shard-0002.snap", 132, 0xb255_b2f1)]
+        {
+            let b = fs::read(cp.join(name)).unwrap();
+            assert_eq!((b.len(), crc32(&b)), (len, crc), "{name}");
+        }
+        assert_eq!(
+            hex("meta.bin"),
+            concat!(
+                "444d45540200000044000000fc27ab56",
+                "050000000000000009030000000000000c000000000000000c000000000000000400000000000000",
+                "00000000", // sketch flag
+                "9a13f026030000000000000050a53ad65baec8a6b093e98d",
+            )
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A meta or shard file whose flag word announces a sketch section
+    /// is rejected with an error. CRCs are kept consistent, so only the
+    /// flag is wrong.
+    #[test]
+    fn nonzero_sketch_flag_is_rejected() {
+        let dir = tmpdir("sketch-flag");
+        let (_, state) = sample_state();
+        write_checkpoint(&DiskIo, &dir, 0, &state, 0).unwrap();
+        let cp = checkpoint_dir(&dir, 0);
+        let meta_path = cp.join("meta.bin");
+        let meta_payload =
+            unframe_checkpoint(META_MAGIC, &fs::read(&meta_path).unwrap()).unwrap().to_vec();
+        // the flag word follows the five u64 counters
+        let mut bad = meta_payload.clone();
+        bad[40..44].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&meta_path, frame_checkpoint(META_MAGIC, &bad)).unwrap();
+        let err = read_checkpoint(&dir, 0).unwrap_err();
+        assert!(err.contains("meta.bin") && err.contains("sketch flag 1"), "{err}");
+
+        // a shard file with its flag set, its CRC re-recorded in the meta
+        let shard0 = shard_file(&cp, 0);
+        let mut payload =
+            unframe_checkpoint(SNAP_MAGIC, &fs::read(&shard0).unwrap()).unwrap().to_vec();
+        let at = payload.len() - 4;
+        payload[at..].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&shard0, frame_checkpoint(SNAP_MAGIC, &payload)).unwrap();
+        let mut meta = decode_meta(&meta_payload).unwrap();
+        meta.shard_crcs[0] = crc32(&payload);
+        fs::write(&meta_path, frame_checkpoint(META_MAGIC, &encode_meta(&meta))).unwrap();
+        let err = read_checkpoint(&dir, 0).unwrap_err();
+        assert!(err.contains("shard 0") && err.contains("sketch flag 1"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn generations_list_sorted() {
         let dir = tmpdir("gens");
-        let (_, state) = sample_state(0);
+        let (_, state) = sample_state();
         for gen in [7u64, 2, 4] {
             write_checkpoint(&DiskIo, &dir, gen, &state, 0).unwrap();
         }

@@ -444,7 +444,7 @@ mod tests {
     }
 
     fn stream_cfg() -> StreamConfig {
-        StreamConfig { shards: 3, chunk_rows: 8, sketch_capacity: 8, jobs: 1 }
+        StreamConfig { shards: 3, chunk_rows: 8, sketch_capacity: 0, jobs: 1 }
     }
 
     fn chunk(i: u64) -> Vec<u8> {

@@ -36,7 +36,7 @@ fn cfg(dir: &Path) -> StoreConfig {
 }
 
 fn stream_cfg() -> StreamConfig {
-    StreamConfig { shards: 3, chunk_rows: 8, sketch_capacity: 8, jobs: 1 }
+    StreamConfig { shards: 3, chunk_rows: 8, sketch_capacity: 0, jobs: 1 }
 }
 
 /// Deterministic per-chunk TSV payload (4 valid rows each).

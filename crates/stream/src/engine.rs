@@ -29,7 +29,7 @@ use dpsan_searchlog::{
 
 use crate::pool::run_sharded;
 use crate::shard::{shard_of, ShardIntake, ShardState, ShardStats};
-use crate::sketch::{PairSketch, SketchState};
+use crate::sketch::PairSketch;
 
 /// Ingestion knobs.
 #[derive(Debug, Clone)]
@@ -39,7 +39,10 @@ pub struct StreamConfig {
     pub shards: usize,
     /// Maximum raw records resident at once (the chunk buffer bound).
     pub chunk_rows: usize,
-    /// Heavy-hitters sketch capacity per shard; `0` disables sketching.
+    /// Heavy-hitters sketch capacity per shard; `0` (the default)
+    /// disables sketching.
+    ///
+    /// No production caller; kept for the perfbench driver.
     pub sketch_capacity: usize,
     /// Worker threads for the shard drain (results are identical for
     /// every value; see [`crate::pool`]).
@@ -48,7 +51,7 @@ pub struct StreamConfig {
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        StreamConfig { shards: 16, chunk_rows: 8 * 1024, sketch_capacity: 1024, jobs: 1 }
+        StreamConfig { shards: 16, chunk_rows: 8 * 1024, sketch_capacity: 0, jobs: 1 }
     }
 }
 
@@ -102,6 +105,8 @@ pub struct IngestResult {
     pub log: SearchLog,
     /// The merged heavy-hitters sketch over the whole stream (`None`
     /// when `sketch_capacity` is 0).
+    ///
+    /// No production caller; kept for the perfbench driver.
     pub sketch: Option<PairSketch>,
     /// Merged whole-stream statistics.
     pub stats: StreamStats,
@@ -124,21 +129,13 @@ struct Vocabulary {
     pair_keys: Vec<(QueryId, UrlId)>,
 }
 
-impl Vocabulary {
-    /// The ids of `(query, url)` if the session has seen that pair.
-    fn pair_of(&self, query: &str, url: &str) -> Option<(QueryId, UrlId)> {
-        let (q, u) = (self.queries.get(query)?, self.urls.get(url)?);
-        self.pair_index.contains_key(&IdPair(q, u)).then_some((QueryId(q), UrlId(u)))
-    }
-}
-
 /// An incremental ingestion session: the always-on counterpart of
 /// [`ingest_tsv`].
 ///
 /// The one-shot engine ingests once and exits; a serving pipeline
 /// instead receives appended TSV chunks over time and must re-release
-/// between them. `IngestSession` keeps the session vocabulary, the
-/// per-shard triplet maps, and the heavy-hitter sketches **live across
+/// between them. `IngestSession` keeps the session vocabulary and the
+/// per-shard triplet maps (and sketches, if configured) **live across
 /// [`ingest`](IngestSession::ingest) calls** — so at every point in
 /// time the session's state is exactly what one-shot ingestion of the
 /// concatenated input would have produced.
@@ -333,21 +330,17 @@ pub struct VocabState {
 
 /// A plain-data image of a whole [`IngestSession`] mid-stream — the
 /// unit the durable store (`dpsan-store`) checkpoints. It holds strings
-/// only in the vocabulary and in the sketch keys (`query \t url`, so a
-/// checkpoint does not depend on how the live sketch keys its
-/// counters). Restoring it
-/// through [`IngestSession::restore`] yields a session
-/// indistinguishable from one that ingested the original stream:
-/// same vocabulary, same shards, same sketches, same global row/line
-/// counters.
+/// only in the vocabulary. Restoring it through
+/// [`IngestSession::restore`] yields a session indistinguishable from
+/// one that ingested the original stream: same vocabulary, same shards,
+/// same global row/line counters. Sketches are not part of the image,
+/// so only a session that does not sketch round-trips.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SessionState {
     /// The session-wide vocabulary, held once.
     pub vocab: VocabState,
     /// Per-shard intake state (integers only), indexed by shard number.
     pub shards: Vec<ShardState>,
-    /// Per-shard sketch state (empty when sketching is disabled).
-    pub sketches: Vec<SketchState>,
     /// Records ingested so far (the global row counter).
     pub rows: u64,
     /// Physical lines consumed so far.
@@ -358,7 +351,8 @@ pub struct SessionState {
 }
 
 impl IngestSession {
-    /// Export the full session state as plain data.
+    /// Export the session state as plain data (sketches excluded; see
+    /// [`SessionState`]).
     pub fn export_state(&self) -> SessionState {
         let strings = |i: &Interner| i.iter().map(|(_, s)| s.to_string()).collect();
         let v = &self.vocab;
@@ -370,7 +364,6 @@ impl IngestSession {
                 pairs: v.pair_keys.iter().map(|&(q, u)| (q.0, u.0)).collect(),
             },
             shards: self.shards.iter().map(ShardIntake::export_state).collect(),
-            sketches: self.sketches.iter().map(|s| s.export_state(&v.queries, &v.urls)).collect(),
             rows: self.report.rows,
             lines: self.report.lines,
             peak_chunk_rows: self.report.peak_chunk_rows,
@@ -378,14 +371,14 @@ impl IngestSession {
     }
 
     /// Rebuild a session from exported state under `cfg`. The state
-    /// must have been exported under a *compatible* configuration:
-    /// same shard count and same sketch capacity — the shard routing
-    /// function and sketch error bounds are baked into the persisted
-    /// data, so restoring under different values would silently break
-    /// the user-complete invariant. Violations (and structurally
+    /// must have been exported under the same shard count — the shard
+    /// routing function is baked into the persisted data, so restoring
+    /// under another value would silently break the user-complete
+    /// invariant — and `cfg` must not sketch: the state carries no
+    /// sketch, and a restored sketch that had missed the stream so far
+    /// would break its error bound. Violations (and structurally
     /// corrupt state: ids outside the vocabulary, a user stored in a
-    /// shard it does not route to, a sketch key that names no known
-    /// pair) are reported, never panicked on.
+    /// shard it does not route to) are reported, never panicked on.
     pub fn restore(cfg: StreamConfig, state: SessionState) -> Result<Self, String> {
         cfg.validate();
         if state.shards.len() != cfg.shards {
@@ -396,20 +389,12 @@ impl IngestSession {
                 cfg.shards
             ));
         }
-        let want_sketches = if cfg.sketch_capacity > 0 { cfg.shards } else { 0 };
-        if state.sketches.len() != want_sketches {
+        if cfg.sketch_capacity > 0 {
             return Err(format!(
-                "state has {} sketches but config wants {want_sketches}",
-                state.sketches.len()
+                "config wants a sketch of capacity {} but a persisted session carries none — \
+                 restore with sketch_capacity 0",
+                cfg.sketch_capacity
             ));
-        }
-        for sk in &state.sketches {
-            if sk.capacity != cfg.sketch_capacity {
-                return Err(format!(
-                    "sketch capacity {} in state but {} in config",
-                    sk.capacity, cfg.sketch_capacity
-                ));
-            }
         }
         let shard_rows: u64 = state.shards.iter().map(|s| s.rows).sum();
         if shard_rows != state.rows {
@@ -438,20 +423,11 @@ impl IngestSession {
             }
             shards.push(ShardIntake::from_state(s, users_per_shard[i]));
         }
-        let sketches = state
-            .sketches
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                PairSketch::from_state(s, |q, u| vocab.pair_of(q, u))
-                    .map_err(|e| format!("sketch {i}: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(IngestSession {
             cfg,
             vocab,
             shards,
-            sketches,
+            sketches: Vec::new(),
             report: IngestReport {
                 rows: state.rows,
                 lines: state.lines,
@@ -725,7 +701,7 @@ mod tests {
             let (head, tail) = lines.split_at(split);
             let head_tsv = head.join("\n") + "\n";
             let tail_tsv = tail.join("\n") + "\n";
-            let cfg = StreamConfig { shards: 3, chunk_rows: 4, sketch_capacity: 8, jobs: 2 };
+            let cfg = StreamConfig { shards: 3, chunk_rows: 4, sketch_capacity: 0, jobs: 2 };
 
             let mut original = IngestSession::new(cfg.clone());
             original.ingest(Cursor::new(head_tsv.as_str())).unwrap();
@@ -743,22 +719,18 @@ mod tests {
             let snap = restored.snapshot();
             assert_logs_identical(&snap.log, &full.log);
             assert_eq!(snap.stats, full.stats);
-            assert_eq!(snap.sketch.unwrap().total_weight(), full.sketch.unwrap().total_weight());
         }
     }
 
     #[test]
     fn restore_rejects_mismatched_config() {
-        let cfg = StreamConfig { shards: 3, chunk_rows: 4, sketch_capacity: 8, jobs: 1 };
+        let cfg = StreamConfig { shards: 3, chunk_rows: 4, sketch_capacity: 0, jobs: 1 };
         let mut session = IngestSession::new(cfg.clone());
         session.ingest(Cursor::new(sample_tsv().as_str())).unwrap();
         let state = session.export_state();
 
         let resharded = StreamConfig { shards: 5, ..cfg.clone() };
         assert!(IngestSession::restore(resharded, state.clone()).unwrap_err().contains("shards"));
-
-        let resized = StreamConfig { sketch_capacity: 16, ..cfg.clone() };
-        assert!(IngestSession::restore(resized, state.clone()).unwrap_err().contains("capacity"));
 
         let mut lied = state.clone();
         lied.rows += 1;
@@ -798,81 +770,22 @@ mod tests {
         assert!(err.contains("pair key") && err.contains("outside the vocabulary"), "{err}");
     }
 
+    /// A persisted session carries no sketch, so restoring it under a
+    /// sketching config is refused rather than handed an empty sketch
+    /// that missed the stream so far.
     #[test]
-    fn restore_rejects_corrupt_sketch_keys() {
-        let cfg = StreamConfig { shards: 1, chunk_rows: 4, sketch_capacity: 8, jobs: 1 };
+    fn restore_refuses_a_sketching_config() {
+        let cfg = StreamConfig { shards: 2, chunk_rows: 4, sketch_capacity: 8, jobs: 1 };
         let mut session = IngestSession::new(cfg.clone());
-        session.ingest(Cursor::new("u1\tqa\tla\t2\nu2\tqb\tlb\t1\n")).unwrap();
+        session.ingest(Cursor::new(sample_tsv().as_str())).unwrap();
         let state = session.export_state();
-        assert_eq!(state.sketches[0].counters[0].0, "qa\tla");
-        let restore_with_key = |key: &str| {
-            let mut bad = state.clone();
-            bad.sketches[0].counters[0].0 = key.to_string();
-            IngestSession::restore(cfg.clone(), bad).unwrap_err()
-        };
-        let err = restore_with_key("qala");
-        assert!(err.contains("sketch 0") && err.contains("not query"), "{err}");
-        // both strings are known, but the session never saw them paired
-        assert!(restore_with_key("qa\tlb").contains("names no known pair"));
-        assert!(restore_with_key("qz\tla").contains("names no known pair"));
-        assert!(restore_with_key("qa\tla\tx").contains("names no known pair"));
-    }
-
-    /// The checkpoint image of the sketches, pinned: a fixed stream
-    /// that forces evictions (capacity 4, 41 distinct pairs) exports
-    /// exactly these `query \t url`-keyed states, as checkpoint format 2
-    /// has always stored them — however the live sketch keys its
-    /// counters.
-    #[test]
-    fn sketch_checkpoint_image_is_pinned() {
-        let tsv: String = (0..48u32)
-            .map(|i| {
-                let (q, l, c) =
-                    if i % 6 == 0 { (99, 99, 9) } else { (i % 8, (i * 3) % 7, 1 + (i * i) % 5) };
-                format!("u{}\tq{q}\tl{l}\t{c}\n", i % 5)
-            })
-            .collect();
-        let cfg = StreamConfig { shards: 2, chunk_rows: 8, sketch_capacity: 4, jobs: 1 };
-        let mut session = IngestSession::new(cfg.clone());
-        session.ingest(Cursor::new(tsv.as_str())).unwrap();
-        let state = session.export_state();
-        assert_eq!(state.vocab.pairs.len(), 41);
-        let counters = |c: &[(&str, u64)]| c.iter().map(|&(k, v)| (k.to_string(), v)).collect();
-        let pinned = vec![
-            SketchState {
-                capacity: 4,
-                counters: counters(&[
-                    ("q4\tl6", 1),
-                    ("q5\tl6", 2),
-                    ("q7\tl1", 5),
-                    ("q99\tl99", 31),
-                ]),
-                weight: 109,
-                decrements: 14,
-            },
-            SketchState {
-                capacity: 4,
-                counters: counters(&[
-                    ("q3\tl3", 4),
-                    ("q6\tl2", 2),
-                    ("q6\tl5", 2),
-                    ("q99\tl99", 15),
-                ]),
-                weight: 83,
-                decrements: 12,
-            },
-        ];
-        assert_eq!(state.sketches, pinned);
-        let merged = session.snapshot().sketch.unwrap();
-        assert_eq!(merged.error_bound(), 28);
-        let v = &session.vocab;
-        assert_eq!(
-            merged.export_state(&v.queries, &v.urls).counters,
-            counters(&[("q3\tl3", 2), ("q7\tl1", 3), ("q99\tl99", 44)])
-        );
-        // the pinned image restores and round-trips
-        let restored = IngestSession::restore(cfg, state.clone()).unwrap();
+        let err = IngestSession::restore(cfg.clone(), state.clone()).unwrap_err();
+        assert!(err.contains("sketch_capacity 0"), "{err}");
+        // the same image restores once the config stops sketching
+        let plain = StreamConfig { sketch_capacity: 0, ..cfg };
+        let restored = IngestSession::restore(plain, state.clone()).unwrap();
         assert_eq!(restored.export_state(), state);
+        assert!(restored.snapshot().sketch.is_none());
     }
 
     #[test]

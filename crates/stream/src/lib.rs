@@ -7,16 +7,18 @@
 //! ```text
 //! TSV file ──zero-copy chunked reader──▶ intern once (session
 //!     vocabulary, global pair ids) ──▶ user-hash shards: integer
-//!     (pair, user) → count, sketch keyed by (query, url) ids
+//!     (pair, user) → count
 //!     ──parallel drain to sorted runs──▶ sort-only merge
-//!     ──▶ SearchLog (≡ read_tsv build) + sketch
+//!     ──▶ SearchLog (≡ read_tsv build)
 //! ```
 //!
 //! Per row the intake parses borrowed fields out of one reused chunk
 //! buffer, interns three strings, and then does integer work only:
-//! one pair-table lookup, one shard-map update and at most one sketch
-//! offer, each keyed by two ids that the keyed integer hasher
-//! ([`dpsan_searchlog::IdMap`]) hashes as one packed `u64`.
+//! one pair-table lookup and one shard-map update, each keyed by two
+//! ids that the keyed integer hasher ([`dpsan_searchlog::IdMap`])
+//! hashes as one packed `u64`. The merged log holds every pair total,
+//! so frequent pairs are mined exactly from it
+//! ([`dpsan_searchlog::frequent_pairs`]).
 //!
 //! * [`engine`] — the driver: chunked intake through
 //!   [`dpsan_searchlog::TsvStream`], one session-wide vocabulary that
@@ -29,7 +31,9 @@
 //!   mergeable statistics,
 //! * [`sketch`] — a mergeable weighted Misra–Gries heavy-hitters
 //!   sketch over interned `(query, url)` ids with the standard
-//!   `N/(k+1)` error bound, plus exactified frequent-pair mining,
+//!   `N/(k+1)` error bound, plus exactified frequent-pair mining; off
+//!   unless [`StreamConfig::sketch_capacity`] is set, which no
+//!   production caller does (kept for the perfbench driver),
 //! * [`pool`] — the scoped worker pool (shared with `dpsan-eval`,
 //!   which re-exports it),
 //! * [`obs`] — the layer's metric handles (rows/chunks ingested, peak
@@ -68,4 +72,4 @@ pub use engine::{
     StreamStats, VocabState,
 };
 pub use shard::{shard_of, user_hash, ShardIntake, ShardState, ShardStats};
-pub use sketch::{sketch_frequent_pairs, PairSketch, SketchEntry, SketchState};
+pub use sketch::{sketch_frequent_pairs, PairSketch, SketchEntry};

@@ -5,9 +5,9 @@
 //! | `dpsan_ingest_rows_total` | counter | records ingested across all sessions |
 //! | `dpsan_ingest_chunks_total` | counter | bounded chunks consumed |
 //! | `dpsan_ingest_shard_triplets_max` | gauge | peak staged triplets in any shard |
-//! | `dpsan_sketch_evictions_total` | counter | Misra–Gries eviction rounds (offer + merge) |
-//! | `dpsan_stage_seconds{stage="ingest"}` | histogram | wall time of one `IngestSession::ingest` call (parse, intern, route, sketch) |
-//! | `dpsan_stage_seconds{stage="merge"}` | histogram | wall time of one `IngestSession::snapshot` (drain, merge, sketch merge) |
+//! | `dpsan_sketch_evictions_total` | counter | Misra–Gries eviction rounds (offer + merge); stays 0 unless a caller sets `sketch_capacity`, which no production caller does |
+//! | `dpsan_stage_seconds{stage="ingest"}` | histogram | wall time of one `IngestSession::ingest` call (parse, intern, route) |
+//! | `dpsan_stage_seconds{stage="merge"}` | histogram | wall time of one `IngestSession::snapshot` (drain, merge) |
 //!
 //! Recording is observational only and off the per-record path: row
 //! and chunk counts add once per `ingest` call, the shard gauge is a

@@ -25,10 +25,8 @@
 //! preprocessing (it renumbers pairs but shares the interners), so
 //! mining finds each candidate with one [`SearchLog::pair_id`] call.
 //! Offer, evict and merge never depend on iteration order, so the
-//! counters are the same whatever the key encoding; only the persisted
-//! image ([`SketchState`]) spells keys as `query \t url` strings, which
-//! [`PairSketch::export_state`] and [`PairSketch::from_state`] translate
-//! through the session vocabulary.
+//! counters are the same whatever the key encoding. Sketches are never
+//! persisted: checkpoints hold only non-sketching sessions.
 //!
 //! Frequent-pair mining uses the sketch as a *candidate generator*:
 //! every pair whose true count clears the support threshold is
@@ -38,14 +36,19 @@
 //! sketch pass itself stays bounded-memory.
 //!
 //! [`frequent_pairs`]: dpsan_searchlog::frequent_pairs
+//!
+//! No production caller: `sanitize` mines frequent pairs exactly from
+//! the merged log. Kept for the perfbench driver, whose `zealous` run
+//! still mines its coarse-phase candidates here.
 
 use dpsan_searchlog::{
-    frequent_pairs, id_map_with_capacity, FrequentPair, IdMap, IdPair, Interner, QueryId,
-    SearchLog, UrlId,
+    frequent_pairs, id_map_with_capacity, FrequentPair, IdMap, IdPair, QueryId, SearchLog, UrlId,
 };
 
 /// A bounded-size weighted Misra–Gries summary keyed by interned
 /// `(query, url)` ids.
+///
+/// No production caller; kept for the perfbench driver.
 #[derive(Debug, Clone)]
 pub struct PairSketch {
     capacity: usize,
@@ -53,21 +56,6 @@ pub struct PairSketch {
     counters: IdMap<u64>,
     weight: u64,
     decrements: u64,
-}
-
-/// A plain-data image of a [`PairSketch`] — what the durable store
-/// persists inside an ingestion snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SketchState {
-    /// The counter bound `k`.
-    pub capacity: usize,
-    /// Live `(key, estimate)` counters, sorted by key (`key` is the
-    /// native `query \t url` form).
-    pub counters: Vec<(String, u64)>,
-    /// Total offered weight `N`.
-    pub weight: u64,
-    /// Total decremented weight (the per-key error bound).
-    pub decrements: u64,
 }
 
 /// One surviving sketch entry.
@@ -203,69 +191,6 @@ impl PairSketch {
         out
     }
 
-    /// Export the live counters as plain data (see [`SketchState`]),
-    /// spelling each key as `query \t url` through the vocabularies the
-    /// ids came from, sorted by that key so equal sketches export equal
-    /// states.
-    ///
-    /// # Panics
-    /// If a key's id lies outside `queries` or `urls`.
-    pub fn export_state(&self, queries: &Interner, urls: &Interner) -> SketchState {
-        let mut counters: Vec<(String, u64)> = self
-            .counters
-            .iter()
-            .map(|(&IdPair(q, u), &v)| (format!("{}\t{}", queries.resolve(q), urls.resolve(u)), v))
-            .collect();
-        counters.sort_unstable();
-        SketchState {
-            capacity: self.capacity,
-            counters,
-            weight: self.weight,
-            decrements: self.decrements,
-        }
-    }
-
-    /// Rebuild a sketch from exported state. `pair_of` maps a key's
-    /// query and url strings back to the ids of a pair the session
-    /// knows, or `None`. Rejects states that could never have come from
-    /// a valid sketch (zero capacity, over-full counter set, zero or
-    /// duplicate counters, a key that is not `query \t url` or names no
-    /// known pair) rather than panicking later.
-    pub fn from_state(
-        state: SketchState,
-        pair_of: impl Fn(&str, &str) -> Option<(QueryId, UrlId)>,
-    ) -> Result<Self, String> {
-        if state.capacity == 0 {
-            return Err("sketch capacity must be at least 1".into());
-        }
-        if state.counters.len() > state.capacity {
-            return Err(format!(
-                "{} counters exceed capacity {}",
-                state.counters.len(),
-                state.capacity
-            ));
-        }
-        let mut counters = id_map_with_capacity(state.capacity + 1);
-        for (k, v) in &state.counters {
-            if *v == 0 {
-                return Err("zero-valued sketch counter".into());
-            }
-            let (query, url) =
-                k.split_once('\t').ok_or_else(|| format!("sketch key {k:?} is not query\\turl"))?;
-            let (q, u) = pair_of(query, url)
-                .ok_or_else(|| format!("sketch key {k:?} names no known pair"))?;
-            if counters.insert(IdPair(q.0, u.0), *v).is_some() {
-                return Err("duplicate sketch key".into());
-            }
-        }
-        Ok(PairSketch {
-            capacity: state.capacity,
-            counters,
-            weight: state.weight,
-            decrements: state.decrements,
-        })
-    }
-
     /// Candidate pairs whose true count may reach `threshold`: every
     /// key with `estimate + error_bound ≥ threshold`. Whenever the
     /// threshold exceeds `error_bound` this is complete — a pair with
@@ -300,6 +225,8 @@ impl PairSketch {
 /// the threshold cannot certify completeness, so that case falls back
 /// to the exact scan (the log is materialized by then anyway); the
 /// result is identical either way, only the mining cost differs.
+///
+/// No production caller; kept for the perfbench driver.
 pub fn sketch_frequent_pairs(
     log: &SearchLog,
     sketch: &PairSketch,
@@ -331,7 +258,7 @@ pub fn sketch_frequent_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpsan_searchlog::SearchLogBuilder;
+    use dpsan_searchlog::{Interner, SearchLogBuilder};
 
     /// Names pairs by strings in the tests: interns them into ids the
     /// way the ingestion session does.
@@ -358,16 +285,6 @@ mod tests {
 
         fn query(&self, e: &SketchEntry) -> &str {
             self.queries.resolve(e.query.0)
-        }
-
-        fn export(&self, sk: &PairSketch) -> SketchState {
-            sk.export_state(&self.queries, &self.urls)
-        }
-
-        fn restore(&self, state: SketchState) -> Result<PairSketch, String> {
-            PairSketch::from_state(state, |q, u| {
-                Some((QueryId(self.queries.get(q)?), UrlId(self.urls.get(u)?)))
-            })
         }
     }
 
@@ -512,49 +429,5 @@ mod tests {
     #[should_panic(expected = "capacity must be at least 1")]
     fn zero_capacity_rejected() {
         let _ = PairSketch::new(0);
-    }
-
-    #[test]
-    fn state_roundtrip_preserves_behavior() {
-        let mut v = Vocab::default();
-        let mut sk = PairSketch::new(3);
-        for &(q, w) in &[("a", 9u64), ("b", 2), ("c", 7), ("d", 1), ("a", 4)] {
-            v.offer(&mut sk, q, "u", w);
-        }
-        let state = v.export(&sk);
-        let mut restored = v.restore(state.clone()).unwrap();
-        assert_eq!(v.export(&restored), state);
-        // identical future behavior, including eviction arithmetic
-        v.offer(&mut sk, "e", "u", 6);
-        v.offer(&mut restored, "e", "u", 6);
-        assert_eq!(v.export(&restored), v.export(&sk));
-        assert_eq!(restored.error_bound(), sk.error_bound());
-    }
-
-    #[test]
-    fn corrupt_sketch_state_is_rejected() {
-        let mut v = Vocab::default();
-        let mut sk = PairSketch::new(2);
-        v.offer(&mut sk, "a", "u", 3);
-        v.ids("b", "u");
-        let mut bad = v.export(&sk);
-        bad.capacity = 0;
-        assert!(v.restore(bad).is_err());
-        let mut bad = v.export(&sk);
-        bad.counters.push(("b\tu".into(), 1));
-        bad.counters.push(("c\tu".into(), 1));
-        assert!(v.restore(bad).unwrap_err().contains("exceed capacity"));
-        let mut bad = v.export(&sk);
-        bad.counters[0].1 = 0;
-        assert!(v.restore(bad).unwrap_err().contains("zero-valued"));
-        let mut bad = v.export(&sk);
-        bad.counters.push(("a\tu".into(), 1));
-        assert!(v.restore(bad).unwrap_err().contains("duplicate"));
-        let mut bad = v.export(&sk);
-        bad.counters[0].0 = "au".into();
-        assert!(v.restore(bad).unwrap_err().contains("not query"));
-        let mut bad = v.export(&sk);
-        bad.counters[0].0 = "a\tnowhere".into();
-        assert!(v.restore(bad).unwrap_err().contains("no known pair"));
     }
 }

@@ -6,10 +6,10 @@
 //!
 //! Spools a generated log to TSV bytes (one user's aggregation in
 //! memory at a time), ingests it through the sharded `dpsan-stream`
-//! engine (chunked intake, user-hash shards, heavy-hitter sketch),
-//! mines the F-UMP frequent pairs from the sketch, and sanitizes —
-//! then proves the streamed log and its sanitized output are identical
-//! to the all-in-memory path.
+//! engine (chunked intake, user-hash shards, sort-only merge) and
+//! sanitizes it with the F-UMP, which mines its frequent pairs exactly
+//! from the merged log — after proving the streamed log identical to
+//! the all-in-memory build.
 
 use std::io::Cursor;
 
@@ -24,8 +24,8 @@ fn main() {
     println!("spooled {} bytes of TSV", file.len());
 
     // bounded-memory ingestion: 8 user-hash shards, ≤512 raw rows
-    // resident, a 256-counter Misra–Gries sketch per shard
-    let stream_cfg = StreamConfig { shards: 8, chunk_rows: 512, sketch_capacity: 256, jobs: 2 };
+    // resident
+    let stream_cfg = StreamConfig { shards: 8, chunk_rows: 512, sketch_capacity: 0, jobs: 2 };
     let ingest = ingest_tsv(Cursor::new(&file[..]), &stream_cfg).expect("ingest the log");
     println!(
         "ingested {} rows (peak {} raw rows resident, largest shard {} triplets)",
@@ -40,29 +40,17 @@ fn main() {
         "streamed and in-memory logs agree, ids and all"
     );
 
-    // mine F-UMP frequent pairs from the sketch (exactified against
-    // the preprocessed log — equals the exact scan, bound or no bound)
+    // the merged log holds every pair total: the frequent pairs the
+    // F-UMP protects are one exact pass over them
     let (pre, _) = preprocess(&ingest.log);
-    let sketch = ingest.sketch.expect("sketching enabled");
-    println!(
-        "sketch: {} counters, error bound {} (N/(k+1) = {})",
-        sketch.len(),
-        sketch.error_bound(),
-        sketch.total_weight() / (sketch.capacity() as u64 + 1)
-    );
     let min_support = 0.01;
-    let frequent = sketch_frequent_pairs(&pre, &sketch, min_support);
-    assert_eq!(frequent, frequent_pairs(&pre, min_support), "sketch mining is exact");
+    let frequent = frequent_pairs(&pre, min_support);
     println!("{} frequent pairs at support {min_support}", frequent.len());
 
-    // sanitize with the sketch-mined set
+    // sanitize: the F-UMP mines the same set from the log it solves
     let params = PrivacyParams::from_e_epsilon(2.0, 0.5);
     let output_size = (pre.size() / 20).max(1);
-    let mechanism = UmpSanitizer::new(UtilityObjective::SketchedFrequentPairs {
-        frequent,
-        min_support,
-        output_size,
-    });
+    let mechanism = UmpSanitizer::new(UtilityObjective::FrequentPairs { min_support, output_size });
     let result = mechanism.sanitize(&pre, params, 7).expect("sanitization succeeds");
     println!(
         "sanitized: |O| = {} over {} pairs (input size {})",

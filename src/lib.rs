@@ -21,7 +21,7 @@
 //! [`Sanitizer`]: prelude::Sanitizer
 //! * [`datagen`] — synthetic AOL-like log generation,
 //! * [`stream`] — bounded-memory sharded ingestion (chunked intake,
-//!   user-hash shards, mergeable heavy-hitter sketches),
+//!   user-hash shards, sort-only merge),
 //! * [`serve`] — the always-on sanitization service (file tailing,
 //!   incremental ingest sessions, trigger-driven re-release, the
 //!   enforced cross-release budget ledger),
@@ -97,7 +97,5 @@ pub mod prelude {
     pub use dpsan_searchlog::{frequent_pairs, preprocess, LogStats, SearchLog, SearchLogBuilder};
     pub use dpsan_serve::{serve, FollowReader, ServeOptions, ServeReport, ServeSession};
     pub use dpsan_store::{DurableStore, RecoveryReport, StoreConfig, StoreError};
-    pub use dpsan_stream::{
-        ingest_path, ingest_tsv, sketch_frequent_pairs, IngestSession, StreamConfig,
-    };
+    pub use dpsan_stream::{ingest_path, ingest_tsv, IngestSession, StreamConfig};
 }

@@ -9,6 +9,7 @@ use std::io::Cursor;
 
 use dpsan::prelude::*;
 use dpsan::searchlog::io::{read_tsv, write_tsv};
+use dpsan::stream::sketch_frequent_pairs;
 
 fn generated_tsv() -> Vec<u8> {
     let cfg = AolLikeConfig { n_users: 70, mean_events_per_user: 25.0, ..presets::aol_tiny() };
@@ -54,20 +55,23 @@ fn streaming_and_in_memory_releases_are_byte_identical() {
     }
 }
 
+/// The F-UMP mines its frequent set exactly from the log it solves, so
+/// the streamed release equals the in-memory one. A sketch at an
+/// evicting capacity mines that same set, which is what lets a caller
+/// that still sketches (the benchmark driver) stand in for the exact
+/// scan.
 #[test]
-fn fump_release_via_sketch_matches_exact_mining() {
+fn fump_sketch_mining_matches_exact_mining() {
     let file = generated_tsv();
     let min_support = 0.01;
 
-    // in-memory path: exact frequent-pair scan inside the sanitizer
     let reference_log = read_tsv(Cursor::new(&file[..])).unwrap();
     let (pre, _) = preprocess(&reference_log);
     let output_size = (pre.size() / 20).max(1);
-    let reference =
-        release(&reference_log, UtilityObjective::FrequentPairs { min_support, output_size });
+    let objective = UtilityObjective::FrequentPairs { min_support, output_size };
+    let reference = release(&reference_log, objective.clone());
 
-    // streaming path: sketch-mined candidates, exactified. 384
-    // counters per shard evict, yet keep the error bound under the
+    // 384 counters per shard evict, yet keep the error bound under the
     // support threshold: the inexact candidate path runs, not the
     // exact-scan fallback
     for jobs in [1usize, 4] {
@@ -80,12 +84,12 @@ fn fump_release_via_sketch_matches_exact_mining() {
             (sketch.error_bound() as f64) < min_support * pre_s.size() as f64,
             "mining used the sketch candidates"
         );
-        let frequent = sketch_frequent_pairs(&pre_s, &sketch, min_support);
-        let released = release(
-            &got.log,
-            UtilityObjective::SketchedFrequentPairs { frequent, min_support, output_size },
+        assert_eq!(
+            sketch_frequent_pairs(&pre_s, &sketch, min_support),
+            frequent_pairs(&pre_s, min_support),
+            "jobs={jobs}"
         );
-        assert_eq!(released, reference, "jobs={jobs}");
+        assert_eq!(release(&got.log, objective.clone()), reference, "jobs={jobs}");
     }
 }
 
@@ -121,10 +125,10 @@ fn zealous_and_ldp_releases_are_shard_and_jobs_invariant() {
     }
 }
 
-/// The zealous sketch-candidate path (what `sanitize --mechanism
-/// zealous` runs on streamed input) is byte-identical to the exact
-/// coarse scan: the candidate mask is re-filtered against exact totals,
-/// so the noise stream cannot drift.
+/// The zealous sketch-candidate path (what the benchmark driver's
+/// `zealous` run does on streamed input) is byte-identical to the exact
+/// coarse scan `sanitize` runs: the candidate mask is re-filtered
+/// against exact totals, so the noise stream cannot drift.
 #[test]
 fn zealous_release_via_sketch_candidates_matches_exact_scan() {
     let file = generated_tsv();
