@@ -14,8 +14,9 @@ use dpsan_core::constraints::PrivacyConstraints;
 use dpsan_core::mechanism::{
     LdpSanitizer, Sanitizer, TriggerPolicy, UmpSanitizer, UtilityObjective, ZealousSanitizer,
 };
-use dpsan_core::ump::frequent::{solve_fump_with, FumpOptions};
-use dpsan_core::ump::output_size::{solve_oump_with, OumpOptions};
+use dpsan_core::session::SolveSession;
+use dpsan_core::ump::frequent::FumpOptions;
+use dpsan_core::ump::output_size::OumpOptions;
 use dpsan_datagen::{generate, presets, write_log_tsv};
 use dpsan_dp::params::PrivacyParams;
 use dpsan_eval::{run_experiment, Ctx, Scale};
@@ -100,25 +101,31 @@ fn bench(c: &mut Criterion) {
     let pre = tiny_log();
     let constraints = sweep_constraints(&pre);
     let opts = OumpOptions::default();
+    // every solve is cold, so one session per entry times the same work
+    // as a fresh session per solve
+    let session = || SolveSession::new(SimplexOptions::default());
 
     let mut g = c.benchmark_group("pipeline");
 
     g.bench_function("oump_cold_solve", |b| {
-        b.iter(|| solve_oump_with(&constraints[3], &opts).unwrap())
+        let mut s = session();
+        b.iter(|| s.solve_oump(&constraints[3], &opts).unwrap())
     });
 
     g.bench_function("oump_cold_sweep", |b| {
+        let mut s = session();
         b.iter(|| {
-            constraints.iter().map(|cons| solve_oump_with(cons, &opts).unwrap().lambda).sum::<u64>()
+            constraints.iter().map(|cons| s.solve_oump(cons, &opts).unwrap().lambda).sum::<u64>()
         })
     });
 
     g.bench_function("fump_cell", |b| {
         let params = PrivacyParams::from_e_epsilon(2.0, 0.5);
         let cons = PrivacyConstraints::build(&pre, params).unwrap();
-        let lambda = solve_oump_with(&cons, &opts).unwrap().lambda.max(2);
+        let mut s = session();
+        let lambda = s.solve_oump(&cons, &opts).unwrap().lambda.max(2);
         let fopts = FumpOptions::new(0.02, lambda / 2);
-        b.iter(|| solve_fump_with(&pre, &cons, &fopts).unwrap())
+        b.iter(|| s.solve_fump(&pre, &cons, &fopts).unwrap())
     });
 
     g.bench_function("zealous_release", |b| {
@@ -361,8 +368,9 @@ fn bench(c: &mut Criterion) {
         // the serving path's anytime O-UMP at scale: ≥512 rows route to
         // the packing solver (transpose, 50 dual steps, greedy)
         let opts = OumpOptions { anytime: true, ..Default::default() };
+        let mut session = session();
         b.iter(|| {
-            let s = solve_oump_with(&big_cons, &opts).unwrap();
+            let s = session.solve_oump(&big_cons, &opts).unwrap();
             (s.lambda, s.capped)
         })
     });

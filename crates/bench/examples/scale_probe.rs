@@ -13,12 +13,14 @@
 use std::time::Instant;
 
 use dpsan_core::constraints::PrivacyConstraints;
-use dpsan_core::ump::output_size::{solve_oump_with, OumpOptions};
+use dpsan_core::ump::output_size::OumpOptions;
+use dpsan_core::SolveSession;
 use dpsan_datagen::{generate, presets, AolLikeConfig};
 use dpsan_dp::params::PrivacyParams;
 use dpsan_lp::dense::DenseLu;
 use dpsan_lp::factor::BasisFactor;
 use dpsan_lp::problem::{Problem, Sense, VarBounds};
+use dpsan_lp::simplex::SimplexOptions;
 use dpsan_lp::sparse::CscMatrix;
 use dpsan_searchlog::preprocess;
 
@@ -103,7 +105,9 @@ fn main() {
     println!("constraints       {:>12?}  ({} rows)", t0.elapsed(), cons.n_rows());
 
     let t0 = Instant::now();
-    let sol = solve_oump_with(&cons, &OumpOptions::default()).expect("solve");
+    let sol = SolveSession::new(SimplexOptions::default())
+        .solve_oump(&cons, &OumpOptions::default())
+        .expect("solve");
     println!(
         "oump solve        {:>12?}  (lambda {}, {} iterations)",
         t0.elapsed(),

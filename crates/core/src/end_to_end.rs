@@ -22,23 +22,25 @@ use dpsan_searchlog::{PairId, SearchLog, UserId};
 
 use crate::constraints::PrivacyConstraints;
 use crate::error::CoreError;
-use crate::ump::output_size::{solve_oump, OumpOptions};
+use crate::session::SolveSession;
+use crate::ump::output_size::OumpOptions;
 
 /// Remove user logs whose presence moves any pair's O-UMP optimal count
 /// by more than `d` (one leave-one-out pass, as in §4.2). Returns the
 /// reduced log and the removed users.
 ///
-/// This is `O(#users)` LP solves — intended for small logs and for
-/// demonstrating the §4.2 procedure, not for the full AOL scale.
+/// This is `O(#users)` LP solves, all through one session — intended
+/// for small logs and for demonstrating the §4.2 procedure, not for the
+/// full AOL scale.
 pub fn bound_sensitivity(
     log: &SearchLog,
     params: PrivacyParams,
     d: f64,
-    lp: &SimplexOptions,
 ) -> Result<(SearchLog, Vec<UserId>), CoreError> {
     assert!(d > 0.0, "sensitivity bound must be positive");
-    let opts = OumpOptions { lp: lp.clone(), ..Default::default() };
-    let base = solve_oump(log, params, &opts)?;
+    let mut session = SolveSession::new(SimplexOptions::default());
+    let opts = OumpOptions::default();
+    let base = session.solve_oump(&PrivacyConstraints::build(log, params)?, &opts)?;
 
     let mut removed = Vec::new();
     for user in log.users_with_logs() {
@@ -58,7 +60,7 @@ pub fn bound_sensitivity(
         if without.n_pairs() == 0 {
             continue;
         }
-        let neighbor = solve_oump(&without, params, &opts)?;
+        let neighbor = session.solve_oump(&PrivacyConstraints::build(&without, params)?, &opts)?;
         // compare counts pair-by-pair through the id mappings
         let mut worst = 0.0f64;
         for (pi, (&bc, &mid)) in base.counts.iter().zip(&mapping).enumerate() {
@@ -205,14 +207,12 @@ mod tests {
     fn bound_sensitivity_keeps_or_removes() {
         let log = small_log();
         // enormous d: nobody is removed
-        let (kept, removed) =
-            bound_sensitivity(&log, params(), 1e6, &SimplexOptions::default()).unwrap();
+        let (kept, removed) = bound_sensitivity(&log, params(), 1e6).unwrap();
         assert!(removed.is_empty());
         assert_eq!(kept.n_pairs(), log.n_pairs());
 
         // minuscule d: users with influence are removed
-        let (reduced, removed) =
-            bound_sensitivity(&log, params(), 1e-3, &SimplexOptions::default()).unwrap();
+        let (reduced, removed) = bound_sensitivity(&log, params(), 1e-3).unwrap();
         if !removed.is_empty() {
             assert!(reduced.size() < log.size());
         }

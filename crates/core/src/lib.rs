@@ -54,6 +54,6 @@ pub use mechanism::{
     UmpSanitizer, UtilityObjective, ZealousSanitizer,
 };
 pub use session::{SessionStats, SolveSession};
-pub use ump::diversity::{solve_dump, DumpOptions, DumpSolution, DumpSolver};
-pub use ump::frequent::{solve_fump, FumpOptions, FumpSolution};
-pub use ump::output_size::{solve_oump, OumpOptions, OumpSolution};
+pub use ump::diversity::{DumpOptions, DumpSolution, DumpSolver};
+pub use ump::frequent::{FumpOptions, FumpSolution};
+pub use ump::output_size::{OumpOptions, OumpSolution};

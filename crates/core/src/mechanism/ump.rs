@@ -8,8 +8,7 @@
 //!
 //! One [`UmpSanitizer`] owns a [`SolveSession`] that carries the LP
 //! options and counts solver work across releases. Every release solves
-//! cold, so it is byte-identical to the plain
-//! [`solve_oump`](crate::ump::output_size::solve_oump)-style pipeline
+//! cold, so it is byte-identical to a solve through a fresh session
 //! whatever was released before.
 
 use std::sync::Mutex;
@@ -69,29 +68,20 @@ pub struct LaplaceStep {
 /// [`Sanitizer`] impl.
 pub struct UmpSanitizer {
     objective: UtilityObjective,
-    strategy: MultinomialStrategy,
     laplace: Option<LaplaceStep>,
     session: Mutex<SolveSession>,
     anytime: bool,
 }
 
 impl UmpSanitizer {
-    /// A sanitizer with default sampling strategy, no Laplace step, and
-    /// default LP options.
+    /// A sanitizer with no Laplace step and default LP options.
     pub fn new(objective: UtilityObjective) -> Self {
         UmpSanitizer {
             objective,
-            strategy: MultinomialStrategy::Auto,
             laplace: None,
             session: Mutex::new(SolveSession::new(SimplexOptions::default())),
             anytime: false,
         }
-    }
-
-    /// Override the multinomial sampling strategy.
-    pub fn with_strategy(mut self, strategy: MultinomialStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Add the §4.2 Laplace step on the optimal counts (debits a second
@@ -187,12 +177,11 @@ impl Sanitizer for UmpSanitizer {
         let (mut counts, solver) = {
             let mut session = self.session.lock().expect("session poisoned");
             let before = session.stats();
-            let lp = session.lp_options().clone();
             let counts = match &self.objective {
                 UtilityObjective::OutputSize => {
                     let sol = session.solve_oump(
                         &constraints,
-                        &OumpOptions { lp, anytime: self.anytime, ..Default::default() },
+                        &OumpOptions { anytime: self.anytime, ..Default::default() },
                     )?;
                     upper_bound = Some(sol.upper_bound);
                     sol.counts
@@ -207,13 +196,13 @@ impl Sanitizer for UmpSanitizer {
                         .solve_fump(
                             &pre,
                             &constraints,
-                            &FumpOptions { lp, ..FumpOptions::new(*min_support, *output_size) },
+                            &FumpOptions::new(*min_support, *output_size),
                         )?
                         .counts
                 }
                 UtilityObjective::Diversity { solver } => {
                     session
-                        .solve_dump(&constraints, &DumpOptions { solver: solver.clone(), lp })?
+                        .solve_dump(&constraints, &DumpOptions { solver: solver.clone() })?
                         .counts
                 }
             };
@@ -232,7 +221,7 @@ impl Sanitizer for UmpSanitizer {
         crate::ump::verify_counts(&constraints, &counts)?;
 
         // step 2: multinomial sampling
-        let output = sample_output(&mut rng, &pre, &counts, self.strategy);
+        let output = sample_output(&mut rng, &pre, &counts, MultinomialStrategy::Auto);
 
         // Success: charge the caller (the probe above proved this fits,
         // and we hold the only reference, so it cannot fail now) and

@@ -1,9 +1,12 @@
-//! Solve sessions: shared LP options plus per-scope solver counters.
+//! Solve sessions: the one home of the LP options, plus per-scope
+//! solver counters.
 //!
-//! The evaluation workload (Tables 4–6, Figures 3–4) solves one LP per
+//! The evaluation workload (Tables 4–7, Figures 3–5) solves one LP per
 //! `(ε, δ)`/budget grid cell, and a long-running sanitizer solves one
-//! per release. A [`SolveSession`] holds the LP options those solves
-//! share and counts what they cost in [`SessionStats`].
+//! per release. Every UMP solve goes through a [`SolveSession`]
+//! (`solve_oump`, `solve_fump`, `solve_dump`): the session holds the
+//! LP options those solves share and counts what they cost in
+//! [`SessionStats`] and in the process-wide metrics registry.
 //!
 //! Every solve is the plain two-phase primal simplex
 //! ([`dpsan_lp::simplex::solve`]) from the slack basis, so a session's
@@ -75,11 +78,6 @@ impl SolveSession {
     /// New session with the given LP options.
     pub fn new(lp: SimplexOptions) -> SolveSession {
         SolveSession { lp, stats: SessionStats::default() }
-    }
-
-    /// The LP options every solve of this session uses.
-    pub fn lp_options(&self) -> &SimplexOptions {
-        &self.lp
     }
 
     /// Counters accumulated so far.

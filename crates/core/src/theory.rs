@@ -212,8 +212,18 @@ pub fn indistinguishability_excess(
 mod tests {
     use super::*;
     use crate::constraints::PrivacyConstraints;
-    use crate::ump::output_size::{solve_oump, OumpOptions};
+    use crate::session::SolveSession;
+    use crate::ump::output_size::{OumpOptions, OumpSolution};
+    use dpsan_lp::simplex::SimplexOptions;
     use dpsan_searchlog::{preprocess, SearchLogBuilder};
+
+    /// The O-UMP optimum at [`params`] through a fresh default session.
+    fn solve_oump(log: &SearchLog) -> OumpSolution {
+        let c = PrivacyConstraints::build(log, params()).unwrap();
+        SolveSession::new(SimplexOptions::default())
+            .solve_oump(&c, &OumpOptions::default())
+            .unwrap()
+    }
 
     /// Tiny log: 2 pairs, few holders, so the output space is small.
     fn tiny_log() -> SearchLog {
@@ -233,7 +243,7 @@ mod tests {
     #[test]
     fn theorem1_holds_at_oump_optimum() {
         let log = tiny_log();
-        let s = solve_oump(&log, params(), &OumpOptions::default()).unwrap();
+        let s = solve_oump(&log);
         let rep = theorem1_report(&log, &s.counts, params());
         assert!(rep.ok(), "{rep:?}");
         assert!(rep.worst_log_ratio <= params().epsilon() + 1e-9);
@@ -284,7 +294,7 @@ mod tests {
     #[test]
     fn exhaustive_check_certifies_theorem1_bounds() {
         let log = tiny_log();
-        let s = solve_oump(&log, params(), &OumpOptions::default()).unwrap();
+        let s = solve_oump(&log);
         let rep = theorem1_report(&log, &s.counts, params());
         for user in log.users_with_logs() {
             let check = exhaustive_neighbor_check(&log, &s.counts, user, 500_000);
@@ -305,7 +315,7 @@ mod tests {
     #[test]
     fn proposition1_implied_by_probabilistic_dp() {
         let log = tiny_log();
-        let s = solve_oump(&log, params(), &OumpOptions::default()).unwrap();
+        let s = solve_oump(&log);
         for user in log.users_with_logs() {
             let excess =
                 indistinguishability_excess(&log, &s.counts, user, params().epsilon(), 500_000);

@@ -19,14 +19,9 @@
 
 use std::collections::BinaryHeap;
 
-use dpsan_dp::params::PrivacyParams;
-use dpsan_lp::mip::{
-    lp_round_packing, lp_round_packing_from, pump_packing, solve_mip, BbOptions, MipStatus,
-    PumpOptions,
-};
+use dpsan_lp::mip::{lp_round_packing, pump_packing, solve_mip, BbOptions, MipStatus, PumpOptions};
 use dpsan_lp::problem::{Problem, Sense, VarBounds};
-use dpsan_lp::simplex::{SimplexOptions, SolveStatus};
-use dpsan_searchlog::SearchLog;
+use dpsan_lp::simplex::SolveStatus;
 
 use crate::constraints::PrivacyConstraints;
 use crate::error::CoreError;
@@ -66,13 +61,11 @@ pub enum DumpSolver {
 pub struct DumpOptions {
     /// Solver choice.
     pub solver: DumpSolver,
-    /// LP options used by the LP-based solvers.
-    pub lp: SimplexOptions,
 }
 
 impl Default for DumpOptions {
     fn default() -> Self {
-        DumpOptions { solver: DumpSolver::Spe, lp: SimplexOptions::default() }
+        DumpOptions { solver: DumpSolver::Spe }
     }
 }
 
@@ -89,88 +82,55 @@ pub struct DumpSolution {
     pub proven_optimal: bool,
 }
 
-/// Solve the D-UMP on a preprocessed log.
-pub fn solve_dump(
-    log: &SearchLog,
-    params: PrivacyParams,
-    opts: &DumpOptions,
-) -> Result<DumpSolution, CoreError> {
-    let constraints = PrivacyConstraints::build(log, params)?;
-    solve_dump_with(&constraints, opts)
-}
-
-/// Solve the D-UMP given prebuilt constraints.
-pub fn solve_dump_with(
-    constraints: &PrivacyConstraints,
-    opts: &DumpOptions,
-) -> Result<DumpSolution, CoreError> {
-    solve_dump_inner(constraints, opts, None)
-}
-
 impl SolveSession {
     /// Solve the D-UMP through this session. Only the LP-relaxation
     /// solve of [`DumpSolver::LpRound`] goes through (and is counted
     /// by) the session; the combinatorial solvers (SPE, pump, branch &
-    /// bound) run exactly as in [`solve_dump_with`].
+    /// bound) run their own relaxations at the default simplex options,
+    /// uncounted.
     pub fn solve_dump(
         &mut self,
         constraints: &PrivacyConstraints,
         opts: &DumpOptions,
     ) -> Result<DumpSolution, CoreError> {
-        solve_dump_inner(constraints, opts, Some(self))
-    }
-}
-
-fn solve_dump_inner(
-    constraints: &PrivacyConstraints,
-    opts: &DumpOptions,
-    session: Option<&mut SolveSession>,
-) -> Result<DumpSolution, CoreError> {
-    if constraints.n_pairs() == 0 {
-        return Ok(DumpSolution { counts: vec![], retained: 0, proven_optimal: true });
-    }
-    let (counts, proven) = match &opts.solver {
-        DumpSolver::Spe => (spe(constraints, false), false),
-        DumpSolver::SpeViolated => (spe(constraints, true), false),
-        DumpSolver::LpRound => {
-            let p = build_bip(constraints);
-            let x = match session {
-                Some(s) => {
-                    let relax = s.solve(&p)?;
-                    if relax.status != SolveStatus::Optimal {
-                        return Err(CoreError::UnexpectedStatus("LP relaxation of D-UMP failed"));
-                    }
-                    lp_round_packing_from(&p, &relax.x)
+        if constraints.n_pairs() == 0 {
+            return Ok(DumpSolution { counts: vec![], retained: 0, proven_optimal: true });
+        }
+        let (counts, proven) = match &opts.solver {
+            DumpSolver::Spe => (spe(constraints, false), false),
+            DumpSolver::SpeViolated => (spe(constraints, true), false),
+            DumpSolver::LpRound => {
+                let p = build_bip(constraints);
+                let relax = self.solve(&p)?;
+                if relax.status != SolveStatus::Optimal {
+                    return Err(CoreError::UnexpectedStatus("LP relaxation of D-UMP failed"));
                 }
-                None => lp_round_packing(&p, &opts.lp)
-                    .ok_or(CoreError::UnexpectedStatus("LP relaxation of D-UMP failed"))?,
-            };
-            (x.iter().map(|&v| v.round() as u64).collect(), false)
-        }
-        DumpSolver::Pump { restarts, seed } => {
-            let p = build_bip(constraints);
-            let pump = PumpOptions { restarts: *restarts, seed: *seed, lp: opts.lp.clone() };
-            let x = pump_packing(&p, &pump)
-                .ok_or(CoreError::UnexpectedStatus("pump failed on D-UMP"))?;
-            (x.iter().map(|&v| v.round() as u64).collect(), false)
-        }
-        DumpSolver::BranchBound { max_nodes } => {
-            let p = build_bip(constraints);
-            let bb = BbOptions { max_nodes: *max_nodes, lp: opts.lp.clone(), ..Default::default() };
-            let s = solve_mip(&p, &bb);
-            match s.status {
-                MipStatus::Optimal | MipStatus::Feasible => (
-                    s.x.iter().map(|&v| v.round() as u64).collect(),
-                    s.status == MipStatus::Optimal,
-                ),
-                _ => return Err(CoreError::UnexpectedStatus("branch & bound found no point")),
+                let x = lp_round_packing(&p, &relax.x);
+                (x.iter().map(|&v| v.round() as u64).collect(), false)
             }
-        }
-    };
+            DumpSolver::Pump { restarts, seed } => {
+                let p = build_bip(constraints);
+                let pump = PumpOptions { restarts: *restarts, seed: *seed };
+                let x = pump_packing(&p, &pump)
+                    .ok_or(CoreError::UnexpectedStatus("pump failed on D-UMP"))?;
+                (x.iter().map(|&v| v.round() as u64).collect(), false)
+            }
+            DumpSolver::BranchBound { max_nodes } => {
+                let s = solve_mip(&build_bip(constraints), &BbOptions { max_nodes: *max_nodes });
+                match s.status {
+                    MipStatus::Optimal | MipStatus::Feasible => (
+                        s.x.iter().map(|&v| v.round() as u64).collect(),
+                        s.status == MipStatus::Optimal,
+                    ),
+                    _ => return Err(CoreError::UnexpectedStatus("branch & bound found no point")),
+                }
+            }
+        };
 
-    verify_counts(constraints, &counts)?;
-    let retained = counts.iter().filter(|&&c| c > 0).count();
-    Ok(DumpSolution { counts, retained, proven_optimal: proven })
+        verify_counts(constraints, &counts)?;
+        let retained = counts.iter().filter(|&&c| c > 0).count();
+        Ok(DumpSolution { counts, retained, proven_optimal: proven })
+    }
 }
 
 /// Build the packing BIP of Equation (8).
@@ -261,7 +221,26 @@ fn spe(constraints: &PrivacyConstraints, violated_only: bool) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpsan_searchlog::{preprocess, SearchLogBuilder};
+    use dpsan_dp::params::PrivacyParams;
+    use dpsan_lp::simplex::SimplexOptions;
+    use dpsan_searchlog::{preprocess, SearchLog, SearchLogBuilder};
+
+    /// Solve through a fresh default session.
+    fn solve_dump_with(
+        constraints: &PrivacyConstraints,
+        opts: &DumpOptions,
+    ) -> Result<DumpSolution, CoreError> {
+        SolveSession::new(SimplexOptions::default()).solve_dump(constraints, opts)
+    }
+
+    /// Build the constraints and solve through a fresh default session.
+    fn solve_dump(
+        log: &SearchLog,
+        params: PrivacyParams,
+        opts: &DumpOptions,
+    ) -> Result<DumpSolution, CoreError> {
+        solve_dump_with(&PrivacyConstraints::build(log, params)?, opts)
+    }
 
     /// 6 shared pairs over 4 users with mixed sensitivities.
     fn diverse_log() -> SearchLog {
@@ -302,9 +281,7 @@ mod tests {
         let log = diverse_log();
         let c = PrivacyConstraints::build(&log, params(1.7, 0.2)).unwrap();
         for solver in all_solvers() {
-            let s =
-                solve_dump_with(&c, &DumpOptions { solver: solver.clone(), ..Default::default() })
-                    .unwrap();
+            let s = solve_dump_with(&c, &DumpOptions { solver: solver.clone() }).unwrap();
             assert!(c.satisfied_by(&s.counts, 1e-9), "{solver:?} infeasible");
             assert!(s.counts.iter().all(|&v| v <= 1), "{solver:?} not binary");
             assert_eq!(s.retained, s.counts.iter().sum::<u64>() as usize);
@@ -318,15 +295,12 @@ mod tests {
             let c = PrivacyConstraints::build(&log, params(e, d)).unwrap();
             let exact = solve_dump_with(
                 &c,
-                &DumpOptions {
-                    solver: DumpSolver::BranchBound { max_nodes: 50_000 },
-                    ..Default::default()
-                },
+                &DumpOptions { solver: DumpSolver::BranchBound { max_nodes: 50_000 } },
             )
             .unwrap();
             assert!(exact.proven_optimal);
             for solver in all_solvers() {
-                let s = solve_dump_with(&c, &DumpOptions { solver, ..Default::default() }).unwrap();
+                let s = solve_dump_with(&c, &DumpOptions { solver }).unwrap();
                 assert!(
                     s.retained <= exact.retained,
                     "heuristic beat the proven optimum at ({e}, {d})"
@@ -376,11 +350,8 @@ mod tests {
         for (e, d) in [(1.05, 0.05), (1.4, 0.2), (2.0, 0.5)] {
             let c = PrivacyConstraints::build(&log, params(e, d)).unwrap();
             let global = solve_dump_with(&c, &DumpOptions::default()).unwrap();
-            let restricted = solve_dump_with(
-                &c,
-                &DumpOptions { solver: DumpSolver::SpeViolated, ..Default::default() },
-            )
-            .unwrap();
+            let restricted =
+                solve_dump_with(&c, &DumpOptions { solver: DumpSolver::SpeViolated }).unwrap();
             assert!(
                 restricted.retained >= global.retained,
                 "violated-only SPE retained {} < global {} at ({e}, {d})",
@@ -392,14 +363,10 @@ mod tests {
 
     #[test]
     fn session_lp_round_stays_feasible_across_budget_sweep() {
-        use crate::session::SolveSession;
-        use dpsan_lp::simplex::SimplexOptions;
-
         let log = diverse_log();
         let mut session = SolveSession::new(SimplexOptions::default());
-        let opts = DumpOptions { solver: DumpSolver::LpRound, ..Default::default() };
-        let exact_opts =
-            DumpOptions { solver: DumpSolver::BranchBound { max_nodes: 50_000 }, ..opts.clone() };
+        let opts = DumpOptions { solver: DumpSolver::LpRound };
+        let exact_opts = DumpOptions { solver: DumpSolver::BranchBound { max_nodes: 50_000 } };
         for e_eps in [1.1, 1.4, 1.7, 2.0, 2.3] {
             let c = PrivacyConstraints::build(&log, params(e_eps, 0.2)).unwrap();
             let swept = session.solve_dump(&c, &opts).unwrap();

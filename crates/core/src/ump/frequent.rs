@@ -16,9 +16,8 @@
 //! counts may sum to slightly less than `|O|` — the equality is a
 //! utility device, not a privacy constraint, so feasibility is kept.
 
-use dpsan_dp::params::PrivacyParams;
 use dpsan_lp::problem::{Problem, RowBounds, Sense, VarBounds};
-use dpsan_lp::simplex::{solve, SimplexOptions, SolveStatus};
+use dpsan_lp::simplex::SolveStatus;
 use dpsan_searchlog::{frequent_pairs, FrequentPair, SearchLog};
 
 use crate::constraints::PrivacyConstraints;
@@ -33,18 +32,12 @@ pub struct FumpOptions {
     pub min_support: f64,
     /// Target output size `|O|` (must be in `(0, λ]` for feasibility).
     pub output_size: u64,
-    /// LP solver options.
-    pub lp: SimplexOptions,
-    /// Cap counts at `x_ij ≤ c_ij` (see
-    /// [`crate::ump::output_size::OumpOptions::cap_at_input`]).
-    pub cap_at_input: bool,
 }
 
 impl FumpOptions {
-    /// Options with the given support and output size, defaults
-    /// elsewhere.
+    /// Options with the given support and output size.
     pub fn new(min_support: f64, output_size: u64) -> Self {
-        FumpOptions { min_support, output_size, lp: SimplexOptions::default(), cap_at_input: true }
+        FumpOptions { min_support, output_size }
     }
 }
 
@@ -65,60 +58,24 @@ pub struct FumpSolution {
     pub iterations: usize,
 }
 
-/// Solve the F-UMP on a preprocessed log.
-pub fn solve_fump(
-    log: &SearchLog,
-    params: PrivacyParams,
-    opts: &FumpOptions,
-) -> Result<FumpSolution, CoreError> {
-    let constraints = PrivacyConstraints::build(log, params)?;
-    solve_fump_with(log, &constraints, opts)
-}
-
-/// Solve the F-UMP given prebuilt constraints.
-pub fn solve_fump_with(
-    log: &SearchLog,
-    constraints: &PrivacyConstraints,
-    opts: &FumpOptions,
-) -> Result<FumpSolution, CoreError> {
-    solve_fump_inner(log, constraints, opts, None)
-}
-
-impl SolveSession {
-    /// Solve the F-UMP through this session, counting the solve in the
-    /// session's stats. The session's LP options override `opts.lp`.
-    pub fn solve_fump(
-        &mut self,
-        log: &SearchLog,
-        constraints: &PrivacyConstraints,
-        opts: &FumpOptions,
-    ) -> Result<FumpSolution, CoreError> {
-        solve_fump_inner(log, constraints, opts, Some(self))
-    }
-}
-
 /// Build the F-UMP linear program of Section 5.2 (privacy rows, fixed
-/// output size, abs-value split on the frequent pairs).
+/// output size, abs-value split on the frequent pairs). Counts are
+/// capped at `x_ij ≤ c_ij`, as in the O-UMP (see
+/// [`crate::ump::output_size::OumpOptions::cap_at_input`]).
 fn build_problem(
     log: &SearchLog,
     constraints: &PrivacyConstraints,
     opts: &FumpOptions,
     frequent: &[FrequentPair],
 ) -> Problem {
-    let n = constraints.n_pairs();
     let size_d = log.size() as f64;
     let size_o = opts.output_size as f64;
 
     let mut p = Problem::new(Sense::Minimize);
-    let x_cols: Vec<usize> = (0..n)
-        .map(|pi| {
-            let upper = if opts.cap_at_input {
-                constraints.pair_totals()[pi] as f64
-            } else {
-                f64::INFINITY
-            };
-            p.add_col(0.0, VarBounds { lower: 0.0, upper }).expect("valid column")
-        })
+    let x_cols: Vec<usize> = constraints
+        .pair_totals()
+        .iter()
+        .map(|&c| p.add_col(0.0, VarBounds { lower: 0.0, upper: c as f64 }).expect("valid column"))
         .collect();
     constraints.add_to_problem(&mut p, &x_cols);
 
@@ -139,52 +96,73 @@ fn build_problem(
     p
 }
 
-fn solve_fump_inner(
-    log: &SearchLog,
-    constraints: &PrivacyConstraints,
-    opts: &FumpOptions,
-    session: Option<&mut SolveSession>,
-) -> Result<FumpSolution, CoreError> {
-    assert!(opts.min_support > 0.0 && opts.min_support <= 1.0, "support must be in (0, 1]");
-    if opts.output_size == 0 {
-        return Err(CoreError::OutputSizeInfeasible { requested: 0 });
-    }
-    if constraints.n_pairs() == 0 {
-        return Err(CoreError::OutputSizeInfeasible { requested: opts.output_size });
-    }
-
-    let n = constraints.n_pairs();
-    let frequent = frequent_pairs(log, opts.min_support);
-    let p = build_problem(log, constraints, opts, &frequent);
-
-    let sol = match session {
-        Some(s) => s.solve(&p)?,
-        None => solve(&p, &opts.lp)?,
-    };
-    match sol.status {
-        SolveStatus::Optimal => {}
-        SolveStatus::Infeasible => {
-            return Err(CoreError::OutputSizeInfeasible { requested: opts.output_size })
+impl SolveSession {
+    /// Solve the F-UMP through this session, counting the solve in the
+    /// session's stats.
+    pub fn solve_fump(
+        &mut self,
+        log: &SearchLog,
+        constraints: &PrivacyConstraints,
+        opts: &FumpOptions,
+    ) -> Result<FumpSolution, CoreError> {
+        assert!(opts.min_support > 0.0 && opts.min_support <= 1.0, "support must be in (0, 1]");
+        if opts.output_size == 0 {
+            return Err(CoreError::OutputSizeInfeasible { requested: 0 });
         }
-        _ => return Err(CoreError::UnexpectedStatus("F-UMP did not reach optimality")),
-    }
+        if constraints.n_pairs() == 0 {
+            return Err(CoreError::OutputSizeInfeasible { requested: opts.output_size });
+        }
 
-    let counts = floor_counts(&sol.x[..n]);
-    verify_counts(constraints, &counts)?;
-    Ok(FumpSolution {
-        counts,
-        lp_counts: sol.x[..n].to_vec(),
-        lp_objective: sol.objective,
-        frequent,
-        iterations: sol.iterations,
-    })
+        let n = constraints.n_pairs();
+        let frequent = frequent_pairs(log, opts.min_support);
+        let sol = self.solve(&build_problem(log, constraints, opts, &frequent))?;
+        match sol.status {
+            SolveStatus::Optimal => {}
+            SolveStatus::Infeasible => {
+                return Err(CoreError::OutputSizeInfeasible { requested: opts.output_size })
+            }
+            _ => return Err(CoreError::UnexpectedStatus("F-UMP did not reach optimality")),
+        }
+
+        let counts = floor_counts(&sol.x[..n]);
+        verify_counts(constraints, &counts)?;
+        Ok(FumpSolution {
+            counts,
+            lp_counts: sol.x[..n].to_vec(),
+            lp_objective: sol.objective,
+            frequent,
+            iterations: sol.iterations,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ump::output_size::{solve_oump, OumpOptions};
+    use crate::ump::output_size::OumpOptions;
+    use dpsan_dp::params::PrivacyParams;
+    use dpsan_lp::simplex::SimplexOptions;
     use dpsan_searchlog::{preprocess, SearchLogBuilder};
+
+    fn session() -> SolveSession {
+        SolveSession::new(SimplexOptions::default())
+    }
+
+    /// λ through a fresh default session.
+    fn oump_lambda(log: &SearchLog, params: PrivacyParams) -> u64 {
+        let c = PrivacyConstraints::build(log, params).unwrap();
+        session().solve_oump(&c, &OumpOptions::default()).unwrap().lambda
+    }
+
+    /// Build the constraints and solve through a fresh default session.
+    fn solve_fump(
+        log: &SearchLog,
+        params: PrivacyParams,
+        opts: &FumpOptions,
+    ) -> Result<FumpSolution, CoreError> {
+        let c = PrivacyConstraints::build(log, params)?;
+        session().solve_fump(log, &c, opts)
+    }
 
     /// A log with a clear frequency skew over four shared pairs. Each
     /// pair is spread across many holders with small shares, the regime
@@ -223,7 +201,7 @@ mod tests {
     #[test]
     fn solution_is_private_and_sized() {
         let log = skewed_log();
-        let lambda = solve_oump(&log, params(), &OumpOptions::default()).unwrap().lambda;
+        let lambda = oump_lambda(&log, params());
         assert!(lambda > 4, "need room for a meaningful output size (λ={lambda})");
         let o = lambda / 2;
         let s = solve_fump(&log, params(), &opts(0.05, o)).unwrap();
@@ -237,7 +215,7 @@ mod tests {
     #[test]
     fn frequent_supports_tracked_when_budget_allows() {
         let log = skewed_log();
-        let lambda = solve_oump(&log, params(), &OumpOptions::default()).unwrap().lambda;
+        let lambda = oump_lambda(&log, params());
         let o = lambda.min(log.size() / 3).max(1);
         let s = solve_fump(&log, params(), &opts(0.2, o)).unwrap();
         assert!(!s.frequent.is_empty(), "google pair is frequent at s=0.2 (support 120/216)");
@@ -253,7 +231,7 @@ mod tests {
         let tight = PrivacyParams::from_e_epsilon(1.4, 0.2);
         let loose = PrivacyParams::from_e_epsilon(2.3, 0.8);
         // pick an output size feasible under both budgets (λ is monotone)
-        let o = solve_oump(&log, tight, &OumpOptions::default()).unwrap().lambda;
+        let o = oump_lambda(&log, tight);
         assert!(o > 0, "tight budget still admits a positive output size");
         let d_tight = solve_fump(&log, tight, &opts(0.1, o)).unwrap().lp_objective;
         let d_loose = solve_fump(&log, loose, &opts(0.1, o)).unwrap().lp_objective;
@@ -266,7 +244,7 @@ mod tests {
     #[test]
     fn output_size_beyond_lambda_is_infeasible() {
         let log = skewed_log();
-        let lambda = solve_oump(&log, params(), &OumpOptions::default()).unwrap().lambda;
+        let lambda = oump_lambda(&log, params());
         let err = solve_fump(&log, params(), &opts(0.1, lambda * 10 + 100)).unwrap_err();
         assert!(matches!(err, CoreError::OutputSizeInfeasible { .. }));
     }
@@ -284,7 +262,7 @@ mod tests {
     fn no_frequent_pairs_reduces_to_feasibility() {
         let log = skewed_log();
         // support threshold of 1.0: nothing is frequent; objective 0
-        let lambda = solve_oump(&log, params(), &OumpOptions::default()).unwrap().lambda;
+        let lambda = oump_lambda(&log, params());
         let s = solve_fump(&log, params(), &opts(1.0, lambda.max(1) / 2)).unwrap();
         assert!(s.frequent.is_empty());
         assert!(s.lp_objective.abs() < 1e-9);

@@ -17,10 +17,8 @@
 //! route, carries a certified [`OumpSolution::upper_bound`] on the
 //! optimal λ.
 
-use dpsan_dp::params::PrivacyParams;
 use dpsan_lp::problem::{Problem, Sense, VarBounds};
-use dpsan_lp::simplex::{solve, SimplexOptions, Solution, SolveStatus, SPARSE_MIN_ROWS};
-use dpsan_searchlog::SearchLog;
+use dpsan_lp::simplex::{SimplexOptions, SolveStatus, SPARSE_MIN_ROWS};
 
 use crate::constraints::PrivacyConstraints;
 use crate::error::CoreError;
@@ -30,7 +28,8 @@ use crate::ump::{floor_counts, packing, verify_counts};
 /// O-UMP options.
 #[derive(Debug, Clone)]
 pub struct OumpOptions {
-    /// LP solver options.
+    /// Ignored: the session's options govern; kept for the perfbench
+    /// driver.
     pub lp: SimplexOptions,
     /// Cap every output count at its input count (`x_ij ≤ c_ij`).
     ///
@@ -47,11 +46,11 @@ pub struct OumpOptions {
     /// ("anytime" mode).
     ///
     /// Below [`SPARSE_MIN_ROWS`] constraint rows this caps the simplex
-    /// at `lp.max_iter` and accepts the best iterate found so far:
-    /// sound because the O-UMP starts primal feasible (x = 0 satisfies
-    /// `Mx ≤ b`, `b > 0`) and every phase-2 simplex iterate stays
-    /// primal feasible. At [`SPARSE_MIN_ROWS`] rows and above the
-    /// packing route answers instead and `lp.max_iter` is unused.
+    /// at the session's `max_iter` and accepts the best iterate found
+    /// so far: sound because the O-UMP starts primal feasible (x = 0
+    /// satisfies `Mx ≤ b`, `b > 0`) and every phase-2 simplex iterate
+    /// stays primal feasible. At [`SPARSE_MIN_ROWS`] rows and above the
+    /// packing route answers instead and `max_iter` is unused.
     /// Either way an anytime answer sacrifices utility (a smaller λ),
     /// never privacy, and [`verify_counts`] still checks the returned
     /// counts against every constraint as a backstop. Off by default:
@@ -93,42 +92,6 @@ pub struct OumpSolution {
     pub upper_bound: f64,
 }
 
-/// Solve the O-UMP on a preprocessed log.
-pub fn solve_oump(
-    log: &SearchLog,
-    params: PrivacyParams,
-    opts: &OumpOptions,
-) -> Result<OumpSolution, CoreError> {
-    let constraints = PrivacyConstraints::build(log, params)?;
-    solve_oump_with(&constraints, opts)
-}
-
-/// Solve the O-UMP given prebuilt constraints (lets callers cache the
-/// constraint system across parameter grids).
-pub fn solve_oump_with(
-    constraints: &PrivacyConstraints,
-    opts: &OumpOptions,
-) -> Result<OumpSolution, CoreError> {
-    solve_oump_inner(constraints, opts, None)
-}
-
-impl SolveSession {
-    /// Solve the O-UMP through this session, counting the solve (and
-    /// whether it was capped) in the session's stats. The session's LP
-    /// options override `opts.lp`.
-    pub fn solve_oump(
-        &mut self,
-        constraints: &PrivacyConstraints,
-        opts: &OumpOptions,
-    ) -> Result<OumpSolution, CoreError> {
-        let sol = solve_oump_inner(constraints, opts, Some(&mut *self))?;
-        if sol.capped {
-            self.count_capped();
-        }
-        Ok(sol)
-    }
-}
-
 /// Build the O-UMP linear program of Section 5.1 over the polytope.
 fn build_problem(constraints: &PrivacyConstraints, opts: &OumpOptions) -> Problem {
     let mut p = Problem::new(Sense::Maximize);
@@ -146,74 +109,88 @@ fn build_problem(constraints: &PrivacyConstraints, opts: &OumpOptions) -> Proble
     p
 }
 
-fn solve_oump_inner(
-    constraints: &PrivacyConstraints,
-    opts: &OumpOptions,
-    session: Option<&mut SolveSession>,
-) -> Result<OumpSolution, CoreError> {
-    if constraints.n_pairs() == 0 {
-        return Ok(OumpSolution {
-            counts: vec![],
-            lp_counts: vec![],
-            lambda: 0,
-            lp_value: 0.0,
-            iterations: 0,
-            capped: false,
-            upper_bound: 0.0,
-        });
-    }
-
-    if opts.anytime && constraints.n_rows() >= SPARSE_MIN_ROWS {
-        let sol = packing::solve(constraints, opts.cap_at_input);
-        if let Some(s) = session {
-            s.count_packing_solve();
+impl SolveSession {
+    /// Solve the O-UMP through this session, counting the solve (and
+    /// whether it was capped) in the session's stats.
+    pub fn solve_oump(
+        &mut self,
+        constraints: &PrivacyConstraints,
+        opts: &OumpOptions,
+    ) -> Result<OumpSolution, CoreError> {
+        if constraints.n_pairs() == 0 {
+            return Ok(OumpSolution {
+                counts: vec![],
+                lp_counts: vec![],
+                lambda: 0,
+                lp_value: 0.0,
+                iterations: 0,
+                capped: false,
+                upper_bound: 0.0,
+            });
         }
-        verify_counts(constraints, &sol.counts)?;
-        let lambda = sol.counts.iter().sum();
-        return Ok(OumpSolution {
-            lp_counts: sol.counts.iter().map(|&c| c as f64).collect(),
-            counts: sol.counts,
+
+        if opts.anytime && constraints.n_rows() >= SPARSE_MIN_ROWS {
+            let sol = packing::solve(constraints, opts.cap_at_input);
+            self.count_packing_solve();
+            verify_counts(constraints, &sol.counts)?;
+            self.count_capped();
+            let lambda = sol.counts.iter().sum();
+            return Ok(OumpSolution {
+                lp_counts: sol.counts.iter().map(|&c| c as f64).collect(),
+                counts: sol.counts,
+                lambda,
+                lp_value: lambda as f64,
+                iterations: 0,
+                capped: true,
+                upper_bound: sol.upper_bound,
+            });
+        }
+
+        let sol = self.solve(&build_problem(constraints, opts))?;
+        let capped = sol.status == SolveStatus::IterationLimit && opts.anytime;
+        if sol.status != SolveStatus::Optimal && !capped {
+            return Err(CoreError::UnexpectedStatus(match sol.status {
+                SolveStatus::Infeasible => {
+                    "O-UMP reported infeasible (impossible for Mx ≤ b, b > 0)"
+                }
+                SolveStatus::Unbounded => "O-UMP reported unbounded (impossible for M ≥ 0)",
+                _ => "iteration limit on O-UMP",
+            }));
+        }
+        let counts = floor_counts(&sol.x);
+        verify_counts(constraints, &counts)?;
+        if capped {
+            self.count_capped();
+        }
+        let lambda = counts.iter().sum();
+        let bounds = packing::column_bounds(constraints, opts.cap_at_input);
+        Ok(OumpSolution {
+            counts,
+            lp_counts: sol.x,
             lambda,
-            lp_value: lambda as f64,
-            iterations: 0,
-            capped: true,
-            upper_bound: sol.upper_bound,
-        });
+            lp_value: sol.objective,
+            iterations: sol.iterations,
+            capped,
+            upper_bound: packing::upper_bound(constraints, &bounds, &sol.duals),
+        })
     }
-
-    let p = build_problem(constraints, opts);
-    let sol: Solution = match session {
-        Some(s) => s.solve(&p)?,
-        None => solve(&p, &opts.lp)?,
-    };
-    let capped = sol.status == SolveStatus::IterationLimit && opts.anytime;
-    if sol.status != SolveStatus::Optimal && !capped {
-        return Err(CoreError::UnexpectedStatus(match sol.status {
-            SolveStatus::Infeasible => "O-UMP reported infeasible (impossible for Mx ≤ b, b > 0)",
-            SolveStatus::Unbounded => "O-UMP reported unbounded (impossible for M ≥ 0)",
-            _ => "iteration limit on O-UMP",
-        }));
-    }
-
-    let counts = floor_counts(&sol.x);
-    verify_counts(constraints, &counts)?;
-    let lambda = counts.iter().sum();
-    let bounds = packing::column_bounds(constraints, opts.cap_at_input);
-    Ok(OumpSolution {
-        counts,
-        lp_counts: sol.x,
-        lambda,
-        lp_value: sol.objective,
-        iterations: sol.iterations,
-        capped,
-        upper_bound: packing::upper_bound(constraints, &bounds, &sol.duals),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpsan_searchlog::{preprocess, SearchLogBuilder};
+    use dpsan_dp::params::PrivacyParams;
+    use dpsan_searchlog::{preprocess, SearchLog, SearchLogBuilder};
+
+    /// Build the constraints and solve through a fresh default session.
+    fn solve_oump(
+        log: &SearchLog,
+        params: PrivacyParams,
+        opts: &OumpOptions,
+    ) -> Result<OumpSolution, CoreError> {
+        let c = PrivacyConstraints::build(log, params)?;
+        SolveSession::new(SimplexOptions::default()).solve_oump(&c, opts)
+    }
 
     fn two_pair_log() -> SearchLog {
         let mut b = SearchLogBuilder::new();
@@ -317,16 +294,16 @@ mod tests {
     fn anytime_cap_returns_feasible_incumbent() {
         let log = two_pair_log();
         let p = params(2.0, 0.5);
-        // one iteration is never enough to prove optimality here
-        let lp = SimplexOptions { max_iter: 1, ..SimplexOptions::default() };
-        // without anytime, hitting the budget is an error
-        let strict = OumpOptions { lp: lp.clone(), ..Default::default() };
-        assert!(solve_oump(&log, p, &strict).is_err());
-        // with anytime, the incumbent comes back flagged and feasible
-        let anytime = OumpOptions { lp, anytime: true, ..Default::default() };
-        let s = solve_oump(&log, p, &anytime).unwrap();
-        assert!(s.capped, "one iteration cannot prove optimality on this LP");
         let c = PrivacyConstraints::build(&log, p).unwrap();
+        // one iteration is never enough to prove optimality here
+        let mut one_iter =
+            SolveSession::new(SimplexOptions { max_iter: 1, ..SimplexOptions::default() });
+        // without anytime, hitting the budget is an error
+        assert!(one_iter.solve_oump(&c, &OumpOptions::default()).is_err());
+        // with anytime, the incumbent comes back flagged and feasible
+        let anytime = OumpOptions { anytime: true, ..Default::default() };
+        let s = one_iter.solve_oump(&c, &anytime).unwrap();
+        assert!(s.capped, "one iteration cannot prove optimality on this LP");
         assert!(c.satisfied_by(&s.counts, 1e-9), "capped counts stay privacy-feasible");
         // the capped λ lower-bounds the optimum
         let full = solve_oump(&log, p, &OumpOptions::default()).unwrap();
@@ -339,8 +316,8 @@ mod tests {
         let log = two_pair_log();
         let c = PrivacyConstraints::build(&log, params(2.0, 0.5)).unwrap();
         let lp = SimplexOptions { max_iter: 1, ..SimplexOptions::default() };
-        let mut session = SolveSession::new(lp.clone());
-        let anytime = OumpOptions { lp, anytime: true, ..Default::default() };
+        let mut session = SolveSession::new(lp);
+        let anytime = OumpOptions { anytime: true, ..Default::default() };
         assert!(session.solve_oump(&c, &anytime).unwrap().capped);
         assert_eq!((session.stats().solves, session.stats().capped), (1, 1));
         // a strict solve that hits the cap is an error, not a capped solve

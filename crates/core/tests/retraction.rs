@@ -6,11 +6,12 @@
 //! The growth direction (appended counts) is exercised by the serve
 //! suite; these tests pin the *decrease* direction: every session
 //! solve after a retraction must agree exactly — same λ, same floored
-//! counts — with a standalone solve of the same constraint system, so
-//! a session's answers never depend on the solves before them.
+//! counts — with a solve of the same constraint system through a fresh
+//! session, so a session's answers never depend on the solves before
+//! them.
 
 use dpsan_core::session::SolveSession;
-use dpsan_core::ump::output_size::{solve_oump_with, OumpOptions};
+use dpsan_core::ump::output_size::{OumpOptions, OumpSolution};
 use dpsan_core::PrivacyConstraints;
 use dpsan_dp::params::PrivacyParams;
 use dpsan_lp::simplex::SimplexOptions;
@@ -40,6 +41,11 @@ fn params() -> PrivacyParams {
     PrivacyParams::from_e_epsilon(2.0, 0.5)
 }
 
+/// A cold solve: the same constraints through a fresh session.
+fn solve_cold(constraints: &PrivacyConstraints, opts: &OumpOptions) -> OumpSolution {
+    SolveSession::new(SimplexOptions::default()).solve_oump(constraints, opts).unwrap()
+}
+
 /// Session solve vs cold solve of the same constraints: λ and the
 /// floored counts must agree exactly (the serve layer's byte-identity
 /// guarantee rests on this).
@@ -51,7 +57,7 @@ fn assert_matches_cold(
 ) {
     let constraints = PrivacyConstraints::build(log, params()).unwrap();
     let swept = session.solve_oump(&constraints, opts).unwrap();
-    let cold = solve_oump_with(&constraints, opts).unwrap();
+    let cold = solve_cold(&constraints, opts);
     assert_eq!(swept.lambda, cold.lambda, "step {step}: λ diverged from cold solve");
     assert_eq!(swept.counts, cold.counts, "step {step}: counts diverged from cold solve");
     assert!(
@@ -146,7 +152,7 @@ proptest! {
             }
             let constraints = PrivacyConstraints::build(&log, params()).unwrap();
             let swept = session.solve_oump(&constraints, &opts).unwrap();
-            let cold = solve_oump_with(&constraints, &opts).unwrap();
+            let cold = solve_cold(&constraints, &opts);
             prop_assert_eq!(swept.lambda, cold.lambda, "step {}: λ diverged", step);
             prop_assert_eq!(&swept.counts, &cold.counts, "step {}: counts diverged", step);
         }

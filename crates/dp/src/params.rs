@@ -86,12 +86,6 @@ impl fmt::Display for PrivacyParams {
 }
 
 impl PrivacyBudget {
-    /// Construct a raw budget (mainly for tests and scaling laws).
-    pub fn from_raw(b: f64) -> Self {
-        assert!(b.is_finite() && b > 0.0, "budget must be finite and > 0");
-        PrivacyBudget(b)
-    }
-
     /// The budget value `B`.
     pub fn value(self) -> f64 {
         self.0

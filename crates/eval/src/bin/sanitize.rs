@@ -31,8 +31,10 @@ use dpsan_core::mechanism::{
     ZealousSanitizer,
 };
 use dpsan_core::ump::diversity::DumpSolver;
-use dpsan_core::ump::output_size::{solve_oump, OumpOptions};
+use dpsan_core::ump::output_size::OumpOptions;
+use dpsan_core::{PrivacyConstraints, SolveSession};
 use dpsan_dp::params::PrivacyParams;
+use dpsan_lp::simplex::SimplexOptions;
 use dpsan_searchlog::{frequent_pairs, preprocess, SearchLog};
 use dpsan_stream::{ingest_path, StreamConfig};
 
@@ -373,13 +375,16 @@ fn build_mechanism(args: &Args, output_size: Option<u64>) -> Box<dyn Sanitizer> 
 /// `--output-size auto`: half the privacy-feasible maximum λ and at
 /// least 1, or 0 — the empty release — when λ = 0. λ comes from an
 /// anytime solve: exact below 512 rows, the packing route's feasible
-/// λ (≤ λ*) at and above.
+/// λ (≤ λ*) at and above. The solve goes through a session, so the
+/// exported solver series count it.
 fn auto_output_size(
     pre: &SearchLog,
     params: PrivacyParams,
 ) -> Result<u64, Box<dyn std::error::Error>> {
+    let constraints = PrivacyConstraints::build(pre, params)?;
     let opts = OumpOptions { anytime: true, ..OumpOptions::default() };
-    let lambda = solve_oump(pre, params, &opts)?.lambda;
+    let lambda =
+        SolveSession::new(SimplexOptions::default()).solve_oump(&constraints, &opts)?.lambda;
     Ok(if lambda == 0 { 0 } else { (lambda / 2).max(1) })
 }
 

@@ -1,5 +1,6 @@
 //! Shared experiment context: dataset, preprocessing, and cached
-//! solves.
+//! solves. Every solve goes through a [`SolveSession`] at the default
+//! LP options.
 //!
 //! Two `(ε, δ)` pairs with the same collapsed budget
 //! `B = min{ε, ln 1/(1−δ)}` induce identical optimization problems, so
@@ -14,15 +15,16 @@
 //! and the shard layout never depends on the worker count. Every solve
 //! is cold, so a cell's answer depends only on the cell — output is
 //! byte-identical for every `--jobs` value. Every session's
-//! [`SessionStats`] are merged into a context-wide aggregate
-//! ([`Ctx::solve_stats`]) so sweeps can show what their cells cost
-//! (`repro --stats`).
+//! [`SessionStats`] — the D-UMP solves of [`Ctx::dump`] included — are
+//! merged into a context-wide aggregate ([`Ctx::solve_stats`]) so
+//! sweeps can show what their cells cost (`repro --stats`).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use dpsan_core::constraints::PrivacyConstraints;
 use dpsan_core::session::{SessionStats, SolveSession};
+use dpsan_core::ump::diversity::{DumpOptions, DumpSolution, DumpSolver};
 use dpsan_core::ump::frequent::{FumpOptions, FumpSolution};
 use dpsan_core::ump::output_size::{OumpOptions, OumpSolution};
 use dpsan_core::CoreError;
@@ -101,8 +103,6 @@ pub struct Ctx {
     pub report: PreprocessReport,
     /// The scale used.
     pub scale: Scale,
-    /// LP options shared by all solves.
-    pub lp: SimplexOptions,
     jobs: usize,
     oump_cache: Mutex<HashMap<u64, Arc<OumpSolution>>>,
     constraints_cache: Mutex<HashMap<u64, Arc<PrivacyConstraints>>>,
@@ -124,7 +124,6 @@ impl Ctx {
             pre,
             report,
             scale,
-            lp: SimplexOptions::default(),
             jobs: 1,
             oump_cache: Mutex::new(HashMap::new()),
             constraints_cache: Mutex::new(HashMap::new()),
@@ -196,11 +195,8 @@ impl Ctx {
         let constraints = self.constraints(params)?;
         // a one-shot session: solves exactly like a plain solve would,
         // but feeds the shared stats aggregate
-        let mut session = SolveSession::new(self.lp.clone());
-        let sol = Arc::new(session.solve_oump(
-            &constraints,
-            &OumpOptions { lp: self.lp.clone(), ..Default::default() },
-        )?);
+        let mut session = SolveSession::new(SimplexOptions::default());
+        let sol = Arc::new(session.solve_oump(&constraints, &OumpOptions::default())?);
         self.record_solve_stats(&session.stats());
         self.insert_oump(key, &sol);
         Ok(sol)
@@ -241,8 +237,8 @@ impl Ctx {
             todo.chunks(OUMP_SHARD_LEN).map(<[PrivacyParams]>::to_vec).collect();
 
         let results = run_sharded(shards, self.jobs, |shard| {
-            let mut session = SolveSession::new(self.lp.clone());
-            let opts = OumpOptions { lp: self.lp.clone(), ..Default::default() };
+            let mut session = SolveSession::new(SimplexOptions::default());
+            let opts = OumpOptions::default();
             let out = shard
                 .into_iter()
                 .map(|params| {
@@ -267,6 +263,21 @@ impl Ctx {
         Ok(self.oump(params)?.lambda)
     }
 
+    /// Solve the D-UMP at the given parameters with `solver`, through a
+    /// one-shot session (not cached: Table 7 and Figure 5 compare and
+    /// time the solvers themselves).
+    pub fn dump(
+        &self,
+        params: PrivacyParams,
+        solver: DumpSolver,
+    ) -> Result<DumpSolution, CoreError> {
+        let constraints = self.constraints(params)?;
+        let mut session = SolveSession::new(SimplexOptions::default());
+        let sol = session.solve_dump(&constraints, &DumpOptions { solver })?;
+        self.record_solve_stats(&session.stats());
+        Ok(sol)
+    }
+
     /// The F-UMP solution of one cell (cached; cache misses solve cold
     /// — sweeps should [`Ctx::prefetch_fump`] first).
     pub fn fump(&self, cell: FumpCell) -> Result<Arc<FumpSolution>, CoreError> {
@@ -276,14 +287,11 @@ impl Ctx {
         }
         let constraints = self.constraints(cell.params)?;
         // one-shot (see the O-UMP cache-miss path above)
-        let mut session = SolveSession::new(self.lp.clone());
+        let mut session = SolveSession::new(SimplexOptions::default());
         let sol = Arc::new(session.solve_fump(
             &self.pre,
             &constraints,
-            &FumpOptions {
-                lp: self.lp.clone(),
-                ..FumpOptions::new(cell.min_support, cell.output_size)
-            },
+            &FumpOptions::new(cell.min_support, cell.output_size),
         )?);
         self.record_solve_stats(&session.stats());
         self.insert_fump(key, &sol);
@@ -323,7 +331,7 @@ impl Ctx {
             self.constraints(cell.params)?;
         }
         let results = run_sharded(shards, self.jobs, |shard| {
-            let mut session = SolveSession::new(self.lp.clone());
+            let mut session = SolveSession::new(SimplexOptions::default());
             let out = shard
                 .into_iter()
                 .map(|cell| {
@@ -331,10 +339,7 @@ impl Ctx {
                     let sol = session.solve_fump(
                         &self.pre,
                         &constraints,
-                        &FumpOptions {
-                            lp: self.lp.clone(),
-                            ..FumpOptions::new(cell.min_support, cell.output_size)
-                        },
+                        &FumpOptions::new(cell.min_support, cell.output_size),
                     )?;
                     Ok((fump_key(&cell), Arc::new(sol)))
                 })

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::io::Write;
 
-use dpsan_core::ump::diversity::{solve_dump_with, DumpOptions, DumpSolver};
+use dpsan_core::ump::diversity::DumpSolver;
 use dpsan_dp::params::PrivacyParams;
 
 use crate::context::Ctx;
@@ -28,11 +28,7 @@ pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         let mut row = vec![format!("{e_eps}")];
         for &delta in &DELTA_CURVES {
             let params = PrivacyParams::from_e_epsilon(e_eps, delta);
-            let constraints = ctx.constraints(params)?;
-            let sol = solve_dump_with(
-                &constraints,
-                &DumpOptions { solver: DumpSolver::SpeViolated, lp: ctx.lp.clone() },
-            )?;
+            let sol = ctx.dump(params, DumpSolver::SpeViolated)?;
             row.push(pct(sol.retained as f64 / ctx.pre.n_pairs() as f64));
         }
         t.row(row);
@@ -57,8 +53,7 @@ mod tests {
         let ctx = Ctx::new(Scale::Tiny);
         let retained = |e: f64, d: f64| {
             let params = PrivacyParams::from_e_epsilon(e, d);
-            let c = ctx.constraints(params).unwrap();
-            solve_dump_with(&c, &DumpOptions::default()).unwrap().retained
+            ctx.dump(params, DumpSolver::Spe).unwrap().retained
         };
         let lo = retained(1.01, 0.01);
         let hi = retained(2.3, 0.8);

@@ -5,8 +5,6 @@ use std::error::Error;
 use std::io::Write;
 use std::time::Instant;
 
-use dpsan_core::ump::diversity::{solve_dump_with, DumpOptions};
-
 use crate::context::Ctx;
 use crate::experiments::table7::solver_suite;
 use crate::grids::fig5_params;
@@ -27,7 +25,7 @@ pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let mut t = Table::new(vec!["solver", "runtime", "retained"]);
     for (name, solver) in solver_suite(ctx.scale) {
         let t0 = Instant::now();
-        let sol = solve_dump_with(&constraints, &DumpOptions { solver, lp: ctx.lp.clone() })?;
+        let sol = ctx.dump(params, solver)?;
         let dt = t0.elapsed();
         t.row(vec![name.to_string(), format!("{dt:.2?}"), sol.retained.to_string()]);
     }
@@ -46,14 +44,13 @@ mod tests {
     #[test]
     fn spe_is_fastest_solver() {
         let ctx = Ctx::new(Scale::Tiny);
-        let constraints = ctx.constraints(fig5_params()).unwrap();
+        let params = fig5_params();
         let time_of = |solver: DumpSolver| {
             let t0 = Instant::now();
-            let _ =
-                solve_dump_with(&constraints, &DumpOptions { solver, lp: ctx.lp.clone() }).unwrap();
+            let _ = ctx.dump(params, solver).unwrap();
             t0.elapsed()
         };
-        // warm up then measure
+        // warm up (builds the cached constraints) then measure
         let _ = time_of(DumpSolver::Spe);
         let spe = time_of(DumpSolver::Spe);
         let lp_round = time_of(DumpSolver::LpRound);

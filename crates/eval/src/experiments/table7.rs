@@ -7,7 +7,7 @@
 use std::error::Error;
 use std::io::Write;
 
-use dpsan_core::ump::diversity::{solve_dump_with, DumpOptions, DumpSolver};
+use dpsan_core::ump::diversity::DumpSolver;
 use dpsan_dp::params::PrivacyParams;
 
 use crate::context::{Ctx, Scale};
@@ -36,9 +36,7 @@ fn retained_pct(
     params: PrivacyParams,
     solver: &DumpSolver,
 ) -> Result<f64, Box<dyn Error>> {
-    let constraints = ctx.constraints(params)?;
-    let sol =
-        solve_dump_with(&constraints, &DumpOptions { solver: solver.clone(), lp: ctx.lp.clone() })?;
+    let sol = ctx.dump(params, solver.clone())?;
     Ok(sol.retained as f64 / ctx.pre.n_pairs() as f64)
 }
 

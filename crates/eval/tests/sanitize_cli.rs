@@ -164,6 +164,42 @@ fn stats_print_the_certified_bound_for_oump_releases_only() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `fump --output-size auto` solves two LPs — the O-UMP that sizes the
+/// release and the F-UMP itself — and the exported solver series must
+/// count both.
+#[test]
+fn metrics_count_the_auto_output_size_solve() {
+    let dir = scratch("fumpsolves");
+    let input = dir.join("tiny.tsv");
+    let o = Command::new(env!("CARGO_BIN_EXE_genlog"))
+        .args(["--scale", "tiny", "--out", input.to_str().unwrap()])
+        .output()
+        .expect("spawn genlog");
+    assert!(o.status.success(), "stderr: {}", String::from_utf8_lossy(&o.stderr));
+    let out = dir.join("out.tsv");
+    let prom = dir.join("m.prom");
+    let o = run_sanitize(&[
+        input.to_str().unwrap(),
+        "--mechanism",
+        "fump",
+        "--min-support",
+        "0.01",
+        "--out",
+        out.to_str().unwrap(),
+        "--metrics-file",
+        prom.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "stderr: {}", String::from_utf8_lossy(&o.stderr));
+    let text = fs::read_to_string(&prom).expect("metrics file written");
+    let solves: u64 = text
+        .lines()
+        .filter(|l| l.starts_with("dpsan_solves_total{"))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().expect("integer sample"))
+        .sum();
+    assert_eq!(solves, 2, "one auto-|O| O-UMP solve plus the F-UMP solve:\n{text}");
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// A log whose every pair is unique (or which is empty) preprocesses to
 /// nothing, so λ = 0: every mechanism releases an empty log, fump's
 /// `--output-size auto` included. An explicit size above λ stays an

@@ -112,11 +112,6 @@ pub fn matvec(a: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Infinity norm of a residual `A x − b`.
-pub fn residual_inf_norm(a: &[Vec<f64>], x: &[f64], b: &[f64]) -> f64 {
-    matvec(a, x).iter().zip(b).map(|(ax, &bi)| (ax - bi).abs()).fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,13 +167,5 @@ mod tests {
         let x = lu.solve(&[5.0, 7.0]);
         assert!((x[0] - 7.0).abs() < 1e-12);
         assert!((x[1] - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn residual_norm_zero_for_exact() {
-        let a = sample();
-        let x = vec![1.0, 1.0, 1.0];
-        let b = matvec(&a, &x);
-        assert_eq!(residual_inf_norm(&a, &x, &b), 0.0);
     }
 }

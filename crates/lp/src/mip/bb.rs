@@ -1,37 +1,30 @@
 //! Branch & bound for (mixed) integer programs.
 //!
 //! Depth-first with best-LP-bound child ordering, LP relaxations solved
-//! by the revised simplex, most-fractional branching, and optional
-//! packing-rounding incumbents. Node and iteration limits make it
-//! behave like production MIP solvers: when a limit is hit the best
-//! incumbent so far is returned with [`MipStatus::Feasible`].
+//! by the revised simplex at its default options, most-fractional
+//! branching, and packing-rounding incumbents on packing models. Node
+//! and iteration limits make it behave like production MIP solvers:
+//! when a limit is hit the best incumbent so far is returned with
+//! [`MipStatus::Feasible`].
 
 use crate::problem::{Problem, Sense, VarBounds};
 use crate::simplex::{solve, SimplexOptions, SolveStatus};
 
 use super::rounding::{greedy_raise, is_packing, round_down};
 
+/// Integrality tolerance.
+const TOL_INT: f64 = 1e-6;
+
 /// Branch & bound options.
 #[derive(Debug, Clone)]
 pub struct BbOptions {
     /// Maximum number of explored nodes.
     pub max_nodes: usize,
-    /// Integrality tolerance.
-    pub tol_int: f64,
-    /// LP options for node relaxations.
-    pub lp: SimplexOptions,
-    /// Use packing round-down incumbents at every node when applicable.
-    pub packing_heuristics: bool,
 }
 
 impl Default for BbOptions {
     fn default() -> Self {
-        BbOptions {
-            max_nodes: 50_000,
-            tol_int: 1e-6,
-            lp: SimplexOptions::default(),
-            packing_heuristics: true,
-        }
+        BbOptions { max_nodes: 50_000 }
     }
 }
 
@@ -70,7 +63,8 @@ struct Incumbent {
 pub fn solve_mip(problem: &Problem, opts: &BbOptions) -> MipSolution {
     let maximize = problem.sense() == Sense::Maximize;
     let better = |a: f64, b: f64| if maximize { a > b + 1e-9 } else { a < b - 1e-9 };
-    let packing = opts.packing_heuristics && is_packing(problem);
+    // packing models get a round-down incumbent at every node
+    let packing = is_packing(problem);
 
     // node = set of bound overrides
     let mut stack: Vec<Vec<(usize, VarBounds)>> = vec![Vec::new()];
@@ -97,7 +91,7 @@ pub fn solve_mip(problem: &Problem, opts: &BbOptions) -> MipSolution {
             continue;
         }
 
-        let relax = match solve(&node, &opts.lp) {
+        let relax = match solve(&node, &SimplexOptions::default()) {
             Ok(s) => s,
             Err(_) => continue,
         };
@@ -125,7 +119,7 @@ pub fn solve_mip(problem: &Problem, opts: &BbOptions) -> MipSolution {
             }
             let f = relax.x[j] - relax.x[j].floor();
             let dist = f.min(1.0 - f);
-            if dist > opts.tol_int && dist > branch_frac {
+            if dist > TOL_INT && dist > branch_frac {
                 branch_frac = dist;
                 branch_col = Some(j);
             }
@@ -146,8 +140,7 @@ pub fn solve_mip(problem: &Problem, opts: &BbOptions) -> MipSolution {
                     let order: Vec<usize> =
                         (0..problem.n_cols()).filter(|&c| problem.integers()[c]).collect();
                     greedy_raise(problem, &mut hx, &order);
-                    if problem.max_violation(&hx) <= 1e-9 && problem.is_integral(&hx, opts.tol_int)
-                    {
+                    if problem.max_violation(&hx) <= 1e-9 && problem.is_integral(&hx, TOL_INT) {
                         let obj = problem.objective_value(&hx);
                         if incumbent.as_ref().is_none_or(|inc| better(obj, inc.objective)) {
                             incumbent = Some(Incumbent { objective: obj, x: hx });
@@ -251,7 +244,7 @@ mod tests {
         for i in 0..7 {
             p.add_row(RowBounds::at_most(1.0), &[(i, 0.7), (i + 1, 0.7)]).unwrap();
         }
-        let o = BbOptions { max_nodes: 2, ..Default::default() };
+        let o = BbOptions { max_nodes: 2 };
         let s = solve_mip(&p, &o);
         assert_eq!(s.status, MipStatus::Feasible);
         assert!(s.objective >= 1.0, "incumbent from packing heuristic");

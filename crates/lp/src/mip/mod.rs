@@ -11,4 +11,4 @@ pub mod rounding;
 
 pub use bb::{solve_mip, BbOptions, MipSolution, MipStatus};
 pub use pump::{pump_packing, PumpOptions};
-pub use rounding::{greedy_raise, is_packing, lp_round_packing, lp_round_packing_from, round_down};
+pub use rounding::{greedy_raise, is_packing, lp_round_packing, round_down};

@@ -21,21 +21,20 @@ pub struct PumpOptions {
     pub restarts: usize,
     /// RNG seed (the heuristic is deterministic given the seed).
     pub seed: u64,
-    /// LP options for the one relaxation solve.
-    pub lp: SimplexOptions,
 }
 
 impl Default for PumpOptions {
     fn default() -> Self {
-        PumpOptions { restarts: 12, seed: 0x5eed, lp: SimplexOptions::default() }
+        PumpOptions { restarts: 12, seed: 0x5eed }
     }
 }
 
 /// Run the pump on a packing binary program; returns the best feasible
-/// 0/1 point found, or `None` if the relaxation fails.
+/// 0/1 point found, or `None` if the relaxation (solved at the default
+/// simplex options) fails.
 pub fn pump_packing(problem: &Problem, opts: &PumpOptions) -> Option<Vec<f64>> {
     assert!(is_packing(problem), "pump_packing requires a packing model");
-    let relax = solve(problem, &opts.lp).ok()?;
+    let relax = solve(problem, &SimplexOptions::default()).ok()?;
     if relax.status != SolveStatus::Optimal {
         return None;
     }

@@ -6,7 +6,6 @@
 //! variables while slack remains.
 
 use crate::problem::Problem;
-use crate::simplex::{solve, SimplexOptions, SolveStatus};
 
 /// Whether the model is a packing program: every row is `a'x ≤ u` with
 /// `a ≥ 0`, `u ≥ 0`, and every column has lower bound 0.
@@ -57,22 +56,11 @@ pub fn greedy_raise(p: &Problem, x: &mut [f64], order: &[usize]) {
     }
 }
 
-/// LP-relaxation rounding for packing models: solve the relaxation,
-/// round down, then greedily raise in descending order of the LP
-/// fractional values. Returns `None` when the relaxation does not reach
-/// optimality.
-pub fn lp_round_packing(p: &Problem, opts: &SimplexOptions) -> Option<Vec<f64>> {
-    let relax = solve(p, opts).ok()?;
-    if relax.status != SolveStatus::Optimal {
-        return None;
-    }
-    Some(lp_round_packing_from(p, &relax.x))
-}
-
-/// The rounding half of [`lp_round_packing`], starting from an already
-/// computed optimal relaxation point (lets callers solve the relaxation
-/// through a counting session).
-pub fn lp_round_packing_from(p: &Problem, relax_x: &[f64]) -> Vec<f64> {
+/// LP-relaxation rounding for packing models: round an optimal
+/// relaxation point down, then greedily raise in descending order of
+/// the LP fractional values. The caller solves the relaxation, so the
+/// solve can go through a counting session.
+pub fn lp_round_packing(p: &Problem, relax_x: &[f64]) -> Vec<f64> {
     let mut x = round_down(p, relax_x);
     let mut order: Vec<usize> = (0..p.n_cols()).filter(|&j| p.integers()[j]).collect();
     order.sort_by(|&a, &b| {
@@ -88,6 +76,7 @@ pub fn lp_round_packing_from(p: &Problem, relax_x: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::problem::{RowBounds, Sense, VarBounds};
+    use crate::simplex::{solve, SimplexOptions, SolveStatus};
 
     fn packing_bip() -> Problem {
         // max y0 + y1 + y2 s.t. 0.6 y0 + 0.6 y1 <= 1, 0.6 y1 + 0.6 y2 <= 1
@@ -130,7 +119,9 @@ mod tests {
     #[test]
     fn lp_round_reaches_optimum_here() {
         let p = packing_bip();
-        let x = lp_round_packing(&p, &SimplexOptions::default()).unwrap();
+        let relax = solve(&p, &SimplexOptions::default()).unwrap();
+        assert_eq!(relax.status, SolveStatus::Optimal);
+        let x = lp_round_packing(&p, &relax.x);
         let obj = p.objective_value(&x);
         // optimum of this BIP is 2 (y0 = y2 = 1)
         assert_eq!(obj, 2.0);

@@ -37,56 +37,54 @@ pub(crate) use ratio::{ratio_test, ratio_test_sparse, RatioOutcome};
 /// the same threshold.
 pub const SPARSE_MIN_ROWS: usize = 512;
 
-/// Floor on the refactorization cadence for the sparse route. Sparse
-/// solves recompute the dense dual vector and the incremental objective
-/// only at refactorizations, so an aggressively small
-/// `refactor_every` would erase the route's advantage; 128 keeps the
-/// eta file short while amortizing the dense recomputations.
+/// Dense-route refactorization cadence: refactorize the basis after
+/// this many eta updates.
+const REFACTOR_EVERY: usize = 64;
+
+/// Sparse-route refactorization cadence. Sparse solves recompute the
+/// dense dual vector and the incremental objective only at
+/// refactorizations, so the dense route's cadence of 64 would erase
+/// the route's advantage; 128 keeps the eta file short while
+/// amortizing the dense recomputations.
 ///
 /// The cadence is only half the trigger: every BTRAN gathers over every
 /// stored eta nonzero, so once spikes densify (large instances couple
 /// users through shared pairs) a fixed update count lets per-iteration
 /// cost grow without bound. [`Core::sparse_refactor_due`] therefore also
 /// refactors when the eta fill outgrows the LU fill.
-const SPARSE_REFACTOR_MIN: usize = 128;
+const SPARSE_REFACTOR_EVERY: usize = 128;
 
-/// Solver tuning knobs.
+/// Primal feasibility tolerance. Phase 1 declares infeasibility only
+/// above `max(TOL_PRIMAL, 1e-7)` of leftover artificial mass.
+const TOL_PRIMAL: f64 = 1e-8;
+
+/// Dual (reduced-cost) tolerance.
+pub(crate) const TOL_DUAL: f64 = 1e-9;
+
+/// Minimum pivot magnitude considered in the ratio test.
+pub(crate) const TOL_PIVOT: f64 = 1e-9;
+
+/// Iterations without objective improvement before switching to
+/// Bland's anti-cycling rule.
+const STALL_LIMIT: usize = 2_000;
+
+/// What a caller may set per solve: the iteration cap and the kernel
+/// route. Every tolerance and cadence is a constant of this module, and
+/// every solve runs on a geometric-mean-scaled copy of the problem.
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
     /// Hard iteration cap across both phases.
     pub max_iter: usize,
-    /// Primal feasibility tolerance.
-    pub tol_primal: f64,
-    /// Dual (reduced-cost) tolerance.
-    pub tol_dual: f64,
-    /// Minimum pivot magnitude considered in the ratio test.
-    pub tol_pivot: f64,
-    /// Refactorize the basis after this many eta updates.
-    pub refactor_every: usize,
-    /// Apply geometric-mean scaling before solving.
-    pub scaling: bool,
-    /// Iterations without objective improvement before switching to
-    /// Bland's anti-cycling rule.
-    pub stall_limit: usize,
     /// Kernel route override: `Some(true)` forces the sparse route,
     /// `Some(false)` forces the dense route, `None` (the default)
     /// selects by problem size — sparse at [`SPARSE_MIN_ROWS`] rows and
-    /// above, dense below.
+    /// above, dense below. The dense-oracle cross-checks force it.
     pub sparse: Option<bool>,
 }
 
 impl Default for SimplexOptions {
     fn default() -> Self {
-        SimplexOptions {
-            max_iter: 200_000,
-            tol_primal: 1e-8,
-            tol_dual: 1e-9,
-            tol_pivot: 1e-9,
-            refactor_every: 64,
-            scaling: true,
-            stall_limit: 2_000,
-            sparse: None,
-        }
+        SimplexOptions { max_iter: 200_000, sparse: None }
     }
 }
 
@@ -143,13 +141,9 @@ pub fn solve(problem: &Problem, opts: &SimplexOptions) -> Result<Solution, LpErr
     if problem.n_rows() == 0 {
         return solve_unconstrained(problem);
     }
-    let (scaled, factors) = if opts.scaling {
-        let f = scaling::geometric_scaling(problem, 2);
-        (scaling::apply(problem, &f), f)
-    } else {
-        (problem.clone(), ScaleFactors::identity(problem.n_rows(), problem.n_cols()))
-    };
-    let mut core = Core::new(StandardForm::from_problem(&scaled), opts.clone());
+    let factors = scaling::geometric_scaling(problem, 2);
+    let scaled = scaling::apply(problem, &factors);
+    let mut core = Core::new(StandardForm::from_problem(&scaled), opts);
     let status = core.run()?;
     Ok(finish(&core, status, problem, &factors))
 }
@@ -225,7 +219,8 @@ fn solve_unconstrained(problem: &Problem) -> Result<Solution, LpError> {
 /// Internal solver state over the standard form plus artificials.
 pub(crate) struct Core {
     sf: StandardForm,
-    opts: SimplexOptions,
+    /// Hard iteration cap across both phases.
+    max_iter: usize,
     /// Working matrix: standard-form columns plus artificial columns.
     a: CscMatrix,
     /// Total working columns (n + artificials).
@@ -257,7 +252,7 @@ enum PhaseOutcome {
 }
 
 impl Core {
-    fn new(sf: StandardForm, opts: SimplexOptions) -> Core {
+    fn new(sf: StandardForm, opts: &SimplexOptions) -> Core {
         let m = sf.m;
         let n = sf.n;
 
@@ -333,7 +328,7 @@ impl Core {
 
         Core {
             sf,
-            opts,
+            max_iter: opts.max_iter,
             a,
             n_total,
             phase1_cost,
@@ -362,7 +357,7 @@ impl Core {
                 PhaseOutcome::Optimal => {}
             }
             let infeas: f64 = (self.sf.n..self.n_total).map(|j| self.x_val[j].max(0.0)).sum();
-            if infeas > self.opts.tol_primal.max(1e-7) {
+            if infeas > TOL_PRIMAL.max(1e-7) {
                 return Ok(SolveStatus::Infeasible);
             }
             // fix artificials at zero for phase 2
@@ -408,10 +403,10 @@ impl Core {
         let mut devex = Devex::new(self.n_total);
 
         loop {
-            if self.iterations >= self.opts.max_iter {
+            if self.iterations >= self.max_iter {
                 return Ok(PhaseOutcome::IterationLimit);
             }
-            if self.factor.n_updates() >= self.opts.refactor_every {
+            if self.factor.n_updates() >= REFACTOR_EVERY {
                 self.refactorize()?;
             }
 
@@ -481,7 +476,7 @@ impl Core {
                 stall = 0;
             } else {
                 stall += 1;
-                if stall >= self.opts.stall_limit {
+                if stall >= STALL_LIMIT {
                     bland = true;
                 }
             }
@@ -508,7 +503,6 @@ impl Core {
         let mut bland = false;
         let mut best_obj = f64::INFINITY;
         let mut devex = Devex::new(self.n_total);
-        let refactor_every = self.opts.refactor_every.max(SPARSE_REFACTOR_MIN);
 
         // per-solve workspaces (no per-iteration allocation)
         let mut w = SparseVec::new(m);
@@ -527,10 +521,10 @@ impl Core {
         let mut obj = self.objective_of(cost);
 
         loop {
-            if self.iterations >= self.opts.max_iter {
+            if self.iterations >= self.max_iter {
                 return Ok(PhaseOutcome::IterationLimit);
             }
-            if self.sparse_refactor_due(refactor_every) {
+            if self.sparse_refactor_due() {
                 self.refactorize()?;
                 y = self.compute_duals(cost);
                 y_fresh = true;
@@ -640,7 +634,7 @@ impl Core {
                 stall = 0;
             } else {
                 stall += 1;
-                if stall >= self.opts.stall_limit {
+                if stall >= STALL_LIMIT {
                     bland = true;
                 }
             }
@@ -653,12 +647,9 @@ impl Core {
     /// cost bounded at scale — each BTRAN gathers over every stored eta
     /// nonzero, and on instances whose basis couples many rows the
     /// spikes densify long before the cadence would fire.
-    /// The fill trigger is gated on the sparse route so the dense
-    /// route's pivot sequence stays byte-identical to its pre-sparse
-    /// behavior (golden-fixture safety).
-    fn sparse_refactor_due(&self, refactor_every: usize) -> bool {
-        self.factor.n_updates() >= refactor_every
-            || (self.sparse && self.factor.eta_nnz() > 2 * (self.factor.lu_nnz() + self.sf.m))
+    fn sparse_refactor_due(&self) -> bool {
+        self.factor.n_updates() >= SPARSE_REFACTOR_EVERY
+            || self.factor.eta_nnz() > 2 * (self.factor.lu_nnz() + self.sf.m)
     }
 
     /// Build the CSR mirror of the working matrix if not yet present.
@@ -792,12 +783,6 @@ impl Core {
     /// route has called [`Core::ensure_csr`].
     pub(crate) fn csr(&self) -> Option<&CsrMatrix> {
         self.csr.as_ref()
-    }
-    pub(crate) fn tol_dual(&self) -> f64 {
-        self.opts.tol_dual
-    }
-    pub(crate) fn tol_pivot(&self) -> f64 {
-        self.opts.tol_pivot
     }
 }
 

@@ -8,7 +8,7 @@
 //! iterations. Bland's rule (smallest eligible index) remains as the
 //! anti-cycling fallback the driver switches to after a stall.
 
-use super::{Core, VarStatus};
+use super::{Core, VarStatus, TOL_DUAL};
 use crate::sparse::SparseVec;
 
 /// Which way the entering variable moves.
@@ -36,7 +36,7 @@ fn eligible(core: &Core, j: usize, d: f64) -> Option<Direction> {
     if hi - lo <= 0.0 {
         return None; // fixed variable can never move
     }
-    let tol = core.tol_dual();
+    let tol = TOL_DUAL;
     match core.status_of(j) {
         VarStatus::Basic(_) => None,
         VarStatus::AtLower => (d < -tol).then_some(Direction::Up),

@@ -14,7 +14,7 @@
 //! keeps the basis factorization well-conditioned instead of letting
 //! whichever tiny pivot appears first poison the eta file.
 
-use super::{Core, Direction};
+use super::{Core, Direction, TOL_PIVOT};
 use crate::sparse::SparseVec;
 
 /// Outcome of the ratio test.
@@ -65,7 +65,7 @@ fn ratio_test_inner<I>(core: &Core, q: usize, dir: Direction, entries: I) -> Rat
 where
     I: Iterator<Item = (usize, f64)> + Clone,
 {
-    let tol_pivot = core.tol_pivot();
+    let tol_pivot = TOL_PIVOT;
 
     let (q_lo, q_hi) = core.bounds_of(q);
     let own_limit = q_hi - q_lo; // may be inf

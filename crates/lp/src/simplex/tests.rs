@@ -248,13 +248,11 @@ fn solution_feasible_within_tolerance_on_random_packing() {
 }
 
 #[test]
-fn scaling_off_still_solves() {
+fn tiny_coefficient_row_solves() {
     let mut p = Problem::new(Sense::Maximize);
     let x = p.add_col(1.0, VarBounds::non_negative()).unwrap();
     p.add_row(RowBounds::at_most(2.0), &[(x, 1e-4)]).unwrap();
-    let mut o = opts();
-    o.scaling = false;
-    let s = solve(&p, &o).unwrap();
+    let s = solve(&p, &opts()).unwrap();
     assert_eq!(s.status, SolveStatus::Optimal);
     assert_close(s.objective, 2e4, 1e-3, "objective");
 }
@@ -298,15 +296,14 @@ fn ratio_test_tie_prefers_large_pivot() {
     let x = p.add_col(1.0, VarBounds { lower: 0.0, upper: 5.0 }).unwrap();
     p.add_row(RowBounds::at_most(0.0), &[(x, 1e-3)]).unwrap();
     p.add_row(RowBounds::at_most(0.0), &[(x, 1.0)]).unwrap();
-    let mut o = opts();
-    o.scaling = false; // keep the raw pivot magnitudes
-    let s = solve(&p, &o).unwrap();
+    let s = solve(&p, &opts()).unwrap();
     assert_eq!(s.status, SolveStatus::Optimal);
     assert_close(s.objective, 0.0, 1e-12, "objective");
 
-    // and directly: fabricate the blocked step and inspect the choice
+    // and directly on the unscaled standard form (raw pivot
+    // magnitudes): fabricate the blocked step and inspect the choice
     let sf = StandardForm::from_problem(&p);
-    let core = Core::new(sf, o.clone());
+    let core = Core::new(sf, &opts());
     // moving x up changes slack0 by -1e-3 t, slack1 by -1.0 t; both
     // slacks sit at 0 with lower bound 0 -> both ratios are exactly 0
     let w = vec![1e-3, 1.0];
@@ -329,10 +326,8 @@ fn near_tie_within_pivot_window_prefers_large_pivot() {
     let x = p.add_col(1.0, VarBounds { lower: 0.0, upper: 5.0 }).unwrap();
     p.add_row(RowBounds::at_most(0.0), &[(x, 1e-3)]).unwrap();
     p.add_row(RowBounds::at_most(5e-10), &[(x, 1.0)]).unwrap();
-    let mut o = opts();
-    o.scaling = false;
     let sf = StandardForm::from_problem(&p);
-    let core = Core::new(sf, o);
+    let core = Core::new(sf, &opts());
     let w = vec![1e-3, 1.0];
     match ratio_test(&core, 0, Direction::Up, &w) {
         RatioOutcome::Pivot { leaving_pos, .. } => {

@@ -138,12 +138,6 @@ impl CscMatrix {
         y
     }
 
-    /// Dense product with the transpose, `A' y`.
-    pub fn matvec_t(&self, y: &[f64]) -> Vec<f64> {
-        assert_eq!(y.len(), self.nrows, "dimension mismatch");
-        (0..self.ncols).map(|j| self.col_dot(j, y)).collect()
-    }
-
     /// Materialize as a dense row-major matrix (tests and the dense LU).
     #[allow(clippy::needless_range_loop)] // j scatters a CSC column into row-major rows
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
@@ -409,13 +403,6 @@ mod tests {
         let m = sample();
         let y = m.matvec(&[1.0, 2.0, 3.0]);
         assert_eq!(y, vec![1.0 + 6.0, 6.0]);
-    }
-
-    #[test]
-    fn matvec_t_matches_dense() {
-        let m = sample();
-        let y = m.matvec_t(&[2.0, 5.0]);
-        assert_eq!(y, vec![2.0, 15.0, 4.0]);
     }
 
     #[test]

@@ -14,7 +14,9 @@ use dpsan::core::theory::{
     exhaustive_neighbor_check, indistinguishability_excess, output_space_size, pr_user_sampled,
     theorem1_report,
 };
-use dpsan::core::ump::output_size::{solve_oump, OumpOptions};
+use dpsan::core::ump::output_size::OumpOptions;
+use dpsan::core::SolveSession;
+use dpsan::lp::simplex::SimplexOptions;
 use dpsan::prelude::*;
 
 fn main() {
@@ -31,7 +33,10 @@ fn main() {
     let (log, _) = preprocess(&b.build());
 
     let params = PrivacyParams::from_e_epsilon(3.0, 0.8);
-    let sol = solve_oump(&log, params, &OumpOptions::default()).expect("solvable");
+    let constraints = PrivacyConstraints::build(&log, params).expect("preprocessed log");
+    let sol = SolveSession::new(SimplexOptions::default())
+        .solve_oump(&constraints, &OumpOptions::default())
+        .expect("solvable");
     println!("optimal counts: {:?} (λ = {})", sol.counts, sol.lambda);
 
     // Theorem 1, evaluated exactly

@@ -11,7 +11,9 @@
 //! ```
 
 use dpsan::core::metrics::precision_recall;
-use dpsan::core::ump::output_size::{solve_oump, OumpOptions};
+use dpsan::core::ump::output_size::OumpOptions;
+use dpsan::core::SolveSession;
+use dpsan::lp::simplex::SimplexOptions;
 use dpsan::prelude::*;
 
 fn main() {
@@ -22,8 +24,11 @@ fn main() {
     let params = PrivacyParams::from_e_epsilon(2.3, 0.9);
 
     // learn the feasible output-size ceiling λ and use most of it
-    let lambda =
-        solve_oump(&pre, params, &OumpOptions::default()).expect("O-UMP always solvable").lambda;
+    let constraints = PrivacyConstraints::build(&pre, params).expect("preprocessed log");
+    let lambda = SolveSession::new(SimplexOptions::default())
+        .solve_oump(&constraints, &OumpOptions::default())
+        .expect("O-UMP always solvable")
+        .lambda;
     let output_size = (lambda * 9 / 10).max(1);
     println!("λ = {lambda}; requesting |O| = {output_size}");
 

@@ -14,7 +14,7 @@
 
 use dpsan_core::constraints::PrivacyConstraints;
 use dpsan_core::session::SolveSession;
-use dpsan_core::ump::output_size::{solve_oump_with, OumpOptions};
+use dpsan_core::ump::output_size::{OumpOptions, OumpSolution};
 use dpsan_core::ump::{floor_counts, packing, verify_counts};
 use dpsan_datagen::{generate, presets, AolLikeConfig};
 use dpsan_dp::params::PrivacyParams;
@@ -28,8 +28,16 @@ fn params() -> PrivacyParams {
     PrivacyParams::from_e_epsilon(2.0, 0.5)
 }
 
-/// The O-UMP linear program over the constraints, as `solve_oump`
-/// builds it.
+/// The O-UMP through a fresh session on the given kernel route
+/// (`None`: chosen by size).
+fn solve_oump(c: &PrivacyConstraints, sparse: Option<bool>, opts: &OumpOptions) -> OumpSolution {
+    SolveSession::new(SimplexOptions { sparse, ..SimplexOptions::default() })
+        .solve_oump(c, opts)
+        .unwrap()
+}
+
+/// The O-UMP linear program over the constraints, as
+/// `SolveSession::solve_oump` builds it.
 fn oump_problem(c: &PrivacyConstraints, cap_at_input: bool) -> Problem {
     let mut p = Problem::new(Sense::Maximize);
     let cols: Vec<usize> = (0..c.n_pairs())
@@ -68,13 +76,9 @@ fn assert_bounds_cover(c: &PrivacyConstraints, cap: bool, lp_star: f64, prices: 
     assert!(packing::upper_bound(c, &bounds, &vec![0.0; c.n_rows()]) >= lp_star - tol);
     let pack = packing::solve(c, cap).upper_bound;
     assert!(pack >= lp_star - tol, "packing dual: UB {pack} < LP* {lp_star}");
+    let opts = OumpOptions { cap_at_input: cap, ..OumpOptions::default() };
     for sparse in [false, true] {
-        let opts = OumpOptions {
-            lp: SimplexOptions { sparse: Some(sparse), ..SimplexOptions::default() },
-            cap_at_input: cap,
-            ..OumpOptions::default()
-        };
-        let ub = solve_oump_with(c, &opts).unwrap().upper_bound;
+        let ub = solve_oump(c, Some(sparse), &opts).upper_bound;
         assert!(ub >= lp_star - tol, "simplex duals (sparse={sparse}): UB {ub} < LP* {lp_star}");
     }
 }
@@ -140,7 +144,7 @@ fn upper_bound_covers_the_small_preset_optimum() {
     // rows × 1,741 columns the exact revised-simplex optimum stands in
     let (pre, _) = preprocess(&generate(&presets::aol_small()));
     let c = PrivacyConstraints::build(&pre, params()).unwrap();
-    let exact = solve_oump_with(&c, &OumpOptions::default()).unwrap();
+    let exact = solve_oump(&c, None, &OumpOptions::default());
     assert!(!exact.capped);
     assert_bounds_cover(&c, true, exact.lp_value, &[0.05, 0.0, 0.2]);
     // at a proven optimum the simplex duals certify it: the gap closes
@@ -170,7 +174,7 @@ fn anytime_solve_at_scale_takes_the_packing_route() {
 
     let lp = SimplexOptions { max_iter: 2_000, ..SimplexOptions::default() };
     let mut session = SolveSession::new(lp.clone());
-    let opts = OumpOptions { lp: lp.clone(), anytime: true, ..OumpOptions::default() };
+    let opts = OumpOptions { anytime: true, ..OumpOptions::default() };
     let sol = session.solve_oump(&c, &opts).unwrap();
     assert!(sol.capped, "a packing answer is not proven optimal");
     assert_eq!(sol.iterations, 0);

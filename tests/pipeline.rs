@@ -4,10 +4,21 @@
 use dpsan::core::metrics::{diff_ratio_histogram, diversity_retained, precision_recall};
 use dpsan::core::sampling::output_pair_counts;
 use dpsan::core::theory::theorem1_report;
-use dpsan::core::ump::output_size::{solve_oump, OumpOptions};
+use dpsan::core::ump::output_size::OumpOptions;
+use dpsan::core::SolveSession;
+use dpsan::lp::simplex::SimplexOptions;
 use dpsan::prelude::*;
 
 const SEED: u64 = 0xd95a_11ce;
+
+/// The maximum output size λ, through a fresh default session.
+fn oump_lambda(pre: &SearchLog, params: PrivacyParams) -> u64 {
+    let c = PrivacyConstraints::build(pre, params).unwrap();
+    SolveSession::new(SimplexOptions::default())
+        .solve_oump(&c, &OumpOptions::default())
+        .unwrap()
+        .lambda
+}
 
 fn tiny_input() -> SearchLog {
     generate(&presets::aol_tiny())
@@ -37,7 +48,7 @@ fn fump_pipeline_tracks_frequent_pairs() {
     let input = tiny_input();
     let params = PrivacyParams::from_e_epsilon(2.3, 0.8);
     let (pre, _) = preprocess(&input);
-    let lambda = solve_oump(&pre, params, &OumpOptions::default()).unwrap().lambda;
+    let lambda = oump_lambda(&pre, params);
     assert!(lambda > 0);
 
     // mark the top ~5% of pairs frequent
@@ -96,7 +107,7 @@ fn diff_ratio_histogram_improves_with_output_size() {
     let input = tiny_input();
     let (pre, _) = preprocess(&input);
     let params = PrivacyParams::from_e_epsilon(2.3, 0.8);
-    let lambda = solve_oump(&pre, params, &OumpOptions::default()).unwrap().lambda;
+    let lambda = oump_lambda(&pre, params);
     if lambda < 4 {
         return; // not enough room at this scale
     }

@@ -4,11 +4,23 @@
 
 use dpsan::core::mechanism::zealous_plan;
 use dpsan::core::theory::{exhaustive_neighbor_check, output_space_size, theorem1_report};
-use dpsan::core::ump::diversity::{solve_dump, DumpOptions};
-use dpsan::core::ump::output_size::{solve_oump, OumpOptions};
+use dpsan::core::ump::diversity::DumpOptions;
+use dpsan::core::ump::output_size::OumpOptions;
+use dpsan::core::SolveSession;
 use dpsan::dp::threshold::{release_probability, tail_margin};
+use dpsan::lp::simplex::SimplexOptions;
 use dpsan::prelude::*;
 use proptest::prelude::*;
+
+fn session() -> SolveSession {
+    SolveSession::new(SimplexOptions::default())
+}
+
+/// The O-UMP's floored optimal counts, through a fresh default session.
+fn oump_counts(log: &SearchLog, params: PrivacyParams) -> Vec<u64> {
+    let c = PrivacyConstraints::build(log, params).unwrap();
+    session().solve_oump(&c, &OumpOptions::default()).unwrap().counts
+}
 
 /// A random preprocessed log: `n_pairs` pairs over `n_users` users,
 /// every pair held by 2–3 users with counts 1–4.
@@ -41,8 +53,8 @@ proptest! {
         let log = random_log(5, pairs);
         prop_assume!(log.n_pairs() > 0);
         let params = PrivacyParams::from_e_epsilon(e_eps, delta);
-        let sol = solve_oump(&log, params, &OumpOptions::default()).unwrap();
-        let rep = theorem1_report(&log, &sol.counts, params);
+        let counts = oump_counts(&log, params);
+        let rep = theorem1_report(&log, &counts, params);
         prop_assert!(rep.ok(), "{rep:?}");
     }
 
@@ -55,7 +67,8 @@ proptest! {
         let log = random_log(5, pairs);
         prop_assume!(log.n_pairs() > 0);
         let params = PrivacyParams::from_e_epsilon(e_eps, delta);
-        let sol = solve_dump(&log, params, &DumpOptions::default()).unwrap();
+        let c = PrivacyConstraints::build(&log, params).unwrap();
+        let sol = session().solve_dump(&c, &DumpOptions::default()).unwrap();
         let rep = theorem1_report(&log, &sol.counts, params);
         prop_assert!(rep.ok(), "{rep:?}");
     }
@@ -69,10 +82,10 @@ proptest! {
         let log = random_log(4, pairs);
         prop_assume!(log.n_pairs() > 0);
         let params = PrivacyParams::from_e_epsilon(e_eps, delta);
-        let sol = solve_oump(&log, params, &OumpOptions::default()).unwrap();
-        prop_assume!(output_space_size(&log, &sol.counts) <= 60_000.0);
+        let counts = oump_counts(&log, params);
+        prop_assume!(output_space_size(&log, &counts) <= 60_000.0);
         for user in log.users_with_logs() {
-            let check = exhaustive_neighbor_check(&log, &sol.counts, user, 80_000);
+            let check = exhaustive_neighbor_check(&log, &counts, user, 80_000);
             prop_assert!(
                 check.satisfies(params.epsilon(), params.delta()),
                 "user {user}: {check:?} vs (ε={}, δ={})", params.epsilon(), params.delta()

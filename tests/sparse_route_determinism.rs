@@ -8,7 +8,8 @@
 
 use dpsan_core::constraints::PrivacyConstraints;
 use dpsan_core::mechanism::{Sanitizer, UmpSanitizer, UtilityObjective};
-use dpsan_core::ump::output_size::{solve_oump_with, OumpOptions};
+use dpsan_core::session::SolveSession;
+use dpsan_core::ump::output_size::OumpOptions;
 use dpsan_datagen::{generate, presets};
 use dpsan_dp::params::PrivacyParams;
 use dpsan_lp::simplex::SimplexOptions;
@@ -47,11 +48,10 @@ fn sparse_route_matches_dense_objective() {
     let (pre, _) = preprocess(&generate(&presets::aol_tiny()));
     let cons = PrivacyConstraints::build(&pre, PrivacyParams::from_e_epsilon(2.0, 0.5)).unwrap();
     let run = |sparse| {
-        let opts = OumpOptions {
-            lp: SimplexOptions { sparse: Some(sparse), ..SimplexOptions::default() },
-            ..Default::default()
-        };
-        solve_oump_with(&cons, &opts).expect("optimal").lp_value
+        SolveSession::new(SimplexOptions { sparse: Some(sparse), ..SimplexOptions::default() })
+            .solve_oump(&cons, &OumpOptions::default())
+            .expect("optimal")
+            .lp_value
     };
     let (s, d) = (run(true), run(false));
     assert!(
