@@ -21,10 +21,12 @@
 //! noisy-threshold release ([`mechanism::ZealousSanitizer`]), and a
 //! local-model randomized-response baseline
 //! ([`mechanism::LdpSanitizer`]) — so the evaluation harness can score
-//! rival mechanisms on shared metrics. For a service that re-releases
-//! an evolving log, [`mechanism::ReleasePlanner`] drives repeated
-//! releases through one mechanism, a trigger policy, and an *enforced*
-//! cross-release budget ledger. [`metrics`]
+//! rival mechanisms on shared metrics. Each mechanism declares its
+//! privacy expenditure, and the provided
+//! [`Sanitizer::sanitize_into`] is the one place a release is checked
+//! against and debited to an *enforcing* cross-release budget ledger
+//! (a service re-releasing an evolving log drives it through
+//! `dpsan_serve::ServeSession`). [`metrics`]
 //! implements every utility measure of the evaluation (precision/recall
 //! of frequent pairs, support distances, diversity, `DiffRatio`
 //! histograms, the cross-mechanism [`metrics::MechanismScore`]);
@@ -50,8 +52,8 @@ pub mod ump;
 pub use constraints::PrivacyConstraints;
 pub use error::CoreError;
 pub use mechanism::{
-    LdpSanitizer, MechanismInfo, PrivacyModel, Release, ReleasePlanner, Sanitizer, TriggerPolicy,
-    UmpSanitizer, UtilityObjective, ZealousSanitizer,
+    LdpSanitizer, MechanismInfo, PrivacyModel, Release, Sanitizer, TriggerPolicy, UmpSanitizer,
+    UtilityObjective, ZealousSanitizer,
 };
 pub use session::{SessionStats, SolveSession};
 pub use ump::diversity::{DumpOptions, DumpSolution, DumpSolver};

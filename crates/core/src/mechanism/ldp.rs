@@ -25,7 +25,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dpsan_dp::composition::BudgetLedger;
+use dpsan_dp::composition::BudgetEntry;
 use dpsan_dp::params::PrivacyParams;
 use dpsan_dp::response::RandomizedResponse;
 use dpsan_searchlog::{preprocess, PairId, SearchLog, SearchLogBuilder};
@@ -97,16 +97,20 @@ impl Sanitizer for LdpSanitizer {
         }
     }
 
-    fn sanitize_into(
+    fn expenditure(&self, params: PrivacyParams) -> Vec<BudgetEntry> {
+        vec![BudgetEntry {
+            label: "per-user randomized response (ε-LDP)".into(),
+            epsilon: params.epsilon(),
+            delta: 0.0,
+        }]
+    }
+
+    fn sanitize(
         &self,
         log: &SearchLog,
         params: PrivacyParams,
         seed: u64,
-        caller: &mut BudgetLedger,
     ) -> Result<Release, CoreError> {
-        // One pure-ε debit per release; refuse over-budget up front.
-        caller.try_spend("per-user randomized response (ε-LDP)", params.epsilon(), 0.0)?;
-
         let (pre, report) = preprocess(log);
         let n = pre.n_pairs();
         let cap = self.opts.max_pairs_per_user;
@@ -140,15 +144,11 @@ impl Sanitizer for LdpSanitizer {
         }
         let output = builder.build();
 
-        let mut ledger = BudgetLedger::new();
-        ledger.spend("per-user randomized response (ε-LDP)", params.epsilon(), 0.0);
-
         Ok(Release {
             output,
             reference: pre,
             counts,
             report,
-            ledger,
             solver: SessionStats::default(),
             upper_bound: None,
         })
@@ -189,10 +189,11 @@ mod tests {
 
     #[test]
     fn ledger_debits_pure_epsilon_once() {
+        let spent = LdpSanitizer::new().expenditure(params());
+        assert_eq!(spent.len(), 1);
+        assert!((spent[0].epsilon - params().epsilon()).abs() < 1e-12);
+        assert_eq!(spent[0].delta, 0.0, "pure ε-LDP spends no δ");
         let r = LdpSanitizer::new().sanitize(&input_log(), params(), 11).unwrap();
-        assert_eq!(r.ledger.entries().len(), 1);
-        assert!((r.ledger.total_epsilon() - params().epsilon()).abs() < 1e-12);
-        assert_eq!(r.ledger.total_delta(), 0.0, "pure ε-LDP spends no δ");
         assert_eq!(r.solver, SessionStats::default(), "no LP touched");
     }
 

@@ -4,7 +4,7 @@
 //! The paper's LP-based pipeline ([`UmpSanitizer`]) is one point in a
 //! design space of private search-log release mechanisms. This module
 //! defines the common contract — preprocess-aligned released counts, a
-//! schema-compatible output log, explicit budget accounting — so rival
+//! schema-compatible output log, a declared budget expenditure — so rival
 //! mechanisms plug in as one trait impl each and the evaluation harness
 //! can score them on shared utility metrics (`repro compare`):
 //!
@@ -20,6 +20,7 @@
 //! ```
 //! use dpsan_core::mechanism::{Sanitizer, UmpSanitizer, UtilityObjective};
 //! use dpsan_dp::params::PrivacyParams;
+//! use dpsan_dp::BudgetLedger;
 //! use dpsan_searchlog::SearchLogBuilder;
 //!
 //! let mut b = SearchLogBuilder::new();
@@ -32,24 +33,23 @@
 //!
 //! let params = PrivacyParams::from_e_epsilon(2.0, 0.5);
 //! let mechanism = UmpSanitizer::new(UtilityObjective::OutputSize);
-//! let release = mechanism.sanitize(&input, params, 7).unwrap();
+//! let mut ledger = BudgetLedger::new();
+//! let release = mechanism.sanitize_into(&input, params, 7, &mut ledger).unwrap();
 //!
 //! assert_eq!(release.report.removed_pairs, 1); // Condition 1
-//! assert_eq!(release.ledger.entries().len(), 1); // one budget debit
+//! assert_eq!(ledger.entries().len(), 1); // one budget debit
 //! assert!(release.output.size() > 0);
 //! ```
 
 pub mod ldp;
-pub mod planner;
 pub mod ump;
 pub mod zealous;
 
 pub use ldp::{LdpOptions, LdpSanitizer};
-pub use planner::{ReleasePlanner, TriggerPolicy};
 pub use ump::{LaplaceStep, UmpSanitizer, UtilityObjective};
 pub use zealous::{zealous_plan, ZealousDecision, ZealousOptions, ZealousPlan, ZealousSanitizer};
 
-use dpsan_dp::composition::BudgetLedger;
+use dpsan_dp::composition::{BudgetEntry, BudgetLedger};
 use dpsan_dp::params::PrivacyParams;
 use dpsan_searchlog::{PreprocessReport, SearchLog};
 
@@ -112,10 +112,6 @@ pub struct Release {
     pub counts: Vec<u64>,
     /// What preprocessing removed.
     pub report: PreprocessReport,
-    /// Privacy expenditures of this release (every mechanism debits its
-    /// ledger exactly once per release; the optional UMP Laplace step
-    /// adds a second entry).
-    pub ledger: BudgetLedger,
     /// LP-solver counters of this release. All-zero for mechanisms
     /// that never touch a `SolveSession` (ZEALOUS, LDP) — `repro
     /// --stats` aggregates these unconditionally instead of special-
@@ -147,46 +143,51 @@ pub struct Release {
 ///
 /// # Budget accounting
 ///
-/// [`sanitize_into`](Sanitizer::sanitize_into) is the required method:
-/// it charges the release's full expenditure to a **caller-owned**
-/// [`BudgetLedger`] *before* doing any mechanism work, atomically (a
-/// release that spends twice, e.g. sampling + Laplace, either charges
-/// both entries or neither). On a ledger with a lifetime cap
-/// ([`BudgetLedger::with_lifetime`]) an over-budget release is refused
-/// with [`CoreError::Budget`] — cheaply, with no LP solve and no state
-/// mutated. This is how a service composes privacy loss across repeated
-/// publication of the same evolving log; [`ReleasePlanner`] drives it.
-///
-/// [`sanitize`](Sanitizer::sanitize) is the one-shot convenience: it
-/// forwards to `sanitize_into` with a fresh uncapped ledger, so a single
-/// release can never be refused.
+/// A mechanism declares what one release costs
+/// ([`expenditure`](Sanitizer::expenditure)) and implements only the
+/// work ([`sanitize`](Sanitizer::sanitize)); it never touches a ledger.
+/// The provided [`sanitize_into`](Sanitizer::sanitize_into) is the one
+/// place a release is charged to a **caller-owned** [`BudgetLedger`]:
+/// it refuses an over-budget release with [`CoreError::Budget`] before
+/// any work (no LP solve, no state mutated), and debits the whole
+/// expenditure atomically only once the work has succeeded. This is how
+/// a service composes privacy loss across repeated publication of the
+/// same evolving log (`dpsan_serve::ServeSession` drives it).
 pub trait Sanitizer {
     /// Static mechanism metadata.
     fn info(&self) -> MechanismInfo;
 
-    /// Run one release, charging its expenditure to `ledger`.
+    /// The privacy expenditure of one release at `params`, in debit
+    /// order (the UMP Laplace step adds a second entry).
+    fn expenditure(&self, params: PrivacyParams) -> Vec<BudgetEntry>;
+
+    /// Run one release. No budget accounting: a stand-alone release
+    /// spends [`expenditure`](Sanitizer::expenditure) whether or not a
+    /// ledger records it.
+    fn sanitize(
+        &self,
+        log: &SearchLog,
+        params: PrivacyParams,
+        seed: u64,
+    ) -> Result<Release, CoreError>;
+
+    /// Run one release, charging its expenditure to `ledger`. Not meant
+    /// to be overridden: this is the one budget-accounting path.
     ///
     /// On `Err` — including a [`CoreError::Budget`] refusal — `ledger`
-    /// is left exactly as it was. The returned [`Release::ledger`]
-    /// records this release's own entries (a per-release view of what
-    /// was just appended to `ledger`).
+    /// is left exactly as it was.
     fn sanitize_into(
         &self,
         log: &SearchLog,
         params: PrivacyParams,
         seed: u64,
         ledger: &mut BudgetLedger,
-    ) -> Result<Release, CoreError>;
-
-    /// Run one stand-alone release against a fresh uncapped ledger.
-    fn sanitize(
-        &self,
-        log: &SearchLog,
-        params: PrivacyParams,
-        seed: u64,
     ) -> Result<Release, CoreError> {
-        let mut ledger = BudgetLedger::new();
-        self.sanitize_into(log, params, seed, &mut ledger)
+        let batch = self.expenditure(params);
+        ledger.check_all(&batch)?;
+        let release = self.sanitize(log, params, seed)?;
+        ledger.try_spend_all(&batch).expect("checked above, and the ledger is borrowed mutably");
+        Ok(release)
     }
 }
 
@@ -195,14 +196,8 @@ impl<S: Sanitizer + ?Sized> Sanitizer for Box<S> {
         (**self).info()
     }
 
-    fn sanitize_into(
-        &self,
-        log: &SearchLog,
-        params: PrivacyParams,
-        seed: u64,
-        ledger: &mut BudgetLedger,
-    ) -> Result<Release, CoreError> {
-        (**self).sanitize_into(log, params, seed, ledger)
+    fn expenditure(&self, params: PrivacyParams) -> Vec<BudgetEntry> {
+        (**self).expenditure(params)
     }
 
     fn sanitize(
@@ -212,6 +207,150 @@ impl<S: Sanitizer + ?Sized> Sanitizer for Box<S> {
         seed: u64,
     ) -> Result<Release, CoreError> {
         (**self).sanitize(log, params, seed)
+    }
+}
+
+/// When a service considers a re-release due.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TriggerPolicy {
+    /// Re-release once this many new input rows have been observed
+    /// since the last successful release. `0` means "never due on row
+    /// count" — the caller triggers explicitly (e.g. on a wall-clock
+    /// window).
+    pub every_rows: u64,
+}
+
+impl TriggerPolicy {
+    /// An event-count trigger: due after `every_rows` new rows.
+    pub fn every_rows(every_rows: u64) -> Self {
+        TriggerPolicy { every_rows }
+    }
+
+    /// A manual trigger: never due on its own.
+    pub fn manual() -> Self {
+        TriggerPolicy { every_rows: 0 }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testutil::input_log;
+    use super::*;
+
+    fn params() -> PrivacyParams {
+        PrivacyParams::from_e_epsilon(2.0, 0.5)
+    }
+
+    const SEED: u64 = 0xd95a_11ce;
+
+    fn mechanisms() -> Vec<Box<dyn Sanitizer>> {
+        vec![
+            Box::new(UmpSanitizer::new(UtilityObjective::OutputSize)),
+            Box::new(
+                UmpSanitizer::new(UtilityObjective::OutputSize)
+                    .with_laplace(LaplaceStep { sensitivity: 1.0, epsilon_prime: 0.5 }),
+            ),
+            Box::new(ZealousSanitizer::new()),
+            Box::new(LdpSanitizer::new()),
+        ]
+    }
+
+    fn tsv(log: &SearchLog) -> Vec<u8> {
+        let mut buf = Vec::new();
+        dpsan_searchlog::io::write_tsv(log, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn sanitize_into_releases_match_one_shot_sanitize() {
+        // routing through the budget path must not perturb the mechanism
+        for m in mechanisms() {
+            let mut ledger = BudgetLedger::new();
+            let charged = m.sanitize_into(&input_log(), params(), SEED, &mut ledger).unwrap();
+            let one_shot = m.sanitize(&input_log(), params(), SEED).unwrap();
+            assert_eq!(charged.counts, one_shot.counts, "{}", m.info().id);
+            assert_eq!(tsv(&charged.output), tsv(&one_shot.output), "{}", m.info().id);
+        }
+    }
+
+    #[test]
+    fn boxed_mechanism_debits_exactly_the_expenditure() {
+        for m in mechanisms() {
+            let mut ledger = BudgetLedger::new();
+            m.sanitize_into(&input_log(), params(), SEED, &mut ledger).unwrap();
+            assert_eq!(ledger.entries(), m.expenditure(params()).as_slice(), "{}", m.info().id);
+        }
+        let boxed: Box<dyn Sanitizer> = Box::new(ZealousSanitizer::new());
+        let mut ledger = BudgetLedger::new();
+        boxed.sanitize_into(&input_log(), params(), SEED, &mut ledger).unwrap();
+        assert_eq!(boxed.info().id, "zealous");
+        assert_eq!(ledger.entries().len(), 1);
+    }
+
+    #[test]
+    fn ledger_composes_across_releases() {
+        let m = ZealousSanitizer::new();
+        let mut ledger = BudgetLedger::new();
+        for _ in 0..3 {
+            m.sanitize_into(&input_log(), params(), SEED, &mut ledger).unwrap();
+        }
+        assert_eq!(ledger.entries().len(), 3);
+        assert!((ledger.total_epsilon() - 3.0 * params().epsilon()).abs() < 1e-9);
+        assert!((ledger.total_delta() - 3.0 * params().delta()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn over_budget_release_is_refused_cleanly() {
+        // lifetime admits exactly two releases
+        let pp = PrivacyParams::from_e_epsilon(2.0, 0.2);
+        let mut ledger = BudgetLedger::with_lifetime(2.0 * pp.epsilon(), 2.0 * pp.delta());
+        let m = ZealousSanitizer::new();
+        m.sanitize_into(&input_log(), pp, SEED, &mut ledger).unwrap();
+        m.sanitize_into(&input_log(), pp, SEED, &mut ledger).unwrap();
+        let before = ledger.entries().to_vec();
+        let err = m.sanitize_into(&input_log(), pp, SEED, &mut ledger).unwrap_err();
+        assert!(matches!(err, CoreError::Budget(_)), "got {err}");
+        assert_eq!(ledger.entries(), before.as_slice(), "ledger unchanged");
+    }
+
+    #[test]
+    fn refused_release_charges_nothing() {
+        for m in mechanisms() {
+            let mut ledger = BudgetLedger::with_lifetime(params().epsilon() / 2.0, 0.9);
+            let err = m.sanitize_into(&input_log(), params(), SEED, &mut ledger).unwrap_err();
+            assert!(matches!(err, CoreError::Budget(_)), "{}: {err}", m.info().id);
+            assert!(ledger.entries().is_empty(), "{}", m.info().id);
+        }
+        // the Laplace entry alone overflows: the batch is refused whole
+        let m = UmpSanitizer::new(UtilityObjective::OutputSize)
+            .with_laplace(LaplaceStep { sensitivity: 1.0, epsilon_prime: 0.5 });
+        let mut ledger = BudgetLedger::with_lifetime(params().epsilon() + 0.25, 0.9);
+        let err = m.sanitize_into(&input_log(), params(), SEED, &mut ledger).unwrap_err();
+        assert!(matches!(err, CoreError::Budget(e) if e.label.starts_with("Laplace")));
+        assert!(ledger.entries().is_empty());
+    }
+
+    #[test]
+    fn ump_refusal_spends_nothing_and_skips_the_solver() {
+        let m = UmpSanitizer::new(UtilityObjective::OutputSize);
+        let mut ledger = BudgetLedger::with_lifetime(params().epsilon() / 2.0, 0.999);
+        let err = m.sanitize_into(&input_log(), params(), SEED, &mut ledger).unwrap_err();
+        assert!(matches!(err, CoreError::Budget(_)));
+        assert!(ledger.entries().is_empty());
+        assert_eq!(m.session_stats().solves, 0, "refusal happens before any LP work");
+    }
+
+    #[test]
+    fn failed_release_debits_nothing() {
+        // an |O| above λ is infeasible: the solve fails after the check
+        let m = UmpSanitizer::new(UtilityObjective::FrequentPairs {
+            min_support: 0.1,
+            output_size: 1_000_000,
+        });
+        let mut ledger = BudgetLedger::with_lifetime(10.0, 0.9);
+        let err = m.sanitize_into(&input_log(), params(), SEED, &mut ledger).unwrap_err();
+        assert!(!matches!(err, CoreError::Budget(_)), "the solve fails, not the check: {err}");
+        assert!(ledger.entries().is_empty());
     }
 }
 

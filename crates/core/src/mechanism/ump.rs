@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dpsan_dp::composition::BudgetLedger;
+use dpsan_dp::composition::BudgetEntry;
 use dpsan_dp::multinomial::MultinomialStrategy;
 use dpsan_dp::params::PrivacyParams;
 use dpsan_lp::simplex::SimplexOptions;
@@ -84,8 +84,8 @@ impl UmpSanitizer {
         }
     }
 
-    /// Add the §4.2 Laplace step on the optimal counts (debits a second
-    /// ledger entry per release).
+    /// Add the §4.2 Laplace step on the optimal counts (a second entry
+    /// in each release's expenditure).
     pub fn with_laplace(mut self, laplace: LaplaceStep) -> Self {
         self.laplace = Some(laplace);
         self
@@ -114,11 +114,6 @@ impl UmpSanitizer {
         self
     }
 
-    /// The utility objective in use.
-    pub fn objective(&self) -> &UtilityObjective {
-        &self.objective
-    }
-
     /// Cumulative LP-solver counters across every release of this
     /// instance (per-release deltas are on [`Release::solver`]).
     pub fn session_stats(&self) -> SessionStats {
@@ -144,31 +139,28 @@ impl Sanitizer for UmpSanitizer {
         }
     }
 
-    fn sanitize_into(
-        &self,
-        log: &SearchLog,
-        params: PrivacyParams,
-        seed: u64,
-        caller: &mut BudgetLedger,
-    ) -> Result<Release, CoreError> {
-        // This release's full expenditure, known up front: the sampling
-        // debit plus the optional Laplace debit. Refuse an over-budget
-        // release *before* any LP work (probe on a copy so a solver
-        // error later cannot leave the caller ledger half-charged).
-        let mut batch = vec![dpsan_dp::BudgetEntry {
+    fn expenditure(&self, params: PrivacyParams) -> Vec<BudgetEntry> {
+        let mut batch = vec![BudgetEntry {
             label: "multinomial sampling (Theorem 1)".into(),
             epsilon: params.epsilon(),
             delta: params.delta(),
         }];
         if let Some(lap) = self.laplace {
-            batch.push(dpsan_dp::BudgetEntry {
+            batch.push(BudgetEntry {
                 label: "Laplace on optimal counts (§4.2)".into(),
                 epsilon: lap.epsilon_prime,
                 delta: 0.0,
             });
         }
-        caller.clone().try_spend_all(&batch)?;
+        batch
+    }
 
+    fn sanitize(
+        &self,
+        log: &SearchLog,
+        params: PrivacyParams,
+        seed: u64,
+    ) -> Result<Release, CoreError> {
         let (pre, report) = preprocess(log);
         let constraints = PrivacyConstraints::build(&pre, params)?;
 
@@ -223,14 +215,7 @@ impl Sanitizer for UmpSanitizer {
         // step 2: multinomial sampling
         let output = sample_output(&mut rng, &pre, &counts, MultinomialStrategy::Auto);
 
-        // Success: charge the caller (the probe above proved this fits,
-        // and we hold the only reference, so it cannot fail now) and
-        // mirror the entries into the per-release ledger.
-        caller.try_spend_all(&batch).expect("pre-flight budget probe passed");
-        let mut ledger = BudgetLedger::new();
-        ledger.try_spend_all(&batch).expect("fresh ledger is uncapped");
-
-        Ok(Release { output, reference: pre, counts, report, ledger, solver, upper_bound })
+        Ok(Release { output, reference: pre, counts, report, solver, upper_bound })
     }
 }
 
@@ -341,9 +326,10 @@ mod tests {
         let input = input_log();
         let s = UmpSanitizer::new(UtilityObjective::OutputSize)
             .with_laplace(LaplaceStep { sensitivity: 1.0, epsilon_prime: 0.5 });
+        let spent = s.expenditure(params());
+        assert_eq!(spent.len(), 2);
+        assert!((spent[0].epsilon + spent[1].epsilon - (params().epsilon() + 0.5)).abs() < 1e-12);
         let out = s.sanitize(&input, params(), SEED).unwrap();
-        assert_eq!(out.ledger.entries().len(), 2);
-        assert!((out.ledger.total_epsilon() - (params().epsilon() + 0.5)).abs() < 1e-12);
         let c = PrivacyConstraints::build(&out.reference, params()).unwrap();
         assert!(c.satisfied_by(&out.counts, 1e-9), "repair keeps noisy counts private");
     }

@@ -26,7 +26,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dpsan_dp::composition::BudgetLedger;
+use dpsan_dp::composition::BudgetEntry;
 use dpsan_dp::params::PrivacyParams;
 use dpsan_dp::threshold;
 use dpsan_searchlog::{preprocess, FrequentPair, PairId, SearchLog, SearchLogBuilder};
@@ -199,17 +199,20 @@ impl Sanitizer for ZealousSanitizer {
         }
     }
 
-    fn sanitize_into(
+    fn expenditure(&self, params: PrivacyParams) -> Vec<BudgetEntry> {
+        vec![BudgetEntry {
+            label: "ZEALOUS noisy-threshold release".into(),
+            epsilon: params.epsilon(),
+            delta: params.delta(),
+        }]
+    }
+
+    fn sanitize(
         &self,
         log: &SearchLog,
         params: PrivacyParams,
         seed: u64,
-        caller: &mut BudgetLedger,
     ) -> Result<Release, CoreError> {
-        // One debit per release; refuse an over-budget release before
-        // building the histogram.
-        caller.try_spend("ZEALOUS noisy-threshold release", params.epsilon(), params.delta())?;
-
         let (pre, report) = preprocess(log);
         let plan = zealous_plan(&pre, params, seed, &self.opts);
 
@@ -230,34 +233,14 @@ impl Sanitizer for ZealousSanitizer {
         }
         let output = builder.build();
 
-        let mut ledger = BudgetLedger::new();
-        ledger.spend("ZEALOUS noisy-threshold release", params.epsilon(), params.delta());
-
         Ok(Release {
             output,
             reference: pre,
             counts,
             report,
-            ledger,
             solver: SessionStats::default(),
             upper_bound: None,
         })
-    }
-}
-
-#[cfg(test)]
-mod budget_tests {
-    use super::*;
-    use crate::mechanism::testutil::input_log;
-
-    #[test]
-    fn refused_release_charges_nothing() {
-        let p = PrivacyParams::from_e_epsilon(2.0, 0.1);
-        let mut ledger = BudgetLedger::with_lifetime(p.epsilon() / 2.0, 0.5);
-        let err =
-            ZealousSanitizer::new().sanitize_into(&input_log(), p, 7, &mut ledger).unwrap_err();
-        assert!(matches!(err, CoreError::Budget(_)));
-        assert!(ledger.entries().is_empty());
     }
 }
 
@@ -321,10 +304,11 @@ mod tests {
 
     #[test]
     fn ledger_debits_epsilon_and_delta_once() {
+        let spent = ZealousSanitizer::new().expenditure(params());
+        assert_eq!(spent.len(), 1);
+        assert!((spent[0].epsilon - params().epsilon()).abs() < 1e-12);
+        assert!((spent[0].delta - params().delta()).abs() < 1e-12);
         let r = ZealousSanitizer::new().sanitize(&input_log(), params(), 7).unwrap();
-        assert_eq!(r.ledger.entries().len(), 1);
-        assert!((r.ledger.total_epsilon() - params().epsilon()).abs() < 1e-12);
-        assert!((r.ledger.total_delta() - params().delta()).abs() < 1e-12);
         assert_eq!(r.solver, SessionStats::default(), "no LP touched");
     }
 

@@ -8,12 +8,14 @@
 //!
 //! A ledger can additionally be given a **lifetime budget** with
 //! [`BudgetLedger::with_lifetime`]. A capped ledger *enforces* sequential
-//! composition: [`try_spend`](BudgetLedger::try_spend) and
-//! [`try_spend_all`](BudgetLedger::try_spend_all) refuse (return
-//! [`BudgetError`] and record nothing) any expenditure whose composed
-//! total would exceed the cap. This is what keeps repeated publication
-//! from silently eroding the guarantee — a re-release past the lifetime
-//! `(ε, δ)` is an error, not a bigger number in a report.
+//! composition: [`try_spend_all`](BudgetLedger::try_spend_all) refuses
+//! (returns [`BudgetError`] and records nothing) any batch of
+//! expenditures whose composed total would exceed the cap, and
+//! [`check_all`](BudgetLedger::check_all) runs the same check without
+//! recording, so a release can refuse before it does any work. This is
+//! what keeps repeated publication from silently eroding the guarantee —
+//! a re-release past the lifetime `(ε, δ)` is an error, not a bigger
+//! number in a report.
 
 use std::error::Error;
 use std::fmt;
@@ -63,13 +65,13 @@ impl Error for BudgetError {}
 #[derive(Debug, Default, Clone)]
 pub struct BudgetLedger {
     entries: Vec<BudgetEntry>,
-    /// Lifetime `(ε, δ)` cap enforced by the fallible spend paths;
+    /// Lifetime `(ε, δ)` cap enforced by the fallible spend path;
     /// `None` means record-only (the seed behavior).
     lifetime: Option<(f64, f64)>,
     /// Whether this ledger reports into the process-wide metrics
-    /// registry ([`crate::obs`]). Off by default so per-release view
-    /// ledgers and scratch ledgers never double-count; the planner
-    /// layer marks its one authoritative ledger observed.
+    /// registry ([`crate::obs`]). Off by default so scratch ledgers
+    /// never double-count; the serving layer marks its one
+    /// authoritative ledger observed.
     observed: bool,
 }
 
@@ -106,16 +108,9 @@ impl BudgetLedger {
     /// and refuses exactly like an unobserved one. At most one ledger
     /// per process should be observed; the spent/remaining gauges
     /// describe a single ledger, not a sum over ledgers.
-    pub fn set_observed(&mut self, observed: bool) {
-        self.observed = observed;
-        if observed {
-            self.sync_gauges();
-        }
-    }
-
-    /// Builder-style [`set_observed`](Self::set_observed).
     pub fn observed(mut self) -> Self {
-        self.set_observed(true);
+        self.observed = true;
+        self.sync_gauges();
         self
     }
 
@@ -133,10 +128,12 @@ impl BudgetLedger {
         }
     }
 
-    /// Record an expenditure unconditionally (one-shot paths).
+    /// Record an expenditure unconditionally (replaying recorded
+    /// history; see `dpsan_store::rebuild_ledger`).
     ///
-    /// Panics on out-of-domain values; never refuses. On a capped ledger
-    /// prefer [`try_spend`](Self::try_spend), which enforces the cap.
+    /// Panics on out-of-domain values; never refuses. New expenditures
+    /// go through [`try_spend_all`](Self::try_spend_all), which enforces
+    /// the cap.
     pub fn spend(&mut self, label: impl Into<String>, epsilon: f64, delta: f64) {
         Self::check_domain(epsilon, delta);
         self.entries.push(BudgetEntry { label: label.into(), epsilon, delta });
@@ -146,15 +143,35 @@ impl BudgetLedger {
         }
     }
 
-    /// Record an expenditure, refusing it (ledger unchanged) if the
-    /// composed total would exceed the lifetime cap.
-    pub fn try_spend(
-        &mut self,
-        label: impl Into<String>,
-        epsilon: f64,
-        delta: f64,
-    ) -> Result<(), BudgetError> {
-        self.try_spend_all(&[BudgetEntry { label: label.into(), epsilon, delta }])
+    /// Check that a batch of expenditures fits under the lifetime cap,
+    /// recording nothing. A refusal reports the first entry whose
+    /// composed total overflows (and counts into the registry when the
+    /// ledger is observed). Lets a release refuse before doing any
+    /// work; [`try_spend_all`](Self::try_spend_all) runs the same check.
+    pub fn check_all(&self, batch: &[BudgetEntry]) -> Result<(), BudgetError> {
+        for e in batch {
+            Self::check_domain(e.epsilon, e.delta);
+        }
+        let Some((cap_e, cap_d)) = self.lifetime else { return Ok(()) };
+        let mut eps = self.total_epsilon();
+        let mut del = self.total_delta();
+        for e in batch {
+            eps += e.epsilon;
+            del += e.delta;
+            if eps > cap_e + 1e-12 || del > cap_d + 1e-12 {
+                if self.observed {
+                    crate::obs::refusals_total().inc();
+                }
+                return Err(BudgetError {
+                    label: e.label.clone(),
+                    would_epsilon: eps,
+                    would_delta: del,
+                    cap_epsilon: cap_e,
+                    cap_delta: cap_d,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Record a batch of expenditures **atomically**: either every entry
@@ -163,29 +180,7 @@ impl BudgetLedger {
     /// (sampling + Laplace) charges both entries through one call so a
     /// refusal can never leave a half-charged ledger.
     pub fn try_spend_all(&mut self, batch: &[BudgetEntry]) -> Result<(), BudgetError> {
-        for e in batch {
-            Self::check_domain(e.epsilon, e.delta);
-        }
-        if let Some((cap_e, cap_d)) = self.lifetime {
-            let mut eps = self.total_epsilon();
-            let mut del = self.total_delta();
-            for e in batch {
-                eps += e.epsilon;
-                del += e.delta;
-                if eps > cap_e + 1e-12 || del > cap_d + 1e-12 {
-                    if self.observed {
-                        crate::obs::refusals_total().inc();
-                    }
-                    return Err(BudgetError {
-                        label: e.label.clone(),
-                        would_epsilon: eps,
-                        would_delta: del,
-                        cap_epsilon: cap_e,
-                        cap_delta: cap_d,
-                    });
-                }
-            }
-        }
+        self.check_all(batch)?;
         self.entries.extend_from_slice(batch);
         if self.observed {
             crate::obs::spends_total().add(batch.len() as u64);
@@ -208,12 +203,14 @@ impl BudgetLedger {
 
     /// Total ε under sequential composition.
     pub fn total_epsilon(&self) -> f64 {
-        self.entries.iter().map(|e| e.epsilon).sum()
+        // folded from +0.0: `Sum` for floats starts at -0.0, which an
+        // empty ledger would print as "-0.0000"
+        self.entries.iter().fold(0.0, |acc, e| acc + e.epsilon)
     }
 
     /// Total δ under sequential composition.
     pub fn total_delta(&self) -> f64 {
-        self.entries.iter().map(|e| e.delta).sum()
+        self.entries.iter().fold(0.0, |acc, e| acc + e.delta)
     }
 
     /// Whether the composed totals fit within `(ε, δ)`.
@@ -255,6 +252,10 @@ impl fmt::Display for BudgetLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn one(label: &str, epsilon: f64, delta: f64) -> [BudgetEntry; 1] {
+        [BudgetEntry { label: label.into(), epsilon, delta }]
+    }
 
     #[test]
     fn totals_compose_sequentially() {
@@ -304,7 +305,7 @@ mod tests {
     fn uncapped_try_spend_never_refuses() {
         let mut l = BudgetLedger::new();
         for _ in 0..100 {
-            l.try_spend("r", 10.0, 0.009).unwrap();
+            l.try_spend_all(&one("r", 10.0, 0.009)).unwrap();
         }
         assert_eq!(l.entries().len(), 100);
     }
@@ -312,21 +313,21 @@ mod tests {
     #[test]
     fn capped_try_spend_refuses_past_lifetime() {
         let mut l = BudgetLedger::with_lifetime(1.0, 0.2);
-        l.try_spend("r1", 0.6, 0.1).unwrap();
-        let err = l.try_spend("r2", 0.6, 0.05).unwrap_err();
+        l.try_spend_all(&one("r1", 0.6, 0.1)).unwrap();
+        let err = l.try_spend_all(&one("r2", 0.6, 0.05)).unwrap_err();
         assert_eq!(err.label, "r2");
         assert!(err.would_epsilon > 1.0);
         assert_eq!(l.entries().len(), 1, "refused spend records nothing");
         // A smaller spend that fits still goes through afterwards.
-        l.try_spend("r3", 0.4, 0.1).unwrap();
+        l.try_spend_all(&one("r3", 0.4, 0.1)).unwrap();
         assert!(l.within(1.0, 0.2));
     }
 
     #[test]
     fn capped_try_spend_refuses_on_delta_alone() {
         let mut l = BudgetLedger::with_lifetime(10.0, 0.1);
-        l.try_spend("r1", 0.1, 0.08).unwrap();
-        assert!(l.try_spend("r2", 0.1, 0.08).is_err());
+        l.try_spend_all(&one("r1", 0.1, 0.08)).unwrap();
+        assert!(l.try_spend_all(&one("r2", 0.1, 0.08)).is_err());
     }
 
     #[test]
@@ -339,8 +340,11 @@ mod tests {
         let err = l.try_spend_all(&batch).unwrap_err();
         assert_eq!(err.label, "laplace", "second entry is the one that overflows");
         assert!(l.entries().is_empty(), "no partial charge on batch refusal");
-        // The same batch fits on a bigger ledger.
+        assert_eq!(l.check_all(&batch), Err(err), "the bare check refuses the same way");
+        // The same batch fits on a bigger ledger; checking it records nothing.
         let mut big = BudgetLedger::with_lifetime(2.0, 0.5);
+        big.check_all(&batch).unwrap();
+        assert!(big.entries().is_empty());
         big.try_spend_all(&batch).unwrap();
         assert_eq!(big.entries().len(), 2);
     }
@@ -348,15 +352,15 @@ mod tests {
     #[test]
     fn exact_cap_is_allowed() {
         let mut l = BudgetLedger::with_lifetime(1.0, 0.1);
-        l.try_spend("a", 0.5, 0.05).unwrap();
-        l.try_spend("b", 0.5, 0.05).unwrap();
-        assert!(l.try_spend("c", 1e-9, 0.0).is_err());
+        l.try_spend_all(&one("a", 0.5, 0.05)).unwrap();
+        l.try_spend_all(&one("b", 0.5, 0.05)).unwrap();
+        assert!(l.try_spend_all(&one("c", 1e-9, 0.0)).is_err());
     }
 
     #[test]
     fn remaining_tracks_cap() {
         let mut l = BudgetLedger::with_lifetime(1.0, 0.2);
-        l.try_spend("a", 0.25, 0.05).unwrap();
+        l.try_spend_all(&one("a", 0.25, 0.05)).unwrap();
         let (re, rd) = l.remaining().unwrap();
         assert!((re - 0.75).abs() < 1e-12);
         assert!((rd - 0.15).abs() < 1e-12);
@@ -366,6 +370,17 @@ mod tests {
     fn display_shows_lifetime_cap() {
         let l = BudgetLedger::with_lifetime(1.0, 0.25);
         assert!(l.to_string().contains("lifetime"));
+    }
+
+    #[test]
+    fn empty_ledger_totals_are_positive_zero() {
+        let l = BudgetLedger::with_lifetime(0.5, 0.9);
+        assert!(l.total_epsilon().is_sign_positive());
+        assert!(l.total_delta().is_sign_positive());
+        assert_eq!(
+            l.to_string(),
+            "privacy ledger (ε=0.0000, δ=0.0000; lifetime ε=0.5000, δ=0.9000):\n"
+        );
     }
 
     /// One test owns every assertion about the global budget series:
@@ -385,25 +400,27 @@ mod tests {
         // history without counting it as fresh spends.
         let mut l = BudgetLedger::with_lifetime(1.0, 0.2);
         l.spend("replayed release", 0.25, 0.05);
-        l.set_observed(true);
+        let mut l = l.observed();
         assert!(l.is_observed());
         assert_eq!(crate::obs::spends_total().get(), spends0);
         assert!((crate::obs::epsilon_spent().get() - 0.25).abs() < 1e-12);
         assert!((crate::obs::epsilon_remaining().get() - 0.75).abs() < 1e-12);
 
         // Live spends count and move the gauges.
-        l.try_spend("release 2", 0.25, 0.05).unwrap();
+        l.try_spend_all(&one("release 2", 0.25, 0.05)).unwrap();
         assert_eq!(crate::obs::spends_total().get(), spends0 + 1);
         assert!((crate::obs::epsilon_spent().get() - 0.5).abs() < 1e-12);
         assert!((crate::obs::delta_remaining().get() - 0.1).abs() < 1e-12);
 
         // A refusal counts once and leaves the spend gauges alone.
-        assert!(l.try_spend("too big", 0.9, 0.0).is_err());
+        assert!(l.try_spend_all(&one("too big", 0.9, 0.0)).is_err());
         assert_eq!(crate::obs::refusals_total().get(), refusals0 + 1);
         assert!((crate::obs::epsilon_spent().get() - 0.5).abs() < 1e-12);
 
-        // Observation survives clone-through (the builder form).
-        let observed = BudgetLedger::new().observed();
-        assert!(observed.is_observed());
+        // A check alone records nothing, and its refusal counts once.
+        assert!(l.check_all(&one("checked", 0.25, 0.05)).is_ok());
+        assert_eq!(crate::obs::spends_total().get(), spends0 + 1);
+        assert!(l.check_all(&one("too big", 0.9, 0.0)).is_err());
+        assert_eq!(crate::obs::refusals_total().get(), refusals0 + 2);
     }
 }

@@ -3,8 +3,7 @@
 //! Section 4.2 of the paper makes the *count-computation* step
 //! differentially private by adding `Lap(d/ε′)` noise to each optimal
 //! count, after bounding the leave-one-out sensitivity of every pair's
-//! optimal count by `d`. This module provides the noise primitive and
-//! the vectorized mechanism.
+//! optimal count by `d`. This module provides the noise primitive.
 
 use rand::{Rng, RngExt};
 
@@ -49,18 +48,6 @@ pub fn sample_laplace<R: Rng>(rng: &mut R, scale: f64) -> f64 {
     LaplaceNoise::with_scale(scale).sample(rng)
 }
 
-/// Apply the Laplace mechanism to a slice of values: returns
-/// `v + Lap(d/ε′)` element-wise.
-pub fn laplace_mechanism<R: Rng>(
-    rng: &mut R,
-    values: &[f64],
-    sensitivity: f64,
-    epsilon: f64,
-) -> Vec<f64> {
-    let noise = LaplaceNoise::for_sensitivity(sensitivity, epsilon);
-    values.iter().map(|&v| v + noise.sample(rng)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,16 +81,6 @@ mod tests {
     fn for_sensitivity_sets_scale() {
         let noise = LaplaceNoise::for_sensitivity(4.0, 2.0);
         assert!((noise.scale() - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn mechanism_preserves_length_and_recenters() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let values = vec![100.0; 10_000];
-        let noised = laplace_mechanism(&mut rng, &values, 1.0, 1.0);
-        assert_eq!(noised.len(), values.len());
-        let mean = noised.iter().sum::<f64>() / noised.len() as f64;
-        assert!((mean - 100.0).abs() < 0.1, "mean {mean}");
     }
 
     #[test]

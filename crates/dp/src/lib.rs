@@ -16,7 +16,7 @@
 //!   that consume several `(ε, δ)` budgets,
 //! * [`obs`] — the ledger's metric handles (spend/refusal counters,
 //!   spent/remaining gauges) for ledgers marked
-//!   [`observed`](composition::BudgetLedger::set_observed),
+//!   [`observed`](composition::BudgetLedger::observed),
 //! * [`threshold`] — ZEALOUS-style noisy-threshold calibration (noise
 //!   scale, release threshold, Laplace tail / reliability margins),
 //! * [`response`] — one-bit randomized response with the linear
@@ -40,7 +40,7 @@ pub mod verify;
 
 pub use alias::AliasTable;
 pub use composition::{BudgetEntry, BudgetError, BudgetLedger};
-pub use laplace::{laplace_mechanism, sample_laplace, LaplaceNoise};
+pub use laplace::{sample_laplace, LaplaceNoise};
 pub use multinomial::{sample_multinomial, MultinomialStrategy};
 pub use params::{PrivacyBudget, PrivacyParams};
 pub use response::RandomizedResponse;

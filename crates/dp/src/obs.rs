@@ -1,15 +1,14 @@
 //! Budget-ledger telemetry handles.
 //!
 //! Only a ledger marked [`observed`](crate::composition::BudgetLedger::observed)
-//! reports here — the *authoritative* cross-release ledger a planner or
-//! service owns. Per-release view ledgers (the copy inside a
-//! `Release`) and scratch ledgers in tests stay silent, so the global
-//! spend series counts each expenditure exactly once.
+//! reports here — the *authoritative* cross-release ledger a service
+//! owns. Scratch ledgers (one-shot callers, tests) stay silent, so the
+//! global spend series counts each expenditure exactly once.
 //!
 //! | series | type | meaning |
 //! |---|---|---|
 //! | `dpsan_budget_spends_total` | counter | entries appended to an observed ledger |
-//! | `dpsan_budget_refusals_total` | counter | spends refused by the lifetime cap |
+//! | `dpsan_budget_refusals_total` | counter | batches refused by the lifetime cap |
 //! | `dpsan_budget_epsilon_spent` | gauge | composed ε of the observed ledger |
 //! | `dpsan_budget_delta_spent` | gauge | composed δ of the observed ledger |
 //! | `dpsan_budget_epsilon_remaining` | gauge | lifetime ε still available (capped ledgers) |

@@ -10,13 +10,10 @@
 //! * `max_log_ratio = max_{O ∈ Ω₂} |ln Pr[R(D)=O] − ln Pr[R(D′)=O]|`
 //!   (must be ≤ ε),
 //!
-//! plus Monte-Carlo estimation of a mechanism's output distribution and
-//! exact multinomial pmfs used to build the distributions.
+//! plus the exact multinomial pmfs used to build the distributions.
 
 use std::collections::HashMap;
 use std::hash::Hash;
-
-use rand::Rng;
 
 /// Result of a probabilistic-DP check on explicit distributions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,26 +105,6 @@ where
     excess
 }
 
-/// Estimate a mechanism's output distribution by `runs` Monte-Carlo
-/// executions.
-pub fn empirical_distribution<O, R, F>(
-    rng: &mut R,
-    runs: usize,
-    mut mechanism: F,
-) -> HashMap<O, f64>
-where
-    O: Eq + Hash,
-    R: Rng,
-    F: FnMut(&mut R) -> O,
-{
-    assert!(runs > 0, "need at least one run");
-    let mut hist: HashMap<O, usize> = HashMap::new();
-    for _ in 0..runs {
-        *hist.entry(mechanism(rng)).or_insert(0) += 1;
-    }
-    hist.into_iter().map(|(o, c)| (o, c as f64 / runs as f64)).collect()
-}
-
 /// `ln n!` computed by direct summation (exact enough for the tiny
 /// trial counts used in verification).
 pub fn ln_factorial(n: u64) -> f64 {
@@ -181,8 +158,6 @@ pub fn enumerate_compositions(trials: u64, k: usize) -> Vec<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn ln_factorial_small_values() {
@@ -261,15 +236,5 @@ mod tests {
         dp.insert(1, 1.0);
         // with ε = 0 the worst event Ô = {0} has excess 1
         assert!((check_indistinguishability(&d, &dp, 0.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empirical_distribution_matches_exact() {
-        let mut rng = StdRng::seed_from_u64(99);
-        let dist = empirical_distribution(&mut rng, 200_000, |r| r.random_range(0..4u8));
-        for v in 0..4u8 {
-            let p = dist.get(&v).copied().unwrap_or(0.0);
-            assert!((p - 0.25).abs() < 0.01, "p({v}) = {p}");
-        }
     }
 }

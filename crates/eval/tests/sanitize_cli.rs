@@ -235,3 +235,97 @@ fn every_mechanism_releases_nothing_when_lambda_is_zero() {
     assert!(stderr.contains("exceeds the privacy-feasible maximum"), "got: {stderr}");
     fs::remove_dir_all(&dir).ok();
 }
+
+/// Write the tiny preset log into `dir` and return its path.
+fn tiny_log(dir: &std::path::Path) -> PathBuf {
+    let input = dir.join("tiny.tsv");
+    let o = Command::new(env!("CARGO_BIN_EXE_genlog"))
+        .args(["--scale", "tiny", "--out", input.to_str().unwrap()])
+        .output()
+        .expect("spawn genlog");
+    assert!(o.status.success(), "stderr: {}", String::from_utf8_lossy(&o.stderr));
+    input
+}
+
+/// The value of an unlabelled series in a Prometheus-text export.
+fn sample(text: &str, series: &str) -> f64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{series} missing:\n{text}"))
+        .parse()
+        .expect("numeric sample")
+}
+
+/// One follow-mode release debits the ledger once: the exported spend
+/// counter equals the release counter, whatever the mechanism.
+#[test]
+fn follow_release_counts_each_budget_spend_once() {
+    let dir = scratch("spends");
+    let input = tiny_log(&dir);
+    for mech in ["oump", "zealous"] {
+        let out_dir = dir.join(format!("out-{mech}"));
+        let prom = dir.join(format!("{mech}.prom"));
+        let o = run_sanitize(&[
+            input.to_str().unwrap(),
+            "--mechanism",
+            mech,
+            "--follow",
+            "--out-dir",
+            out_dir.to_str().unwrap(),
+            "--idle-exit-ms",
+            "300",
+            "--metrics-file",
+            prom.to_str().unwrap(),
+        ]);
+        assert!(o.status.success(), "{mech}: {}", String::from_utf8_lossy(&o.stderr));
+        let text = fs::read_to_string(&prom).expect("metrics file written");
+        assert_eq!(sample(&text, "dpsan_releases_total"), 1.0, "{mech}:\n{text}");
+        assert_eq!(sample(&text, "dpsan_budget_spends_total"), 1.0, "{mech}:\n{text}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A lifetime budget smaller than one release's ε refuses the first
+/// release: a clean exit that publishes nothing and records no manifest.
+#[test]
+fn lifetime_budget_refuses_the_first_release_cleanly() {
+    let dir = scratch("lifetime");
+    let input = tiny_log(&dir);
+    for mech in ["oump", "zealous"] {
+        let out_dir = dir.join(format!("out-{mech}"));
+        let store = dir.join(format!("store-{mech}"));
+        let prom = dir.join(format!("{mech}.prom"));
+        let o = run_sanitize(&[
+            input.to_str().unwrap(),
+            "--mechanism",
+            mech,
+            "--follow",
+            "--out-dir",
+            out_dir.to_str().unwrap(),
+            "--store-dir",
+            store.to_str().unwrap(),
+            "--idle-exit-ms",
+            "200",
+            "--lifetime-epsilon",
+            "0.5",
+            "--lifetime-delta",
+            "0.9",
+            "--metrics-file",
+            prom.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert!(o.status.success(), "{mech}: a refusal is a clean stop: {stderr}");
+        assert!(stderr.contains("lifetime budget exhausted"), "{mech}: {stderr}");
+        let released: Vec<_> = fs::read_dir(&out_dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().starts_with("release-"))
+            .collect();
+        assert!(released.is_empty(), "{mech}: nothing is published: {released:?}");
+        let manifests = fs::read_dir(store.join("releases")).map_or(0, |d| d.count());
+        assert_eq!(manifests, 0, "{mech}: no manifest is recorded");
+        let text = fs::read_to_string(&prom).expect("metrics file written");
+        assert_eq!(sample(&text, "dpsan_budget_refusals_total"), 1.0, "{mech}:\n{text}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}

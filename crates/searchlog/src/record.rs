@@ -1,6 +1,6 @@
 //! A single aggregated search-log tuple.
 
-use crate::ids::{PairId, QueryId, UrlId, UserId};
+use crate::ids::{QueryId, UrlId, UserId};
 
 /// One tuple `[s_k, q_i, u_j, c_ijk]` of a search log (Definition 1).
 ///
@@ -15,18 +15,6 @@ pub struct LogRecord {
     /// Url id `u_j`.
     pub url: UrlId,
     /// Click-through count `c_ijk` (strictly positive).
-    pub count: u64,
-}
-
-/// A resolved output tuple paired with its pair id, used when iterating
-/// a log in pair-major order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PairRecord {
-    /// Which distinct pair this belongs to.
-    pub pair: PairId,
-    /// Holder of the pair.
-    pub user: UserId,
-    /// Count `c_ijk`.
     pub count: u64,
 }
 

@@ -6,9 +6,10 @@
 //! cross-release privacy ledger.
 //!
 //! ```text
-//! appended TSV ──FollowReader (line-atomic)──▶ IngestSession (live
-//!   vocabulary + shards) ──trigger──▶ ReleasePlanner (budget ledger)
-//!   ──▶ persistent SolveSession (cold solve) ──▶ release-NNNN.tsv
+//! appended TSV ──FollowReader (line-atomic)──▶ ServeSession: IngestSession
+//!   (live vocabulary + shards) ──trigger──▶ Sanitizer::sanitize_into
+//!   (check ledger ▸ persistent SolveSession, cold solve ▸ debit ledger)
+//!   ──▶ release-NNNN.tsv
 //! ```
 //!
 //! Three properties carry the design:

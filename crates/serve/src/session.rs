@@ -1,12 +1,17 @@
-//! The clock-free core of the service: incremental ingest + planned
-//! re-release, one struct.
+//! The clock-free core of the service: incremental ingest + triggered,
+//! budgeted re-release, one struct.
 //!
-//! [`ServeSession`] glues a [`dpsan_stream::IngestSession`] (live
-//! session vocabulary and shard counts) to a
-//! [`dpsan_core::mechanism::ReleasePlanner`] (mechanism + trigger +
-//! enforced cross-release budget ledger). The file-tailing loop in
-//! [`crate::serve`] drives it against a wall clock; benches and tests
-//! drive it directly, deterministically.
+//! [`ServeSession`] owns a [`dpsan_stream::IngestSession`] (live
+//! session vocabulary and shard counts), the mechanism, a
+//! [`TriggerPolicy`] fed by ingested row counts, and the cross-release
+//! [`BudgetLedger`] every release is charged to through
+//! [`Sanitizer::sanitize_into`]. Repeated publication composes
+//! sequentially (Götz et al.), so a release that would overdraw the
+//! lifetime budget is refused outright; the refusal leaves the ledger,
+//! the trigger state and the ingest state untouched, so the service can
+//! surface it without losing data. The file-tailing loop in
+//! [`crate::serve`] drives the session against a wall clock; benches
+//! and tests drive it directly, deterministically.
 //!
 //! Because the mechanism object is persistent, a `UmpSanitizer`'s
 //! internal [`SolveSession`](dpsan_core::session::SolveSession)
@@ -19,7 +24,7 @@ use std::io::BufRead;
 use std::time::{Duration, Instant};
 
 use dpsan_core::error::CoreError;
-use dpsan_core::mechanism::{Release, ReleasePlanner, Sanitizer, TriggerPolicy};
+use dpsan_core::mechanism::{Release, Sanitizer, TriggerPolicy};
 use dpsan_core::session::SessionStats;
 use dpsan_dp::composition::BudgetLedger;
 use dpsan_dp::params::PrivacyParams;
@@ -115,10 +120,18 @@ pub struct ReleaseRecord {
     pub delta_total: f64,
 }
 
-/// Incremental ingest + planned re-release, clock-free.
+/// Incremental ingest + triggered, budgeted re-release, clock-free.
 pub struct ServeSession {
     ingest: IngestSession,
-    planner: ReleasePlanner<Box<dyn Sanitizer>>,
+    mechanism: Box<dyn Sanitizer>,
+    trigger: TriggerPolicy,
+    /// The process's one authoritative spend record, so it reports to
+    /// the telemetry registry (`observed`).
+    ledger: BudgetLedger,
+    /// Rows ingested since the last successful release.
+    pending_rows: u64,
+    /// Successful releases, restored ones included.
+    releases: u64,
     params: PrivacyParams,
     seed: u64,
     records: Vec<ReleaseRecord>,
@@ -140,13 +153,17 @@ impl ServeSession {
         trigger: TriggerPolicy,
         lifetime: Option<(f64, f64)>,
     ) -> Self {
-        let planner = match lifetime {
-            Some((e, d)) => ReleasePlanner::with_lifetime_budget(mechanism, trigger, e, d),
-            None => ReleasePlanner::new(mechanism, trigger),
+        let ledger = match lifetime {
+            Some((e, d)) => BudgetLedger::with_lifetime(e, d),
+            None => BudgetLedger::new(),
         };
         ServeSession {
             ingest: IngestSession::new(stream),
-            planner,
+            mechanism,
+            trigger,
+            ledger: ledger.observed(),
+            pending_rows: 0,
+            releases: 0,
             params,
             seed,
             records: Vec::new(),
@@ -158,7 +175,10 @@ impl ServeSession {
     /// carries the spends replayed from the release-manifest chain,
     /// `releases` counts the manifests, and `released_rows` is how
     /// many rows the last release covered (so the trigger resumes with
-    /// the correct pending count instead of re-observing history).
+    /// the correct pending count instead of re-observing history). The
+    /// session behaves as if it had performed those releases itself: a
+    /// capped ledger keeps refusing once the replayed history exhausts
+    /// the lifetime budget.
     #[allow(clippy::too_many_arguments)]
     pub fn restore(
         mechanism: Box<dyn Sanitizer>,
@@ -170,27 +190,38 @@ impl ServeSession {
         releases: u64,
         released_rows: u64,
     ) -> Self {
-        let pending = ingest.rows().saturating_sub(released_rows);
-        let planner = ReleasePlanner::restore(mechanism, trigger, ledger, releases, pending);
-        ServeSession { ingest, planner, params, seed, records: Vec::new() }
+        let pending_rows = ingest.rows().saturating_sub(released_rows);
+        ServeSession {
+            ingest,
+            mechanism,
+            trigger,
+            // marking observed *after* replay syncs the gauges to the
+            // restored totals without counting history as fresh spends
+            ledger: ledger.observed(),
+            pending_rows,
+            releases,
+            params,
+            seed,
+            records: Vec::new(),
+        }
     }
 
     /// Ingest one appended chunk of complete TSV lines; feeds the
     /// trigger. Returns the rows added.
     pub fn feed<R: BufRead>(&mut self, reader: R) -> Result<u64, ServeError> {
         let added = self.ingest.ingest(reader)?;
-        self.planner.observe_rows(added);
+        self.pending_rows += added;
         Ok(added)
     }
 
     /// Whether the trigger policy calls for a re-release.
     pub fn due(&self) -> bool {
-        self.planner.due()
+        self.trigger.every_rows > 0 && self.pending_rows >= self.trigger.every_rows
     }
 
     /// Rows ingested since the last successful release.
     pub fn pending_rows(&self) -> u64 {
-        self.planner.pending_rows()
+        self.pending_rows
     }
 
     /// Total rows ingested so far.
@@ -200,12 +231,13 @@ impl ServeSession {
 
     /// Number of successful releases so far.
     pub fn releases(&self) -> u64 {
-        self.planner.releases()
+        self.releases
     }
 
     /// Re-release the full window ingested so far: snapshot-merge the
     /// live shards (intake continues afterwards), run the mechanism
-    /// through the planner, record latency and solver deltas.
+    /// against the cross-release ledger, record latency and solver
+    /// deltas. On success the pending-row counter resets.
     ///
     /// A budget refusal ([`ServeError::is_budget_refusal`]) leaves the
     /// ingest state, the ledger, and the trigger state untouched.
@@ -213,7 +245,12 @@ impl ServeSession {
         let span = dpsan_obs::trace::span(dpsan_obs::trace::Level::Info, "serve", "release");
         let start = Instant::now();
         let snapshot = self.ingest.snapshot();
-        let release = match self.planner.release(&snapshot.log, self.params, self.seed) {
+        let release = match self.mechanism.sanitize_into(
+            &snapshot.log,
+            self.params,
+            self.seed,
+            &mut self.ledger,
+        ) {
             Ok(r) => r,
             Err(e) => {
                 if matches!(e, CoreError::Budget(_)) {
@@ -224,23 +261,25 @@ impl ServeSession {
         };
         let latency = start.elapsed();
         drop(span);
+        self.pending_rows = 0;
+        self.releases += 1;
         crate::obs::releases_total().inc();
         crate::obs::release_seconds().record_duration(latency);
         crate::obs::release_rows().set(self.ingest.rows() as f64);
         self.records.push(ReleaseRecord {
-            index: self.planner.releases(),
+            index: self.releases,
             rows: self.ingest.rows(),
             latency,
             solver: release.solver,
-            epsilon_total: self.planner.ledger().total_epsilon(),
-            delta_total: self.planner.ledger().total_delta(),
+            epsilon_total: self.ledger.total_epsilon(),
+            delta_total: self.ledger.total_delta(),
         });
         Ok(release)
     }
 
     /// The cross-release budget ledger.
     pub fn ledger(&self) -> &BudgetLedger {
-        self.planner.ledger()
+        &self.ledger
     }
 
     /// Per-release records so far.
@@ -262,5 +301,92 @@ impl ServeSession {
     /// The privacy parameters each release runs at.
     pub fn params(&self) -> PrivacyParams {
         self.params
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpsan_core::mechanism::ZealousSanitizer;
+
+    const SEED: u64 = 0xd95a_11ce;
+
+    fn params() -> PrivacyParams {
+        PrivacyParams::from_e_epsilon(2.0, 0.2)
+    }
+
+    /// `rows` TSV lines: eight users sharing two pairs, so every
+    /// release has something to publish.
+    fn chunk(rows: usize) -> String {
+        (0..rows).map(|i| format!("u{}\tq{}\tl{}\t1\n", i % 8, i % 2, i % 2)).collect()
+    }
+
+    fn session(trigger: TriggerPolicy, lifetime: Option<(f64, f64)>) -> ServeSession {
+        let stream = StreamConfig { shards: 2, chunk_rows: 16, sketch_capacity: 0, jobs: 1 };
+        ServeSession::new(
+            Box::new(ZealousSanitizer::new()),
+            stream,
+            params(),
+            SEED,
+            trigger,
+            lifetime,
+        )
+    }
+
+    #[test]
+    fn trigger_fires_on_accumulated_rows() {
+        let mut s = session(TriggerPolicy::every_rows(100), None);
+        assert!(!s.due());
+        s.feed(chunk(60).as_bytes()).unwrap();
+        assert!(!s.due());
+        s.feed(chunk(60).as_bytes()).unwrap();
+        assert!(s.due(), "120 ≥ 100 rows pending");
+        s.release_now().unwrap();
+        assert!(!s.due(), "a successful release resets the counter");
+        assert_eq!(s.pending_rows(), 0);
+        assert_eq!(s.releases(), 1);
+        assert_eq!(s.ledger().entries().len(), 1);
+    }
+
+    #[test]
+    fn manual_trigger_is_never_due() {
+        let mut s = session(TriggerPolicy::manual(), None);
+        s.feed(chunk(1_000).as_bytes()).unwrap();
+        assert!(!s.due());
+        // ...but an explicit release still works
+        s.release_now().unwrap();
+        assert_eq!(s.releases(), 1);
+    }
+
+    #[test]
+    fn restored_session_keeps_enforcing_the_replayed_history() {
+        let p = params();
+        // history worth two releases, replayed into a capped ledger
+        // that only affords two
+        let mut ledger = BudgetLedger::with_lifetime(2.0 * p.epsilon(), 2.0 * p.delta());
+        ledger.spend("release 1", p.epsilon(), p.delta());
+        ledger.spend("release 2", p.epsilon(), p.delta());
+        let mut ingest = IngestSession::new(StreamConfig::default());
+        ingest.ingest(chunk(17).as_bytes()).unwrap();
+        let mut s = ServeSession::restore(
+            Box::new(ZealousSanitizer::new()),
+            ingest,
+            p,
+            SEED,
+            TriggerPolicy::every_rows(10),
+            ledger,
+            2,
+            10,
+        );
+        assert_eq!(s.releases(), 2);
+        assert_eq!(s.pending_rows(), 7, "rows past the last release");
+        assert!(!s.due());
+        s.feed(chunk(3).as_bytes()).unwrap();
+        assert!(s.due());
+        let err = s.release_now().unwrap_err();
+        assert!(err.is_budget_refusal(), "replayed spends still bind: {err}");
+        assert_eq!(s.releases(), 2);
+        assert_eq!(s.pending_rows(), 10, "trigger state unchanged");
+        assert_eq!(s.ledger().entries().len(), 2);
     }
 }

@@ -186,7 +186,7 @@ pub fn read_chain(store_dir: &Path) -> Result<Vec<ReleaseManifest>, String> {
 /// Rebuild a [`dpsan_dp::BudgetLedger`] from a verified chain: every
 /// recorded spend is replayed bit-for-bit, then the lifetime cap (if
 /// any) governs *future* spends. Replayed history may already exceed a
-/// newly lowered cap — the ledger records facts; `try_spend` will
+/// newly lowered cap — the ledger records facts; `try_spend_all` will
 /// refuse everything further, which is the safe behavior.
 pub fn rebuild_ledger(
     chain: &[ReleaseManifest],
@@ -209,6 +209,10 @@ mod tests {
     use super::*;
     use crate::io::{flip_byte, DiskIo};
     use std::fs;
+
+    fn spent(label: &str, epsilon: f64, delta: f64) -> BudgetEntry {
+        BudgetEntry { label: label.into(), epsilon, delta }
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -321,8 +325,8 @@ mod tests {
         let chain = read_chain(&dir).unwrap();
         let mut ledger = rebuild_ledger(&chain, Some((1.5, 0.1)));
         assert!((ledger.total_epsilon() - 1.2).abs() < 1e-12);
-        ledger.try_spend("r", 0.3, 0.0).unwrap();
-        assert!(ledger.try_spend("r", 0.1, 0.0).is_err(), "cap survives the restart");
+        ledger.try_spend_all(&[spent("r", 0.3, 0.0)]).unwrap();
+        assert!(ledger.try_spend_all(&[spent("r", 0.1, 0.0)]).is_err(), "cap survives the restart");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -333,7 +337,7 @@ mod tests {
         let chain = read_chain(&dir).unwrap();
         let mut ledger = rebuild_ledger(&chain, Some((1.0, 0.1)));
         assert!(ledger.total_epsilon() > 1.0, "history preserved even past the cap");
-        assert!(ledger.try_spend("r", 1e-9, 0.0).is_err());
+        assert!(ledger.try_spend_all(&[spent("r", 1e-9, 0.0)]).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -34,7 +34,9 @@ fn main() {
 
     // Algorithm 1 with the output-size objective (O-UMP).
     let mechanism = UmpSanitizer::new(UtilityObjective::OutputSize);
-    let result = mechanism.sanitize(&input, params, 7).expect("sanitization succeeds");
+    let mut ledger = BudgetLedger::new();
+    let result =
+        mechanism.sanitize_into(&input, params, 7, &mut ledger).expect("sanitization succeeds");
 
     println!(
         "preprocessing removed {} unique pair(s) carrying {} click(s)",
@@ -54,5 +56,5 @@ fn main() {
         );
     }
     println!();
-    println!("{}", result.ledger);
+    println!("{ledger}");
 }

@@ -51,12 +51,14 @@ fn main() {
     let params = PrivacyParams::from_e_epsilon(2.0, 0.5);
     let output_size = (pre.size() / 20).max(1);
     let mechanism = UmpSanitizer::new(UtilityObjective::FrequentPairs { min_support, output_size });
-    let result = mechanism.sanitize(&pre, params, 7).expect("sanitization succeeds");
+    let mut ledger = BudgetLedger::new();
+    let result =
+        mechanism.sanitize_into(&pre, params, 7, &mut ledger).expect("sanitization succeeds");
     println!(
         "sanitized: |O| = {} over {} pairs (input size {})",
         result.output.size(),
         result.output.n_pairs(),
         pre.size()
     );
-    println!("{}", result.ledger);
+    println!("{ledger}");
 }

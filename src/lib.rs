@@ -83,9 +83,8 @@ pub use dpsan_stream as stream;
 /// The most common imports in one place.
 pub mod prelude {
     pub use dpsan_core::mechanism::{
-        LaplaceStep, LdpOptions, LdpSanitizer, MechanismInfo, PrivacyModel, Release,
-        ReleasePlanner, Sanitizer, TriggerPolicy, UmpSanitizer, UtilityObjective, ZealousOptions,
-        ZealousSanitizer,
+        LaplaceStep, LdpOptions, LdpSanitizer, MechanismInfo, PrivacyModel, Release, Sanitizer,
+        TriggerPolicy, UmpSanitizer, UtilityObjective, ZealousOptions, ZealousSanitizer,
     };
     pub use dpsan_core::metrics;
     pub use dpsan_core::metrics::{mechanism_score, MechanismScore, PrecisionRecall};

@@ -121,12 +121,13 @@ fn diff_ratio_histogram_improves_with_output_size() {
 fn laplace_step_composes_in_ledger() {
     let input = tiny_input();
     let params = PrivacyParams::from_e_epsilon(2.0, 0.5);
+    let mut ledger = BudgetLedger::new();
     let release = UmpSanitizer::new(UtilityObjective::OutputSize)
         .with_laplace(LaplaceStep { sensitivity: 1.0, epsilon_prime: 0.3 })
-        .sanitize(&input, params, SEED)
+        .sanitize_into(&input, params, SEED, &mut ledger)
         .unwrap();
-    assert_eq!(release.ledger.entries().len(), 2);
-    assert!(release.ledger.within(params.epsilon() + 0.3, params.delta()));
+    assert_eq!(ledger.entries().len(), 2);
+    assert!(ledger.within(params.epsilon() + 0.3, params.delta()));
     // the repaired counts are still private
     let rep = theorem1_report(&release.reference, &release.counts, params);
     assert!(rep.ok());

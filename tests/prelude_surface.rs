@@ -55,7 +55,8 @@ fn minimal_sanitize_roundtrip() {
 
     let params = PrivacyParams::from_e_epsilon(2.0, 0.5);
     let mechanism = UmpSanitizer::new(UtilityObjective::OutputSize);
-    let release: Release = mechanism.sanitize(&input, params, 7).unwrap();
+    let mut ledger = BudgetLedger::new();
+    let release: Release = mechanism.sanitize_into(&input, params, 7, &mut ledger).unwrap();
 
     // the single-holder pair is preprocessed away
     assert_eq!(release.report.removed_pairs, 1);
@@ -70,5 +71,5 @@ fn minimal_sanitize_roundtrip() {
     let stats = LogStats::of(&release.output);
     assert_eq!(stats.total_tuples, release.output.size());
     // exactly one budget debit for the release
-    assert_eq!(release.ledger.entries().len(), 1);
+    assert_eq!(ledger.entries().len(), 1);
 }
