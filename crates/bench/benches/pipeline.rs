@@ -58,8 +58,9 @@ fn tiny_log() -> SearchLog {
 /// traffic (lines resampled from the same trace, spread evenly so no
 /// user's counts move violently) and re-release after each. Returns
 /// the re-release latencies — the first release is excluded, and every
-/// re-release is asserted to cost exactly one LP solve, so the p50/p99
-/// below track the steady-state serving cost, not start-up.
+/// re-release is asserted to cost exactly one O-UMP solve on the
+/// packing route (no simplex pivots), so the p50/p99 below track the
+/// steady-state serving cost, not start-up.
 fn serve_replay_latencies(trace: &str) -> Vec<Duration> {
     let lines: Vec<&str> = trace.lines().collect();
     let stream = StreamConfig { shards: 4, chunk_rows: 256, sketch_capacity: 0, jobs: 1 };
@@ -82,9 +83,11 @@ fn serve_replay_latencies(trace: &str) -> Vec<Duration> {
     let records = session.records();
     for r in &records[1..] {
         assert_eq!(
-            r.solver.solves, 1,
-            "re-release {} solved more than once: {:?}",
-            r.index, r.solver
+            (r.solver.solves, r.solver.iterations),
+            (1, 0),
+            "re-release {} is not one packing-route solve: {:?}",
+            r.index,
+            r.solver
         );
     }
     records[1..].iter().map(|r| r.latency).collect()
@@ -309,7 +312,7 @@ fn bench(c: &mut Criterion) {
     // constraint system. Everything below 512 rows takes the dense
     // route; `sparse_factor_100k` and `sparse_pivots_100k` are the only
     // tracked coverage of the sparse kernels at the scale they exist
-    // for, and `oump_packing_100k` is what an anytime O-UMP pays there.
+    // for, and `oump_packing_100k` is what a production O-UMP pays there.
     let (big_cons, big_problem, big_matrix, big_basis) = {
         let mut cfg = dpsan_eval::Scale::Tiny.config();
         let users = 100_000usize;
@@ -365,8 +368,8 @@ fn bench(c: &mut Criterion) {
     });
 
     g.bench_function("oump_packing_100k", |b| {
-        // the serving path's anytime O-UMP at scale: ≥512 rows route to
-        // the packing solver (transpose, 50 dual steps, greedy)
+        // the production (anytime) O-UMP at scale: the packing solver
+        // (transpose, 50 dual steps, greedy)
         let opts = OumpOptions { anytime: true, ..Default::default() };
         let mut session = session();
         b.iter(|| {
@@ -377,9 +380,9 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("sparse_pivots_100k", |b| {
         // sparse pivot throughput at scale: a cold sparse-route simplex
-        // on the same O-UMP LP, capped at 1000 iterations. Non-anytime
-        // O-UMP, F-UMP and the D-UMP relaxations still pivot on these
-        // kernels at ≥512 rows.
+        // on the same O-UMP LP, capped at 1000 iterations. The exact
+        // O-UMP (`repro`), F-UMP and the D-UMP relaxations still pivot
+        // on these kernels at ≥512 rows.
         let lp = SimplexOptions { max_iter: 1_000, ..SimplexOptions::default() };
         b.iter(|| {
             let s = dpsan_lp::simplex::solve(&big_problem, &lp).unwrap();

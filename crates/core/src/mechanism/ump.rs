@@ -10,6 +10,11 @@
 //! options and counts solver work across releases. Every release solves
 //! cold, so it is byte-identical to a solve through a fresh session
 //! whatever was released before.
+//!
+//! The O-UMP objective answers on the packing route
+//! ([`crate::ump::packing`]) at every size, as production does;
+//! [`UmpSanitizer::with_exact_lp`] selects the paper's LP + floor
+//! instead, as `repro` does.
 
 use std::sync::Mutex;
 
@@ -70,7 +75,7 @@ pub struct UmpSanitizer {
     objective: UtilityObjective,
     laplace: Option<LaplaceStep>,
     session: Mutex<SolveSession>,
-    anytime: bool,
+    exact_lp: bool,
 }
 
 impl UmpSanitizer {
@@ -80,7 +85,7 @@ impl UmpSanitizer {
             objective,
             laplace: None,
             session: Mutex::new(SolveSession::new(SimplexOptions::default())),
-            anytime: false,
+            exact_lp: false,
         }
     }
 
@@ -98,19 +103,12 @@ impl UmpSanitizer {
         self
     }
 
-    /// Budgeted "anytime" solving (O-UMP objective only; see
-    /// [`crate::ump::output_size::OumpOptions::anytime`]): below 512
-    /// constraint rows, cap the LP at `max_iter` simplex iterations and
-    /// accept the best feasible iterate when the cap strikes; at 512
-    /// rows and above, answer with the packing solver and leave
-    /// `max_iter` unused. What lets a 10⁵-user sanitize finish in
-    /// seconds — both answers are always privacy-feasible, so the mode
-    /// trades utility (λ), never privacy. Resets the session's
-    /// counters.
-    pub fn with_lp_iteration_budget(mut self, max_iter: usize) -> Self {
-        let lp = SimplexOptions { max_iter, ..SimplexOptions::default() };
-        self.session = Mutex::new(SolveSession::new(lp));
-        self.anytime = true;
+    /// Solve the O-UMP exactly, as the paper prints it: LP + floor
+    /// through the session's simplex, instead of the packing route
+    /// (O-UMP objective only; see
+    /// [`crate::ump::output_size::OumpOptions::anytime`]).
+    pub fn with_exact_lp(mut self) -> Self {
+        self.exact_lp = true;
         self
     }
 
@@ -173,7 +171,7 @@ impl Sanitizer for UmpSanitizer {
                 UtilityObjective::OutputSize => {
                     let sol = session.solve_oump(
                         &constraints,
-                        &OumpOptions { anytime: self.anytime, ..Default::default() },
+                        &OumpOptions { anytime: !self.exact_lp, ..Default::default() },
                     )?;
                     upper_bound = Some(sol.upper_bound);
                     sol.counts
@@ -245,9 +243,19 @@ mod tests {
         let c = PrivacyConstraints::build(&out.reference, params()).unwrap();
         assert!(c.satisfied_by(&out.counts, 1e-9));
         assert!(out.output.size() > 0, "a generous budget yields a non-empty output");
-        // one release = one LP solve
+        // one release = one solve, answered by the packing route
+        assert_eq!(out.solver.solves, 1);
+        assert_eq!(out.solver.capped, 1);
+        assert_eq!(out.solver.iterations, 0);
+        assert!(out.upper_bound.unwrap() >= out.counts.iter().sum::<u64>() as f64);
+
+        // the paper's LP + floor: a proven optimum through the simplex
+        let exact = UmpSanitizer::new(UtilityObjective::OutputSize).with_exact_lp();
+        let out = exact.sanitize(&input, params(), SEED).unwrap();
+        assert!(c.satisfied_by(&out.counts, 1e-9));
         assert_eq!(out.solver.solves, 1);
         assert_eq!(out.solver.capped, 0);
+        assert!(out.solver.iterations > 0);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! | series | type | meaning |
 //! |---|---|---|
-//! | `dpsan_solves_total{path=...}` | counter | solves by route: `cold_primal`, `cold_primal_sparse` when the LP layer routed the solve onto its sparse kernels, or `packing` when an anytime O-UMP took the packing solver |
+//! | `dpsan_solves_total{path=...}` | counter | solves by route: `cold_primal`, `cold_primal_sparse` when the LP layer routed the solve onto its sparse kernels, or `packing` when a production (anytime) O-UMP took the packing solver, as every `sanitize` and serve O-UMP release does |
 //! | `dpsan_solve_iterations_total` | counter | simplex iterations |
 //! | `dpsan_solve_refactorizations_total` | counter | basis (re)factorizations |
-//! | `dpsan_solves_capped_total` | counter | O-UMP solves that returned an anytime answer (the simplex incumbent at the iteration cap, or a packing-route answer) |
+//! | `dpsan_solves_capped_total` | counter | O-UMP solves that returned an anytime answer: every packing-route answer, so it equals `dpsan_solves_total{path="packing"}` |
 //!
 //! These mirror [`crate::SessionStats`] one-for-one: every increment in
 //! `SolveSession` lands in both the per-session struct and the
@@ -44,7 +44,7 @@ pub fn refactorizations_total() -> &'static Counter {
     H.get_or_init(|| global().counter("dpsan_solve_refactorizations_total"))
 }
 
-/// O-UMP solves accepted as anytime answers.
+/// O-UMP solves accepted as anytime (packing-route) answers.
 pub fn solves_capped_total() -> &'static Counter {
     static H: OnceLock<Counter> = OnceLock::new();
     H.get_or_init(|| global().counter("dpsan_solves_capped_total"))

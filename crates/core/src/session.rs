@@ -32,8 +32,7 @@ pub struct SessionStats {
     /// Basis (re)factorizations summed over all solves.
     pub refactorizations: usize,
     /// O-UMP solves that returned an anytime answer instead of a proven
-    /// optimum: the simplex incumbent at the iteration cap, or a
-    /// packing-route answer.
+    /// optimum: every packing-route answer.
     pub capped: usize,
     /// Always `0`: every solve is cold. Kept only because the
     /// `perfbench` driver reads it as its `core.warm_kept` metric.
@@ -99,18 +98,13 @@ impl SolveSession {
         Ok(sol)
     }
 
-    /// Count one O-UMP solve answered by the packing route: a solve
-    /// with no simplex iterations or factorizations.
+    /// Count one O-UMP solve answered by the packing route: a capped
+    /// solve (not proven optimal) with no simplex iterations or
+    /// factorizations.
     pub(crate) fn count_packing_solve(&mut self) {
         self.stats.solves += 1;
-        crate::obs::packing_solves_total().inc();
-    }
-
-    /// Count one solve that was accepted as an anytime answer: the
-    /// simplex incumbent at the iteration cap, or a packing-route
-    /// answer.
-    pub(crate) fn count_capped(&mut self) {
         self.stats.capped += 1;
+        crate::obs::packing_solves_total().inc();
         crate::obs::solves_capped_total().inc();
     }
 }

@@ -6,7 +6,7 @@
 //!   frequent pairs at a fixed output size `|O| ∈ (0, λ]`,
 //! * [`packing`] — the O-UMP as a packing LP: the certified bound every
 //!   O-UMP answer carries, and the dual-guided greedy that answers
-//!   large anytime solves,
+//!   every production (anytime) solve,
 //! * [`diversity`] — D-UMP: maximize the number of distinct pairs kept
 //!   (a packing BIP; NP-hard, solved by the SPE heuristic of
 //!   Algorithm 2 and several comparison solvers).

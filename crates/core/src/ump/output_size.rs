@@ -10,15 +10,14 @@
 //! output size λ used by Table 4 and as the upper bound of the F-UMP's
 //! `|O|` parameter.
 //!
-//! Anytime solves ([`OumpOptions::anytime`]) with at least
-//! [`SPARSE_MIN_ROWS`] constraint rows skip the simplex and take the
-//! packing route ([`crate::ump::packing`]): a dual-guided greedy whose
-//! integer counts lie in the same polytope. Every answer, on either
-//! route, carries a certified [`OumpSolution::upper_bound`] on the
-//! optimal λ.
+//! Anytime solves ([`OumpOptions::anytime`]) skip the simplex at every
+//! size and take the packing route ([`crate::ump::packing`]): a
+//! dual-guided greedy whose integer counts lie in the same polytope.
+//! Every answer, on either route, carries a certified
+//! [`OumpSolution::upper_bound`] on the optimal λ.
 
 use dpsan_lp::problem::{Problem, Sense, VarBounds};
-use dpsan_lp::simplex::{SimplexOptions, SolveStatus, SPARSE_MIN_ROWS};
+use dpsan_lp::simplex::{SimplexOptions, SolveStatus};
 
 use crate::constraints::PrivacyConstraints;
 use crate::error::CoreError;
@@ -42,20 +41,18 @@ pub struct OumpOptions {
     /// satisfies it) and reproduces the saturation shape. Upper bounds
     /// never break Lemma 1: `⌊x*⌋ ≤ x* ≤ c`.
     pub cap_at_input: bool,
-    /// Accept an answer that is feasible but not proven optimal
-    /// ("anytime" mode).
+    /// Answer on the packing route ([`packing::solve`]) instead of the
+    /// paper's LP + floor ("anytime" mode), at every size.
     ///
-    /// Below [`SPARSE_MIN_ROWS`] constraint rows this caps the simplex
-    /// at the session's `max_iter` and accepts the best iterate found
-    /// so far: sound because the O-UMP starts primal feasible (x = 0
-    /// satisfies `Mx ≤ b`, `b > 0`) and every phase-2 simplex iterate
-    /// stays primal feasible. At [`SPARSE_MIN_ROWS`] rows and above the
-    /// packing route answers instead and `max_iter` is unused.
-    /// Either way an anytime answer sacrifices utility (a smaller λ),
-    /// never privacy, and [`verify_counts`] still checks the returned
-    /// counts against every constraint as a backstop. Off by default:
-    /// an uncapped solve that exhausts its iteration budget remains an
-    /// error.
+    /// The packing greedy's integer counts lie in the same polytope as
+    /// `⌊x*⌋` (Lemma 1 makes the floor only one feasible integer point)
+    /// and usually release more: λ = 20 vs 9 on the tiny preset, 141 vs
+    /// 71 on the small one. The answer is not proven optimal, so it is
+    /// reported as capped, with its certified bound; the session's
+    /// `max_iter` is unused. [`verify_counts`] still checks the counts
+    /// against every constraint as a backstop. Off by default: the exact
+    /// simplex serves `repro`, and a solve that exhausts its iteration
+    /// budget there is an error.
     pub anytime: bool,
 }
 
@@ -80,10 +77,9 @@ pub struct OumpSolution {
     pub lp_value: f64,
     /// Simplex iterations used (0 on the packing route).
     pub iterations: usize,
-    /// Whether the answer is not proven optimal: the simplex stopped at
-    /// the iteration budget, or the packing route answered (anytime
-    /// mode). The counts are feasible either way; a capped λ is a lower
-    /// bound on the optimal one.
+    /// Whether the answer is not proven optimal: the packing route
+    /// answered (anytime mode). The counts are feasible either way; a
+    /// capped λ is a lower bound on the optimal one.
     pub capped: bool,
     /// A certified upper bound on the optimal LP value, hence on every
     /// feasible λ: `UB(y)` of [`packing::upper_bound`] at the packing
@@ -129,11 +125,10 @@ impl SolveSession {
             });
         }
 
-        if opts.anytime && constraints.n_rows() >= SPARSE_MIN_ROWS {
+        if opts.anytime {
             let sol = packing::solve(constraints, opts.cap_at_input);
             self.count_packing_solve();
             verify_counts(constraints, &sol.counts)?;
-            self.count_capped();
             let lambda = sol.counts.iter().sum();
             return Ok(OumpSolution {
                 lp_counts: sol.counts.iter().map(|&c| c as f64).collect(),
@@ -147,8 +142,7 @@ impl SolveSession {
         }
 
         let sol = self.solve(&build_problem(constraints, opts))?;
-        let capped = sol.status == SolveStatus::IterationLimit && opts.anytime;
-        if sol.status != SolveStatus::Optimal && !capped {
+        if sol.status != SolveStatus::Optimal {
             return Err(CoreError::UnexpectedStatus(match sol.status {
                 SolveStatus::Infeasible => {
                     "O-UMP reported infeasible (impossible for Mx ≤ b, b > 0)"
@@ -159,9 +153,6 @@ impl SolveSession {
         }
         let counts = floor_counts(&sol.x);
         verify_counts(constraints, &counts)?;
-        if capped {
-            self.count_capped();
-        }
         let lambda = counts.iter().sum();
         let bounds = packing::column_bounds(constraints, opts.cap_at_input);
         Ok(OumpSolution {
@@ -170,7 +161,7 @@ impl SolveSession {
             lambda,
             lp_value: sol.objective,
             iterations: sol.iterations,
-            capped,
+            capped: false,
             upper_bound: packing::upper_bound(constraints, &bounds, &sol.duals),
         })
     }
@@ -288,27 +279,6 @@ mod tests {
         let s = solve_oump(&log, params(2.0, 0.5), &OumpOptions::default()).unwrap();
         assert_eq!(s.lambda, 0);
         assert!(s.counts.is_empty());
-    }
-
-    #[test]
-    fn anytime_cap_returns_feasible_incumbent() {
-        let log = two_pair_log();
-        let p = params(2.0, 0.5);
-        let c = PrivacyConstraints::build(&log, p).unwrap();
-        // one iteration is never enough to prove optimality here
-        let mut one_iter =
-            SolveSession::new(SimplexOptions { max_iter: 1, ..SimplexOptions::default() });
-        // without anytime, hitting the budget is an error
-        assert!(one_iter.solve_oump(&c, &OumpOptions::default()).is_err());
-        // with anytime, the incumbent comes back flagged and feasible
-        let anytime = OumpOptions { anytime: true, ..Default::default() };
-        let s = one_iter.solve_oump(&c, &anytime).unwrap();
-        assert!(s.capped, "one iteration cannot prove optimality on this LP");
-        assert!(c.satisfied_by(&s.counts, 1e-9), "capped counts stay privacy-feasible");
-        // the capped λ lower-bounds the optimum
-        let full = solve_oump(&log, p, &OumpOptions::default()).unwrap();
-        assert!(!full.capped);
-        assert!(s.lambda <= full.lambda);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   the column's cap `c_j` tightened to `B / max_i M_ij`, the cap the
 //!   rows already imply (so the uncapped LP gets a finite bound too).
 //!   [`upper_bound`] costs one sparse mat-vec, which is why every O-UMP
-//!   answer — exact, capped simplex, or packing — carries one.
+//!   answer — exact simplex or packing — carries one.
 //! * **Dual.** [`DUAL_STEPS`] projected-subgradient steps on `UB(y)`
 //!   from `y = 0`, each two sparse mat-vecs. The step is a quarter of
 //!   the Polyak step toward the λ of the `y = 0` greedy (a known

@@ -45,18 +45,17 @@ const USAGE: &str = "usage: sanitize <input.tsv> [options]
   --delta <v>              privacy parameter delta, in (0,1) (default: 0.5)
   --min-support <v>        fump support threshold, in (0,1]  (default: 0.05)
   --output-size <n|auto>   fump output size |O|      (default: auto = lambda/2,
-                           at least 1; 0 when lambda = 0)
+                           at least 1; 0 when lambda = 0; lambda is the
+                           packing-route O-UMP answer oump itself releases)
   --zealous-cap <n>        zealous per-user contribution cap (default: 8)
   --zealous-coarse <n>     zealous coarse cutoff tau'        (default: 2)
   --ldp-cap <n>            ldp-rr per-user pair cap          (default: 4)
-  --lp-budget <n>          oump only: anytime mode. Below 512 constraint rows
-                           (users), cap the LP at n simplex iterations and
-                           release the best feasible iterate found; at 512
-                           rows and above the packing solver answers in
-                           seconds even at 10^5+ users, and n is unused.
-                           Either answer is feasible — hence private — and
-                           carries a certified bound (--stats: gap); only
-                           utility is traded.
+  --lp-budget <n>          oump only; accepted and validated (n >= 1) but has
+                           no effect: oump always answers on the packing
+                           route, which needs no simplex iterations. The
+                           answer is feasible (hence private), carries a
+                           certified bound (--stats: gap) and is reported
+                           as capped=1.
   --seed <n>               sampling / noise seed     (default: fixed)
   --shards <n>             user-hash shards          (default: 16)
   --chunk-rows <n>         max raw rows in memory    (default: 8192)
@@ -267,9 +266,6 @@ fn parse_args() -> Result<Args, String> {
     if args.lp_budget.is_some() && args.mechanism != "oump" {
         return Err("--lp-budget only applies to --mechanism oump".into());
     }
-    if args.lp_budget == Some(0) {
-        return Err("--lp-budget must be at least 1".into());
-    }
     // numeric domains, mirrored from the library asserts so a typo
     // gets the usage path, not a panic + backtrace
     if !(args.e_epsilon.is_finite() && args.e_epsilon > 1.0) {
@@ -346,13 +342,7 @@ fn parse_count64(v: &str, flag: &str) -> Result<u64, String> {
 /// fump `|O|` (`Some` whenever the mechanism is fump).
 fn build_mechanism(args: &Args, output_size: Option<u64>) -> Box<dyn Sanitizer> {
     match args.mechanism.as_str() {
-        "oump" => {
-            let mut s = UmpSanitizer::new(UtilityObjective::OutputSize);
-            if let Some(budget) = args.lp_budget {
-                s = s.with_lp_iteration_budget(budget);
-            }
-            Box::new(s)
-        }
+        "oump" => Box::new(UmpSanitizer::new(UtilityObjective::OutputSize)),
         "dump" => {
             Box::new(UmpSanitizer::new(UtilityObjective::Diversity { solver: DumpSolver::Spe }))
         }
@@ -373,10 +363,10 @@ fn build_mechanism(args: &Args, output_size: Option<u64>) -> Box<dyn Sanitizer> 
 }
 
 /// `--output-size auto`: half the privacy-feasible maximum λ and at
-/// least 1, or 0 — the empty release — when λ = 0. λ comes from an
-/// anytime solve: exact below 512 rows, the packing route's feasible
-/// λ (≤ λ*) at and above. The solve goes through a session, so the
-/// exported solver series count it.
+/// least 1, or 0 — the empty release — when λ = 0. λ is the packing
+/// route's feasible λ (≤ λ*), the one an oump release would use. The
+/// solve goes through a session, so the exported solver series count
+/// it.
 fn auto_output_size(
     pre: &SearchLog,
     params: PrivacyParams,

@@ -65,9 +65,9 @@ pub fn run(ctx: &Ctx, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
             .map(str::to_string)
             .to_vec(),
     );
-    // one persistent O-UMP sanitizer: its session counts every cell's
-    // solve
-    let oump = UmpSanitizer::new(UtilityObjective::OutputSize);
+    // one persistent O-UMP sanitizer on the paper's LP + floor: its
+    // session counts every cell's solve
+    let oump = UmpSanitizer::new(UtilityObjective::OutputSize).with_exact_lp();
     let mut cell = 0u64;
     for &delta in &COMPARE_DELTAS {
         for &e_eps in &E_EPS_SWEEP {

@@ -31,8 +31,7 @@ pub struct SolverCounters {
     pub iterations: u64,
     /// Basis (re)factorizations over all solves.
     pub refactorizations: u64,
-    /// O-UMP solves accepted as anytime answers (capped simplex
-    /// incumbents or packing-route answers).
+    /// O-UMP solves accepted as anytime (packing-route) answers.
     pub capped: u64,
 }
 

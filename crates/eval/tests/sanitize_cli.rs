@@ -99,32 +99,36 @@ fn follow_mode_flag_validation() {
     assert!(stderr.contains("--follow"), "got: {stderr}");
 }
 
+/// Production O-UMP answers on the packing route at every size: no
+/// simplex pivots, reported as capped, with a certified bound. The
+/// `--lp-budget` flag is still accepted and changes nothing.
 #[test]
-fn stats_report_whether_the_oump_solve_was_capped() {
-    let dir = scratch("capped");
+fn oump_answers_on_the_packing_route_whatever_the_lp_budget() {
+    let dir = scratch("packing");
     let input = dir.join("tiny.tsv");
     let o = Command::new(env!("CARGO_BIN_EXE_genlog"))
         .args(["--scale", "tiny", "--out", input.to_str().unwrap()])
         .output()
         .expect("spawn genlog");
     assert!(o.status.success(), "stderr: {}", String::from_utf8_lossy(&o.stderr));
-    let out = dir.join("out.tsv");
-    let solver_line = |budget: &[&str]| {
+    let release = |name: &str, budget: &[&str]| {
+        let out = dir.join(name);
         let mut args = vec![input.to_str().unwrap(), "--mechanism", "oump", "--stats", "--out"];
         args.push(out.to_str().unwrap());
         args.extend_from_slice(budget);
         let o = run_sanitize(&args);
         assert!(o.status.success(), "stderr: {}", String::from_utf8_lossy(&o.stderr));
-        let stderr = String::from_utf8_lossy(&o.stderr).into_owned();
-        stderr.lines().find(|l| l.starts_with("solver: ")).expect("solver line").to_string()
+        (fs::read(&out).expect("release written"), String::from_utf8_lossy(&o.stderr).into_owned())
     };
-    // one simplex iteration never proves this LP optimal: the anytime
-    // incumbent is released and the solve is reported as capped
-    let capped = solver_line(&["--lp-budget", "1"]);
-    assert!(capped.ends_with(" capped=1"), "got: {capped}");
-    let full = solver_line(&[]);
-    assert!(full.ends_with(" capped=0"), "got: {full}");
-    assert!(full.starts_with("solver: solves=1 "), "got: {full}");
+    let (plain, stderr) = release("plain.tsv", &[]);
+    let solver = stderr.lines().find(|l| l.starts_with("solver: ")).expect("solver line");
+    assert_eq!(solver, "solver: solves=1 iterations=0 refactorizations=0 capped=1");
+    assert!(stderr.lines().any(|l| l.starts_with("bound: ")), "got: {stderr}");
+    assert!(!plain.is_empty(), "the tiny release must not be empty");
+    for budget in ["1", "3"] {
+        let (bytes, _) = release(&format!("b{budget}.tsv"), &["--lp-budget", budget]);
+        assert!(bytes == plain, "--lp-budget {budget} changed the release");
+    }
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -33,8 +33,6 @@ pub(crate) use ratio::{ratio_test, ratio_test_sparse, RatioOutcome};
 /// duals) unless [`SimplexOptions::sparse`] overrides the choice. Below
 /// it the legacy dense-vector route runs — it is faster on small
 /// instances and doubles as the cross-check oracle for the sparse path.
-/// `dpsan-core` routes anytime O-UMP solves to its packing solver at
-/// the same threshold.
 pub const SPARSE_MIN_ROWS: usize = 512;
 
 /// Dense-route refactorization cadence: refactorize the basis after

@@ -23,9 +23,10 @@
 //! 2. **Every re-solve is one cold solve.** The mechanism object (and
 //!    so the `SolveSession` inside a `UmpSanitizer`) persists across
 //!    releases to carry the LP options and count solver work, but each
-//!    release solves its LP from scratch: the answer depends only on
-//!    the window, never on earlier releases, which is what property 1
-//!    needs.
+//!    release solves from scratch: the answer depends only on the
+//!    window, never on earlier releases, which is what property 1
+//!    needs. An O-UMP release takes the packing route (a dual-guided
+//!    greedy, no simplex pivots), exactly as one-shot `sanitize` does.
 //! 3. **Composition is enforced, not just recorded.** The lifetime
 //!    `(ε, δ)` ledger refuses a release it cannot afford
 //!    ([`dpsan_dp::BudgetError`]); the service treats that refusal as

@@ -8,16 +8,22 @@
 //!   against the exact revised-simplex optimum on the small preset.
 //! * The packing answer is integer, capped, privacy-feasible, below
 //!   its own bound, and deterministic.
-//! * An anytime solve with ≥ 512 rows takes the packing route and
+//! * An anytime solve takes the packing route at every size, below
+//!   and above the sparse-kernel threshold of 512 rows; at scale it
 //!   releases at least what 2,000 capped simplex pivots plus a floor
 //!   would.
+//! * Production O-UMP (`UmpSanitizer`) never releases less than the
+//!   paper's exact LP + floor: on every distinct Table-4 budget of the
+//!   tiny preset and at the reference cell of the small one.
 
 use dpsan_core::constraints::PrivacyConstraints;
+use dpsan_core::mechanism::{Sanitizer, UmpSanitizer, UtilityObjective};
 use dpsan_core::session::SolveSession;
 use dpsan_core::ump::output_size::{OumpOptions, OumpSolution};
 use dpsan_core::ump::{floor_counts, packing, verify_counts};
 use dpsan_datagen::{generate, presets, AolLikeConfig};
 use dpsan_dp::params::PrivacyParams;
+use dpsan_eval::grids::{reference_params, DELTA_GRID, E_EPS_GRID};
 use dpsan_lp::dense_simplex::solve_dense;
 use dpsan_lp::problem::{Problem, Sense, VarBounds};
 use dpsan_lp::simplex::{self, SimplexOptions, SolveStatus, SPARSE_MIN_ROWS};
@@ -166,26 +172,81 @@ fn scaled_small(users: usize) -> AolLikeConfig {
     cfg
 }
 
+/// An anytime O-UMP through a fresh session with `lp`: it must take the
+/// packing route — one capped solve, no simplex iterations, the
+/// greedy's privacy-feasible counts under their own bound.
+fn assert_packing_route(c: &PrivacyConstraints, lp: &SimplexOptions) -> OumpSolution {
+    let mut session = SolveSession::new(lp.clone());
+    let opts = OumpOptions { anytime: true, ..OumpOptions::default() };
+    let sol = session.solve_oump(c, &opts).unwrap();
+    assert!(sol.capped, "a packing answer is not proven optimal");
+    assert_eq!(sol.iterations, 0);
+    let stats = session.stats();
+    assert_eq!((stats.solves, stats.iterations, stats.capped), (1, 0, 1));
+    assert_eq!(sol.counts, packing::solve(c, true).counts, "the packing greedy's counts");
+    assert!(verify_counts(c, &sol.counts).is_ok());
+    assert!(sol.lambda as f64 <= sol.upper_bound);
+    sol
+}
+
 #[test]
 fn anytime_solve_at_scale_takes_the_packing_route() {
     let (pre, _) = preprocess(&generate(&scaled_small(1_000)));
     let c = PrivacyConstraints::build(&pre, params()).unwrap();
     assert!(c.n_rows() >= SPARSE_MIN_ROWS, "{} rows", c.n_rows());
-
     let lp = SimplexOptions { max_iter: 2_000, ..SimplexOptions::default() };
-    let mut session = SolveSession::new(lp.clone());
-    let opts = OumpOptions { anytime: true, ..OumpOptions::default() };
-    let sol = session.solve_oump(&c, &opts).unwrap();
-    assert!(sol.capped, "a packing answer is not proven optimal");
-    assert_eq!(sol.iterations, 0);
-    let stats = session.stats();
-    assert_eq!((stats.solves, stats.iterations, stats.capped), (1, 0, 1));
-    assert!(verify_counts(&c, &sol.counts).is_ok());
-    assert!(sol.lambda as f64 <= sol.upper_bound);
+    let sol = assert_packing_route(&c, &lp);
 
     // the same constraints through 2,000 capped simplex pivots + floor
     let capped = simplex::solve(&oump_problem(&c, true), &lp).unwrap();
     assert_eq!(capped.status, SolveStatus::IterationLimit);
     let floored: u64 = floor_counts(&capped.x).iter().sum();
     assert!(sol.lambda >= floored, "packing λ {} < capped simplex λ {floored}", sol.lambda);
+}
+
+#[test]
+fn anytime_solve_below_the_sparse_threshold_takes_the_packing_route() {
+    let (pre, _) = preprocess(&generate(&presets::aol_tiny()));
+    let c = PrivacyConstraints::build(&pre, params()).unwrap();
+    assert!(c.n_rows() < SPARSE_MIN_ROWS, "{} rows", c.n_rows());
+    assert_packing_route(&c, &SimplexOptions::default());
+}
+
+/// The λ a production O-UMP release carries (packing route) and the
+/// λ of the paper's exact LP + floor, on one preprocessed log.
+fn production_and_exact_lambda(pre: &SearchLog, params: PrivacyParams) -> (u64, u64) {
+    let release =
+        UmpSanitizer::new(UtilityObjective::OutputSize).sanitize(pre, params, 0xd95a_11ce).unwrap();
+    assert_eq!(release.solver.iterations, 0, "production takes the packing route");
+    let c = PrivacyConstraints::build(pre, params).unwrap();
+    let exact = solve_oump(&c, None, &OumpOptions::default());
+    assert!(!exact.capped);
+    (release.counts.iter().sum(), exact.lambda)
+}
+
+#[test]
+fn production_lambda_is_at_least_the_exact_floor_on_every_tiny_table4_budget() {
+    let (pre, _) = preprocess(&generate(&presets::aol_tiny()));
+    let mut budgets: Vec<(f64, PrivacyParams)> = Vec::new();
+    for &e_eps in &E_EPS_GRID {
+        for &delta in &DELTA_GRID {
+            let p = PrivacyParams::from_e_epsilon(e_eps, delta);
+            let b = p.budget().value();
+            if !budgets.iter().any(|&(seen, _)| seen == b) {
+                budgets.push((b, p));
+            }
+        }
+    }
+    assert_eq!(budgets.len(), 12, "Table 4's 7 × 7 grid collapses to 12 budgets");
+    for (b, p) in budgets {
+        let (production, exact) = production_and_exact_lambda(&pre, p);
+        assert!(production >= exact, "B = {b}: production λ {production} < exact λ {exact}");
+    }
+}
+
+#[test]
+fn production_lambda_is_at_least_the_exact_floor_on_the_small_preset() {
+    let (pre, _) = preprocess(&generate(&presets::aol_small()));
+    let (production, exact) = production_and_exact_lambda(&pre, reference_params());
+    assert!(production >= exact, "production λ {production} < exact λ {exact}");
 }

@@ -18,7 +18,7 @@ use dpsan_searchlog::{preprocess, SearchLog};
 
 fn release_bytes(pre: &SearchLog, sparse: Option<bool>) -> (Vec<u8>, u64) {
     let lp = SimplexOptions { sparse, ..SimplexOptions::default() };
-    let mech = UmpSanitizer::new(UtilityObjective::OutputSize).with_lp_options(lp);
+    let mech = UmpSanitizer::new(UtilityObjective::OutputSize).with_lp_options(lp).with_exact_lp();
     let rel =
         mech.sanitize(pre, PrivacyParams::from_e_epsilon(2.0, 0.5), 0xd95a_11ce).expect("sanitize");
     let mut buf = Vec::new();
