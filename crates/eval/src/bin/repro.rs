@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use dpsan_eval::{run_experiments_opts, Ctx, RunOptions, Scale, EXPERIMENTS};
+use dpsan_eval::{run_experiments, Ctx, RunOptions, Scale, EXPERIMENTS};
 
 fn usage() -> String {
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
@@ -100,7 +100,7 @@ fn main() -> ExitCode {
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let opts = RunOptions { progress: true, solver_stats: stats };
-    if let Err(e) = run_experiments_opts(&wanted, &ctx, &mut out, &opts) {
+    if let Err(e) = run_experiments(&wanted, &ctx, &mut out, &opts) {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }

@@ -1,6 +1,6 @@
 //! Shared experiment context: dataset, preprocessing, and cached
-//! solves. Every solve goes through a [`SolveSession`] at the default
-//! LP options.
+//! solves. Every solve goes through a one-shot [`SolveSession`] at the
+//! default LP options.
 //!
 //! Two `(ε, δ)` pairs with the same collapsed budget
 //! `B = min{ε, ln 1/(1−δ)}` induce identical optimization problems, so
@@ -10,16 +10,19 @@
 //! (both sweep the same cells).
 //!
 //! The caches are behind mutexes so grid sweeps can be *prefetched* in
-//! parallel (see [`crate::pool`]): the grid is split into data-defined
-//! shards, each shard solves its cells through one [`SolveSession`],
-//! and the shard layout never depends on the worker count. Every solve
-//! is cold, so a cell's answer depends only on the cell — output is
-//! byte-identical for every `--jobs` value. Every session's
+//! parallel: a prefetch drops the cached and repeated cells of its
+//! grid, then runs each remaining distinct cell as one task on up to
+//! [`Ctx::jobs`] workers ([`dpsan_stream::pool::run_sharded`]), calling
+//! the same [`Ctx::oump`] / [`Ctx::fump`] an on-demand lookup calls.
+//! Every solve is cold, so a cell's answer depends only on the cell and
+//! each distinct cell is solved exactly once: `--jobs` changes only
+//! wall time, never output bytes or solve counts. Every session's
 //! [`SessionStats`] — the D-UMP solves of [`Ctx::dump`] included — are
 //! merged into a context-wide aggregate ([`Ctx::solve_stats`]) so
 //! sweeps can show what their cells cost (`repro --stats`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 use dpsan_core::constraints::PrivacyConstraints;
@@ -32,13 +35,7 @@ use dpsan_datagen::{generate, presets, AolLikeConfig};
 use dpsan_dp::params::PrivacyParams;
 use dpsan_lp::simplex::SimplexOptions;
 use dpsan_searchlog::{preprocess, LogStats, PreprocessReport, SearchLog};
-
-use crate::pool::run_sharded;
-
-/// Budgets per shard when prefetching an O-UMP grid. The chunking is
-/// over the *sorted distinct budget list*, so it is a property of the
-/// requested grid, not of the worker count (see module docs).
-const OUMP_SHARD_LEN: usize = 4;
+use dpsan_stream::pool::run_sharded;
 
 /// Dataset scale of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,10 +84,15 @@ pub struct FumpCell {
     pub output_size: u64,
 }
 
+/// Two `(ε, δ)` pairs with one collapsed budget share every cache entry.
+fn budget_key(params: PrivacyParams) -> u64 {
+    params.budget().value().to_bits()
+}
+
 type FumpKey = (u64, u64, u64);
 
 fn fump_key(cell: &FumpCell) -> FumpKey {
-    (cell.params.budget().value().to_bits(), cell.min_support.to_bits(), cell.output_size)
+    (budget_key(cell.params), cell.min_support.to_bits(), cell.output_size)
 }
 
 /// Shared state for one experiment run.
@@ -107,9 +109,9 @@ pub struct Ctx {
     oump_cache: Mutex<HashMap<u64, Arc<OumpSolution>>>,
     constraints_cache: Mutex<HashMap<u64, Arc<PrivacyConstraints>>>,
     fump_cache: Mutex<HashMap<FumpKey, Arc<FumpSolution>>>,
-    /// Aggregate solver counters across every session this context ran
-    /// (prefetch shards and on-demand cache misses). Sums are
-    /// independent of `jobs` because shard composition is.
+    /// Aggregate solver counters across every session this context ran.
+    /// Sums are independent of `jobs` because each distinct cell is
+    /// solved exactly once, cold.
     solve_stats: Mutex<SessionStats>,
 }
 
@@ -171,91 +173,37 @@ impl Ctx {
 
     /// The constraint system at the given parameters (cached by budget).
     pub fn constraints(&self, params: PrivacyParams) -> Result<Arc<PrivacyConstraints>, CoreError> {
-        let key = params.budget().value().to_bits();
-        if let Some(c) = self.constraints_cache.lock().expect("cache poisoned").get(&key) {
-            return Ok(Arc::clone(c));
-        }
-        let c = Arc::new(PrivacyConstraints::build(&self.pre, params)?);
-        self.constraints_cache
-            .lock()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&c));
-        Ok(c)
+        memo(&self.constraints_cache, budget_key(params), || {
+            PrivacyConstraints::build(&self.pre, params)
+        })
+    }
+
+    /// Run `run` through a one-shot [`SolveSession`] at the default LP
+    /// options and merge its counters into the aggregate.
+    fn solve<T>(
+        &self,
+        run: impl FnOnce(&mut SolveSession) -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
+        let mut session = SolveSession::new(SimplexOptions::default());
+        let out = run(&mut session);
+        self.record_solve_stats(&session.stats());
+        out
     }
 
     /// The O-UMP solution at the given parameters (cached by budget;
-    /// cache misses solve cold — sweeps should [`Ctx::prefetch_oump`]
-    /// first).
+    /// sweeps should [`Ctx::prefetch_oump`] first).
     pub fn oump(&self, params: PrivacyParams) -> Result<Arc<OumpSolution>, CoreError> {
-        let key = params.budget().value().to_bits();
-        if let Some(s) = self.oump_cache.lock().expect("cache poisoned").get(&key) {
-            return Ok(Arc::clone(s));
-        }
-        let constraints = self.constraints(params)?;
-        // a one-shot session: solves exactly like a plain solve would,
-        // but feeds the shared stats aggregate
-        let mut session = SolveSession::new(SimplexOptions::default());
-        let sol = Arc::new(session.solve_oump(&constraints, &OumpOptions::default())?);
-        self.record_solve_stats(&session.stats());
-        self.insert_oump(key, &sol);
-        Ok(sol)
-    }
-
-    fn insert_oump(&self, key: u64, sol: &Arc<OumpSolution>) {
-        self.oump_cache
-            .lock()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert_with(|| Arc::clone(sol));
+        memo(&self.oump_cache, budget_key(params), || {
+            let constraints = self.constraints(params)?;
+            self.solve(|session| session.solve_oump(&constraints, &OumpOptions::default()))
+        })
     }
 
     /// Solve the O-UMP for every distinct budget in `grid` that is not
-    /// cached yet, sharding the sorted budget list into fixed-size
-    /// shards run on up to [`Ctx::jobs`] workers.
+    /// cached yet, one task per budget on up to [`Ctx::jobs`] workers.
     pub fn prefetch_oump(&self, grid: &[PrivacyParams]) -> Result<(), CoreError> {
-        let mut todo: Vec<PrivacyParams> = Vec::new();
-        {
-            let cache = self.oump_cache.lock().expect("cache poisoned");
-            let mut seen: Vec<u64> = Vec::new();
-            for &p in grid {
-                let key = p.budget().value().to_bits();
-                if !cache.contains_key(&key) && !seen.contains(&key) {
-                    seen.push(key);
-                    todo.push(p);
-                }
-            }
-        }
-        if todo.is_empty() {
-            return Ok(());
-        }
-        // a fixed order makes the shard layout a property of the grid
-        todo.sort_by(|a, b| {
-            a.budget().value().partial_cmp(&b.budget().value()).expect("budgets are finite")
-        });
-        let shards: Vec<Vec<PrivacyParams>> =
-            todo.chunks(OUMP_SHARD_LEN).map(<[PrivacyParams]>::to_vec).collect();
-
-        let results = run_sharded(shards, self.jobs, |shard| {
-            let mut session = SolveSession::new(SimplexOptions::default());
-            let opts = OumpOptions::default();
-            let out = shard
-                .into_iter()
-                .map(|params| {
-                    let constraints = self.constraints(params)?;
-                    let sol = session.solve_oump(&constraints, &opts)?;
-                    Ok((params.budget().value().to_bits(), Arc::new(sol)))
-                })
-                .collect::<Result<Vec<_>, CoreError>>();
-            self.record_solve_stats(&session.stats());
-            out
-        });
-        for shard in results {
-            for (key, sol) in shard? {
-                self.insert_oump(key, &sol);
-            }
-        }
-        Ok(())
+        let todo = uncached(&self.oump_cache, grid, |&p| budget_key(p));
+        run_sharded(todo, self.jobs, |p| self.oump(p).map(drop)).into_iter().collect()
     }
 
     /// The maximum output size λ at the given parameters.
@@ -272,88 +220,66 @@ impl Ctx {
         solver: DumpSolver,
     ) -> Result<DumpSolution, CoreError> {
         let constraints = self.constraints(params)?;
-        let mut session = SolveSession::new(SimplexOptions::default());
-        let sol = session.solve_dump(&constraints, &DumpOptions { solver })?;
-        self.record_solve_stats(&session.stats());
-        Ok(sol)
+        self.solve(|session| session.solve_dump(&constraints, &DumpOptions { solver }))
     }
 
-    /// The F-UMP solution of one cell (cached; cache misses solve cold
-    /// — sweeps should [`Ctx::prefetch_fump`] first).
+    /// The F-UMP solution of one cell (cached; sweeps should
+    /// [`Ctx::prefetch_fump`] first).
     pub fn fump(&self, cell: FumpCell) -> Result<Arc<FumpSolution>, CoreError> {
-        let key = fump_key(&cell);
-        if let Some(s) = self.fump_cache.lock().expect("cache poisoned").get(&key) {
-            return Ok(Arc::clone(s));
-        }
-        let constraints = self.constraints(cell.params)?;
-        // one-shot (see the O-UMP cache-miss path above)
-        let mut session = SolveSession::new(SimplexOptions::default());
-        let sol = Arc::new(session.solve_fump(
-            &self.pre,
-            &constraints,
-            &FumpOptions::new(cell.min_support, cell.output_size),
-        )?);
-        self.record_solve_stats(&session.stats());
-        self.insert_fump(key, &sol);
-        Ok(sol)
+        memo(&self.fump_cache, fump_key(&cell), || {
+            let constraints = self.constraints(cell.params)?;
+            let opts = FumpOptions::new(cell.min_support, cell.output_size);
+            self.solve(|session| session.solve_fump(&self.pre, &constraints, &opts))
+        })
     }
 
-    fn insert_fump(&self, key: FumpKey, sol: &Arc<FumpSolution>) {
-        self.fump_cache
-            .lock()
-            .expect("cache poisoned")
-            .entry(key)
-            .or_insert_with(|| Arc::clone(sol));
-    }
-
-    /// Solve the F-UMP cells of a grid, one session per given shard
-    /// (callers pick data-defined shards — e.g. one δ-curve, or one
-    /// support row). Cached cells are skipped.
-    pub fn prefetch_fump(&self, shards: Vec<Vec<FumpCell>>) -> Result<(), CoreError> {
-        let shards: Vec<Vec<FumpCell>> = {
-            let cache = self.fump_cache.lock().expect("cache poisoned");
-            shards
-                .into_iter()
-                .map(|shard| {
-                    shard.into_iter().filter(|c| !cache.contains_key(&fump_key(c))).collect()
-                })
-                .filter(|shard: &Vec<FumpCell>| !shard.is_empty())
-                .collect()
-        };
-        if shards.is_empty() {
-            return Ok(());
-        }
-        // warm the constraints cache serially first: shards often share
-        // one budget (e.g. every support row of Tables 5/6 uses the
-        // reference cell), and concurrent cache misses would each
-        // rebuild the same system just to discard all but one
-        for cell in shards.iter().flatten() {
+    /// Solve every distinct F-UMP cell of `cells` that is not cached
+    /// yet, one task per cell on up to [`Ctx::jobs`] workers.
+    pub fn prefetch_fump(&self, cells: &[FumpCell]) -> Result<(), CoreError> {
+        let todo = uncached(&self.fump_cache, cells, fump_key);
+        // warm the constraints cache serially first: cells often share
+        // one budget (every cell of Tables 5/6 uses the reference
+        // cell), and concurrent cache misses would each rebuild the
+        // same system just to discard all but one
+        for cell in &todo {
             self.constraints(cell.params)?;
         }
-        let results = run_sharded(shards, self.jobs, |shard| {
-            let mut session = SolveSession::new(SimplexOptions::default());
-            let out = shard
-                .into_iter()
-                .map(|cell| {
-                    let constraints = self.constraints(cell.params)?;
-                    let sol = session.solve_fump(
-                        &self.pre,
-                        &constraints,
-                        &FumpOptions::new(cell.min_support, cell.output_size),
-                    )?;
-                    Ok((fump_key(&cell), Arc::new(sol)))
-                })
-                .collect::<Result<Vec<_>, CoreError>>();
-            self.record_solve_stats(&session.stats());
-            out
-        });
-        for shard in results {
-            for (key, sol) in shard? {
-                self.insert_fump(key, &sol);
-            }
-        }
-        Ok(())
+        run_sharded(todo, self.jobs, |cell| self.fump(cell).map(drop)).into_iter().collect()
     }
+}
+
+/// The cached value under `key`, computed by `make` and inserted on a
+/// miss.
+fn memo<K: Eq + Hash, V>(
+    cache: &Mutex<HashMap<K, Arc<V>>>,
+    key: K,
+    make: impl FnOnce() -> Result<V, CoreError>,
+) -> Result<Arc<V>, CoreError> {
+    if let Some(v) = cache.lock().expect("cache poisoned").get(&key) {
+        return Ok(Arc::clone(v));
+    }
+    let v = Arc::new(make()?);
+    Ok(Arc::clone(cache.lock().expect("cache poisoned").entry(key).or_insert(v)))
+}
+
+/// The items of `grid` whose key is neither cached nor a repeat of an
+/// earlier item, in grid order. Deduplicating before dispatch is what
+/// keeps the solve count independent of the worker count: two tasks
+/// racing on one key would both miss the cache and both solve.
+fn uncached<T: Copy, K: Eq + Hash, V>(
+    cache: &Mutex<HashMap<K, Arc<V>>>,
+    grid: &[T],
+    key: impl Fn(&T) -> K,
+) -> Vec<T> {
+    let cache = cache.lock().expect("cache poisoned");
+    let mut seen = HashSet::new();
+    grid.iter()
+        .filter(|item| {
+            let k = key(item);
+            !cache.contains_key(&k) && seen.insert(k)
+        })
+        .copied()
+        .collect()
 }
 
 #[cfg(test)]
@@ -396,6 +322,40 @@ mod tests {
             ctx.prefetch_oump(&grid).unwrap();
             let lambdas: Vec<u64> = grid.iter().map(|&p| ctx.lambda(p).unwrap()).collect();
             assert_eq!(lambdas, lambdas_cold, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn prefetch_solves_each_distinct_cell_once() {
+        // (1.4, 0.5) and (1.4, 0.8) share a budget, and (2.0, 0.5) is
+        // listed twice: three distinct budgets
+        let grid: Vec<PrivacyParams> = [(1.4, 0.5), (1.4, 0.8), (2.0, 0.5), (2.0, 0.5), (1.7, 0.1)]
+            .iter()
+            .map(|&(e, d)| PrivacyParams::from_e_epsilon(e, d))
+            .collect();
+        let cell = |params, output_size| FumpCell { params, min_support: 0.05, output_size };
+        // one repeated cell, one equal-budget alias: three distinct keys
+        let cells = [
+            cell(grid[0], 2),
+            cell(grid[1], 2),
+            cell(grid[2], 2),
+            cell(grid[2], 2),
+            cell(grid[2], 3),
+        ];
+        for jobs in [1, 3] {
+            let ctx = Ctx::new(Scale::Tiny).with_jobs(jobs);
+            ctx.prefetch_oump(&grid).unwrap();
+            assert_eq!(ctx.take_solve_stats().solves, 3, "O-UMP, jobs={jobs}");
+            ctx.prefetch_fump(&cells).unwrap();
+            assert_eq!(ctx.take_solve_stats().solves, 3, "F-UMP, jobs={jobs}");
+            // every grid cell is now a cache hit
+            for &p in &grid {
+                ctx.oump(p).unwrap();
+            }
+            for &c in &cells {
+                ctx.fump(c).unwrap();
+            }
+            assert_eq!(ctx.solve_stats().solves, 0, "jobs={jobs}");
         }
     }
 

@@ -12,7 +12,7 @@ use dpsan_dp::params::PrivacyParams;
 
 use crate::context::Ctx;
 use crate::experiments::{
-    fump_cell, prefetch_fump_rows, prefetch_reference_grid, reference_outputs,
+    fump_cell, prefetch_fump_cells, prefetch_reference_grid, reference_outputs,
 };
 use crate::grids::{
     reference_params, scaled_support, DELTA_CURVES, E_EPS_SWEEP, FIG3_OUTPUT_FRACTION,
@@ -25,25 +25,15 @@ fn fig3_target_output(ctx: &Ctx) -> Result<u64, Box<dyn Error>> {
     Ok(((lambda_ref as f64 * FIG3_OUTPUT_FRACTION).round() as u64).max(1))
 }
 
-/// Prefetch the Figure 3(a)/(b) sweep: one shard per δ-curve, ε
-/// ascending.
+/// Prefetch the Figure 3(a)/(b) sweep: λ of every cell, then the
+/// F-UMP cells.
 fn prefetch_sweep(ctx: &Ctx, s_eff: f64, target: u64) -> Result<(), Box<dyn Error>> {
     let grid: Vec<PrivacyParams> = DELTA_CURVES
         .iter()
         .flat_map(|&d| E_EPS_SWEEP.iter().map(move |&e| PrivacyParams::from_e_epsilon(e, d)))
         .collect();
     ctx.prefetch_oump(&grid)?;
-    let rows: Vec<(f64, Vec<(PrivacyParams, u64)>)> = DELTA_CURVES
-        .iter()
-        .map(|&d| {
-            let cells = E_EPS_SWEEP
-                .iter()
-                .map(|&e| (PrivacyParams::from_e_epsilon(e, d), target))
-                .collect();
-            (s_eff, cells)
-        })
-        .collect();
-    prefetch_fump_rows(ctx, &rows)?;
+    prefetch_fump_cells(ctx, grid.into_iter().map(|p| (p, s_eff, target)))?;
     Ok(())
 }
 
@@ -120,7 +110,7 @@ pub fn run_c(ctx: &Ctx, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         "Figure 3(c): average support distance vs minimum support (e^ε = 2, δ = 0.5, λ = {lambda})"
     )?;
     writeln!(out)?;
-    // shared with Tables 5/6: same cells, same shard layout
+    // shared with Tables 5/6: same cells
     prefetch_reference_grid(ctx, &outputs)?;
     let mut headers = vec!["s".to_string()];
     headers.extend(outputs.iter().map(|o| format!("|O|={o}")));

@@ -28,6 +28,22 @@ pub fn clamped_output(lambda: u64, target_output: u64) -> u64 {
     target_output.min((lambda as f64 * 0.9).floor() as u64).max(1)
 }
 
+/// The F-UMP cell at `params` under the harness conventions (see
+/// [`clamped_output`]): `None` when the cell's λ rounds to zero.
+fn harness_cell(
+    ctx: &Ctx,
+    params: PrivacyParams,
+    min_support: f64,
+    target_output: u64,
+) -> Result<Option<FumpCell>, CoreError> {
+    let lambda = ctx.lambda(params)?;
+    Ok((lambda > 0).then(|| FumpCell {
+        params,
+        min_support,
+        output_size: clamped_output(lambda, target_output),
+    }))
+}
+
 /// An F-UMP cell solve with the harness conventions (see
 /// [`clamped_output`]). Returns `None` when the cell's λ rounds to
 /// zero. Solves are cached on the context, so re-rendering the same
@@ -38,13 +54,23 @@ pub fn fump_cell(
     min_support: f64,
     target_output: u64,
 ) -> Result<Option<(Arc<FumpSolution>, u64)>, CoreError> {
-    let lambda = ctx.lambda(params)?;
-    if lambda == 0 {
+    let Some(cell) = harness_cell(ctx, params, min_support, target_output)? else {
         return Ok(None);
+    };
+    Ok(Some((ctx.fump(cell)?, cell.output_size)))
+}
+
+/// Prefetch the F-UMP cells `(params, support, target |O|)` under the
+/// harness conventions of [`fump_cell`].
+pub fn prefetch_fump_cells(
+    ctx: &Ctx,
+    cells: impl IntoIterator<Item = (PrivacyParams, f64, u64)>,
+) -> Result<(), CoreError> {
+    let mut todo = Vec::new();
+    for (params, min_support, target) in cells {
+        todo.extend(harness_cell(ctx, params, min_support, target)?);
     }
-    let output_size = clamped_output(lambda, target_output);
-    let sol = ctx.fump(FumpCell { params, min_support, output_size })?;
-    Ok(Some((sol, output_size)))
+    ctx.prefetch_fump(&todo)
 }
 
 /// λ and the [`OUTPUT_FRACTIONS`]-derived output sizes at the
@@ -57,46 +83,15 @@ pub fn reference_outputs(ctx: &Ctx) -> Result<(u64, Vec<u64>), CoreError> {
     Ok((lambda, outs))
 }
 
-/// Prefetch the shared `(|O|, s)` reference grid: one shard per support
-/// row, |O| ascending. Tables 5/6 and Figure 3(c) all go through this
-/// single definition, so the shared cache cells are filled the same way
-/// whichever experiment runs first.
+/// Prefetch the shared `(|O|, s)` reference grid that Tables 5/6 and
+/// Figure 3(c) all render.
 pub fn prefetch_reference_grid(ctx: &Ctx, outs: &[u64]) -> Result<(), CoreError> {
     let params = reference_params();
-    let rows: Vec<(f64, Vec<(PrivacyParams, u64)>)> = SUPPORT_GRID
-        .iter()
-        .map(|&paper_s| {
+    prefetch_fump_cells(
+        ctx,
+        SUPPORT_GRID.iter().flat_map(|&paper_s| {
             let s = scaled_support(&ctx.pre, paper_s);
-            (s, outs.iter().map(|&o| (params, o)).collect())
-        })
-        .collect();
-    prefetch_fump_rows(ctx, &rows)
-}
-
-/// Prefetch an F-UMP grid: one shard per row of `rows`, where a row is
-/// `(support, cells)` and each cell is `(params, target |O|)` — e.g. a
-/// δ-curve with ascending ε, or a support row with ascending `|O|`.
-pub fn prefetch_fump_rows(
-    ctx: &Ctx,
-    rows: &[(f64, Vec<(PrivacyParams, u64)>)],
-) -> Result<(), CoreError> {
-    let mut shards = Vec::with_capacity(rows.len());
-    for (min_support, row) in rows {
-        let mut shard = Vec::with_capacity(row.len());
-        for &(params, target) in row {
-            let lambda = ctx.lambda(params)?;
-            if lambda == 0 {
-                continue;
-            }
-            shard.push(FumpCell {
-                params,
-                min_support: *min_support,
-                output_size: clamped_output(lambda, target),
-            });
-        }
-        if !shard.is_empty() {
-            shards.push(shard);
-        }
-    }
-    ctx.prefetch_fump(shards)
+            outs.iter().map(move |&o| (params, s, o))
+        }),
+    )
 }

@@ -30,11 +30,10 @@ pub mod context;
 pub mod experiments;
 pub mod golden;
 pub mod grids;
-pub mod pool;
 pub mod runner;
 pub mod stats_text;
 pub mod table;
 
 pub use context::{Ctx, FumpCell, Scale};
-pub use runner::{run_experiment, run_experiments, run_experiments_opts, RunOptions, EXPERIMENTS};
+pub use runner::{run_experiment, run_experiments, RunOptions, EXPERIMENTS};
 pub use table::Table;

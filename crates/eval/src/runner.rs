@@ -1,11 +1,10 @@
 //! Experiment dispatch and the parallel evaluation pipeline.
 //!
-//! Experiments execute *serially* in the requested order — the shared
-//! [`Ctx`] caches are filled in a deterministic sequence, which keeps
-//! `repro` output byte-identical across runs and `--jobs` values — but
-//! each experiment renders into its own buffer and parallelizes its
-//! parameter grid internally through [`crate::pool`] (one worker per
-//! grid shard at a time).
+//! Experiments execute *serially* in the requested order, each
+//! rendering into its own buffer. Inside an experiment the grid
+//! prefetches of [`Ctx`] run each distinct cell as one cold task on up
+//! to `--jobs` workers; a cell's answer depends only on the cell, so
+//! `--jobs` changes only wall time, never output or solve counts.
 
 use std::error::Error;
 use std::io::Write;
@@ -47,26 +46,11 @@ pub fn run_experiment(name: &str, ctx: &Ctx, out: &mut dyn Write) -> Result<(), 
     f(ctx, out)
 }
 
-/// Run several experiments and write their outputs (each followed by a
-/// blank line) to `out` in the requested order.
-///
-/// Each experiment renders into a private buffer that is flushed to
-/// `out` only when the experiment succeeds, so a mid-experiment failure
-/// never leaves a half-written table. `progress` echoes a `running …`
-/// line to stderr per experiment (what the `repro` binary shows).
-pub fn run_experiments(
-    names: &[String],
-    ctx: &Ctx,
-    out: &mut dyn Write,
-    progress: bool,
-) -> Result<(), Box<dyn Error>> {
-    run_experiments_opts(names, ctx, out, &RunOptions { progress, solver_stats: false })
-}
-
-/// Knobs of [`run_experiments_opts`].
+/// Knobs of [`run_experiments`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
-    /// Echo a `running …` line to stderr per experiment.
+    /// Echo a `running …` line to stderr per experiment (what the
+    /// `repro` binary shows).
     pub progress: bool,
     /// After each experiment, print the solver-counter delta (read
     /// from the telemetry registry, rendered by
@@ -75,9 +59,13 @@ pub struct RunOptions {
     pub solver_stats: bool,
 }
 
-/// [`run_experiments`] with explicit options (`repro --stats` uses the
-/// stderr solver-stats report).
-pub fn run_experiments_opts(
+/// Run several experiments and write their outputs (each followed by a
+/// blank line) to `out` in the requested order.
+///
+/// Each experiment renders into a private buffer that is flushed to
+/// `out` only when the experiment succeeds, so a mid-experiment failure
+/// never leaves a half-written table.
+pub fn run_experiments(
     names: &[String],
     ctx: &Ctx,
     out: &mut dyn Write,
@@ -153,7 +141,7 @@ mod tests {
         let ctx = Ctx::new(Scale::Tiny);
         let names = vec!["table3".to_string(), "table4".to_string()];
         let mut batch = Vec::new();
-        run_experiments(&names, &ctx, &mut batch, false).unwrap();
+        run_experiments(&names, &ctx, &mut batch, &RunOptions::default()).unwrap();
 
         let mut individual = Vec::new();
         for n in &names {
@@ -168,7 +156,7 @@ mod tests {
         let ctx = Ctx::new(Scale::Tiny);
         let names = vec!["table3".to_string(), "nope".to_string()];
         let mut out = Vec::new();
-        let err = run_experiments(&names, &ctx, &mut out, false).unwrap_err();
+        let err = run_experiments(&names, &ctx, &mut out, &RunOptions::default()).unwrap_err();
         assert!(err.to_string().contains("nope"));
         // table3 flushed, the failing experiment wrote nothing
         let s = String::from_utf8(out).unwrap();

@@ -9,12 +9,15 @@
 //! under [`IdBuildHasher`]: one keyed multiply-fold per lookup instead of
 //! SipHash over two words. The standard hasher exists to keep crafted
 //! keys from colliding; ids are assigned in input order, so an input can
-//! choose them, and the fold is therefore keyed too — both the seed and
-//! the multiplier are drawn once per process from [`RandomState`]. A
-//! multiply-fold (the high and low halves of the 128-bit product, XORed)
-//! spreads every input bit into both the low bits the table indexes by
-//! and the high bits it filters with, so dense sequential ids do not
-//! cluster. Strings keep [`RandomState`] (see [`crate::intern`]).
+//! choose them, and the fold is therefore keyed too: its seed is drawn
+//! once per process from [`RandomState`]. The multiplier is a fixed odd
+//! constant, as in foldhash: a random one spreads dense keys badly for
+//! some draws (one 64-bucket table in ~20 left a bucket empty for 4,096
+//! sequential ids). A multiply-fold (the high and low halves of the
+//! 128-bit product, XORed) spreads every input bit into both the low
+//! bits the table indexes by and the high bits it filters with, so
+//! dense sequential ids do not cluster. Strings keep [`RandomState`]
+//! (see [`crate::intern`]).
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -86,27 +89,33 @@ fn fold_mul(a: u64, b: u64) -> u64 {
     (full as u64) ^ ((full >> 64) as u64)
 }
 
-/// The per-process `(seed, multiplier)` of every [`IdBuildHasher`].
-fn process_keys() -> (u64, u64) {
-    static KEYS: OnceLock<(u64, u64)> = OnceLock::new();
-    *KEYS.get_or_init(|| {
-        let state = RandomState::new();
-        // an odd multiplier keeps the product a bijection of its input
-        (state.hash_one(0u64), state.hash_one(1u64) | 1)
-    })
+/// The fold multiplier of every [`IdHasher`]. Odd, so the product is a
+/// bijection of its input.
+const FOLD_MUL: u64 = 0x5851_F42D_4C95_7F2D;
+
+/// The per-process seed of every [`IdBuildHasher`].
+fn process_seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| RandomState::new().hash_one(0u64))
 }
 
-/// Builds [`IdHasher`]s under the per-process key (see the module docs).
+/// Builds [`IdHasher`]s under the per-process seed (see the module
+/// docs).
 #[derive(Debug, Clone, Copy)]
 pub struct IdBuildHasher {
     seed: u64,
-    mul: u64,
+}
+
+impl IdBuildHasher {
+    #[cfg(test)]
+    fn with_seed(seed: u64) -> Self {
+        IdBuildHasher { seed }
+    }
 }
 
 impl Default for IdBuildHasher {
     fn default() -> Self {
-        let (seed, mul) = process_keys();
-        IdBuildHasher { seed, mul }
+        IdBuildHasher { seed: process_seed() }
     }
 }
 
@@ -115,7 +124,7 @@ impl BuildHasher for IdBuildHasher {
 
     #[inline]
     fn build_hasher(&self) -> IdHasher {
-        IdHasher { state: self.seed, mul: self.mul }
+        IdHasher { state: self.seed }
     }
 }
 
@@ -125,7 +134,6 @@ impl BuildHasher for IdBuildHasher {
 #[derive(Debug, Clone, Copy)]
 pub struct IdHasher {
     state: u64,
-    mul: u64,
 }
 
 impl Hasher for IdHasher {
@@ -139,7 +147,7 @@ impl Hasher for IdHasher {
 
     #[inline]
     fn write_u64(&mut self, n: u64) {
-        self.state = fold_mul(self.state ^ n, self.mul);
+        self.state = fold_mul(self.state ^ n, FOLD_MUL);
     }
 
     #[inline]
@@ -197,15 +205,20 @@ mod tests {
         let b = IdBuildHasher::default();
         assert_eq!(b.hash_one(IdPair(3, 4)), IdBuildHasher::default().hash_one(IdPair(3, 4)));
         // dense sequential keys must reach every bucket of a small table
-        // through both the low (index) and the high (filter) bits
-        let mut low = [0usize; 64];
-        let mut high = [0usize; 64];
-        for k in 0..4096u64 {
-            let h = b.hash_one(k);
-            low[(h & 63) as usize] += 1;
-            high[(h >> 58) as usize] += 1;
+        // through both the low (index) and the high (filter) bits, under
+        // the process seed and under fixed seeds that make a failure
+        // reproducible
+        let seeds = [0, 1, u64::MAX, 0x9E37_79B9_7F4A_7C15, 0xDEAD_BEEF_0000_0000, 4095];
+        for b in std::iter::once(b).chain(seeds.map(IdBuildHasher::with_seed)) {
+            let mut low = [0usize; 64];
+            let mut high = [0usize; 64];
+            for k in 0..4096u64 {
+                let h = b.hash_one(k);
+                low[(h & 63) as usize] += 1;
+                high[(h >> 58) as usize] += 1;
+            }
+            assert!(low.iter().chain(&high).all(|&n| n > 20), "{b:?}: {low:?} {high:?}");
         }
-        assert!(low.iter().chain(&high).all(|&n| n > 20), "{low:?} {high:?}");
         let mut m: IdMap<u32> = id_map_with_capacity(4);
         for k in 0..1000u32 {
             m.insert(IdPair(k, k ^ 5), k);

@@ -1,27 +1,20 @@
-//! A scoped worker pool for data-defined shards.
+//! A scoped worker pool for independent tasks.
 //!
-//! Callers split their work into *data-defined* shards (fixed-size
-//! chunks of a sorted budget list, one user-hash shard of a log
-//! intake, one δ-curve …) and run them here. Shard composition never
-//! depends on the worker count, and each shard is processed
-//! sequentially by exactly one worker, so per-shard state (a solve
-//! session, shard counts) lives entirely inside a shard and the
-//! results — returned in shard order — are byte-identical for every
-//! `jobs` value. `jobs` only controls how many shards are in flight at
-//! once.
-//!
-//! This module started life as `dpsan_eval::pool` (which still
-//! re-exports it); it moved here so the ingestion engine can drain
-//! shards through the same scaffolding without the evaluation harness
-//! depending on ingestion or vice versa.
+//! Callers hand over a list of tasks whose results do not depend on
+//! each other or on which worker runs them — one user-hash shard of a
+//! log intake, one distinct grid cell of a `repro` sweep (a cold
+//! solve) — and get the results back in task order. Each task runs
+//! on exactly one worker, so the results are byte-identical for every
+//! `jobs` value; `jobs` only controls how many tasks are in flight at
+//! once, i.e. wall time.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Run `work` over every shard on up to `jobs` worker threads and
-/// return the results in shard order.
+/// Run `work` over every task in `shards` on up to `jobs` worker
+/// threads and return the results in task order.
 ///
-/// `jobs == 1` (or a single shard) runs inline on the caller's thread.
+/// `jobs == 1` (or a single task) runs inline on the caller's thread.
 /// Panics in `work` propagate to the caller.
 pub fn run_sharded<T, R, F>(shards: Vec<T>, jobs: usize, work: F) -> Vec<R>
 where

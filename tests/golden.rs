@@ -11,18 +11,18 @@
 //! ```
 
 use dpsan_eval::golden::normalize;
-use dpsan_eval::{run_experiments, Ctx, Scale, EXPERIMENTS};
+use dpsan_eval::{run_experiments, Ctx, RunOptions, Scale, EXPERIMENTS};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/repro_tiny.txt");
 
 #[test]
 fn repro_tiny_matches_golden_fixture() {
-    // jobs=2 exercises the sharded prefetch path; output is
-    // jobs-independent by design (see dpsan_eval::pool)
+    // jobs=2 exercises the parallel prefetch path; output is
+    // jobs-independent by design (see dpsan_eval::context)
     let ctx = Ctx::new(Scale::Tiny).with_jobs(2);
     let names: Vec<String> = EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect();
     let mut buf = Vec::new();
-    run_experiments(&names, &ctx, &mut buf, false).expect("tiny repro runs");
+    run_experiments(&names, &ctx, &mut buf, &RunOptions::default()).expect("tiny repro runs");
     let got = normalize(&String::from_utf8(buf).expect("experiment output is UTF-8"));
 
     if std::env::var_os("GOLDEN_UPDATE").is_some() {
