@@ -106,15 +106,4 @@ mod tests {
             assert!(bb >= r, "B&B {bb} should dominate {name} {r}");
         }
     }
-
-    #[test]
-    fn renders_both_tables() {
-        let ctx = Ctx::new(Scale::Tiny);
-        let mut buf = Vec::new();
-        run(&ctx, &mut buf).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        assert!(s.contains("Table 7(a)"));
-        assert!(s.contains("Table 7(b)"));
-        assert!(s.contains("SPE (Heuristic)"));
-    }
 }

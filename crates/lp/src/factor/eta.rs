@@ -49,23 +49,6 @@ impl EtaFile {
         self.nnz
     }
 
-    /// Record an eta with pivot position `r` and dense spike `w`.
-    pub fn push(&mut self, r: usize, w: &[f64]) -> Result<(), LpError> {
-        let pivot = w[r];
-        if pivot.abs() < 1e-11 {
-            return Err(LpError::SingularBasis);
-        }
-        let entries: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.nnz += entries.len() + 1;
-        self.etas.push(Eta { r, pivot, entries });
-        Ok(())
-    }
-
     /// Continue an FTRAN: given `z` with `B_base z' = rhs` already
     /// applied, apply `E_1 … E_k` so that `z` solves the updated basis.
     pub fn ftran(&self, z: &mut [f64]) {
@@ -95,10 +78,10 @@ impl EtaFile {
         }
     }
 
-    /// Record an eta from a sparse spike `w` with pivot position `r`.
-    /// The pattern is sorted so the stored entries come out in the same
-    /// ascending-index order [`EtaFile::push`] produces from a dense
-    /// spike — the two entry points yield identical eta files.
+    /// Record an eta from the spike `w` with pivot position `r`. The
+    /// pattern is sorted so the stored entries come out in ascending
+    /// index order, as a left-to-right sweep of the dense spike would
+    /// store them, whichever kernel produced `w`.
     pub fn push_sparse(&mut self, r: usize, w: &mut SparseVec) -> Result<(), LpError> {
         let pivot = w.values[r];
         if pivot.abs() < 1e-11 {
@@ -152,11 +135,18 @@ impl EtaFile {
 mod tests {
     use super::*;
 
+    /// Record an eta from a dense spike.
+    fn push(file: &mut EtaFile, r: usize, w: &[f64]) -> Result<(), LpError> {
+        let mut spike = SparseVec::new(w.len());
+        spike.assign_dense(w);
+        file.push_sparse(r, &mut spike)
+    }
+
     #[test]
     fn single_eta_ftran_btran_are_inverses_of_e() {
         let mut file = EtaFile::new();
         let w = vec![0.5, 2.0, -1.0];
-        file.push(1, &w).unwrap();
+        push(&mut file, 1, &w).unwrap();
 
         // E = I with column 1 = w. Pick y, compute z = E y, check
         // ftran(z) == y (with base = identity).
@@ -181,8 +171,8 @@ mod tests {
     #[test]
     fn etas_compose_in_order() {
         let mut file = EtaFile::new();
-        file.push(0, &[2.0, 0.0]).unwrap();
-        file.push(1, &[1.0, 4.0]).unwrap();
+        push(&mut file, 0, &[2.0, 0.0]).unwrap();
+        push(&mut file, 1, &[1.0, 4.0]).unwrap();
         // B = E1 E2 with E1 = diag(2,1), E2 = [[1,1],[0,4]]
         // B = [[2,2],[0,4]]
         // Solve B z = [2, 4] -> z = [−0? ]: 2z0+2z1=2, 4z1=4 -> z1=1, z0=0.
@@ -198,7 +188,7 @@ mod tests {
     #[test]
     fn zero_pivot_rejected() {
         let mut file = EtaFile::new();
-        assert!(matches!(file.push(0, &[0.0, 1.0]), Err(LpError::SingularBasis)));
+        assert!(matches!(push(&mut file, 0, &[0.0, 1.0]), Err(LpError::SingularBasis)));
         assert!(file.is_empty());
     }
 
@@ -206,8 +196,8 @@ mod tests {
     fn len_counts_updates() {
         let mut file = EtaFile::new();
         assert_eq!(file.len(), 0);
-        file.push(0, &[1.0]).unwrap();
-        file.push(0, &[2.0]).unwrap();
+        push(&mut file, 0, &[1.0]).unwrap();
+        push(&mut file, 0, &[2.0]).unwrap();
         assert_eq!(file.len(), 2);
     }
 }

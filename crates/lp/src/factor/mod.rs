@@ -42,13 +42,6 @@ impl BasisFactor {
         self.lu.btran(rhs);
     }
 
-    /// Record a pivot: basis row position `r` is replaced by a column
-    /// whose FTRAN image is `w` (dense). Fails when the pivot element is
-    /// numerically zero.
-    pub fn update(&mut self, r: usize, w: &[f64]) -> Result<(), LpError> {
-        self.etas.push(r, w)
-    }
-
     /// Number of eta updates accumulated since the last refactorization
     /// (drives the refactorization cadence).
     pub fn n_updates(&self) -> usize {
@@ -62,7 +55,7 @@ impl BasisFactor {
     }
 
     /// Total nonzeros across the accumulated etas. Every BTRAN pays a
-    /// gather over all of them, so the sparse routes refactor when this
+    /// gather over all of them, so the sparse route refactors when this
     /// outgrows the LU fill rather than waiting out the update cadence.
     pub fn eta_nnz(&self) -> usize {
         self.etas.nnz()
@@ -83,8 +76,9 @@ impl BasisFactor {
         self.lu.btran_sparse(rhs, scratch);
     }
 
-    /// Record a pivot from a sparse spike (see [`BasisFactor::update`]).
-    /// The spike's pattern is sorted in place.
+    /// Record a pivot: basis row position `r` is replaced by a column
+    /// whose FTRAN image is the spike `w`. The spike's pattern is sorted
+    /// in place. Fails when the pivot element is numerically zero.
     pub fn update_sparse(&mut self, r: usize, w: &mut SparseVec) -> Result<(), LpError> {
         self.etas.push_sparse(r, w)
     }
@@ -118,8 +112,9 @@ mod tests {
         assert!(y[0].abs() < 1e-12 && (y[1] - 1.0).abs() < 1e-12 && y[2].abs() < 1e-12, "{y:?}");
 
         // Update: replace position 0 with a column whose ftran image is w.
-        let w = vec![2.0, 0.0, 1.0];
-        f.update(0, &w).unwrap();
+        let mut w = SparseVec::new(3);
+        w.assign_dense(&[2.0, 0.0, 1.0]);
+        f.update_sparse(0, &mut w).unwrap();
         assert_eq!(f.n_updates(), 1);
         // New basis column at position 0 is B_old * w = a0*2 + a2*1 = [2,0,3].
         // Check: ftran of [2,0,3] must give e0.

@@ -19,9 +19,10 @@
 //! * [`factor`] — sparse LU (Gilbert–Peierls with Markowitz-style
 //!   threshold pivoting, pattern-driven FTRAN/BTRAN) and product-form
 //!   eta updates of the simplex basis,
-//! * [`simplex`] — a two-phase, bounded-variable revised simplex with a
-//!   dense route for small instances and a sparse route (sparse solves,
-//!   partial pricing, incremental duals) for large ones,
+//! * [`simplex`] — a two-phase, bounded-variable revised simplex: one
+//!   primal loop whose dense route (small instances) and sparse route
+//!   (pattern-driven solves, partial pricing, incremental duals; large
+//!   ones) differ in policy, not in kernels,
 //! * [`obs`] — telemetry handles for the sparse kernels,
 //! * [`dense_simplex`] — an independent dense tableau simplex used to
 //!   cross-check the revised implementation in tests,

@@ -9,10 +9,10 @@
 //! Per the telemetry convention these handles are observational only:
 //! the solver never reads a metric to make a decision, and recording is
 //! cheap enough to leave on unconditionally (one gauge store and one
-//! histogram record per *refactorization*, not per iteration). The
-//! dense route records nothing here — it predates the sparse kernels
-//! and its per-solve cost is already visible through
-//! `dpsan_solve_refactorizations_total`.
+//! histogram record per *refactorization*, not per iteration). Only
+//! sparse-route factorizations are recorded: dense-route solves are
+//! small (under `SPARSE_MIN_ROWS` rows), and their per-solve cost is
+//! already visible through `dpsan_solve_refactorizations_total`.
 
 use dpsan_obs::histogram::Histogram;
 use dpsan_obs::{default_latency_bounds, global, Counter, Gauge};

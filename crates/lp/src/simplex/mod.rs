@@ -8,6 +8,14 @@
 //! to Bland's rule after a stall (anti-cycling); the basis inverse is
 //! maintained as sparse LU + eta file with periodic refactorization.
 //!
+//! One primal loop (`Core::optimize`) runs on one set of kernels. The
+//! kernel route — sparse at [`SPARSE_MIN_ROWS`] rows and above, dense
+//! below, or forced by [`SimplexOptions::sparse`] — only picks the
+//! loop's policies: how duals and the objective are kept, how wide a
+//! pricing refresh scans, when the basis is refactorized, whether
+//! FTRAN/BTRAN sweep flat or follow the vector's pattern, and which
+//! devex weight update runs.
+//!
 //! Every solve starts cold: [`solve`] is a deterministic function of the
 //! problem and the options, so the answer never depends on what was
 //! solved before. The O-UMP's all-ones objective makes its optimum
@@ -25,14 +33,15 @@ use crate::problem::{Problem, Sense};
 use crate::scaling::{self, ScaleFactors};
 use crate::sparse::{CscMatrix, CsrMatrix, SparseVec};
 use crate::standard::StandardForm;
-pub(crate) use pricing::{price_bland, Devex, Direction};
-pub(crate) use ratio::{ratio_test, ratio_test_sparse, RatioOutcome};
+pub(crate) use pricing::{price_bland, Devex, Direction, SECTOR_LEN};
+pub(crate) use ratio::{ratio_test, RatioOutcome};
 
 /// Row count at and above which solves take the sparse kernel route
 /// (pattern-driven FTRAN/BTRAN, sector partial pricing, incremental
 /// duals) unless [`SimplexOptions::sparse`] overrides the choice. Below
-/// it the legacy dense-vector route runs — it is faster on small
-/// instances and doubles as the cross-check oracle for the sparse path.
+/// it the dense route runs (flat FTRAN/BTRAN sweeps, full pricing
+/// scans, exact duals every iteration): same loop and kernels, cheaper
+/// bookkeeping on small instances.
 pub const SPARSE_MIN_ROWS: usize = 512;
 
 /// Dense-route refactorization cadence: refactorize the basis after
@@ -48,7 +57,7 @@ const REFACTOR_EVERY: usize = 64;
 /// The cadence is only half the trigger: every BTRAN gathers over every
 /// stored eta nonzero, so once spikes densify (large instances couple
 /// users through shared pairs) a fixed update count lets per-iteration
-/// cost grow without bound. [`Core::sparse_refactor_due`] therefore also
+/// cost grow without bound. [`Core::refactor_due`] therefore also
 /// refactors when the eta fill outgrows the LU fill.
 const SPARSE_REFACTOR_EVERY: usize = 128;
 
@@ -76,7 +85,9 @@ pub struct SimplexOptions {
     /// Kernel route override: `Some(true)` forces the sparse route,
     /// `Some(false)` forces the dense route, `None` (the default)
     /// selects by problem size — sparse at [`SPARSE_MIN_ROWS`] rows and
-    /// above, dense below. The dense-oracle cross-checks force it.
+    /// above, dense below. Either way the same primal loop runs; the
+    /// route picks its policies, never its arithmetic kernels. The
+    /// route-agreement cross-checks force it.
     pub sparse: Option<bool>,
 }
 
@@ -116,7 +127,7 @@ pub struct Solution {
     /// refactorization).
     pub refactorizations: usize,
     /// The solve ran on the sparse kernel route (pattern-driven solves,
-    /// partial pricing) rather than the dense-vector route.
+    /// partial pricing) rather than the dense route.
     pub sparse: bool,
 }
 
@@ -378,129 +389,35 @@ impl Core {
         }
     }
 
-    /// Primal simplex inner loop on the given (minimization) cost.
-    /// Routes to the dense or sparse kernel loop; both implement the
-    /// same algorithm (devex pricing, Harris ratio test, Bland after a
-    /// stall) over different vector representations.
-    fn optimize(&mut self, cost: &[f64]) -> Result<PhaseOutcome, LpError> {
-        if self.sparse {
-            self.optimize_sparse(cost)
-        } else {
-            self.optimize_dense(cost)
-        }
-    }
-
-    /// Dense-vector primal loop: full FTRAN/BTRAN vectors, full devex
-    /// scans, per-iteration dual recomputation. Fastest on small
-    /// instances and the behavioral reference for the sparse route.
-    fn optimize_dense(&mut self, cost: &[f64]) -> Result<PhaseOutcome, LpError> {
-        let m = self.sf.m;
-        let mut stall = 0usize;
-        let mut bland = false;
-        let mut best_obj = f64::INFINITY;
-        let mut devex = Devex::new(self.n_total);
-
-        loop {
-            if self.iterations >= self.max_iter {
-                return Ok(PhaseOutcome::IterationLimit);
-            }
-            if self.factor.n_updates() >= REFACTOR_EVERY {
-                self.refactorize()?;
-            }
-
-            // duals: y = B^-T c_B
-            let y = self.compute_duals(cost);
-
-            // pricing
-            let pick =
-                if bland { price_bland(self, cost, &y) } else { devex.price(self, cost, &y) };
-            let Some((q, dir)) = pick else {
-                return Ok(PhaseOutcome::Optimal);
-            };
-
-            // direction: w = B^-1 A_q
-            let mut w = vec![0.0; m];
-            {
-                let (rows, vals) = self.a.col(q);
-                for (&r, &v) in rows.iter().zip(vals) {
-                    w[r] += v;
-                }
-            }
-            self.factor.ftran(&mut w);
-
-            match ratio_test(self, q, dir, &w) {
-                RatioOutcome::Unbounded => return Ok(PhaseOutcome::Unbounded),
-                RatioOutcome::BoundFlip { t } => {
-                    self.apply_step(q, dir, t, &w);
-                    self.status[q] = match self.status[q] {
-                        VarStatus::AtLower => VarStatus::AtUpper,
-                        VarStatus::AtUpper => VarStatus::AtLower,
-                        other => other,
-                    };
-                }
-                RatioOutcome::Pivot { t, leaving_pos, to_upper } => {
-                    self.apply_step(q, dir, t, &w);
-                    // devex reference weights need the pivot row of the
-                    // *outgoing* basis; compute it before the basis and
-                    // factorization change underneath
-                    if !bland {
-                        let mut rho = vec![0.0; m];
-                        rho[leaving_pos] = 1.0;
-                        self.factor.btran(&mut rho);
-                        devex.update(self, q, leaving_pos, &w, &rho);
-                    }
-                    let leaving = self.basis[leaving_pos];
-                    // snap the leaving variable exactly onto its bound
-                    self.x_val[leaving] =
-                        if to_upper { self.upper[leaving] } else { self.lower[leaving] };
-                    self.status[leaving] =
-                        if to_upper { VarStatus::AtUpper } else { VarStatus::AtLower };
-                    self.basis[leaving_pos] = q;
-                    self.status[q] = VarStatus::Basic(leaving_pos);
-                    if self.factor.update(leaving_pos, &w).is_err() {
-                        // pivot too small for the eta update: refactor with
-                        // the new basis instead
-                        self.refactorize()?;
-                    }
-                }
-            }
-
-            self.iterations += 1;
-
-            // stall detection for the Bland switch
-            let obj = self.objective_of(cost);
-            if obj < best_obj - 1e-10 {
-                best_obj = obj;
-                stall = 0;
-            } else {
-                stall += 1;
-                if stall >= STALL_LIMIT {
-                    bland = true;
-                }
-            }
-        }
-    }
-
-    /// Sparse-route primal loop. Same algorithm as the dense loop with
-    /// three representation changes that turn per-iteration cost from
-    /// `O(m + n·nnz_col)` into (amortized) pattern-sized work:
+    /// Primal simplex loop on the given (minimization) cost: devex
+    /// pricing, Harris ratio test, Bland's rule after a stall. The two
+    /// kernel routes share every kernel and differ only in policy:
     ///
-    /// * FTRAN/BTRAN run pattern-driven on [`SparseVec`]s;
-    /// * duals are updated incrementally (`y += (d_q/α_q)·ρ` after each
-    ///   pivot) and recomputed from scratch only at refactorizations —
-    ///   optimality is therefore *confirmed* with freshly recomputed
-    ///   duals before being declared;
-    /// * pricing scans rotating column sectors (see
-    ///   [`Devex::price_sparse`]) instead of the whole column range,
-    ///   and the objective used for stall detection is tracked
-    ///   incrementally from the reduced cost of each step.
-    fn optimize_sparse(&mut self, cost: &[f64]) -> Result<PhaseOutcome, LpError> {
+    /// * duals and objective: the dense route keeps both exact, recomputing
+    ///   the duals after every pivot and the objective after every step;
+    ///   the sparse route updates them incrementally
+    ///   (`y += (d_q/α_q)·ρ` after each pivot, the objective from the
+    ///   step's reduced cost) and recomputes them only at
+    ///   refactorizations, so it *confirms* optimality against freshly
+    ///   recomputed duals before declaring it;
+    /// * pricing refresh: a full scan of every column on the dense route,
+    ///   rotating `SECTOR_LEN`-column sectors on the sparse route (see
+    ///   [`Devex::price`]);
+    /// * refactorization: see [`Core::refactor_due`];
+    /// * FTRAN/BTRAN: flat sweeps over the [`SparseVec`] storage on the
+    ///   dense route, pattern-driven solves on the sparse route;
+    /// * devex weights: [`Devex::update`] on the dense route,
+    ///   [`Devex::update_sparse`] over the CSR mirror on the sparse route.
+    fn optimize(&mut self, cost: &[f64]) -> Result<PhaseOutcome, LpError> {
         let m = self.sf.m;
-        self.ensure_csr();
+        if self.sparse {
+            self.ensure_csr();
+        }
         let mut stall = 0usize;
         let mut bland = false;
         let mut best_obj = f64::INFINITY;
-        let mut devex = Devex::new(self.n_total);
+        let sector_len = if self.sparse { SECTOR_LEN } else { self.n_total };
+        let mut devex = Devex::new(self.n_total, sector_len);
 
         // per-solve workspaces (no per-iteration allocation)
         let mut w = SparseVec::new(m);
@@ -509,10 +426,11 @@ impl Core {
         let mut ws = LuScratch::new(m);
         // When the basis couples enough rows that FTRAN results stop
         // being hypersparse, the pattern-driven solve's graph traversal
-        // costs more than a flat dense sweep over the same factors (the
+        // costs more than a flat sweep over the same factors (the
         // arithmetic — and hence the result — is identical either way).
-        // Latch on the previous result's density.
-        let mut w_densish = false;
+        // The sparse route latches on the previous result's density; the
+        // dense route always sweeps.
+        let mut w_flat = !self.sparse;
 
         let mut y = self.compute_duals(cost);
         let mut y_fresh = true;
@@ -522,7 +440,7 @@ impl Core {
             if self.iterations >= self.max_iter {
                 return Ok(PhaseOutcome::IterationLimit);
             }
-            if self.sparse_refactor_due() {
+            if self.refactor_due() {
                 self.refactorize()?;
                 y = self.compute_duals(cost);
                 y_fresh = true;
@@ -538,7 +456,7 @@ impl Core {
                 price_bland(self, cost, &y)
                     .map(|(q, dir)| (q, dir, cost[q] - self.a.col_dot(q, &y)))
             } else {
-                devex.price_sparse(self, cost, &y)
+                devex.price(self, cost, &y)
             };
             let Some((q, dir, d_q)) = pick else {
                 if y_fresh {
@@ -551,7 +469,7 @@ impl Core {
                 continue;
             };
 
-            // direction: w = B^-1 A_q, pattern-driven
+            // direction: w = B^-1 A_q
             w.clear();
             {
                 let (rows, vals) = self.a.col(q);
@@ -559,19 +477,19 @@ impl Core {
                     w.add(r, v);
                 }
             }
-            if w_densish {
+            if w_flat {
                 self.factor.ftran(&mut w.values);
                 w.rescan_pattern();
             } else {
                 self.factor.ftran_sparse(&mut w, &mut ws);
                 w.sort_pattern();
             }
-            w_densish = w.pattern.len() * 4 > m;
+            w_flat = !self.sparse || w.pattern.len() * 4 > m;
 
-            match ratio_test_sparse(self, q, dir, &w) {
+            match ratio_test(self, q, dir, &w) {
                 RatioOutcome::Unbounded => return Ok(PhaseOutcome::Unbounded),
                 RatioOutcome::BoundFlip { t } => {
-                    self.apply_step_sparse(q, dir, t, &w);
+                    self.apply_step(q, dir, t, &w);
                     self.status[q] = match self.status[q] {
                         VarStatus::AtLower => VarStatus::AtUpper,
                         VarStatus::AtUpper => VarStatus::AtLower,
@@ -581,37 +499,46 @@ impl Core {
                     obj += d_q * dir.sign() * t;
                 }
                 RatioOutcome::Pivot { t, leaving_pos, to_upper } => {
-                    self.apply_step_sparse(q, dir, t, &w);
+                    self.apply_step(q, dir, t, &w);
                     obj += d_q * dir.sign() * t;
-                    // pivot row of the outgoing basis: needed for the
-                    // devex update and the incremental dual update
-                    rho.clear();
-                    rho.set(leaving_pos, 1.0);
-                    self.factor.btran_sparse(&mut rho, &mut ws);
-                    rho.sort_pattern();
                     let alpha_q = w.values[leaving_pos];
-                    if !bland {
+                    // pivot row of the outgoing basis: the devex update
+                    // and the sparse route's dual update need it before
+                    // the basis and factorization change underneath
+                    if self.sparse || !bland {
+                        rho.clear();
+                        rho.set(leaving_pos, 1.0);
+                        if self.sparse {
+                            self.factor.btran_sparse(&mut rho, &mut ws);
+                            rho.sort_pattern();
+                        } else {
+                            self.factor.btran(&mut rho.values);
+                            rho.rescan_pattern();
+                        }
+                    }
+                    if bland {
+                        // Bland's rule keeps no devex weights
+                    } else if self.sparse {
                         devex.update_sparse(self, q, leaving_pos, alpha_q, &rho, &mut alpha_acc);
+                    } else {
+                        devex.update(self, q, leaving_pos, alpha_q, &rho.values);
                     }
                     let leaving = self.basis[leaving_pos];
+                    // snap the leaving variable exactly onto its bound
                     self.x_val[leaving] =
                         if to_upper { self.upper[leaving] } else { self.lower[leaving] };
                     self.status[leaving] =
                         if to_upper { VarStatus::AtUpper } else { VarStatus::AtLower };
                     self.basis[leaving_pos] = q;
                     self.status[q] = VarStatus::Basic(leaving_pos);
-                    let mut refactored = false;
-                    if self.factor.update_sparse(leaving_pos, &mut w).is_err() {
+                    let refactored = self.factor.update_sparse(leaving_pos, &mut w).is_err();
+                    if refactored {
+                        // pivot too small for the eta update: refactor
+                        // with the new basis instead
                         self.refactorize()?;
-                        refactored = true;
+                        obj = self.objective_of(cost);
                     }
-                    if refactored || alpha_q.abs() <= 1e-12 {
-                        y = self.compute_duals(cost);
-                        y_fresh = true;
-                        if refactored {
-                            obj = self.objective_of(cost);
-                        }
-                    } else {
+                    if self.sparse && !refactored && alpha_q.abs() > 1e-12 {
                         // y += (d_q/α_q)·ρ zeroes the entering column's
                         // reduced cost against the new basis
                         let theta = d_q / alpha_q;
@@ -619,14 +546,19 @@ impl Core {
                             y[i] += theta * rho.values[i];
                         }
                         y_fresh = false;
+                    } else {
+                        y = self.compute_duals(cost);
+                        y_fresh = true;
                     }
                 }
             }
 
             self.iterations += 1;
+            if !self.sparse {
+                obj = self.objective_of(cost);
+            }
 
-            // stall detection on the incrementally tracked objective
-            // (refreshed exactly at every refactorization)
+            // stall detection for the Bland switch
             if obj < best_obj - 1e-10 {
                 best_obj = obj;
                 stall = 0;
@@ -639,13 +571,17 @@ impl Core {
         }
     }
 
-    /// Whether the sparse route should refactorize now: either the
-    /// update cadence is spent, or the accumulated eta fill has outgrown
-    /// the LU factors. The second trigger is what keeps per-iteration
-    /// cost bounded at scale — each BTRAN gathers over every stored eta
-    /// nonzero, and on instances whose basis couples many rows the
-    /// spikes densify long before the cadence would fire.
-    fn sparse_refactor_due(&self) -> bool {
+    /// Whether to refactorize now. The dense route refactors every
+    /// [`REFACTOR_EVERY`] eta updates. The sparse route refactors when
+    /// its longer cadence is spent or when the accumulated eta fill has
+    /// outgrown the LU factors. The second trigger is what keeps
+    /// per-iteration cost bounded at scale — each BTRAN gathers over
+    /// every stored eta nonzero, and on instances whose basis couples
+    /// many rows the spikes densify long before the cadence would fire.
+    fn refactor_due(&self) -> bool {
+        if !self.sparse {
+            return self.factor.n_updates() >= REFACTOR_EVERY;
+        }
         self.factor.n_updates() >= SPARSE_REFACTOR_EVERY
             || self.factor.eta_nnz() > 2 * (self.factor.lu_nnz() + self.sf.m)
     }
@@ -668,24 +604,9 @@ impl Core {
     }
 
     /// Move entering variable `q` by `t` in direction `dir` and update
-    /// all basic values accordingly.
-    fn apply_step(&mut self, q: usize, dir: Direction, t: f64, w: &[f64]) {
-        if t == 0.0 {
-            return;
-        }
-        let step = dir.sign() * t;
-        self.x_val[q] += step;
-        for (i, &wi) in w.iter().enumerate() {
-            if wi != 0.0 {
-                let col = self.basis[i];
-                self.x_val[col] -= step * wi;
-            }
-        }
-    }
-
-    /// [`Core::apply_step`] over a sparse direction: only the rows in
-    /// `w`'s pattern hold basic variables that move.
-    fn apply_step_sparse(&mut self, q: usize, dir: Direction, t: f64, w: &SparseVec) {
+    /// the basic values: only the rows in `w`'s pattern hold basic
+    /// variables that move.
+    fn apply_step(&mut self, q: usize, dir: Direction, t: f64, w: &SparseVec) {
         if t == 0.0 {
             return;
         }

@@ -91,8 +91,9 @@ const WEIGHT_RESET: f64 = 1e8;
 /// Columns priced per sector on the sparse route's partial scan. One
 /// sector of reduced costs is a few thousand sparse dot products —
 /// cheap — while a full scan over 10⁵⁺ columns per iteration is what
-/// makes dense pricing quadratic overall.
-const SECTOR_LEN: usize = 1024;
+/// makes full-range pricing quadratic overall. (The dense route's
+/// sector is the whole column range.)
+pub(crate) const SECTOR_LEN: usize = 1024;
 
 /// Devex pricing state: reference weights plus a candidate shortlist.
 ///
@@ -104,7 +105,10 @@ pub(crate) struct Devex {
     weights: Vec<f64>,
     candidates: Vec<usize>,
     partial_scans_left: usize,
-    /// Rotating start of the next sector scan (sparse route only).
+    /// Columns scanned per shortlist-refresh sector.
+    sector_len: usize,
+    /// Rotating start of the next sector scan (stays 0 when the sector
+    /// is the whole column range).
     cursor: usize,
     /// Running maximum weight since the last reset (sparse route only;
     /// the dense update recomputes its maximum on every scan).
@@ -112,78 +116,30 @@ pub(crate) struct Devex {
 }
 
 impl Devex {
-    pub(crate) fn new(n_total: usize) -> Devex {
+    pub(crate) fn new(n_total: usize, sector_len: usize) -> Devex {
         Devex {
             weights: vec![1.0; n_total],
             candidates: Vec::new(),
             partial_scans_left: 0,
+            sector_len,
             cursor: 0,
             max_weight: 1.0,
         }
     }
 
-    /// Pick the entering column: scan the candidate shortlist while it
-    /// stays fresh, falling back to (and refreshing from) a full scan.
-    /// `None` is only ever returned after a full scan found no eligible
-    /// column, so it is a sound optimality certificate.
-    pub(crate) fn price(
-        &mut self,
-        core: &Core,
-        cost: &[f64],
-        y: &[f64],
-    ) -> Option<(usize, Direction)> {
-        if self.partial_scans_left > 0 {
-            let mut best: Option<(usize, Direction, f64)> = None;
-            for &j in &self.candidates {
-                if matches!(core.status_of(j), VarStatus::Basic(_)) {
-                    continue;
-                }
-                let d = reduced_cost(core, cost, y, j);
-                if let Some(dir) = eligible(core, j, d) {
-                    let score = d * d / self.weights[j];
-                    if best.is_none_or(|(_, _, s)| score > s) {
-                        best = Some((j, dir, score));
-                    }
-                }
-            }
-            if let Some((j, dir, _)) = best {
-                self.partial_scans_left -= 1;
-                return Some((j, dir));
-            }
-            // shortlist exhausted: only a full scan may declare optimality
-        }
-
-        let mut scored: Vec<(usize, Direction, f64)> = Vec::new();
-        for j in 0..core.n_total() {
-            if matches!(core.status_of(j), VarStatus::Basic(_)) {
-                continue;
-            }
-            let d = reduced_cost(core, cost, y, j);
-            if let Some(dir) = eligible(core, j, d) {
-                scored.push((j, dir, d * d / self.weights[j]));
-            }
-        }
-        // descending score, ascending index on ties (deterministic)
-        scored.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-        scored.truncate(CANDIDATE_LIST_LEN);
-        self.candidates = scored.iter().map(|&(j, _, _)| j).collect();
-        self.partial_scans_left = PARTIAL_SCANS;
-        scored.first().map(|&(j, dir, _)| (j, dir))
-    }
-
     /// Update reference weights after a pivot that enters `q` in basis
-    /// row `leaving_pos`. `w_col` is `B⁻¹ A_q` (the FTRAN'd entering
-    /// column) and `rho` is `B⁻ᵀ e_r` — both against the *pre-pivot*
-    /// basis — so `rho · A_j` is the pivot-row entry `α_j`.
+    /// row `leaving_pos` (dense route). `alpha_q` is the pivot element
+    /// of `B⁻¹ A_q` and `rho` is `B⁻ᵀ e_r` — both against the
+    /// *pre-pivot* basis — so `rho · A_j` is the pivot-row entry `α_j`,
+    /// computed for every nonbasic column.
     pub(crate) fn update(
         &mut self,
         core: &Core,
         q: usize,
         leaving_pos: usize,
-        w_col: &[f64],
+        alpha_q: f64,
         rho: &[f64],
     ) {
-        let alpha_q = w_col[leaving_pos];
         if alpha_q.abs() < 1e-12 {
             return; // degenerate pivot row: keep the old weights
         }
@@ -212,16 +168,16 @@ impl Devex {
         }
     }
 
-    /// Sparse-route pricing: consume the candidate shortlist while it
-    /// stays fresh, then refresh it by scanning rotating sectors of
-    /// `SECTOR_LEN` columns starting at the cursor, stopping at the
-    /// first sector that yields any eligible column. Also returns the
-    /// selected column's reduced cost (the caller's incremental dual
+    /// Pick the entering column: consume the candidate shortlist while
+    /// it stays fresh, then refresh it by scanning rotating sectors of
+    /// `sector_len` columns starting at the cursor, stopping at the
+    /// first sector that yields any eligible column (a sector of the
+    /// whole column range is a full scan). Also returns the selected
+    /// column's reduced cost (the sparse route's incremental dual
     /// update needs it). `None` is returned only after a *full* wrap
     /// of every sector found nothing eligible — a sound optimality
-    /// signal against the duals `y` that were passed in (the caller
-    /// still re-confirms against freshly computed duals).
-    pub(crate) fn price_sparse(
+    /// signal against the duals `y` that were passed in.
+    pub(crate) fn price(
         &mut self,
         core: &Core,
         cost: &[f64],
@@ -252,9 +208,11 @@ impl Devex {
         let mut scored: Vec<(usize, Direction, f64, f64)> = Vec::new();
         let mut scanned = 0usize;
         while scanned < n {
-            let sector = SECTOR_LEN.min(n - scanned);
-            for off in 0..sector {
-                let j = (self.cursor + off) % n;
+            let sector = self.sector_len.min(n - scanned);
+            // the sector's columns in ascending order from the cursor,
+            // wrapping past the last column
+            let end = self.cursor + sector;
+            for j in (self.cursor..end.min(n)).chain(0..end.saturating_sub(n)) {
                 if matches!(core.status_of(j), VarStatus::Basic(_)) {
                     continue;
                 }
@@ -281,8 +239,8 @@ impl Devex {
         scored.first().map(|&(j, dir, d, _)| (j, dir, d))
     }
 
-    /// Sparse-route weight update. Equivalent to [`Devex::update`] but
-    /// the pivot-row entries `α_j = ρ' A_j` are accumulated through the
+    /// Sparse-route weight update. Same refinement as [`Devex::update`]
+    /// but the pivot-row entries `α_j = ρ' A_j` are accumulated through the
     /// CSR mirror over `rho`'s nonzero rows only: any column that does
     /// not intersect the pivot row's pattern has `α_j = 0` exactly and
     /// keeps its weight untouched. `acc` is a caller-owned scratch of

@@ -56,15 +56,13 @@ fn blocking_ratio(core: &Core, i: usize, delta: f64, tol: f64) -> Option<(f64, f
     }
 }
 
-/// Shared two-pass logic over any enumeration of `(row position, w_i)`
-/// entries. The dense wrapper enumerates every row; the sparse wrapper
-/// walks the pattern in ascending row order — identical iteration order
-/// over the nonzero entries, so the first-seen tie-break picks the same
-/// leaving row on both routes.
-fn ratio_test_inner<I>(core: &Core, q: usize, dir: Direction, entries: I) -> RatioOutcome
-where
-    I: Iterator<Item = (usize, f64)> + Clone,
-{
+/// Ratio test over the direction `w = B⁻¹ A_q`: only the rows in `w`'s
+/// pattern can block. `w.pattern` must be sorted ascending, so the
+/// first-seen tie-break is the lowest row among equal pivots whichever
+/// kernel produced `w`.
+pub(crate) fn ratio_test(core: &Core, q: usize, dir: Direction, w: &SparseVec) -> RatioOutcome {
+    debug_assert!(w.pattern.windows(2).all(|p| p[0] < p[1]), "pattern must be sorted");
+    let entries = w.pattern.iter().map(|&i| (i, w.values[i]));
     let tol_pivot = TOL_PIVOT;
 
     let (q_lo, q_hi) = core.bounds_of(q);
@@ -117,21 +115,4 @@ where
         None if own_limit.is_finite() => RatioOutcome::BoundFlip { t: own_limit },
         None => RatioOutcome::Unbounded,
     }
-}
-
-pub(crate) fn ratio_test(core: &Core, q: usize, dir: Direction, w: &[f64]) -> RatioOutcome {
-    ratio_test_inner(core, q, dir, w.iter().copied().enumerate())
-}
-
-/// Ratio test over a sparse direction: only the pattern's rows are
-/// inspected. `w.pattern` must be sorted ascending so tie-breaking
-/// matches the dense test exactly.
-pub(crate) fn ratio_test_sparse(
-    core: &Core,
-    q: usize,
-    dir: Direction,
-    w: &SparseVec,
-) -> RatioOutcome {
-    debug_assert!(w.pattern.windows(2).all(|p| p[0] < p[1]), "pattern must be sorted");
-    ratio_test_inner(core, q, dir, w.pattern.iter().map(|&i| (i, w.values[i])))
 }

@@ -306,7 +306,8 @@ fn ratio_test_tie_prefers_large_pivot() {
     let core = Core::new(sf, &opts());
     // moving x up changes slack0 by -1e-3 t, slack1 by -1.0 t; both
     // slacks sit at 0 with lower bound 0 -> both ratios are exactly 0
-    let w = vec![1e-3, 1.0];
+    let mut w = SparseVec::new(2);
+    w.assign_dense(&[1e-3, 1.0]);
     match ratio_test(&core, 0, Direction::Up, &w) {
         RatioOutcome::Pivot { t, leaving_pos, .. } => {
             assert_eq!(leaving_pos, 1, "the 1.0-magnitude pivot must win the tie");
@@ -328,7 +329,8 @@ fn near_tie_within_pivot_window_prefers_large_pivot() {
     p.add_row(RowBounds::at_most(5e-10), &[(x, 1.0)]).unwrap();
     let sf = StandardForm::from_problem(&p);
     let core = Core::new(sf, &opts());
-    let w = vec![1e-3, 1.0];
+    let mut w = SparseVec::new(2);
+    w.assign_dense(&[1e-3, 1.0]);
     match ratio_test(&core, 0, Direction::Up, &w) {
         RatioOutcome::Pivot { leaving_pos, .. } => {
             assert_eq!(leaving_pos, 1, "near-tie in the adjusted window takes the big pivot");

@@ -303,7 +303,8 @@ fn fump_shaped_lp_with_equality_and_abs_split() {
 }
 
 // ---------------------------------------------------------------------
-// sparse route vs dense route (the dense route is the 1e-9 oracle)
+// sparse route vs dense route: one loop under two policies must reach
+// the same optimum (1e-9); the independent oracle is `solve_dense` above
 // ---------------------------------------------------------------------
 
 const ROUTE_TOL: f64 = 1e-9;

@@ -4,16 +4,35 @@
 //! refactors that change any released count, λ value, or metric will
 //! show up as a diff here instead of slipping through silently.
 //!
+//! The same run also pins the solver's pivot fingerprint: the summed
+//! solve, iteration and refactorization counts. Tiny-scale bytes alone
+//! cannot catch pivot drift — a kernel change can take a different
+//! pivot path to the same floored counts — so a change that moves the
+//! counts fails here even when the fixture still matches. Update the
+//! `PIVOT_FINGERPRINT` literal by hand, with a note on why the pivot
+//! path moved.
+//!
 //! To intentionally refresh the fixture after a reviewed change:
 //!
 //! ```text
 //! GOLDEN_UPDATE=1 cargo test --release --test golden
 //! ```
 
+use dpsan_core::SessionStats;
 use dpsan_eval::golden::normalize;
 use dpsan_eval::{run_experiments, Ctx, RunOptions, Scale, EXPERIMENTS};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/repro_tiny.txt");
+
+/// Summed solver counters of `repro all --scale tiny`.
+const PIVOT_FINGERPRINT: SessionStats = SessionStats {
+    solves: 43,
+    iterations: 3322,
+    refactorizations: 71,
+    capped: 0,
+    warm_starts: 0,
+    degenerate_fallbacks: 0,
+};
 
 #[test]
 fn repro_tiny_matches_golden_fixture() {
@@ -46,4 +65,5 @@ fn repro_tiny_matches_golden_fixture() {
         );
         unreachable!("got != want but no line difference found");
     }
+    assert_eq!(ctx.solve_stats(), PIVOT_FINGERPRINT, "pivot fingerprint moved");
 }
