@@ -330,14 +330,48 @@ mod tests {
         assert!(ledger.entries().is_empty());
     }
 
+    /// Counts the releases it is asked to run, then runs the wrapped
+    /// mechanism.
+    struct CountingSanitizer<S> {
+        inner: S,
+        runs: std::cell::Cell<usize>,
+    }
+
+    impl<S: Sanitizer> Sanitizer for CountingSanitizer<S> {
+        fn info(&self) -> MechanismInfo {
+            self.inner.info()
+        }
+
+        fn expenditure(&self, params: PrivacyParams) -> Vec<BudgetEntry> {
+            self.inner.expenditure(params)
+        }
+
+        fn sanitize(
+            &self,
+            log: &SearchLog,
+            params: PrivacyParams,
+            seed: u64,
+        ) -> Result<Release, CoreError> {
+            self.runs.set(self.runs.get() + 1);
+            self.inner.sanitize(log, params, seed)
+        }
+    }
+
     #[test]
     fn ump_refusal_spends_nothing_and_skips_the_solver() {
-        let m = UmpSanitizer::new(UtilityObjective::OutputSize);
+        let m = CountingSanitizer {
+            inner: UmpSanitizer::new(UtilityObjective::OutputSize),
+            runs: std::cell::Cell::new(0),
+        };
         let mut ledger = BudgetLedger::with_lifetime(params().epsilon() / 2.0, 0.999);
         let err = m.sanitize_into(&input_log(), params(), SEED, &mut ledger).unwrap_err();
         assert!(matches!(err, CoreError::Budget(_)));
         assert!(ledger.entries().is_empty());
-        assert_eq!(m.session_stats().solves, 0, "refusal happens before any LP work");
+        assert_eq!(m.runs.get(), 0, "refusal happens before any work");
+        // an affordable release does run, exactly once
+        let mut ledger = BudgetLedger::new();
+        m.sanitize_into(&input_log(), params(), SEED, &mut ledger).unwrap();
+        assert_eq!(m.runs.get(), 1);
     }
 
     #[test]

@@ -6,17 +6,15 @@
 //!      x* ──(optional Laplace, §4.2)──▶ x̃ ──multinomial sampling──▶ O
 //! ```
 //!
-//! One [`UmpSanitizer`] owns a [`SolveSession`] that carries the LP
-//! options and counts solver work across releases. Every release solves
-//! cold, so it is byte-identical to a solve through a fresh session
-//! whatever was released before.
+//! A [`UmpSanitizer`] holds only its configuration: every release
+//! solves through its own fresh [`SolveSession`], so a release is a
+//! function of `(log, params, seed)` alone and its [`Release::solver`]
+//! counters hold that release's solver work and nothing else.
 //!
 //! The O-UMP objective answers on the packing route
 //! ([`crate::ump::packing`]) at every size, as production does;
 //! [`UmpSanitizer::with_exact_lp`] selects the paper's LP + floor
 //! instead, as `repro` does.
-
-use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,7 +30,7 @@ use crate::end_to_end::{noisy_counts, repair_counts};
 use crate::error::CoreError;
 use crate::mechanism::{MechanismInfo, PrivacyModel, Release, Sanitizer};
 use crate::sampling::sample_output;
-use crate::session::{SessionStats, SolveSession};
+use crate::session::SolveSession;
 use crate::ump::diversity::{DumpOptions, DumpSolver};
 use crate::ump::frequent::FumpOptions;
 use crate::ump::output_size::OumpOptions;
@@ -74,19 +72,13 @@ pub struct LaplaceStep {
 pub struct UmpSanitizer {
     objective: UtilityObjective,
     laplace: Option<LaplaceStep>,
-    session: Mutex<SolveSession>,
     exact_lp: bool,
 }
 
 impl UmpSanitizer {
-    /// A sanitizer with no Laplace step and default LP options.
+    /// A sanitizer with no Laplace step.
     pub fn new(objective: UtilityObjective) -> Self {
-        UmpSanitizer {
-            objective,
-            laplace: None,
-            session: Mutex::new(SolveSession::new(SimplexOptions::default())),
-            exact_lp: false,
-        }
+        UmpSanitizer { objective, laplace: None, exact_lp: false }
     }
 
     /// Add the §4.2 Laplace step on the optimal counts (a second entry
@@ -96,26 +88,13 @@ impl UmpSanitizer {
         self
     }
 
-    /// Override the LP options of the wrapped [`SolveSession`]
-    /// (resets its counters).
-    pub fn with_lp_options(mut self, lp: SimplexOptions) -> Self {
-        self.session = Mutex::new(SolveSession::new(lp));
-        self
-    }
-
     /// Solve the O-UMP exactly, as the paper prints it: LP + floor
-    /// through the session's simplex, instead of the packing route
+    /// through the simplex, instead of the packing route
     /// (O-UMP objective only; see
     /// [`crate::ump::output_size::OumpOptions::anytime`]).
     pub fn with_exact_lp(mut self) -> Self {
         self.exact_lp = true;
         self
-    }
-
-    /// Cumulative LP-solver counters across every release of this
-    /// instance (per-release deltas are on [`Release::solver`]).
-    pub fn session_stats(&self) -> SessionStats {
-        self.session.lock().expect("session poisoned").stats()
     }
 }
 
@@ -162,41 +141,31 @@ impl Sanitizer for UmpSanitizer {
         let (pre, report) = preprocess(log);
         let constraints = PrivacyConstraints::build(&pre, params)?;
 
-        // step 1: optimal output counts, through the shared session
+        // step 1: optimal output counts, through this release's session
+        let mut session = SolveSession::new(SimplexOptions::default());
         let mut upper_bound = None;
-        let (mut counts, solver) = {
-            let mut session = self.session.lock().expect("session poisoned");
-            let before = session.stats();
-            let counts = match &self.objective {
-                UtilityObjective::OutputSize => {
-                    let sol = session.solve_oump(
-                        &constraints,
-                        &OumpOptions { anytime: !self.exact_lp, ..Default::default() },
-                    )?;
-                    upper_bound = Some(sol.upper_bound);
-                    sol.counts
-                }
-                // |O| = 0 is the empty release, the one output size a log
-                // with λ = 0 admits; there is no LP to solve
-                UtilityObjective::FrequentPairs { output_size: 0, .. } => {
-                    vec![0; constraints.n_pairs()]
-                }
-                UtilityObjective::FrequentPairs { min_support, output_size } => {
-                    session
-                        .solve_fump(
-                            &pre,
-                            &constraints,
-                            &FumpOptions::new(*min_support, *output_size),
-                        )?
-                        .counts
-                }
-                UtilityObjective::Diversity { solver } => {
-                    session
-                        .solve_dump(&constraints, &DumpOptions { solver: solver.clone() })?
-                        .counts
-                }
-            };
-            (counts, session.stats().delta(&before))
+        let mut counts = match &self.objective {
+            UtilityObjective::OutputSize => {
+                let sol = session.solve_oump(
+                    &constraints,
+                    &OumpOptions { anytime: !self.exact_lp, ..Default::default() },
+                )?;
+                upper_bound = Some(sol.upper_bound);
+                sol.counts
+            }
+            // |O| = 0 is the empty release, the one output size a log
+            // with λ = 0 admits; there is no LP to solve
+            UtilityObjective::FrequentPairs { output_size: 0, .. } => {
+                vec![0; constraints.n_pairs()]
+            }
+            UtilityObjective::FrequentPairs { min_support, output_size } => {
+                session
+                    .solve_fump(&pre, &constraints, &FumpOptions::new(*min_support, *output_size))?
+                    .counts
+            }
+            UtilityObjective::Diversity { solver } => {
+                session.solve_dump(&constraints, &DumpOptions { solver: solver.clone() })?.counts
+            }
         };
 
         let mut rng = StdRng::seed_from_u64(seed);
@@ -213,7 +182,7 @@ impl Sanitizer for UmpSanitizer {
         // step 2: multinomial sampling
         let output = sample_output(&mut rng, &pre, &counts, MultinomialStrategy::Auto);
 
-        Ok(Release { output, reference: pre, counts, report, solver, upper_bound })
+        Ok(Release { output, reference: pre, counts, report, solver: session.stats(), upper_bound })
     }
 }
 
@@ -317,16 +286,27 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_releases_share_one_session() {
+    fn used_sanitizer_releases_like_a_fresh_one() {
+        // no solver state outlives a release: after releasing at other
+        // budgets, a sanitizer answers exactly as a fresh one does, and
+        // `Release::solver` counts only that release's work
         let input = input_log();
-        let s = UmpSanitizer::new(UtilityObjective::OutputSize);
-        let a = s.sanitize(&input, PrivacyParams::from_e_epsilon(1.4, 0.5), SEED).unwrap();
-        assert_eq!(a.solver.solves, 1);
-        let b = s.sanitize(&input, PrivacyParams::from_e_epsilon(2.0, 0.5), SEED).unwrap();
-        assert_eq!(b.solver.solves, 1, "per-release counters are deltas");
-        let st = s.session_stats();
-        assert_eq!(st.solves, 2, "cumulative counters span releases");
-        assert_eq!(st.iterations, a.solver.iterations + b.solver.iterations);
+        let p = params();
+        let makers: [fn() -> UmpSanitizer; 2] = [
+            || UmpSanitizer::new(UtilityObjective::OutputSize),
+            || UmpSanitizer::new(UtilityObjective::OutputSize).with_exact_lp(),
+        ];
+        for fresh in makers {
+            let used = fresh();
+            for e_eps in [1.4, 3.0] {
+                used.sanitize(&input, PrivacyParams::from_e_epsilon(e_eps, 0.5), SEED).unwrap();
+            }
+            let a = used.sanitize(&input, p, SEED).unwrap();
+            let b = fresh().sanitize(&input, p, SEED).unwrap();
+            assert_eq!(a.counts, b.counts);
+            assert_eq!(a.solver, b.solver);
+            assert_eq!(a.solver.solves, 1);
+        }
     }
 
     #[test]

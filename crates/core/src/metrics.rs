@@ -35,7 +35,8 @@ pub fn precision_recall(
 /// [`precision_recall`] over fractional (LP-optimal) counts. Utility
 /// measurement at small scales uses the pre-floor counts because
 /// flooring quantizes tiny per-pair optima to zero (negligible at the
-/// paper's scale, dominant at toy scales); see EXPERIMENTS.md.
+/// paper's scale, dominant at toy scales); the F-UMP experiments
+/// (Tables 5–6, Figure 3) score `FumpSolution::lp_counts` this way.
 pub fn precision_recall_f(
     input: &SearchLog,
     output_counts: &[f64],

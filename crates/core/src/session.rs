@@ -2,11 +2,13 @@
 //! solver counters.
 //!
 //! The evaluation workload (Tables 4–7, Figures 3–5) solves one LP per
-//! `(ε, δ)`/budget grid cell, and a long-running sanitizer solves one
-//! per release. Every UMP solve goes through a [`SolveSession`]
-//! (`solve_oump`, `solve_fump`, `solve_dump`): the session holds the
-//! LP options those solves share and counts what they cost in
-//! [`SessionStats`] and in the process-wide metrics registry.
+//! `(ε, δ)`/budget grid cell, and a sanitizer solves one per release.
+//! Every UMP solve goes through a [`SolveSession`] (`solve_oump`,
+//! `solve_fump`, `solve_dump`): the session holds the LP options those
+//! solves share and counts what they cost in [`SessionStats`] and in
+//! the process-wide metrics registry. A `UmpSanitizer` opens a fresh
+//! session per release, so its stats are that release's work; `repro`
+//! opens one per grid cell and merges their stats.
 //!
 //! Every solve is the plain two-phase primal simplex
 //! ([`dpsan_lp::simplex::solve`]) from the slack basis, so a session's
@@ -50,19 +52,6 @@ impl SessionStats {
         self.iterations += other.iterations;
         self.refactorizations += other.refactorizations;
         self.capped += other.capped;
-    }
-
-    /// The counter increments since `before` (a snapshot of the same
-    /// monotone session). Used to attribute per-release solver work
-    /// when a session spans several releases.
-    pub fn delta(&self, before: &SessionStats) -> SessionStats {
-        SessionStats {
-            solves: self.solves - before.solves,
-            iterations: self.iterations - before.iterations,
-            refactorizations: self.refactorizations - before.refactorizations,
-            capped: self.capped - before.capped,
-            ..SessionStats::default()
-        }
     }
 }
 
@@ -177,6 +166,5 @@ mod tests {
         assert_eq!(a.iterations, 16);
         assert_eq!(a.refactorizations, 5);
         assert_eq!(a.capped, 1);
-        assert_eq!(a.delta(&b).iterations, 5);
     }
 }

@@ -60,8 +60,8 @@ pub struct FumpSolution {
 
 /// Build the F-UMP linear program of Section 5.2 (privacy rows, fixed
 /// output size, abs-value split on the frequent pairs). Counts are
-/// capped at `x_ij ≤ c_ij`, as in the O-UMP (see
-/// [`crate::ump::output_size::OumpOptions::cap_at_input`]).
+/// capped at `x_ij ≤ c_ij`, as in the O-UMP (see `build_problem` in
+/// [`crate::ump::output_size`]).
 fn build_problem(
     log: &SearchLog,
     constraints: &PrivacyConstraints,

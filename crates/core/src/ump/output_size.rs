@@ -25,22 +25,11 @@ use crate::session::SolveSession;
 use crate::ump::{floor_counts, packing, verify_counts};
 
 /// O-UMP options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OumpOptions {
     /// Ignored: the session's options govern; kept for the perfbench
     /// driver.
     pub lp: SimplexOptions,
-    /// Cap every output count at its input count (`x_ij ≤ c_ij`).
-    ///
-    /// The paper's Equation-(4) constraint set has no upper bounds, under
-    /// which the LP optimum λ is *provably linear* in the budget
-    /// `B = min{ε, ln 1/(1−δ)}` — yet the paper's Table 4 is strongly
-    /// sublinear in `B`, so the authors' implementation must have bounded
-    /// the counts. Capping at `c_ij` is the natural choice (a sanitized
-    /// pair should not out-support its input; every example in the paper
-    /// satisfies it) and reproduces the saturation shape. Upper bounds
-    /// never break Lemma 1: `⌊x*⌋ ≤ x* ≤ c`.
-    pub cap_at_input: bool,
     /// Answer on the packing route ([`packing::solve`]) instead of the
     /// paper's LP + floor ("anytime" mode), at every size.
     ///
@@ -54,12 +43,6 @@ pub struct OumpOptions {
     /// simplex serves `repro`, and a solve that exhausts its iteration
     /// budget there is an error.
     pub anytime: bool,
-}
-
-impl Default for OumpOptions {
-    fn default() -> Self {
-        OumpOptions { lp: SimplexOptions::default(), cap_at_input: true, anytime: false }
-    }
 }
 
 /// O-UMP solution.
@@ -88,18 +71,24 @@ pub struct OumpSolution {
     pub upper_bound: f64,
 }
 
-/// Build the O-UMP linear program of Section 5.1 over the polytope.
-fn build_problem(constraints: &PrivacyConstraints, opts: &OumpOptions) -> Problem {
+/// Build the O-UMP linear program of Section 5.1 over the polytope,
+/// with every output count capped at its input count (`x_ij ≤ c_ij`).
+///
+/// The paper's Equation-(4) constraint set has no upper bounds, under
+/// which the LP optimum λ is *provably linear* in the budget
+/// `B = min{ε, ln 1/(1−δ)}` — yet the paper's Table 4 is strongly
+/// sublinear in `B`, so the authors' implementation must have bounded
+/// the counts. Capping at `c_ij` is the natural choice (a sanitized
+/// pair should not out-support its input; every example in the paper
+/// satisfies it) and reproduces the saturation shape. Upper bounds
+/// never break Lemma 1: `⌊x*⌋ ≤ x* ≤ c`. The packing route caps the
+/// same way ([`packing::column_bounds`]).
+fn build_problem(constraints: &PrivacyConstraints) -> Problem {
     let mut p = Problem::new(Sense::Maximize);
-    let cols: Vec<usize> = (0..constraints.n_pairs())
-        .map(|pi| {
-            let upper = if opts.cap_at_input {
-                constraints.pair_totals()[pi] as f64
-            } else {
-                f64::INFINITY
-            };
-            p.add_col(1.0, VarBounds { lower: 0.0, upper }).expect("valid column")
-        })
+    let cols: Vec<usize> = constraints
+        .pair_totals()
+        .iter()
+        .map(|&c| p.add_col(1.0, VarBounds { lower: 0.0, upper: c as f64 }).expect("valid column"))
         .collect();
     constraints.add_to_problem(&mut p, &cols);
     p
@@ -126,7 +115,7 @@ impl SolveSession {
         }
 
         if opts.anytime {
-            let sol = packing::solve(constraints, opts.cap_at_input);
+            let sol = packing::solve(constraints);
             self.count_packing_solve();
             verify_counts(constraints, &sol.counts)?;
             let lambda = sol.counts.iter().sum();
@@ -141,7 +130,7 @@ impl SolveSession {
             });
         }
 
-        let sol = self.solve(&build_problem(constraints, opts))?;
+        let sol = self.solve(&build_problem(constraints))?;
         if sol.status != SolveStatus::Optimal {
             return Err(CoreError::UnexpectedStatus(match sol.status {
                 SolveStatus::Infeasible => {
@@ -154,7 +143,7 @@ impl SolveSession {
         let counts = floor_counts(&sol.x);
         verify_counts(constraints, &counts)?;
         let lambda = counts.iter().sum();
-        let bounds = packing::column_bounds(constraints, opts.cap_at_input);
+        let bounds = packing::column_bounds(constraints);
         Ok(OumpSolution {
             counts,
             lp_counts: sol.x,
@@ -241,20 +230,33 @@ mod tests {
         assert_eq!(a.counts, b.counts);
     }
 
+    /// The paper's Equation-(4) LP as printed, with no caps on the
+    /// counts, solved through a fresh default session.
+    fn solve_uncapped(log: &SearchLog, params: PrivacyParams) -> dpsan_lp::simplex::Solution {
+        let c = PrivacyConstraints::build(log, params).unwrap();
+        let mut p = Problem::new(Sense::Maximize);
+        let cols: Vec<usize> = (0..c.n_pairs())
+            .map(|_| p.add_col(1.0, VarBounds { lower: 0.0, upper: f64::INFINITY }).unwrap())
+            .collect();
+        c.add_to_problem(&mut p, &cols);
+        let sol = SolveSession::new(SimplexOptions::default()).solve(&p).unwrap();
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        sol
+    }
+
     #[test]
     fn lp_value_scales_linearly_in_budget_without_caps() {
         // λ_LP(B) = B · λ_LP(1) for the pure Equation-(4) polytope —
         // the property that makes the paper's Table 4 non-reproducible
-        // from the published constraint set alone (see DESIGN.md)
+        // from the published constraint set alone (see `build_problem`)
         let log = two_pair_log();
-        let no_cap = OumpOptions { cap_at_input: false, ..Default::default() };
-        let s1 = solve_oump(&log, PrivacyParams::new(0.2, 0.9999), &no_cap).unwrap();
-        let s2 = solve_oump(&log, PrivacyParams::new(0.4, 0.9999), &no_cap).unwrap();
+        let s1 = solve_uncapped(&log, PrivacyParams::new(0.2, 0.9999));
+        let s2 = solve_uncapped(&log, PrivacyParams::new(0.4, 0.9999));
         assert!(
-            (s2.lp_value - 2.0 * s1.lp_value).abs() < 1e-6,
+            (s2.objective - 2.0 * s1.objective).abs() < 1e-6,
             "{} vs 2×{}",
-            s2.lp_value,
-            s1.lp_value
+            s2.objective,
+            s1.objective
         );
     }
 
@@ -267,10 +269,8 @@ mod tests {
         let s = solve_oump(&log, generous, &OumpOptions::default()).unwrap();
         assert_eq!(s.lambda, log.size(), "caps saturate λ at Σ c_ij");
         // without caps the same budget yields a larger output
-        let unc =
-            solve_oump(&log, generous, &OumpOptions { cap_at_input: false, ..Default::default() })
-                .unwrap();
-        assert!(unc.lambda > s.lambda);
+        let unc: u64 = floor_counts(&solve_uncapped(&log, generous).x).iter().sum();
+        assert!(unc > s.lambda);
     }
 
     #[test]

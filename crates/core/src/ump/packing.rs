@@ -12,7 +12,7 @@
 //! * **Certified bound.** For any row prices `y ≥ 0`, weak duality
 //!   gives `λ* ≤ UB(y) = B·Σy + Σ_j u_j·(1 − (Mᵀy)_j)₊`, where `u_j` is
 //!   the column's cap `c_j` tightened to `B / max_i M_ij`, the cap the
-//!   rows already imply (so the uncapped LP gets a finite bound too).
+//!   rows already imply.
 //!   [`upper_bound`] costs one sparse mat-vec, which is why every O-UMP
 //!   answer — exact simplex or packing — carries one.
 //! * **Dual.** [`DUAL_STEPS`] projected-subgradient steps on `UB(y)`
@@ -108,10 +108,10 @@ impl Columns {
     }
 }
 
-/// The column bounds `u_j` of [`upper_bound`]: the cap `c_j` (infinite
-/// without `cap_at_input`) tightened to `B / max_i M_ij`. The tightening
-/// is implied by the rows, so it never cuts off a feasible point.
-pub fn column_bounds(constraints: &PrivacyConstraints, cap_at_input: bool) -> Vec<f64> {
+/// The column bounds `u_j` of [`upper_bound`]: the cap `c_j` tightened
+/// to `B / max_i M_ij`. The tightening is implied by the rows, so it
+/// never cuts off a feasible point.
+pub fn column_bounds(constraints: &PrivacyConstraints) -> Vec<f64> {
     let mut max_coef = vec![0.0f64; constraints.n_pairs()];
     for i in 0..constraints.n_rows() {
         for &(p, v) in constraints.row(i) {
@@ -122,20 +122,12 @@ pub fn column_bounds(constraints: &PrivacyConstraints, cap_at_input: bool) -> Ve
     max_coef
         .iter()
         .zip(constraints.pair_totals())
-        .map(|(&m, &c)| {
-            let cap = if cap_at_input { c as f64 } else { f64::INFINITY };
-            if m > 0.0 {
-                cap.min(b / m)
-            } else {
-                cap
-            }
-        })
+        .map(|(&m, &c)| if m > 0.0 { (c as f64).min(b / m) } else { c as f64 })
         .collect()
 }
 
 /// `UB(y) = B·Σy + Σ_j u_j·(1 − (Mᵀy)_j)₊` given the column prices
-/// `prices = Mᵀy`. A column with an infinite bound and a price below 1
-/// makes the bound infinite.
+/// `prices = Mᵀy`.
 fn bound_at(budget: f64, y: &[f64], bounds: &[f64], prices: &[f64]) -> f64 {
     let mut ub = budget * y.iter().sum::<f64>();
     for (&u, &s) in bounds.iter().zip(prices) {
@@ -167,9 +159,9 @@ pub fn upper_bound(constraints: &PrivacyConstraints, bounds: &[f64], y: &[f64]) 
 /// then the dual-guided greedy. The counts are feasible integers; the
 /// answer is not proven optimal, and `upper_bound` says how far off it
 /// can be.
-pub fn solve(constraints: &PrivacyConstraints, cap_at_input: bool) -> PackingSolution {
+pub fn solve(constraints: &PrivacyConstraints) -> PackingSolution {
     let cols = Columns::build(constraints);
-    let bounds = column_bounds(constraints, cap_at_input);
+    let bounds = column_bounds(constraints);
     let budget = constraints.budget();
     let m = constraints.n_rows();
 
@@ -279,7 +271,7 @@ mod tests {
     #[test]
     fn bound_at_zero_prices_is_the_sum_of_column_bounds() {
         let c = constraints();
-        let bounds = column_bounds(&c, true);
+        let bounds = column_bounds(&c);
         for (&u, &cap) in bounds.iter().zip(c.pair_totals()) {
             assert!(u > 0.0 && u <= cap as f64);
         }

@@ -2,7 +2,7 @@
 //!
 //! The paper compares SPE against Matlab `bintprog` and the NEOS
 //! solvers `qsopt_ex`, `scip`, `feaspump`; here the comparator suite is
-//! the in-repo solver set (see DESIGN.md for the mapping).
+//! the in-repo solver set listed by [`solver_suite`].
 
 use std::error::Error;
 use std::io::Write;

@@ -26,7 +26,8 @@ pub fn reference_params() -> PrivacyParams {
 /// Output-size fractions of λ used by Tables 5–6. The paper swept
 /// `|O| ∈ {3000..8000}` over `λ = 13088` (23–61 %); at laptop scales the
 /// privacy budget only binds near λ, so the sweep is shifted upward to
-/// keep the distance-vs-|O| trend visible (see EXPERIMENTS.md).
+/// keep the distance-vs-|O| trend visible (Tables 5–6 in
+/// [`crate::experiments::table56`]).
 pub const OUTPUT_FRACTIONS: [f64; 6] = [0.3, 0.45, 0.6, 0.75, 0.9, 0.98];
 
 /// The Figure 3(a)/(b) fixed output size as a fraction of λ at the

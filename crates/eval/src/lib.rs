@@ -21,7 +21,8 @@
 //! computed λ* rather than copied verbatim from the paper, because the
 //! paper's absolute λ values are not derivable from its own constraint
 //! system (summing the per-user rows proves `λ ≤ (#user logs) · B`;
-//! see `EXPERIMENTS.md`). All qualitative shapes are preserved.
+//! see [`grids`] for how each grid is scaled). All qualitative shapes
+//! are preserved.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -546,6 +546,11 @@ impl Core {
                             y[i] += theta * rho.values[i];
                         }
                         y_fresh = false;
+                    } else if self.refactor_due() {
+                        // the refactorization at the top of the next
+                        // iteration recomputes the duals before anything
+                        // reads them (the iteration-limit exit reads none)
+                        y_fresh = false;
                     } else {
                         y = self.compute_duals(cost);
                         y_fresh = true;

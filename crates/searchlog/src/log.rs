@@ -355,7 +355,7 @@ impl SearchLogBuilder {
     /// Builder that shares the vocabulary (interners) of an existing log,
     /// for constructing outputs over the same id space. The interners
     /// are shared, not copied; a later string [`add`](Self::add) copies
-    /// them on write.
+    /// one only to intern a string it does not hold yet.
     pub fn with_vocabulary_of(log: &SearchLog) -> Self {
         SearchLogBuilder {
             users: Arc::clone(&log.users),
@@ -371,9 +371,9 @@ impl SearchLogBuilder {
         if count == 0 {
             return Err(LogError::ZeroCount { line: 0 });
         }
-        let user = UserId(Arc::make_mut(&mut self.users).intern(user));
-        let query = QueryId(Arc::make_mut(&mut self.queries).intern(query));
-        let url = UrlId(Arc::make_mut(&mut self.urls).intern(url));
+        let user = UserId(intern_shared(&mut self.users, user));
+        let query = QueryId(intern_shared(&mut self.queries, query));
+        let url = UrlId(intern_shared(&mut self.urls, url));
         self.push(user, query, url, count);
         Ok(())
     }
@@ -419,6 +419,20 @@ impl SearchLogBuilder {
             self.pair_index,
             triplets,
         )
+    }
+}
+
+/// Intern `s` into a possibly shared interner. A shared interner is
+/// copied only when `s` is new to it: a builder over another log's
+/// vocabulary that adds strings the vocabulary already holds never
+/// copies it.
+fn intern_shared(interner: &mut Arc<Interner>, s: &str) -> u32 {
+    if let Some(owned) = Arc::get_mut(interner) {
+        return owned.intern(s);
+    }
+    match interner.get(s) {
+        Some(id) => id,
+        None => Arc::make_mut(interner).intern(s),
     }
 }
 
@@ -547,6 +561,33 @@ mod tests {
         r1.sort_unstable_by_key(key);
         r2.sort_unstable_by_key(key);
         assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn shared_vocabulary_is_copied_only_for_a_new_string() {
+        let log = figure1_log();
+        let mut b = SearchLogBuilder::with_vocabulary_of(&log);
+        for r in log.records() {
+            let user = log.users().resolve(r.user.0);
+            b.add(user, log.queries().resolve(r.query.0), log.urls().resolve(r.url.0), r.count)
+                .unwrap();
+        }
+        assert!(Arc::ptr_eq(&b.users, &log.users), "known users: no copy");
+        assert!(Arc::ptr_eq(&b.queries, &log.queries), "known queries: no copy");
+        assert!(Arc::ptr_eq(&b.urls, &log.urls), "known urls: no copy");
+        let u0 = log.users().resolve(0);
+        b.add(u0, "a query new to the log", log.urls().resolve(0), 1).unwrap();
+        assert!(!Arc::ptr_eq(&b.queries, &log.queries), "a new query copies its interner");
+        assert!(Arc::ptr_eq(&b.users, &log.users) && Arc::ptr_eq(&b.urls, &log.urls));
+        assert_eq!(b.queries.len(), log.queries().len() + 1);
+        let out = b.build();
+        let key = |r: &LogRecord| (r.query.0, r.url.0, r.user.0, r.count);
+        let mut got: Vec<_> = out.records().map(|r| key(&r)).collect();
+        let mut want: Vec<_> = log.records().map(|r| key(&r)).collect();
+        want.push((log.queries().len() as u32, 0, 0, 1));
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "ids are the shared vocabulary's");
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub struct PreprocessReport {
     /// Users whose log became empty (they no longer generate privacy
     /// constraints).
     pub emptied_users: usize,
-    /// Mapping `old PairId -> new PairId` (`None` when removed).
-    pub pair_mapping: Vec<Option<PairId>>,
 }
 
 /// Remove all unique pairs from `log`, returning the reduced log and a
@@ -41,10 +39,10 @@ pub fn preprocess(log: &SearchLog) -> (SearchLog, PreprocessReport) {
         .sum();
 
     let before_users = log.n_user_logs();
-    let (reduced, pair_mapping) = log.retain_pairs(&keep);
+    let (reduced, _) = log.retain_pairs(&keep);
     let emptied_users = before_users - reduced.n_user_logs();
 
-    (reduced, PreprocessReport { removed_pairs, removed_count, emptied_users, pair_mapping })
+    (reduced, PreprocessReport { removed_pairs, removed_count, emptied_users })
 }
 
 /// Check whether a log is already preprocessed (no single-holder pairs).
@@ -99,14 +97,6 @@ mod tests {
         assert_eq!(rep2.removed_count, 0);
         assert_eq!(pre2.size(), pre.size());
         assert_eq!(pre2.n_pairs(), pre.n_pairs());
-    }
-
-    #[test]
-    fn mapping_covers_all_pairs() {
-        let log = sample_log();
-        let (_, rep) = preprocess(&log);
-        assert_eq!(rep.pair_mapping.len(), log.n_pairs());
-        assert_eq!(rep.pair_mapping.iter().filter(|m| m.is_some()).count(), 1);
     }
 
     #[test]

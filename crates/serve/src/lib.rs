@@ -8,7 +8,7 @@
 //! ```text
 //! appended TSV ──FollowReader (line-atomic)──▶ ServeSession: IngestSession
 //!   (live vocabulary + shards) ──trigger──▶ Sanitizer::sanitize_into
-//!   (check ledger ▸ persistent SolveSession, cold solve ▸ debit ledger)
+//!   (check ledger ▸ cold solve in a fresh SolveSession ▸ debit ledger)
 //!   ──▶ release-NNNN.tsv
 //! ```
 //!
@@ -20,13 +20,13 @@
 //!    re-release is byte-identical to a one-shot `sanitize` over the
 //!    same prefix with the same seed — for any shard count or drain
 //!    parallelism (CI diffs this).
-//! 2. **Every re-solve is one cold solve.** The mechanism object (and
-//!    so the `SolveSession` inside a `UmpSanitizer`) persists across
-//!    releases to carry the LP options and count solver work, but each
-//!    release solves from scratch: the answer depends only on the
-//!    window, never on earlier releases, which is what property 1
-//!    needs. An O-UMP release takes the packing route (a dual-guided
-//!    greedy, no simplex pivots), exactly as one-shot `sanitize` does.
+//! 2. **Every re-solve is one cold solve.** The mechanism object
+//!    persists across releases but holds only its configuration: a
+//!    `UmpSanitizer` opens a fresh `SolveSession` per release, so the
+//!    answer depends only on the window, never on earlier releases,
+//!    which is what property 1 needs. An O-UMP release takes the
+//!    packing route (a dual-guided greedy, no simplex pivots), exactly
+//!    as one-shot `sanitize` does.
 //! 3. **Composition is enforced, not just recorded.** The lifetime
 //!    `(ε, δ)` ledger refuses a release it cannot afford
 //!    ([`dpsan_dp::BudgetError`]); the service treats that refusal as

@@ -13,12 +13,10 @@
 //! [`crate::serve`] drives the session against a wall clock; benches
 //! and tests drive it directly, deterministically.
 //!
-//! Because the mechanism object is persistent, a `UmpSanitizer`'s
-//! internal [`SolveSession`](dpsan_core::session::SolveSession)
-//! survives across re-releases and accumulates their solver counters;
-//! every re-solve is still a cold solve of the current window. The
-//! per-release [`ReleaseRecord::solver`] deltas show what each release
-//! cost.
+//! The mechanism object persists across re-releases but carries no
+//! solver state: a `UmpSanitizer` solves each window cold through a
+//! fresh [`SolveSession`](dpsan_core::session::SolveSession), and
+//! [`ReleaseRecord::solver`] holds that one release's solver counters.
 
 use std::io::BufRead;
 use std::time::{Duration, Instant};

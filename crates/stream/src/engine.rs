@@ -28,7 +28,7 @@ use dpsan_searchlog::{
 };
 
 use crate::pool::run_sharded;
-use crate::shard::{shard_of, ShardIntake, ShardState, ShardStats};
+use crate::shard::{shard_of, ShardIntake, ShardState};
 use crate::sketch::PairSketch;
 
 /// Ingestion knobs.
@@ -64,21 +64,6 @@ impl StreamConfig {
     }
 }
 
-/// Whole-stream statistics assembled during the merge: the additive
-/// shard part plus the distinct counts of the session vocabulary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Summed per-shard statistics (rows, clicks, users, triplets —
-    /// all exactly additive under user-complete sharding).
-    pub shard: ShardStats,
-    /// Distinct queries across all shards.
-    pub queries: usize,
-    /// Distinct urls across all shards.
-    pub urls: usize,
-    /// Distinct query–url pairs across all shards.
-    pub pairs: usize,
-}
-
 /// Bounded-memory accounting of one ingestion run. The bounds are
 /// *counters*, not RSS guesses: tests assert them directly.
 #[derive(Debug, Clone, Copy, Default)]
@@ -108,8 +93,6 @@ pub struct IngestResult {
     ///
     /// No production caller; kept for the perfbench driver.
     pub sketch: Option<PairSketch>,
-    /// Merged whole-stream statistics.
-    pub stats: StreamStats,
     /// Memory-bound counters.
     pub report: IngestReport,
 }
@@ -232,7 +215,6 @@ impl IngestSession {
         let urls = Arc::make_mut(&mut v.urls);
         for rec in chunk.iter() {
             let s = shard_of(rec.user, self.cfg.shards);
-            let known_users = users.len();
             let u = users.intern(rec.user);
             let q = queries.intern(rec.query);
             let l = urls.intern(rec.url);
@@ -241,7 +223,7 @@ impl IngestSession {
                 v.pair_keys.push((QueryId(q), UrlId(l)));
                 next
             });
-            self.shards[s].add(p, u, rec.count, users.len() > known_users);
+            self.shards[s].add(p, u, rec.count);
             if let Some(sk) = self.sketches.get_mut(s) {
                 sk.offer(QueryId(q), UrlId(l), rec.count);
             }
@@ -291,21 +273,12 @@ impl IngestSession {
             v.pair_keys.clone(),
             triplets,
         );
-        let stats = StreamStats {
-            shard: self.shards.iter().fold(ShardStats::default(), |mut acc, s| {
-                acc.merge(&s.stats());
-                acc
-            }),
-            queries: v.queries.len(),
-            urls: v.urls.len(),
-            pairs: v.pair_keys.len(),
-        };
         let sketch = merge_sketches(&self.sketches);
         let mut report = self.report;
         report.max_shard_triplets = self.max_shard_triplets();
         report.sketch_entries = sketch.as_ref().map_or(0, PairSketch::len);
         crate::obs::merge_seconds().record(started.elapsed().as_secs_f64());
-        IngestResult { log, sketch, stats, report }
+        IngestResult { log, sketch, report }
     }
 
     /// Merge and consume the session (the one-shot path).
@@ -404,13 +377,9 @@ impl IngestSession {
             ));
         }
         let vocab = restore_vocab(&state.vocab)?;
-        // every user routes to exactly one shard: that fixes both where
-        // its triplets may live and each shard's distinct-user count
+        // every user routes to exactly one shard: its triplets may live
+        // nowhere else
         let home: Vec<usize> = vocab.users.iter().map(|(_, s)| shard_of(s, cfg.shards)).collect();
-        let mut users_per_shard = vec![0usize; cfg.shards];
-        for &h in &home {
-            users_per_shard[h] += 1;
-        }
         let mut shards = Vec::with_capacity(cfg.shards);
         for (i, s) in state.shards.into_iter().enumerate() {
             s.validate(vocab.pair_keys.len(), vocab.users.len())
@@ -421,7 +390,7 @@ impl IngestSession {
                     home[u as usize]
                 ));
             }
-            shards.push(ShardIntake::from_state(s, users_per_shard[i]));
+            shards.push(ShardIntake::from_state(s));
         }
         Ok(IngestSession {
             cfg,
@@ -564,20 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_stats_match_whole_log() {
-        let text = sample_tsv();
-        let cfg = StreamConfig { shards: 5, ..Default::default() };
-        let got = ingest_tsv(Cursor::new(text.as_str()), &cfg).unwrap();
-        let stats = dpsan_searchlog::LogStats::of(&got.log);
-        assert_eq!(got.stats.shard.clicks, stats.total_tuples);
-        assert_eq!(got.stats.shard.users, stats.user_logs);
-        assert_eq!(got.stats.shard.triplets, got.log.n_triplets());
-        assert_eq!(got.stats.queries, stats.distinct_queries);
-        assert_eq!(got.stats.urls, stats.distinct_urls);
-        assert_eq!(got.stats.pairs, stats.pairs);
-    }
-
-    #[test]
     fn sketch_sees_the_whole_stream() {
         let text = sample_tsv();
         let cfg = StreamConfig { shards: 3, sketch_capacity: 64, ..Default::default() };
@@ -607,7 +562,6 @@ mod tests {
         let got = ingest_tsv(Cursor::new(""), &StreamConfig::default()).unwrap();
         assert_eq!(got.log.size(), 0);
         assert_eq!(got.report.rows, 0);
-        assert_eq!(got.stats, StreamStats::default());
     }
 
     /// The session invariant: after any split of the stream into
@@ -635,9 +589,10 @@ mod tests {
             // ...and intake continues: the final state == full build
             session.ingest(Cursor::new(tail_tsv.as_str())).unwrap();
             let full = ingest_tsv(Cursor::new(text.as_str()), &cfg).unwrap();
-            let final_snap = session.snapshot();
-            assert_logs_identical(&final_snap.log, &full.log);
-            assert_eq!(final_snap.stats, full.stats);
+            assert_logs_identical(&session.snapshot().log, &full.log);
+            let mut one_shot = IngestSession::new(cfg.clone());
+            one_shot.ingest(Cursor::new(text.as_str())).unwrap();
+            assert_eq!(session.export_state(), one_shot.export_state());
             let finished = session.finish();
             assert_logs_identical(&finished.log, &full.log);
             assert_eq!(finished.report.rows, full.report.rows);
@@ -716,9 +671,7 @@ mod tests {
             assert_eq!(restored.export_state(), original.export_state());
 
             let full = ingest_tsv(Cursor::new(text.as_str()), &cfg).unwrap();
-            let snap = restored.snapshot();
-            assert_logs_identical(&snap.log, &full.log);
-            assert_eq!(snap.stats, full.stats);
+            assert_logs_identical(&restored.snapshot().log, &full.log);
         }
     }
 

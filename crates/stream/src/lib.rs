@@ -69,7 +69,7 @@ pub mod sketch;
 
 pub use engine::{
     ingest_path, ingest_tsv, IngestReport, IngestResult, IngestSession, SessionState, StreamConfig,
-    StreamStats, VocabState,
+    VocabState,
 };
-pub use shard::{shard_of, user_hash, ShardIntake, ShardState, ShardStats};
+pub use shard::{shard_of, user_hash, ShardIntake, ShardState};
 pub use sketch::{sketch_frequent_pairs, PairSketch, SketchEntry};

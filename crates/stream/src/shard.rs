@@ -6,7 +6,7 @@
 //! never reach a shard: the session interns every user, query and url
 //! once, into one session-wide vocabulary, and assigns global pair ids
 //! at intake (see [`crate::engine`]). A shard keeps only its
-//! `(pair, user) → count` map and its row/click/user counters, and
+//! `(pair, user) → count` map and its row/click counters, and
 //! drains to a `(pair, user)`-sorted triplet vector that the engine
 //! merges without touching a string.
 //!
@@ -36,33 +36,6 @@ pub fn shard_of(user: &str, n_shards: usize) -> usize {
     (user_hash(user) % n_shards as u64) as usize
 }
 
-/// Additive per-shard statistics. Because shards are user-complete,
-/// `users` and `triplets` are disjoint across shards and every field
-/// sums exactly; distinct query/url/pair counts are *not* additive
-/// (vocabularies overlap) and live on the merged
-/// [`StreamStats`](crate::StreamStats) instead.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Raw records routed to this shard.
-    pub rows: u64,
-    /// Click volume `Σ count` of those records.
-    pub clicks: u64,
-    /// Distinct users (each user appears in exactly one shard).
-    pub users: usize,
-    /// Distinct `(pair, user)` triplets after aggregation.
-    pub triplets: usize,
-}
-
-impl ShardStats {
-    /// Sum another shard's statistics into this one.
-    pub fn merge(&mut self, other: &ShardStats) {
-        self.rows += other.rows;
-        self.clicks += other.clicks;
-        self.users += other.users;
-        self.triplets += other.triplets;
-    }
-}
-
 /// One shard mid-intake: the aggregated triplets of its users, keyed
 /// by global `(pair, user)` ids. Memory is proportional to the shard's
 /// *aggregated* content, never to the raw stream length.
@@ -72,7 +45,6 @@ pub struct ShardIntake {
     triplets: IdMap<u64>,
     rows: u64,
     clicks: u64,
-    users: usize,
 }
 
 impl ShardIntake {
@@ -82,14 +54,12 @@ impl ShardIntake {
     }
 
     /// Aggregate one record of global pair `pair` by global user
-    /// `user`; `new_user` marks the user's first record in the session.
-    /// The caller is responsible for routing: every record of one user
-    /// must reach the same shard.
-    pub fn add(&mut self, pair: u32, user: u32, count: u64, new_user: bool) {
+    /// `user`. The caller is responsible for routing: every record of
+    /// one user must reach the same shard.
+    pub fn add(&mut self, pair: u32, user: u32, count: u64) {
         debug_assert!(count > 0, "zero counts are rejected by the reader");
         self.rows += 1;
         self.clicks += count;
-        self.users += usize::from(new_user);
         *self.triplets.entry(IdPair(pair, user)).or_insert(0) += count;
     }
 
@@ -98,16 +68,6 @@ impl ShardIntake {
     /// retained).
     pub fn staged_triplets(&self) -> usize {
         self.triplets.len()
-    }
-
-    /// The additive statistics of this shard.
-    pub fn stats(&self) -> ShardStats {
-        ShardStats {
-            rows: self.rows,
-            clicks: self.clicks,
-            users: self.users,
-            triplets: self.triplets.len(),
-        }
     }
 
     /// The staged triplets as `(pair, user, count)`, sorted by
@@ -169,15 +129,12 @@ impl ShardIntake {
     }
 
     /// Rebuild a live shard from exported state that already passed
-    /// [`ShardState::validate`]. `users` is the number of distinct users
-    /// the shard holds — recomputed by the caller from the vocabulary,
-    /// since every user routes to exactly one shard.
-    pub fn from_state(state: ShardState, users: usize) -> Self {
+    /// [`ShardState::validate`].
+    pub fn from_state(state: ShardState) -> Self {
         ShardIntake {
             triplets: state.triplets.iter().map(|&(p, u, c)| (IdPair(p, u), c)).collect(),
             rows: state.rows,
             clicks: state.clicks,
-            users,
         }
     }
 }
@@ -207,19 +164,20 @@ mod tests {
     #[test]
     fn triplets_aggregate_and_drain_sorted() {
         let mut s = ShardIntake::new();
-        s.add(1, 3, 1, true);
-        s.add(0, 0, 2, true);
-        s.add(1, 0, 5, false);
-        s.add(0, 0, 4, false);
+        s.add(1, 3, 1);
+        s.add(0, 0, 2);
+        s.add(1, 0, 5);
+        s.add(0, 0, 4);
         assert_eq!(s.sorted_triplets(), vec![(0, 0, 6), (1, 0, 5), (1, 3, 1)]);
-        assert_eq!(s.stats(), ShardStats { rows: 4, clicks: 12, users: 2, triplets: 3 });
+        let state = s.export_state();
+        assert_eq!((state.rows, state.clicks), (4, 12));
     }
 
     #[test]
     fn staged_triplets_counts_aggregates_not_rows() {
         let mut s = ShardIntake::new();
-        for row in 0..50 {
-            s.add(0, 0, 1, row == 0);
+        for _ in 0..50 {
+            s.add(0, 0, 1);
         }
         assert_eq!(s.staged_triplets(), 1, "memory tracks aggregation, not stream length");
     }
@@ -227,28 +185,26 @@ mod tests {
     #[test]
     fn state_roundtrip_is_exact() {
         let mut s = ShardIntake::new();
-        s.add(0, 0, 2, true);
-        s.add(1, 1, 1, true);
-        s.add(2, 0, 4, false);
+        s.add(0, 0, 2);
+        s.add(1, 1, 1);
+        s.add(2, 0, 4);
         let state = s.export_state();
         state.validate(3, 2).unwrap();
-        let restored = ShardIntake::from_state(state.clone(), 2);
+        let restored = ShardIntake::from_state(state.clone());
         assert_eq!(restored.export_state(), state, "export∘restore is the identity");
-        assert_eq!(restored.stats(), s.stats());
         // the restored shard keeps ingesting identically
         let mut a = s.clone();
         let mut b = restored;
-        a.add(0, 2, 5, true);
-        b.add(0, 2, 5, true);
-        assert_eq!(a.sorted_triplets(), b.sorted_triplets());
-        assert_eq!(a.stats(), b.stats());
+        a.add(0, 2, 5);
+        b.add(0, 2, 5);
+        assert_eq!(a.export_state(), b.export_state());
     }
 
     #[test]
     fn corrupt_state_is_rejected_not_panicked() {
         let mut s = ShardIntake::new();
-        s.add(0, 0, 2, true);
-        s.add(1, 0, 1, false);
+        s.add(0, 0, 2);
+        s.add(1, 0, 1);
         let good = s.export_state();
         assert!(good.validate(1, 1).unwrap_err().contains("outside the vocabulary"));
         let mut bad = good.clone();
@@ -257,13 +213,5 @@ mod tests {
         let mut bad = good;
         bad.triplets.swap(0, 1);
         assert!(bad.validate(2, 1).unwrap_err().contains("out of order"));
-    }
-
-    #[test]
-    fn stats_merge_is_additive() {
-        let mut a = ShardStats { rows: 3, clicks: 10, users: 2, triplets: 3 };
-        let b = ShardStats { rows: 1, clicks: 4, users: 1, triplets: 1 };
-        a.merge(&b);
-        assert_eq!(a, ShardStats { rows: 4, clicks: 14, users: 3, triplets: 4 });
     }
 }

@@ -44,13 +44,12 @@ fn solve_oump(c: &PrivacyConstraints, sparse: Option<bool>, opts: &OumpOptions) 
 
 /// The O-UMP linear program over the constraints, as
 /// `SolveSession::solve_oump` builds it.
-fn oump_problem(c: &PrivacyConstraints, cap_at_input: bool) -> Problem {
+fn oump_problem(c: &PrivacyConstraints) -> Problem {
     let mut p = Problem::new(Sense::Maximize);
-    let cols: Vec<usize> = (0..c.n_pairs())
-        .map(|pi| {
-            let upper = if cap_at_input { c.pair_totals()[pi] as f64 } else { f64::INFINITY };
-            p.add_col(1.0, VarBounds { lower: 0.0, upper }).unwrap()
-        })
+    let cols: Vec<usize> = c
+        .pair_totals()
+        .iter()
+        .map(|&cap| p.add_col(1.0, VarBounds { lower: 0.0, upper: cap as f64 }).unwrap())
         .collect();
     c.add_to_problem(&mut p, &cols);
     p
@@ -73,18 +72,17 @@ fn random_log(users: usize, pairs: usize, flat: &[u64]) -> SearchLog {
 
 /// `UB(y)` at every route's `y` and at the given random prices, each
 /// checked against `lp_star`.
-fn assert_bounds_cover(c: &PrivacyConstraints, cap: bool, lp_star: f64, prices: &[f64]) {
+fn assert_bounds_cover(c: &PrivacyConstraints, lp_star: f64, prices: &[f64]) {
     let tol = 1e-9;
-    let bounds = packing::column_bounds(c, cap);
+    let bounds = packing::column_bounds(c);
     let y: Vec<f64> = (0..c.n_rows()).map(|i| prices[i % prices.len()]).collect();
     let random = packing::upper_bound(c, &bounds, &y);
     assert!(random >= lp_star - tol, "random y: UB {random} < LP* {lp_star}");
     assert!(packing::upper_bound(c, &bounds, &vec![0.0; c.n_rows()]) >= lp_star - tol);
-    let pack = packing::solve(c, cap).upper_bound;
+    let pack = packing::solve(c).upper_bound;
     assert!(pack >= lp_star - tol, "packing dual: UB {pack} < LP* {lp_star}");
-    let opts = OumpOptions { cap_at_input: cap, ..OumpOptions::default() };
     for sparse in [false, true] {
-        let ub = solve_oump(c, Some(sparse), &opts).upper_bound;
+        let ub = solve_oump(c, Some(sparse), &OumpOptions::default()).upper_bound;
         assert!(ub >= lp_star - tol, "simplex duals (sparse={sparse}): UB {ub} < LP* {lp_star}");
     }
 }
@@ -98,14 +96,12 @@ proptest! {
         pairs in 1usize..6,
         flat in prop::collection::vec(0u64..30, 36),
         prices in prop::collection::vec(0.0f64..3.0, 8),
-        cap in 0u8..2,
     ) {
         let log = random_log(users, pairs, &flat);
         prop_assume!(log.n_pairs() > 0);
         let c = PrivacyConstraints::build(&log, params()).unwrap();
-        let cap = cap == 1;
-        let dense = solve_dense(&oump_problem(&c, cap));
-        assert_bounds_cover(&c, cap, dense.objective, &prices);
+        let dense = solve_dense(&oump_problem(&c));
+        assert_bounds_cover(&c, dense.objective, &prices);
     }
 
     #[test]
@@ -114,23 +110,19 @@ proptest! {
         pairs in 1usize..6,
         flat in prop::collection::vec(0u64..30, 36),
         e_eps in 1.05f64..4.0,
-        cap in 0u8..2,
     ) {
         let log = random_log(users, pairs, &flat);
         prop_assume!(log.n_pairs() > 0);
         let c = PrivacyConstraints::build(&log, PrivacyParams::from_e_epsilon(e_eps, 0.5))
             .unwrap();
-        let cap = cap == 1;
-        let a = packing::solve(&c, cap);
-        if cap {
-            for (&x, &c_ij) in a.counts.iter().zip(c.pair_totals()) {
-                prop_assert!(x <= c_ij, "count {} above its cap {}", x, c_ij);
-            }
+        let a = packing::solve(&c);
+        for (&x, &c_ij) in a.counts.iter().zip(c.pair_totals()) {
+            prop_assert!(x <= c_ij, "count {} above its cap {}", x, c_ij);
         }
         prop_assert!(verify_counts(&c, &a.counts).is_ok());
         let lambda: u64 = a.counts.iter().sum();
         prop_assert!(lambda as f64 <= a.upper_bound + 1e-9, "λ {} > UB {}", lambda, a.upper_bound);
-        let b = packing::solve(&c, cap);
+        let b = packing::solve(&c);
         prop_assert_eq!(&a.counts, &b.counts);
         prop_assert_eq!(a.upper_bound.to_bits(), b.upper_bound.to_bits());
     }
@@ -140,8 +132,8 @@ proptest! {
 fn upper_bound_covers_the_tiny_preset_optimum() {
     let (pre, _) = preprocess(&generate(&presets::aol_tiny()));
     let c = PrivacyConstraints::build(&pre, params()).unwrap();
-    let dense = solve_dense(&oump_problem(&c, true));
-    assert_bounds_cover(&c, true, dense.objective, &[0.3, 1.0, 0.0, 2.5]);
+    let dense = solve_dense(&oump_problem(&c));
+    assert_bounds_cover(&c, dense.objective, &[0.3, 1.0, 0.0, 2.5]);
 }
 
 #[test]
@@ -152,7 +144,7 @@ fn upper_bound_covers_the_small_preset_optimum() {
     let c = PrivacyConstraints::build(&pre, params()).unwrap();
     let exact = solve_oump(&c, None, &OumpOptions::default());
     assert!(!exact.capped);
-    assert_bounds_cover(&c, true, exact.lp_value, &[0.05, 0.0, 0.2]);
+    assert_bounds_cover(&c, exact.lp_value, &[0.05, 0.0, 0.2]);
     // at a proven optimum the simplex duals certify it: the gap closes
     assert!(
         exact.upper_bound <= exact.lp_value * (1.0 + 1e-6) + 1e-6,
@@ -183,7 +175,7 @@ fn assert_packing_route(c: &PrivacyConstraints, lp: &SimplexOptions) -> OumpSolu
     assert_eq!(sol.iterations, 0);
     let stats = session.stats();
     assert_eq!((stats.solves, stats.iterations, stats.capped), (1, 0, 1));
-    assert_eq!(sol.counts, packing::solve(c, true).counts, "the packing greedy's counts");
+    assert_eq!(sol.counts, packing::solve(c).counts, "the packing greedy's counts");
     assert!(verify_counts(c, &sol.counts).is_ok());
     assert!(sol.lambda as f64 <= sol.upper_bound);
     sol
@@ -198,7 +190,7 @@ fn anytime_solve_at_scale_takes_the_packing_route() {
     let sol = assert_packing_route(&c, &lp);
 
     // the same constraints through 2,000 capped simplex pivots + floor
-    let capped = simplex::solve(&oump_problem(&c, true), &lp).unwrap();
+    let capped = simplex::solve(&oump_problem(&c), &lp).unwrap();
     assert_eq!(capped.status, SolveStatus::IterationLimit);
     let floored: u64 = floor_counts(&capped.x).iter().sum();
     assert!(sol.lambda >= floored, "packing λ {} < capped simplex λ {floored}", sol.lambda);

@@ -7,23 +7,31 @@
 //! once a log is big enough to route sparse.
 
 use dpsan_core::constraints::PrivacyConstraints;
-use dpsan_core::mechanism::{Sanitizer, UmpSanitizer, UtilityObjective};
+use dpsan_core::sampling::sample_output;
 use dpsan_core::session::SolveSession;
 use dpsan_core::ump::output_size::OumpOptions;
 use dpsan_datagen::{generate, presets};
+use dpsan_dp::multinomial::MultinomialStrategy;
 use dpsan_dp::params::PrivacyParams;
 use dpsan_lp::simplex::SimplexOptions;
 use dpsan_searchlog::io::write_tsv;
 use dpsan_searchlog::{preprocess, SearchLog};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
+/// An exact (LP + floor) O-UMP release on the given kernel route: the
+/// steps `UmpSanitizer::with_exact_lp` runs, with the route forced.
 fn release_bytes(pre: &SearchLog, sparse: Option<bool>) -> (Vec<u8>, u64) {
-    let lp = SimplexOptions { sparse, ..SimplexOptions::default() };
-    let mech = UmpSanitizer::new(UtilityObjective::OutputSize).with_lp_options(lp).with_exact_lp();
-    let rel =
-        mech.sanitize(pre, PrivacyParams::from_e_epsilon(2.0, 0.5), 0xd95a_11ce).expect("sanitize");
+    let c = PrivacyConstraints::build(pre, PrivacyParams::from_e_epsilon(2.0, 0.5)).unwrap();
+    let counts = SolveSession::new(SimplexOptions { sparse, ..SimplexOptions::default() })
+        .solve_oump(&c, &OumpOptions::default())
+        .expect("optimal")
+        .counts;
+    let mut rng = StdRng::seed_from_u64(0xd95a_11ce);
+    let output = sample_output(&mut rng, pre, &counts, MultinomialStrategy::Auto);
     let mut buf = Vec::new();
-    write_tsv(&rel.output, &mut buf).expect("serialize release");
-    (buf, rel.output.size())
+    write_tsv(&output, &mut buf).expect("serialize release");
+    (buf, output.size())
 }
 
 #[test]

@@ -157,7 +157,10 @@ fn ingestion_memory_is_bounded_by_chunk_and_sketch_capacity() {
     let chunk_rows = 64;
     let sketch_capacity = 32;
     let cfg = StreamConfig { shards: 8, jobs: 2, chunk_rows, sketch_capacity };
-    let got = ingest_tsv(Cursor::new(&file[..]), &cfg).unwrap();
+    let mut session = IngestSession::new(cfg);
+    session.ingest(Cursor::new(&file[..])).unwrap();
+    let staged: usize = session.export_state().shards.iter().map(|s| s.triplets.len()).sum();
+    let got = session.finish();
 
     // raw rows never pile up beyond one chunk
     assert!(got.report.rows > chunk_rows as u64, "the log is larger than one chunk");
@@ -173,5 +176,5 @@ fn ingestion_memory_is_bounded_by_chunk_and_sketch_capacity() {
     // per-shard aggregation holds only the shard's triplets, which
     // together partition the log's triplets (user-complete shards)
     assert!(got.report.max_shard_triplets <= got.log.n_triplets());
-    assert_eq!(got.stats.shard.triplets, got.log.n_triplets());
+    assert_eq!(staged, got.log.n_triplets());
 }
