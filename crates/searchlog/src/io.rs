@@ -11,36 +11,19 @@
 //!   with clicks"; each click row contributes count 1 and duplicates
 //!   aggregate.
 //!
-//! TSV parsing is exposed at two altitudes: [`read_tsv`] materializes a
-//! whole [`SearchLog`] in one shot, and [`TsvStream`] parses a bounded
-//! chunk of lines at a time into one reused buffer, handing out
-//! borrowed [`RecordRef`]s, so callers like `dpsan-stream` can ingest
-//! logs far larger than memory without allocating per row. Both run
-//! the identical field parser, so a streamed-then-merged log can be
-//! proven equal to the one-shot build.
+//! TSV is read by one loop, [`TsvStream::read_chunk`]: it parses a
+//! bounded chunk of lines at a time into one reused buffer and lends
+//! out borrowed [`RecordRef`]s, so callers like `dpsan-stream` can
+//! ingest logs far larger than memory without allocating per row.
+//! [`read_tsv`] runs the same loop into a [`SearchLogBuilder`], the
+//! independent one-shot oracle a streamed-then-merged log is proven
+//! equal to.
 
 use std::io::{BufRead, Write};
 
 use crate::error::LogError;
 use crate::ids::PairId;
 use crate::log::{SearchLog, SearchLogBuilder};
-
-/// One parsed-but-uninterned line of the native TSV format: owned
-/// strings, exactly as they appeared in the file.
-///
-/// This is what the [`TsvStream`] iterator yields; the chunked intake
-/// path borrows the same fields as [`RecordRef`]s instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawRecord {
-    /// Pseudonymous user id string.
-    pub user: String,
-    /// Query string.
-    pub query: String,
-    /// Clicked url string.
-    pub url: String,
-    /// Click-through count (strictly positive).
-    pub count: u64,
-}
 
 /// One parsed line of the native TSV format, borrowing its fields from
 /// the reader's buffer.
@@ -54,18 +37,6 @@ pub struct RecordRef<'a> {
     pub url: &'a str,
     /// Click-through count (strictly positive).
     pub count: u64,
-}
-
-impl RecordRef<'_> {
-    /// Copy the fields into a [`RawRecord`].
-    pub fn to_raw(&self) -> RawRecord {
-        RawRecord {
-            user: self.user.to_string(),
-            query: self.query.to_string(),
-            url: self.url.to_string(),
-            count: self.count,
-        }
-    }
 }
 
 /// The one field parser of the native format: `None` for a comment or
@@ -112,16 +83,14 @@ struct RowSpan {
 /// [`TsvStream::read_chunk`] is the bounded-memory intake primitive: it
 /// reads up to `max` data lines into one buffer that every chunk
 /// reuses, parses them all, and lends them out as a [`TsvChunk`] — no
-/// allocation per row. As an [`Iterator`] it yields one owned
-/// [`RawRecord`] per data line instead. Either way comments and blank
-/// lines are skipped, records come in file order, and errors carry the
-/// physical line number.
+/// allocation per row. Comments and blank lines are skipped, records
+/// come in file order, and errors carry the physical line number.
 #[derive(Debug)]
 pub struct TsvStream<R> {
     reader: R,
     lineno: usize,
     // one buffer for the whole stream: the data lines of the current
-    // chunk, back to back (or the iterator's current line)
+    // chunk, back to back
     text: String,
     rows: Vec<RowSpan>,
 }
@@ -204,38 +173,27 @@ impl<R: BufRead> TsvStream<R> {
     }
 }
 
-impl<R: BufRead> Iterator for TsvStream<R> {
-    type Item = Result<RawRecord, LogError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            self.text.clear();
-            match self.reader.read_line(&mut self.text) {
-                Ok(0) => return None,
-                Ok(_) => {}
-                Err(e) => return Some(Err(e.into())),
-            }
-            self.lineno += 1;
-            match parse_line(&self.text, self.lineno) {
-                Ok(Some(rec)) => return Some(Ok(rec.to_raw())),
-                Ok(None) => continue,
-                Err(e) => return Some(Err(e)),
-            }
-        }
-    }
-}
+/// Records per [`TsvStream::read_chunk`] call in [`read_tsv`].
+const READ_CHUNK_ROWS: usize = 8 * 1024;
 
 /// Parse the native 4-column TSV format into a whole [`SearchLog`].
 ///
-/// Built on [`TsvStream`], so the one-shot and streaming paths share
-/// one parser; interning order is file order (first occurrence).
+/// Reads through [`TsvStream::read_chunk`], so the one-shot and
+/// streaming paths share one read loop and one parser, and aggregates
+/// through a [`SearchLogBuilder`]; interning order is file order (first
+/// occurrence).
 pub fn read_tsv<R: BufRead>(reader: R) -> Result<SearchLog, LogError> {
     let mut b = SearchLogBuilder::new();
-    for rec in TsvStream::new(reader) {
-        let r = rec?;
-        b.add(&r.user, &r.query, &r.url, r.count)?;
+    let mut stream = TsvStream::new(reader);
+    loop {
+        let chunk = stream.read_chunk(READ_CHUNK_ROWS)?;
+        if chunk.is_empty() {
+            return Ok(b.build());
+        }
+        for r in chunk.iter() {
+            b.add(r.user, r.query, r.url, r.count)?;
+        }
     }
-    Ok(b.build())
 }
 
 /// Serialize a log in the native 4-column TSV format, pair-major, users
@@ -364,15 +322,33 @@ mod tests {
         assert_eq!(log.n_pairs(), 0);
     }
 
+    /// One record with owned fields.
+    type Owned = (String, String, String, u64);
+
+    /// Every record of `text`, read `max` at a time, and the physical
+    /// lines consumed.
+    fn read_all(text: &str, max: usize) -> Result<(Vec<Owned>, usize), LogError> {
+        let mut stream = TsvStream::new(Cursor::new(text));
+        let mut recs = Vec::new();
+        loop {
+            let chunk = stream.read_chunk(max)?;
+            if chunk.is_empty() {
+                return Ok((recs, stream.lines_read()));
+            }
+            let owned = |r: RecordRef<'_>| (r.user.into(), r.query.into(), r.url.into(), r.count);
+            recs.extend(chunk.iter().map(owned));
+        }
+    }
+
     #[test]
-    fn stream_yields_records_in_file_order() {
-        let text = "# header\nu1\tq1\tl1\t5\n\nu2\tq2\tl2\t3\n";
-        let recs: Result<Vec<_>, _> = TsvStream::new(Cursor::new(text)).collect();
-        let recs = recs.unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].user, "u1");
-        assert_eq!(recs[0].count, 5);
-        assert_eq!(recs[1].query, "q2");
+    fn chunks_yield_records_in_file_order() {
+        let text = "# header\nu1\tq1\tl1\t5\n\nu2\tq2\tl2\t3\nu3\tq3\tl3\t1\n";
+        let (recs, lines) = read_all(text, 2).unwrap();
+        let users: Vec<_> = recs.iter().map(|r| r.0.as_str()).collect();
+        assert_eq!(users, ["u1", "u2", "u3"]);
+        assert_eq!(recs[0].3, 5);
+        assert_eq!(recs[1].1, "q2");
+        assert_eq!(lines, 5);
     }
 
     #[test]
@@ -396,22 +372,16 @@ mod tests {
     }
 
     #[test]
-    fn chunks_borrow_the_fields_the_iterator_owns() {
+    fn chunks_parse_crlf_empty_fields_and_a_missing_final_newline() {
         let text = "# c\r\nu1\tq1\tl1\t5\r\n\nuser-two\t\tl2\t3\nu3\tq3\tl3\t7";
-        let owned: Vec<RawRecord> =
-            TsvStream::new(Cursor::new(text)).collect::<Result<_, _>>().unwrap();
-        let mut stream = TsvStream::new(Cursor::new(text));
-        let mut borrowed = Vec::new();
-        loop {
-            let chunk = stream.read_chunk(2).unwrap();
-            if chunk.is_empty() {
-                break;
-            }
-            borrowed.extend(chunk.iter().map(|r| r.to_raw()));
+        let want = vec![
+            ("u1".to_string(), "q1".to_string(), "l1".to_string(), 5),
+            ("user-two".into(), "".into(), "l2".into(), 3),
+            ("u3".into(), "q3".into(), "l3".into(), 7),
+        ];
+        for max in [1, 2, 100] {
+            assert_eq!(read_all(text, max).unwrap(), (want.clone(), 5), "chunks of {max}");
         }
-        assert_eq!(borrowed, owned, "one parser: \\r\\n, empty fields, no final newline");
-        assert_eq!(owned[1].query, "");
-        assert_eq!(stream.lines_read(), 5);
     }
 
     #[test]
@@ -424,28 +394,9 @@ mod tests {
     }
 
     #[test]
-    fn stream_errors_carry_line_numbers() {
+    fn chunk_errors_carry_line_numbers() {
         let text = "u1\tq\tl\t2\nu2\tq\tl\t0\n";
-        let err = TsvStream::new(Cursor::new(text)).collect::<Result<Vec<_>, _>>().unwrap_err();
-        assert!(matches!(err, LogError::ZeroCount { line: 2 }));
-    }
-
-    #[test]
-    fn stream_and_one_shot_agree() {
-        let text = "u1\tgoogle\tgoogle.com\t5\nu2\tgoogle\tgoogle.com\t3\nu2\tcars\tkbb.com\t1\n";
-        let via_stream = {
-            let mut b = SearchLogBuilder::new();
-            for rec in TsvStream::new(Cursor::new(text)) {
-                let r = rec.unwrap();
-                b.add(&r.user, &r.query, &r.url, r.count).unwrap();
-            }
-            b.build()
-        };
-        let one_shot = read_tsv(Cursor::new(text)).unwrap();
-        assert_eq!(via_stream.size(), one_shot.size());
-        assert_eq!(via_stream.n_pairs(), one_shot.n_pairs());
-        let r1: Vec<_> = via_stream.records().collect();
-        let r2: Vec<_> = one_shot.records().collect();
-        assert_eq!(r1, r2, "identical interning order, ids and counts");
+        let err = read_all(text, 100).unwrap_err();
+        assert!(matches!(err, LogError::ZeroCount { line: 2 }), "{err}");
     }
 }

@@ -11,6 +11,8 @@
 //!
 //! * interned, typed identifiers ([`ids`], [`intern`]) and the keyed
 //!   integer hasher of id-keyed maps ([`IdMap`]),
+//! * the id space of a log, one [`Vocabulary`] whose [`PairTable`]
+//!   assigns every pair id ([`vocab`]),
 //! * an immutable aggregated [`SearchLog`] with both the pair histogram
 //!   `c_ij` and the triplet histogram `c_ijk` in CSR form, indexed by
 //!   pair *and* by user (the user log `A_k` of Definition 1),
@@ -38,13 +40,15 @@ pub mod log;
 pub mod preprocess;
 pub mod record;
 pub mod stats;
+pub mod vocab;
 
 pub use error::LogError;
 pub use frequent::{frequent_pairs, FrequentPair};
 pub use ids::{id_map_with_capacity, IdMap, IdPair, PairId, QueryId, UrlId, UserId};
 pub use intern::Interner;
-pub use io::{RawRecord, RecordRef, TsvChunk, TsvStream};
+pub use io::{RecordRef, TsvChunk, TsvStream};
 pub use log::{PairEntry, SearchLog, SearchLogBuilder, TripletRef, UserLogRef};
 pub use preprocess::{preprocess, PreprocessReport};
 pub use record::LogRecord;
 pub use stats::LogStats;
+pub use vocab::{PairTable, Vocabulary};

@@ -4,32 +4,26 @@
 //! once grouped by *pair* (needed by the multinomial sampler and the
 //! pair histogram `c_ij`) and once grouped by *user* (the user logs
 //! `A_k` of Definition 1, needed by the privacy-constraint builder).
-//! Both views are built once — by [`SearchLogBuilder`], or straight
-//! from already-sorted triplets by [`SearchLog::from_sorted_triplets`]
-//! — and never mutated; preprocessing produces a fresh log.
+//! Both views are filled once, by [`SearchLog::from_sorted_triplets`],
+//! and never mutated: [`SearchLogBuilder`] aggregates raw tuples and
+//! hands it its sorted triplets, and preprocessing produces a fresh log.
 //!
-//! The three vocabularies (user, query, url interners) sit behind
+//! A log owns its id space, a [`Vocabulary`]. Its interners sit behind
 //! [`Arc`]: every log derived from another one (preprocessing,
-//! sampling, mechanism outputs) shares its id space, so it shares the
-//! interners instead of copying them.
+//! sampling, mechanism outputs) shares them instead of copying them.
 
 use std::sync::Arc;
 
 use crate::error::LogError;
-use crate::ids::{id_map_with_capacity, IdMap, IdPair, PairId, QueryId, UrlId, UserId};
+use crate::ids::{IdMap, IdPair, PairId, QueryId, UrlId, UserId};
 use crate::intern::Interner;
 use crate::record::LogRecord;
+use crate::vocab::Vocabulary;
 
 /// An immutable aggregated search log `D`.
 #[derive(Debug, Clone)]
 pub struct SearchLog {
-    users: Arc<Interner>,
-    queries: Arc<Interner>,
-    urls: Arc<Interner>,
-
-    pair_keys: Vec<(QueryId, UrlId)>,
-    // (query, url) -> pair
-    pair_index: IdMap<PairId>,
+    vocab: Vocabulary,
     pair_total: Vec<u64>,
 
     // triplets grouped by pair (users sorted within each pair)
@@ -75,19 +69,19 @@ pub struct PairEntry {
 impl SearchLog {
     /// Number of distinct query–url pairs.
     pub fn n_pairs(&self) -> usize {
-        self.pair_keys.len()
+        self.vocab.pairs.len()
     }
 
     /// Number of interned users (including users whose log is empty,
     /// e.g. after preprocessing removed all their pairs).
     pub fn n_users(&self) -> usize {
-        self.users.len()
+        self.vocab.users.len()
     }
 
     /// Number of *non-empty* user logs (rows that generate privacy
     /// constraints).
     pub fn n_user_logs(&self) -> usize {
-        (0..self.users.len()).filter(|&k| self.user_off[k] < self.user_off[k + 1]).count()
+        (0..self.n_users()).filter(|&k| self.user_off[k] < self.user_off[k + 1]).count()
     }
 
     /// `|D|`: the size of the log, `Σ_ij c_ij` (total click volume).
@@ -102,7 +96,7 @@ impl SearchLog {
 
     /// The `(query, url)` key of a pair.
     pub fn pair_key(&self, p: PairId) -> (QueryId, UrlId) {
-        self.pair_keys[p.index()]
+        self.vocab.pairs.key(p)
     }
 
     /// Total count `c_ij` of a pair.
@@ -112,7 +106,7 @@ impl SearchLog {
 
     /// Look up a pair id by its `(query, url)` key.
     pub fn pair_id(&self, q: QueryId, u: UrlId) -> Option<PairId> {
-        self.pair_index.get(&IdPair(q.0, u.0)).copied()
+        self.vocab.pairs.get(q, u)
     }
 
     /// Iterate all pairs with their totals.
@@ -157,7 +151,7 @@ impl SearchLog {
 
     /// Ids of users with non-empty logs, ascending.
     pub fn users_with_logs(&self) -> impl Iterator<Item = UserId> + '_ {
-        (0..self.users.len())
+        (0..self.n_users())
             .filter(|&k| self.user_off[k] < self.user_off[k + 1])
             .map(UserId::from_index)
     }
@@ -189,17 +183,17 @@ impl SearchLog {
 
     /// User interner (ids ↔ pseudonymous strings).
     pub fn users(&self) -> &Interner {
-        &self.users
+        &self.vocab.users
     }
 
     /// Query interner.
     pub fn queries(&self) -> &Interner {
-        &self.queries
+        &self.vocab.queries
     }
 
     /// Url interner.
     pub fn urls(&self) -> &Interner {
-        &self.urls
+        &self.vocab.urls
     }
 
     /// Keep only the pairs for which `keep` is true, producing a new log
@@ -210,71 +204,43 @@ impl SearchLog {
     pub fn retain_pairs(&self, keep: &[bool]) -> (SearchLog, Vec<Option<PairId>>) {
         assert_eq!(keep.len(), self.n_pairs(), "keep mask must cover every pair");
         let mut mapping: Vec<Option<PairId>> = vec![None; self.n_pairs()];
-        let mut pair_keys = Vec::new();
+        let mut vocab = self.vocab.share_strings();
         let mut triplets = Vec::new();
         for (i, &k) in keep.iter().enumerate() {
             if !k {
                 continue;
             }
             let p = PairId::from_index(i);
-            let new = PairId::from_index(pair_keys.len());
+            let (q, u) = self.pair_key(p);
+            let new = vocab.pairs.intern(q, u);
             mapping[i] = Some(new);
-            pair_keys.push(self.pair_key(p));
             triplets.extend(self.holders(p).map(|t| (new, t.user, t.count)));
         }
         // kept pairs keep their relative order and holders stay sorted
         // by user, so the triplets are already in (pair, user) order
-        let log = SearchLog::from_sorted_triplets(
-            Arc::clone(&self.users),
-            Arc::clone(&self.queries),
-            Arc::clone(&self.urls),
-            pair_keys,
-            triplets,
-        );
-        (log, mapping)
+        (SearchLog::from_sorted_triplets(vocab, triplets), mapping)
     }
 
-    /// Build a log directly from triplets already in strictly ascending
-    /// `(pair, user)` order — the CSR arrays are filled in one pass,
-    /// with no aggregation maps.
+    /// Build a log from triplets already in strictly ascending
+    /// `(pair, user)` order: the CSR arrays are filled in one pass, with
+    /// no aggregation maps. Every build of a log ends here.
     ///
-    /// `pair_keys[p]` is the `(query, url)` key of pair `p`; every id
-    /// must lie inside the supplied vocabularies and every count must be
-    /// positive. This is the merge entrypoint of the streaming ingest
-    /// engine, whose shards hold ids from one session-wide vocabulary.
+    /// Every id must lie inside `vocab` and every count must be
+    /// positive. The log takes `vocab` as its id space.
     ///
     /// # Panics
-    /// On unsorted or duplicate triplets, out-of-range ids, zero
-    /// counts, or duplicate pair keys.
+    /// On unsorted or duplicate triplets, out-of-range ids or zero
+    /// counts.
     pub fn from_sorted_triplets(
-        users: Arc<Interner>,
-        queries: Arc<Interner>,
-        urls: Arc<Interner>,
-        pair_keys: Vec<(QueryId, UrlId)>,
+        vocab: Vocabulary,
         triplets: Vec<(PairId, UserId, u64)>,
     ) -> SearchLog {
-        let mut pair_index = id_map_with_capacity(pair_keys.len());
-        for (i, &(q, u)) in pair_keys.iter().enumerate() {
-            assert!(q.index() < queries.len(), "query id outside vocabulary");
-            assert!(u.index() < urls.len(), "url id outside vocabulary");
-            let fresh = pair_index.insert(IdPair(q.0, u.0), PairId::from_index(i)).is_none();
-            assert!(fresh, "duplicate pair key");
+        for &(q, u) in vocab.pairs.keys() {
+            assert!(q.index() < vocab.queries.len(), "query id outside vocabulary");
+            assert!(u.index() < vocab.urls.len(), "url id outside vocabulary");
         }
-        Self::assemble(users, queries, urls, pair_keys, pair_index, triplets)
-    }
-
-    /// Fill the CSR arrays from sorted triplets over a validated pair
-    /// table (see [`SearchLog::from_sorted_triplets`]).
-    fn assemble(
-        users: Arc<Interner>,
-        queries: Arc<Interner>,
-        urls: Arc<Interner>,
-        pair_keys: Vec<(QueryId, UrlId)>,
-        pair_index: IdMap<PairId>,
-        triplets: Vec<(PairId, UserId, u64)>,
-    ) -> SearchLog {
-        let n_pairs = pair_keys.len();
-        let n_users = users.len();
+        let n_pairs = vocab.pairs.len();
+        let n_users = vocab.users.len();
         let mut pair_total = vec![0u64; n_pairs];
         let mut pair_off = vec![0usize; n_pairs + 1];
         let mut user_off = vec![0usize; n_users + 1];
@@ -316,11 +282,7 @@ impl SearchLog {
         let size = pair_total.iter().sum();
 
         SearchLog {
-            users,
-            queries,
-            urls,
-            pair_keys,
-            pair_index,
+            vocab,
             pair_total,
             pair_off,
             pair_holder_user,
@@ -336,12 +298,7 @@ impl SearchLog {
 /// Incremental builder aggregating duplicate `(user, query, url)` tuples.
 #[derive(Debug, Default)]
 pub struct SearchLogBuilder {
-    users: Arc<Interner>,
-    queries: Arc<Interner>,
-    urls: Arc<Interner>,
-    // (query, url) -> pair
-    pair_index: IdMap<PairId>,
-    pair_keys: Vec<(QueryId, UrlId)>,
+    vocab: Vocabulary,
     // (pair, user) -> count
     triplets: IdMap<u64>,
 }
@@ -355,14 +312,10 @@ impl SearchLogBuilder {
     /// Builder that shares the vocabulary (interners) of an existing log,
     /// for constructing outputs over the same id space. The interners
     /// are shared, not copied; a later string [`add`](Self::add) copies
-    /// one only to intern a string it does not hold yet.
+    /// one only to intern a string it does not hold yet. Pairs are
+    /// numbered afresh, in the order this builder first sees them.
     pub fn with_vocabulary_of(log: &SearchLog) -> Self {
-        SearchLogBuilder {
-            users: Arc::clone(&log.users),
-            queries: Arc::clone(&log.queries),
-            urls: Arc::clone(&log.urls),
-            ..Default::default()
-        }
+        SearchLogBuilder { vocab: log.vocab.share_strings(), triplets: IdMap::default() }
     }
 
     /// Add one tuple by strings, interning as needed. Duplicate tuples
@@ -371,9 +324,9 @@ impl SearchLogBuilder {
         if count == 0 {
             return Err(LogError::ZeroCount { line: 0 });
         }
-        let user = UserId(intern_shared(&mut self.users, user));
-        let query = QueryId(intern_shared(&mut self.queries, query));
-        let url = UrlId(intern_shared(&mut self.urls, url));
+        let user = UserId(intern_shared(&mut self.vocab.users, user));
+        let query = QueryId(intern_shared(&mut self.vocab.queries, query));
+        let url = UrlId(intern_shared(&mut self.vocab.urls, url));
         self.push(user, query, url, count);
         Ok(())
     }
@@ -384,25 +337,16 @@ impl SearchLogBuilder {
         if r.count == 0 {
             return Err(LogError::ZeroCount { line: 0 });
         }
-        assert!(r.user.index() < self.users.len(), "user id outside vocabulary");
-        assert!(r.query.index() < self.queries.len(), "query id outside vocabulary");
-        assert!(r.url.index() < self.urls.len(), "url id outside vocabulary");
+        assert!(r.user.index() < self.vocab.users.len(), "user id outside vocabulary");
+        assert!(r.query.index() < self.vocab.queries.len(), "query id outside vocabulary");
+        assert!(r.url.index() < self.vocab.urls.len(), "url id outside vocabulary");
         self.push(r.user, r.query, r.url, r.count);
         Ok(())
     }
 
     fn push(&mut self, user: UserId, query: QueryId, url: UrlId, count: u64) {
-        let next = PairId::from_index(self.pair_keys.len());
-        let pair = *self.pair_index.entry(IdPair(query.0, url.0)).or_insert_with(|| {
-            self.pair_keys.push((query, url));
-            next
-        });
+        let pair = self.vocab.pairs.intern(query, url);
         *self.triplets.entry(IdPair(pair.0, user.0)).or_insert(0) += count;
-    }
-
-    /// Number of tuples (distinct `(pair, user)` triplets) staged so far.
-    pub fn n_triplets(&self) -> usize {
-        self.triplets.len()
     }
 
     /// Finalize into an immutable [`SearchLog`].
@@ -411,14 +355,7 @@ impl SearchLogBuilder {
         keyed.sort_unstable_by_key(|&(key, _)| key);
         let triplets =
             keyed.into_iter().map(|(IdPair(p, u), c)| (PairId(p), UserId(u), c)).collect();
-        SearchLog::assemble(
-            self.users,
-            self.queries,
-            self.urls,
-            self.pair_keys,
-            self.pair_index,
-            triplets,
-        )
+        SearchLog::from_sorted_triplets(self.vocab, triplets)
     }
 }
 
@@ -572,14 +509,20 @@ mod tests {
             b.add(user, log.queries().resolve(r.query.0), log.urls().resolve(r.url.0), r.count)
                 .unwrap();
         }
-        assert!(Arc::ptr_eq(&b.users, &log.users), "known users: no copy");
-        assert!(Arc::ptr_eq(&b.queries, &log.queries), "known queries: no copy");
-        assert!(Arc::ptr_eq(&b.urls, &log.urls), "known urls: no copy");
+        assert!(Arc::ptr_eq(&b.vocab.users, &log.vocab.users), "known users: no copy");
+        assert!(Arc::ptr_eq(&b.vocab.queries, &log.vocab.queries), "known queries: no copy");
+        assert!(Arc::ptr_eq(&b.vocab.urls, &log.vocab.urls), "known urls: no copy");
         let u0 = log.users().resolve(0);
         b.add(u0, "a query new to the log", log.urls().resolve(0), 1).unwrap();
-        assert!(!Arc::ptr_eq(&b.queries, &log.queries), "a new query copies its interner");
-        assert!(Arc::ptr_eq(&b.users, &log.users) && Arc::ptr_eq(&b.urls, &log.urls));
-        assert_eq!(b.queries.len(), log.queries().len() + 1);
+        assert!(
+            !Arc::ptr_eq(&b.vocab.queries, &log.vocab.queries),
+            "a new query copies its interner"
+        );
+        assert!(
+            Arc::ptr_eq(&b.vocab.users, &log.vocab.users)
+                && Arc::ptr_eq(&b.vocab.urls, &log.vocab.urls)
+        );
+        assert_eq!(b.vocab.queries.len(), log.queries().len() + 1);
         let out = b.build();
         let key = |r: &LogRecord| (r.query.0, r.url.0, r.user.0, r.count);
         let mut got: Vec<_> = out.records().map(|r| key(&r)).collect();
@@ -597,14 +540,7 @@ mod tests {
             .pairs()
             .flat_map(|pe| log.holders(pe.pair).map(move |t| (pe.pair, t.user, t.count)))
             .collect();
-        let pair_keys = (0..log.n_pairs()).map(|i| log.pair_key(PairId::from_index(i))).collect();
-        let rebuilt = SearchLog::from_sorted_triplets(
-            Arc::clone(&log.users),
-            Arc::clone(&log.queries),
-            Arc::clone(&log.urls),
-            pair_keys,
-            triplets,
-        );
+        let rebuilt = SearchLog::from_sorted_triplets(log.vocab.clone(), triplets);
         assert_eq!(rebuilt.records().collect::<Vec<_>>(), log.records().collect::<Vec<_>>());
         for k in log.users_with_logs() {
             assert_eq!(
@@ -613,29 +549,37 @@ mod tests {
             );
         }
         assert_eq!(rebuilt.size(), log.size());
-        assert!(Arc::ptr_eq(&rebuilt.users, &log.users), "vocabulary is shared, not copied");
+        assert!(Arc::ptr_eq(&rebuilt.vocab.users, &log.vocab.users), "strings are shared");
     }
 
     #[test]
     #[should_panic(expected = "strictly sorted")]
     fn from_sorted_triplets_rejects_unsorted_input() {
         let log = figure1_log();
-        let pair_keys = vec![log.pair_key(PairId(0))];
         let _ = SearchLog::from_sorted_triplets(
-            Arc::clone(&log.users),
-            Arc::clone(&log.queries),
-            Arc::clone(&log.urls),
-            pair_keys,
+            log.vocab.clone(),
             vec![(PairId(0), UserId(1), 1), (PairId(0), UserId(0), 1)],
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "url id outside vocabulary")]
+    fn from_sorted_triplets_rejects_a_pair_key_outside_the_vocabulary() {
+        let log = figure1_log();
+        let mut vocab = log.vocab.share_strings();
+        vocab.pairs.intern(QueryId(0), UrlId(log.urls().len() as u32));
+        let _ = SearchLog::from_sorted_triplets(vocab, Vec::new());
     }
 
     #[test]
     fn derived_logs_share_the_vocabulary() {
         let log = figure1_log();
         let (sub, _) = log.retain_pairs(&vec![true; log.n_pairs()]);
-        assert!(Arc::ptr_eq(&sub.queries, &log.queries));
-        assert!(Arc::ptr_eq(&SearchLogBuilder::with_vocabulary_of(&log).build().urls, &log.urls));
+        assert!(Arc::ptr_eq(&sub.vocab.queries, &log.vocab.queries));
+        assert!(Arc::ptr_eq(
+            &SearchLogBuilder::with_vocabulary_of(&log).build().vocab.urls,
+            &log.vocab.urls
+        ));
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //! + user-hash shards → parallel drain → sort-only merge.
 //!
 //! Every string is interned exactly once, at intake, into one
-//! vocabulary shared by all shards. Records are applied in file order,
-//! so users, queries and urls get their ids in first-occurrence order
-//! and each new `(query, url)` key gets the next global pair id —
-//! exactly the ids a sequential [`read_tsv`] build assigns. Shards then
-//! hold only integer `(pair, user) → count` maps. The merge never sees
-//! a string: each shard drains to a `(pair, user)`-sorted vector (in
-//! parallel), the sorted runs are merged, and
-//! [`SearchLog::from_sorted_triplets`] fills the CSR arrays in one
-//! pass. Because the ids are global from the start, the streamed
+//! [`Vocabulary`] shared by all shards. Records are applied in file
+//! order, so users, queries and urls get their ids in first-occurrence
+//! order and the vocabulary's [`PairTable`] gives each new
+//! `(query, url)` key the next global pair id: exactly the ids a
+//! sequential [`read_tsv`] build assigns through the same table. Shards
+//! then hold only integer `(pair, user) → count` maps. The merge never
+//! sees a string: each shard drains to a `(pair, user)`-sorted vector
+//! (in parallel), the sorted runs are merged, and
+//! [`SearchLog::from_sorted_triplets`] fills the CSR arrays in one pass
+//! over the session vocabulary (moved into the log by
+//! [`IngestSession::finish`], copied by [`IngestSession::snapshot`]).
+//! Because the ids are global from the start, the streamed
 //! [`SearchLog`] is structurally identical to the one-shot in-memory
 //! build — same interners, same ids, same CSR arrays — for **any**
 //! shard count and any drain parallelism, so everything downstream
@@ -23,8 +26,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dpsan_searchlog::{
-    id_map_with_capacity, IdMap, IdPair, Interner, LogError, PairId, QueryId, SearchLog, TsvChunk,
-    TsvStream, UrlId, UserId,
+    Interner, LogError, PairId, PairTable, QueryId, SearchLog, TsvChunk, TsvStream, UrlId, UserId,
+    Vocabulary,
 };
 
 use crate::pool::run_sharded;
@@ -97,28 +100,15 @@ pub struct IngestResult {
     pub report: IngestReport,
 }
 
-/// The session-wide vocabulary: every user, query and url string
-/// interned once, in first-occurrence order, plus the global pair table
-/// in the same order. The interners sit behind [`Arc`] so a snapshot's
-/// log shares them; intake copies them only if such a log is still
-/// alive when the next chunk lands.
-#[derive(Debug, Default)]
-struct Vocabulary {
-    users: Arc<Interner>,
-    queries: Arc<Interner>,
-    urls: Arc<Interner>,
-    // (query, url) -> pair
-    pair_index: IdMap<u32>,
-    pair_keys: Vec<(QueryId, UrlId)>,
-}
-
 /// An incremental ingestion session: the always-on counterpart of
 /// [`ingest_tsv`].
 ///
 /// The one-shot engine ingests once and exits; a serving pipeline
 /// instead receives appended TSV chunks over time and must re-release
-/// between them. `IngestSession` keeps the session vocabulary and the
-/// per-shard triplet maps (and sketches, if configured) **live across
+/// between them. `IngestSession` keeps the session [`Vocabulary`]
+/// (every string interned once, in first-occurrence order, and the pair
+/// table in the same order) and the per-shard triplet maps (and
+/// sketches, if configured) **live across
 /// [`ingest`](IngestSession::ingest) calls** — so at every point in
 /// time the session's state is exactly what one-shot ingestion of the
 /// concatenated input would have produced.
@@ -165,11 +155,6 @@ impl IngestSession {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &StreamConfig {
-        &self.cfg
-    }
-
     /// Ingest one appended TSV chunk (any `BufRead` over *complete*
     /// lines). Returns the number of records added by this call.
     ///
@@ -207,7 +192,9 @@ impl IngestSession {
         result
     }
 
-    /// Intern and route one fully parsed chunk, in file order.
+    /// Intern and route one fully parsed chunk, in file order. The
+    /// interners are made unique once per chunk: a snapshot's log that
+    /// still shares them costs one copy here, not one check per row.
     fn apply(&mut self, chunk: TsvChunk<'_>) {
         let v = &mut self.vocab;
         let users = Arc::make_mut(&mut v.users);
@@ -216,16 +203,12 @@ impl IngestSession {
         for rec in chunk.iter() {
             let s = shard_of(rec.user, self.cfg.shards);
             let u = users.intern(rec.user);
-            let q = queries.intern(rec.query);
-            let l = urls.intern(rec.url);
-            let next = u32::try_from(v.pair_keys.len()).expect("pair id overflow");
-            let p = *v.pair_index.entry(IdPair(q, l)).or_insert_with(|| {
-                v.pair_keys.push((QueryId(q), UrlId(l)));
-                next
-            });
-            self.shards[s].add(p, u, rec.count);
+            let q = QueryId(queries.intern(rec.query));
+            let l = UrlId(urls.intern(rec.url));
+            let p = v.pairs.intern(q, l);
+            self.shards[s].add(p.0, u, rec.count);
             if let Some(sk) = self.sketches.get_mut(s) {
-                sk.offer(QueryId(q), UrlId(l), rec.count);
+                sk.offer(q, l, rec.count);
             }
         }
         self.report.rows += chunk.len() as u64;
@@ -251,12 +234,28 @@ impl IngestSession {
 
     /// Merge the current state into an [`IngestResult`] without
     /// consuming the session: shards drain to sorted vectors in
-    /// parallel, the runs are merged, and the log shares the session
-    /// vocabulary. Intake can continue afterwards. The returned log is
+    /// parallel, the runs are merged, and the log gets a copy of the
+    /// session vocabulary (its interners shared, its pair table
+    /// copied). Intake can continue afterwards. The returned log is
     /// structurally identical to a one-shot build of everything
     /// ingested so far.
     pub fn snapshot(&self) -> IngestResult {
         let started = Instant::now();
+        self.merge(self.vocab.clone(), started)
+    }
+
+    /// Merge and consume the session (the one-shot path): as
+    /// [`snapshot`](Self::snapshot), but the log takes the session
+    /// vocabulary itself.
+    pub fn finish(mut self) -> IngestResult {
+        let started = Instant::now();
+        let vocab = std::mem::take(&mut self.vocab);
+        self.merge(vocab, started)
+    }
+
+    /// Drain the shards into a log over `vocab`, the session
+    /// vocabulary; `started` opens the merge stage's timing.
+    fn merge(&self, vocab: Vocabulary, started: Instant) -> IngestResult {
         let views: Vec<&ShardIntake> = self.shards.iter().collect();
         let runs = run_sharded(views, self.cfg.jobs, ShardIntake::sorted_triplets);
         // Shards are user-disjoint, so the (pair, user) keys of the runs
@@ -265,25 +264,13 @@ impl IngestSession {
         let mut triplets: Vec<(PairId, UserId, u64)> =
             runs.into_iter().flatten().map(|(p, u, c)| (PairId(p), UserId(u), c)).collect();
         triplets.sort_by_key(|&(p, u, _)| (p, u));
-        let v = &self.vocab;
-        let log = SearchLog::from_sorted_triplets(
-            Arc::clone(&v.users),
-            Arc::clone(&v.queries),
-            Arc::clone(&v.urls),
-            v.pair_keys.clone(),
-            triplets,
-        );
+        let log = SearchLog::from_sorted_triplets(vocab, triplets);
         let sketch = merge_sketches(&self.sketches);
         let mut report = self.report;
         report.max_shard_triplets = self.max_shard_triplets();
         report.sketch_entries = sketch.as_ref().map_or(0, PairSketch::len);
         crate::obs::merge_seconds().record(started.elapsed().as_secs_f64());
         IngestResult { log, sketch, report }
-    }
-
-    /// Merge and consume the session (the one-shot path).
-    pub fn finish(self) -> IngestResult {
-        self.snapshot()
     }
 }
 
@@ -334,7 +321,7 @@ impl IngestSession {
                 users: strings(&v.users),
                 queries: strings(&v.queries),
                 urls: strings(&v.urls),
-                pairs: v.pair_keys.iter().map(|&(q, u)| (q.0, u.0)).collect(),
+                pairs: v.pairs.keys().iter().map(|&(q, u)| (q.0, u.0)).collect(),
             },
             shards: self.shards.iter().map(ShardIntake::export_state).collect(),
             rows: self.report.rows,
@@ -382,7 +369,7 @@ impl IngestSession {
         let home: Vec<usize> = vocab.users.iter().map(|(_, s)| shard_of(s, cfg.shards)).collect();
         let mut shards = Vec::with_capacity(cfg.shards);
         for (i, s) in state.shards.into_iter().enumerate() {
-            s.validate(vocab.pair_keys.len(), vocab.users.len())
+            s.validate(vocab.pairs.len(), vocab.users.len())
                 .map_err(|e| format!("shard {i}: {e}"))?;
             if let Some(&(_, u, _)) = s.triplets.iter().find(|t| home[t.1 as usize] != i) {
                 return Err(format!(
@@ -408,7 +395,7 @@ impl IngestSession {
     }
 }
 
-/// Rebuild the live vocabulary (interners and pair index) from its
+/// Rebuild the live vocabulary (interners and pair table) from its
 /// plain-data image, rejecting duplicates and out-of-range pair keys.
 fn restore_vocab(state: &VocabState) -> Result<Vocabulary, String> {
     let intern = |name: &str, strings: &[String]| {
@@ -424,17 +411,16 @@ fn restore_vocab(state: &VocabState) -> Result<Vocabulary, String> {
     let users = intern("user", &state.users)?;
     let queries = intern("query", &state.queries)?;
     let urls = intern("url", &state.urls)?;
-    let mut pair_index = id_map_with_capacity(state.pairs.len());
+    let mut pairs = PairTable::with_capacity(state.pairs.len());
     for (id, &(q, l)) in state.pairs.iter().enumerate() {
         if q as usize >= queries.len() || l as usize >= urls.len() {
             return Err(format!("pair key ({q}, {l}) outside the vocabulary"));
         }
-        if pair_index.insert(IdPair(q, l), id as u32).is_some() {
+        if pairs.intern(QueryId(q), UrlId(l)).index() != id {
             return Err(format!("duplicate pair key ({q}, {l})"));
         }
     }
-    let pair_keys = state.pairs.iter().map(|&(q, l)| (QueryId(q), UrlId(l))).collect();
-    Ok(Vocabulary { users, queries, urls, pair_index, pair_keys })
+    Ok(Vocabulary { users, queries, urls, pairs })
 }
 
 /// Shift an error's line number by the lines already consumed in
@@ -689,6 +675,11 @@ mod tests {
         lied.rows += 1;
         assert!(IngestSession::restore(cfg.clone(), lied).unwrap_err().contains("counter"));
 
+        let mut dup = state.clone();
+        dup.vocab.pairs[1] = dup.vocab.pairs[0];
+        let err = IngestSession::restore(cfg.clone(), dup).unwrap_err();
+        assert!(err.contains("duplicate pair key"), "{err}");
+
         let mut corrupt = state;
         corrupt.vocab.users.pop();
         assert!(IngestSession::restore(cfg, corrupt)
@@ -753,9 +744,12 @@ mod tests {
         let moved = state.shards[from].triplets.remove(0);
         state.shards[to].triplets.push(moved);
         state.shards[to].triplets.sort_unstable();
-        // keep the row counters consistent so only the routing is wrong
+        // keep the row and click counters consistent so only the
+        // routing is wrong
         state.shards[from].rows -= 1;
         state.shards[to].rows += 1;
+        state.shards[from].clicks -= moved.2;
+        state.shards[to].clicks += moved.2;
         let err = IngestSession::restore(cfg, state).unwrap_err();
         assert!(
             err.contains(&format!("shard {to}"))

@@ -21,14 +21,16 @@
 //! ([`dpsan_searchlog::frequent_pairs`]).
 //!
 //! * [`engine`] — the driver: chunked intake through
-//!   [`dpsan_searchlog::TsvStream`], one session-wide vocabulary that
-//!   interns every string once in file order (so ids are exactly the
-//!   ones a one-shot [`read_tsv`](dpsan_searchlog::io::read_tsv) build
-//!   assigns), and a merge that only sorts integers — the result is the
-//!   `read_tsv` log *bit for bit* for any shard count and any `jobs`
-//!   value,
+//!   [`dpsan_searchlog::TsvStream`], one session-wide
+//!   [`dpsan_searchlog::Vocabulary`] that interns every string once in
+//!   file order and numbers pairs through the same
+//!   [`dpsan_searchlog::PairTable`] a one-shot
+//!   [`read_tsv`](dpsan_searchlog::io::read_tsv) build uses (so the ids
+//!   are exactly its ids), and a merge that only sorts integers and
+//!   hands the vocabulary to the log — the result is the `read_tsv` log
+//!   *bit for bit* for any shard count and any `jobs` value,
 //! * [`shard`] — user-hash shards holding integer-only triplet maps and
-//!   mergeable statistics,
+//!   a row counter,
 //! * [`sketch`] — a mergeable weighted Misra–Gries heavy-hitters
 //!   sketch over interned `(query, url)` ids with the standard
 //!   `N/(k+1)` error bound, plus exactified frequent-pair mining; off

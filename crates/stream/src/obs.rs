@@ -7,7 +7,7 @@
 //! | `dpsan_ingest_shard_triplets_max` | gauge | peak staged triplets in any shard |
 //! | `dpsan_sketch_evictions_total` | counter | Misra–Gries eviction rounds (offer + merge); stays 0 unless a caller sets `sketch_capacity`, which no production caller does |
 //! | `dpsan_stage_seconds{stage="ingest"}` | histogram | wall time of one `IngestSession::ingest` call (parse, intern, route) |
-//! | `dpsan_stage_seconds{stage="merge"}` | histogram | wall time of one `IngestSession::snapshot` (drain, merge) |
+//! | `dpsan_stage_seconds{stage="merge"}` | histogram | wall time of one `IngestSession::snapshot` or `finish` (drain, merge) |
 //!
 //! Recording is observational only and off the per-record path: row
 //! and chunk counts add once per `ingest` call, the shard gauge is a
@@ -50,7 +50,7 @@ pub fn ingest_seconds() -> &'static Arc<Histogram> {
     })
 }
 
-/// Wall time of each `IngestSession::snapshot` (and so `finish`) call.
+/// Wall time of each `IngestSession::snapshot` or `finish` call.
 pub fn merge_seconds() -> &'static Arc<Histogram> {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| {

@@ -6,9 +6,9 @@
 //! never reach a shard: the session interns every user, query and url
 //! once, into one session-wide vocabulary, and assigns global pair ids
 //! at intake (see [`crate::engine`]). A shard keeps only its
-//! `(pair, user) → count` map and its row/click counters, and
-//! drains to a `(pair, user)`-sorted triplet vector that the engine
-//! merges without touching a string.
+//! `(pair, user) → count` map and its row counter, and drains to a
+//! `(pair, user)`-sorted triplet vector that the engine merges without
+//! touching a string.
 //!
 //! Per row a shard does one lookup in a map keyed by the `(pair, user)`
 //! ids, hashed as one packed `u64` by the keyed integer hasher
@@ -44,7 +44,6 @@ pub struct ShardIntake {
     // (pair, user) -> count
     triplets: IdMap<u64>,
     rows: u64,
-    clicks: u64,
 }
 
 impl ShardIntake {
@@ -59,7 +58,6 @@ impl ShardIntake {
     pub fn add(&mut self, pair: u32, user: u32, count: u64) {
         debug_assert!(count > 0, "zero counts are rejected by the reader");
         self.rows += 1;
-        self.clicks += count;
         *self.triplets.entry(IdPair(pair, user)).or_insert(0) += count;
     }
 
@@ -93,14 +91,16 @@ pub struct ShardState {
     pub triplets: Vec<(u32, u32, u64)>,
     /// Raw records routed to this shard so far.
     pub rows: u64,
-    /// Click volume of those records.
+    /// Click volume of those records: the sum of the triplet counts.
     pub clicks: u64,
 }
 
 impl ShardState {
     /// Structural sanity of a decoded state against a vocabulary of
     /// `n_pairs` pairs and `n_users` users: ids in range, positive
-    /// counts, strictly sorted (hence duplicate-free) triplets. Returns
+    /// counts, strictly sorted (hence duplicate-free) triplets, and a
+    /// `clicks` equal to their count sum (what a re-export derives, so a
+    /// restored session exports the same bytes). Returns
     /// a description of the first violation, if any — a
     /// corrupt-but-checksum-valid snapshot must never panic deep inside
     /// intake.
@@ -118,6 +118,10 @@ impl ShardState {
             }
             prev = Some((p, u));
         }
+        let sum: u128 = self.triplets.iter().map(|t| u128::from(t.2)).sum();
+        if sum != u128::from(self.clicks) {
+            return Err(format!("clicks {} but the triplet counts sum to {sum}", self.clicks));
+        }
         Ok(())
     }
 }
@@ -125,7 +129,9 @@ impl ShardState {
 impl ShardIntake {
     /// Export the live state as plain data (see [`ShardState`]).
     pub fn export_state(&self) -> ShardState {
-        ShardState { triplets: self.sorted_triplets(), rows: self.rows, clicks: self.clicks }
+        let triplets = self.sorted_triplets();
+        let clicks = triplets.iter().map(|t| t.2).sum();
+        ShardState { triplets, rows: self.rows, clicks }
     }
 
     /// Rebuild a live shard from exported state that already passed
@@ -134,7 +140,6 @@ impl ShardIntake {
         ShardIntake {
             triplets: state.triplets.iter().map(|&(p, u, c)| (IdPair(p, u), c)).collect(),
             rows: state.rows,
-            clicks: state.clicks,
         }
     }
 }
@@ -210,8 +215,14 @@ mod tests {
         let mut bad = good.clone();
         bad.triplets[0].2 = 0;
         assert!(bad.validate(2, 1).unwrap_err().contains("zero-count"));
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.triplets.swap(0, 1);
         assert!(bad.validate(2, 1).unwrap_err().contains("out of order"));
+        let mut bad = good;
+        bad.clicks += 1;
+        assert!(bad
+            .validate(2, 1)
+            .unwrap_err()
+            .contains("clicks 4 but the triplet counts sum to 3"));
     }
 }

@@ -7,9 +7,10 @@
 use std::io::Cursor;
 
 use dpsan_searchlog::io::read_tsv;
-use dpsan_searchlog::{frequent_pairs, QueryId, UrlId};
-use dpsan_stream::{ingest_tsv, sketch_frequent_pairs, PairSketch, StreamConfig};
+use dpsan_searchlog::{frequent_pairs, preprocess, QueryId, SearchLog, UrlId};
+use dpsan_stream::{ingest_tsv, sketch_frequent_pairs, IngestSession, PairSketch, StreamConfig};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Random raw tuples over small id spaces (duplicates intended).
 fn arb_tuples() -> impl Strategy<Value = Vec<(u8, u8, u8, u8)>> {
@@ -20,6 +21,18 @@ fn to_tsv(tuples: &[(u8, u8, u8, u8)]) -> String {
     tuples.iter().map(|&(u, q, l, c)| format!("user{u}\tq{q}\tl{l}\t{c}\n")).collect()
 }
 
+/// Every pair of `log`, and of its preprocessed log, is found again
+/// by its key.
+fn assert_pair_lookups(log: &SearchLog) -> Result<(), TestCaseError> {
+    for l in [log, &preprocess(log).0] {
+        for e in l.pairs() {
+            let (q, u) = l.pair_key(e.pair);
+            prop_assert_eq!(l.pair_id(q, u), Some(e.pair));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn streamed_log_is_the_in_memory_log(
@@ -27,6 +40,7 @@ proptest! {
         shards in 1usize..7,
         jobs in 1usize..4,
         chunk in 1usize..9,
+        split in 0usize..60,
     ) {
         let text = to_tsv(&tuples);
         let reference = read_tsv(Cursor::new(text.as_str())).unwrap();
@@ -44,6 +58,22 @@ proptest! {
         // and the memory counters respect their bounds
         prop_assert!(got.report.peak_chunk_rows <= chunk);
         prop_assert_eq!(got.report.rows, tuples.len() as u64);
+
+        // a snapshot taken mid-stream keeps its pair table while intake
+        // goes on
+        let split = split.min(tuples.len());
+        let mut session = IngestSession::new(cfg);
+        session.ingest(Cursor::new(to_tsv(&tuples[..split]))).unwrap();
+        let snap = session.snapshot();
+        session.ingest(Cursor::new(to_tsv(&tuples[split..]))).unwrap();
+        let prefix = read_tsv(Cursor::new(to_tsv(&tuples[..split]))).unwrap();
+        prop_assert_eq!(recs(&snap.log), recs(&prefix));
+        prop_assert_eq!(recs(&session.finish().log), recs(&reference));
+
+        // every build path finds each pair by its key
+        for log in [&got.log, &snap.log, &reference] {
+            assert_pair_lookups(log)?;
+        }
     }
 
     #[test]
