@@ -151,7 +151,8 @@ fn bench(c: &mut Criterion) {
     g.bench_function("ingest_stream", |b| {
         // the sharded bounded-memory intake on a spooled tiny log:
         // chunked parse → user-hash shards → drain → deterministic
-        // merge (single worker so the entry tracks work, not threads)
+        // merge (one drain worker; intake always runs its reader
+        // thread beside the calling one)
         let mut tsv = Vec::new();
         write_log_tsv(&presets::aol_tiny(), &mut tsv).expect("spool tiny log");
         let cfg = StreamConfig { shards: 8, jobs: 1, ..Default::default() };
@@ -166,8 +167,9 @@ fn bench(c: &mut Criterion) {
         // users exactly the way `genlog --scale small --users 20000`
         // scales it (≈0.95M rows, generated once, untimed), ingested
         // the way `sanitize` ingests it for every mechanism — 16
-        // shards, 8192-row chunks, no sketch — parse, intern, route,
-        // drain and merge on one worker
+        // shards, 8192-row chunks, no sketch: parse, url interning and
+        // routing on the intake's reader thread, the rest of intake on
+        // the calling thread, then drain and merge on one worker
         let mut cfg = dpsan_eval::Scale::Small.config();
         let users = 20_000usize;
         let ratio = users as f64 / cfg.n_users as f64;

@@ -58,7 +58,8 @@ const USAGE: &str = "usage: sanitize <input.tsv> [options]
                            as capped=1.
   --seed <n>               sampling / noise seed     (default: fixed)
   --shards <n>             user-hash shards          (default: 16)
-  --chunk-rows <n>         max raw rows in memory    (default: 8192)
+  --chunk-rows <n>         raw rows per chunk        (default: 8192);
+                           two chunks are in memory at once
   --jobs <n>               shard-drain workers       (default: available cores)
   --stats                  ingestion + run + solver report to stderr
   --metrics-file <path>    write a Prometheus-text telemetry snapshot here at

@@ -43,13 +43,24 @@ impl Interner {
 
     /// Create an interner with pre-reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        let mut i = Interner {
-            ends: Vec::with_capacity(cap),
-            hashes: Vec::with_capacity(cap),
-            ..Self::default()
-        };
-        i.rehash((cap * 2).next_power_of_two());
+        let mut i = Self::default();
+        i.reserve(cap, 0);
         i
+    }
+
+    /// Reserve room for `strings` more strings of `bytes` bytes in all,
+    /// so that interning them allocates nothing. Growth reallocates the
+    /// blocks this makes, and glibc's malloc keeps a reallocated block
+    /// in the arena it came from, so an interner that another thread
+    /// fills is best reserved on the thread that owns it.
+    pub fn reserve(&mut self, strings: usize, bytes: usize) {
+        self.arena.reserve(bytes);
+        self.ends.reserve(strings);
+        self.hashes.reserve(strings);
+        let size = (2 * (self.len() + strings)).next_power_of_two().max(16);
+        if size > self.slots.len() {
+            self.rehash(size);
+        }
     }
 
     /// The slot holding `s` (`Ok`) or the empty slot where it would go
@@ -71,9 +82,11 @@ impl Interner {
         }
     }
 
-    /// Rebuild the table at `size` slots (a power of two).
+    /// Rebuild the table at `size` slots (a power of two), in the
+    /// table's own allocation.
     fn rehash(&mut self, size: usize) {
-        self.slots = vec![0; size];
+        self.slots.clear();
+        self.slots.resize(size, 0);
         let mask = size - 1;
         for (id, &h) in self.hashes.iter().enumerate() {
             let mut pos = h as usize & mask;

@@ -12,9 +12,11 @@
 //!   aggregate.
 //!
 //! TSV is read by one loop, [`TsvStream::read_chunk`]: it parses a
-//! bounded chunk of lines at a time into one reused buffer and lends
-//! out borrowed [`RecordRef`]s, so callers like `dpsan-stream` can
-//! ingest logs far larger than memory without allocating per row.
+//! bounded chunk of lines at a time into a caller-owned, reused
+//! [`TsvChunk`] that lends out borrowed [`RecordRef`]s, so callers like
+//! `dpsan-stream` can ingest logs far larger than memory without
+//! allocating per row, and can parse one chunk while another is
+//! applied.
 //! [`read_tsv`] runs the same loop into a [`SearchLogBuilder`], the
 //! independent one-shot oracle a streamed-then-merged log is proven
 //! equal to.
@@ -81,29 +83,35 @@ struct RowSpan {
 /// An incremental reader of the native 4-column TSV format.
 ///
 /// [`TsvStream::read_chunk`] is the bounded-memory intake primitive: it
-/// reads up to `max` data lines into one buffer that every chunk
-/// reuses, parses them all, and lends them out as a [`TsvChunk`] — no
-/// allocation per row. Comments and blank lines are skipped, records
-/// come in file order, and errors carry the physical line number.
+/// reads up to `max` data lines into a caller-owned [`TsvChunk`] and
+/// parses them all — no allocation per row, and none at all once the
+/// chunk's buffers have grown to fit. Comments and blank lines are
+/// skipped, records come in file order, and errors carry the physical
+/// line number.
 #[derive(Debug)]
 pub struct TsvStream<R> {
     reader: R,
     lineno: usize,
-    // one buffer for the whole stream: the data lines of the current
-    // chunk, back to back
+}
+
+/// One chunk of parsed records: the buffer [`TsvStream::read_chunk`]
+/// fills. The caller owns it and passes it back for the next chunk, so
+/// its allocations are reused, and it can hand a filled chunk to another
+/// thread while the stream fills a second one.
+#[derive(Debug, Default)]
+pub struct TsvChunk {
+    // the data lines of the chunk, back to back
     text: String,
     rows: Vec<RowSpan>,
 }
 
-/// One chunk of parsed records, borrowed from a [`TsvStream`]'s buffer
-/// (see [`TsvStream::read_chunk`]).
-#[derive(Debug, Clone, Copy)]
-pub struct TsvChunk<'a> {
-    text: &'a str,
-    rows: &'a [RowSpan],
-}
+impl TsvChunk {
+    /// An empty chunk with room for `rows` records of `bytes` bytes in
+    /// all (both grow as needed).
+    pub fn with_capacity(rows: usize, bytes: usize) -> Self {
+        TsvChunk { text: String::with_capacity(bytes), rows: Vec::with_capacity(rows) }
+    }
 
-impl<'a> TsvChunk<'a> {
     /// Number of records in the chunk.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -115,8 +123,8 @@ impl<'a> TsvChunk<'a> {
     }
 
     /// The records, in file order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = RecordRef<'a>> + 'a {
-        let text = self.text;
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = RecordRef<'_>> + '_ {
+        let text = self.text.as_str();
         self.rows.iter().map(move |r| {
             let query = r.start + r.user_len + 1;
             let url = query + r.query_len + 1;
@@ -133,7 +141,7 @@ impl<'a> TsvChunk<'a> {
 impl<R: BufRead> TsvStream<R> {
     /// Wrap a buffered reader.
     pub fn new(reader: R) -> Self {
-        TsvStream { reader, lineno: 0, text: String::new(), rows: Vec::new() }
+        TsvStream { reader, lineno: 0 }
     }
 
     /// The number of physical lines consumed so far (including skipped
@@ -142,22 +150,23 @@ impl<R: BufRead> TsvStream<R> {
         self.lineno
     }
 
-    /// Read and parse up to `max` records; an empty chunk means end of
-    /// input. The whole chunk is parsed before it is returned, so an
-    /// error discards it whole.
+    /// Read and parse up to `max` records into `chunk`, replacing what
+    /// it held; an empty chunk means end of input. The whole chunk is
+    /// parsed before this returns, so an error discards it whole (its
+    /// contents are then unspecified).
     ///
     /// A caller that reads chunk after chunk never holds more than `max`
-    /// raw rows at once, and the buffer behind them is reused.
-    pub fn read_chunk(&mut self, max: usize) -> Result<TsvChunk<'_>, LogError> {
-        self.text.clear();
-        self.rows.clear();
-        while self.rows.len() < max {
-            let start = self.text.len();
-            if self.reader.read_line(&mut self.text)? == 0 {
+    /// raw rows per chunk it owns.
+    pub fn read_chunk(&mut self, max: usize, chunk: &mut TsvChunk) -> Result<(), LogError> {
+        chunk.text.clear();
+        chunk.rows.clear();
+        while chunk.rows.len() < max {
+            let start = chunk.text.len();
+            if self.reader.read_line(&mut chunk.text)? == 0 {
                 break;
             }
             self.lineno += 1;
-            let span = parse_line(&self.text[start..], self.lineno)?.map(|r| RowSpan {
+            let span = parse_line(&chunk.text[start..], self.lineno)?.map(|r| RowSpan {
                 start,
                 user_len: r.user.len(),
                 query_len: r.query.len(),
@@ -165,11 +174,11 @@ impl<R: BufRead> TsvStream<R> {
                 count: r.count,
             });
             match span {
-                Some(span) => self.rows.push(span),
-                None => self.text.truncate(start),
+                Some(span) => chunk.rows.push(span),
+                None => chunk.text.truncate(start),
             }
         }
-        Ok(TsvChunk { text: &self.text, rows: &self.rows })
+        Ok(())
     }
 }
 
@@ -185,8 +194,9 @@ const READ_CHUNK_ROWS: usize = 8 * 1024;
 pub fn read_tsv<R: BufRead>(reader: R) -> Result<SearchLog, LogError> {
     let mut b = SearchLogBuilder::new();
     let mut stream = TsvStream::new(reader);
+    let mut chunk = TsvChunk::default();
     loop {
-        let chunk = stream.read_chunk(READ_CHUNK_ROWS)?;
+        stream.read_chunk(READ_CHUNK_ROWS, &mut chunk)?;
         if chunk.is_empty() {
             return Ok(b.build());
         }
@@ -329,9 +339,10 @@ mod tests {
     /// lines consumed.
     fn read_all(text: &str, max: usize) -> Result<(Vec<Owned>, usize), LogError> {
         let mut stream = TsvStream::new(Cursor::new(text));
+        let mut chunk = TsvChunk::default();
         let mut recs = Vec::new();
         loop {
-            let chunk = stream.read_chunk(max)?;
+            stream.read_chunk(max, &mut chunk)?;
             if chunk.is_empty() {
                 return Ok((recs, stream.lines_read()));
             }
@@ -355,10 +366,12 @@ mod tests {
     fn stream_chunking_bounds_resident_rows() {
         let text: String = (0..10).map(|i| format!("u{i}\tq\tl\t1\n")).collect();
         let mut stream = TsvStream::new(Cursor::new(text));
+        let mut chunk = TsvChunk::default();
         let mut total = 0;
         let mut chunks = 0;
         loop {
-            let n = stream.read_chunk(4).unwrap().len();
+            stream.read_chunk(4, &mut chunk).unwrap();
+            let n = chunk.len();
             if n == 0 {
                 break;
             }
@@ -388,8 +401,10 @@ mod tests {
     fn chunk_errors_carry_global_line_numbers() {
         let text = "u1\tq\tl\t2\n#\nu2\tq\tl\t1\nu3\tq\tl\n";
         let mut stream = TsvStream::new(Cursor::new(text));
-        assert_eq!(stream.read_chunk(2).unwrap().len(), 2);
-        let err = stream.read_chunk(2).unwrap_err();
+        let mut chunk = TsvChunk::default();
+        stream.read_chunk(2, &mut chunk).unwrap();
+        assert_eq!(chunk.len(), 2);
+        let err = stream.read_chunk(2, &mut chunk).unwrap_err();
         assert!(matches!(err, LogError::Parse { line: 4, .. }), "{err}");
     }
 

@@ -205,8 +205,10 @@ impl ServeSession {
     }
 
     /// Ingest one appended chunk of complete TSV lines; feeds the
-    /// trigger. Returns the rows added.
-    pub fn feed<R: BufRead>(&mut self, reader: R) -> Result<u64, ServeError> {
+    /// trigger. Returns the rows added. `reader` is `Send` because the
+    /// ingest session parses on a reader thread of its own
+    /// ([`IngestSession::ingest`]).
+    pub fn feed<R: BufRead + Send>(&mut self, reader: R) -> Result<u64, ServeError> {
         let added = self.ingest.ingest(reader)?;
         self.pending_rows += added;
         Ok(added)

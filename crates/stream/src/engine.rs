@@ -1,29 +1,47 @@
-//! The ingestion engine: chunked intake → one session-wide vocabulary
-//! + user-hash shards → parallel drain → sort-only merge.
+//! The ingestion engine: two-stage chunked intake → one session-wide
+//! vocabulary + user-hash shards → parallel drain → sort-only merge.
 //!
 //! Every string is interned exactly once, at intake, into one
-//! [`Vocabulary`] shared by all shards. Records are applied in file
-//! order, so users, queries and urls get their ids in first-occurrence
-//! order and the vocabulary's [`PairTable`] gives each new
-//! `(query, url)` key the next global pair id: exactly the ids a
-//! sequential [`read_tsv`] build assigns through the same table. Shards
-//! then hold only integer `(pair, user) → count` maps. The merge never
-//! sees a string: each shard drains to a `(pair, user)`-sorted vector
-//! (in parallel), the sorted runs are merged, and
-//! [`SearchLog::from_sorted_triplets`] fills the CSR arrays in one pass
-//! over the session vocabulary (moved into the log by
-//! [`IngestSession::finish`], copied by [`IngestSession::snapshot`]).
-//! Because the ids are global from the start, the streamed
-//! [`SearchLog`] is structurally identical to the one-shot in-memory
-//! build — same interners, same ids, same CSR arrays — for **any**
-//! shard count and any drain parallelism, so everything downstream
-//! (constraints, LP, sampling) is byte-identical.
+//! [`Vocabulary`] shared by all shards. [`IngestSession::ingest`] runs
+//! intake as a pipeline of two threads, each owning its columns:
+//!
+//! * **the reader stage** — a scoped thread, joined before `ingest`
+//!   returns on every path — reads and parses a whole chunk
+//!   ([`TsvStream::read_chunk`]), then interns the chunk's **urls** and
+//!   computes each row's shard (`shard_of(user)`), and passes the chunk
+//!   on over a bounded channel. Two chunk buffers circulate, so one
+//!   chunk is parsed while the other is applied;
+//! * **the session thread** (the caller's) interns **users** and
+//!   **queries**, assigns the **pair id** ([`PairTable::intern`]) and
+//!   appends `(pair, user, count)` to the row's shard.
+//!
+//! Each interner sees the rows in file order, so users, queries and urls
+//! get their ids in first-occurrence order and each new `(query, url)`
+//! key gets the next global pair id: exactly the ids a sequential
+//! [`read_tsv`] build assigns through the same table. A chunk is parsed
+//! in full before any of its urls are interned, and every chunk the
+//! reader passes on is applied, so a parse error leaves the session
+//! exactly as if the input had ended before the failing chunk.
+//!
+//! Shards hold only integer triplets, staged as sorted runs with no map
+//! (see [`crate::shard`]). The merge never sees a string: each shard
+//! drains to a `(pair, user)`-sorted vector (in parallel), the sorted
+//! runs are merged, and [`SearchLog::from_sorted_triplets`] fills the
+//! CSR arrays in one pass over the session vocabulary (moved into the
+//! log by [`IngestSession::finish`], copied by
+//! [`IngestSession::snapshot`]). Because the ids are global from the
+//! start, the streamed [`SearchLog`] is structurally identical to the
+//! one-shot in-memory build — same interners, same ids, same CSR
+//! arrays — for **any** shard count, chunk size and drain parallelism,
+//! so everything downstream (constraints, LP, sampling) is
+//! byte-identical.
 //!
 //! [`read_tsv`]: dpsan_searchlog::io::read_tsv
 
 use std::io::BufRead;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dpsan_searchlog::{
     Interner, LogError, PairId, PairTable, QueryId, SearchLog, TsvChunk, TsvStream, UrlId, UserId,
@@ -40,7 +58,10 @@ pub struct StreamConfig {
     /// Number of user-hash shards (≥ 1). Shard assignment depends only
     /// on the user string, never on this machine or run.
     pub shards: usize,
-    /// Maximum raw records resident at once (the chunk buffer bound).
+    /// Maximum raw records per chunk buffer. Intake keeps two chunk
+    /// buffers in flight (one parsed while the other is applied), so up
+    /// to twice this many raw records are resident at once;
+    /// [`IngestReport::peak_chunk_rows`] stays per chunk.
     pub chunk_rows: usize,
     /// Heavy-hitters sketch capacity per shard; `0` (the default)
     /// disables sketching.
@@ -75,11 +96,13 @@ pub struct IngestReport {
     pub rows: u64,
     /// Physical lines consumed (including comments/blanks).
     pub lines: u64,
-    /// Largest number of raw records resident at once — never exceeds
-    /// the configured `chunk_rows`.
+    /// Largest number of raw records in one chunk — never exceeds the
+    /// configured `chunk_rows`.
     pub peak_chunk_rows: usize,
-    /// Largest per-shard aggregated triplet count at end of intake —
-    /// the per-shard memory footprint.
+    /// Largest per-shard aggregated triplet count at end of intake (of
+    /// the drained runs) — the per-shard memory footprint, which the
+    /// staged runs exceed by at most itself plus
+    /// [`FOLD_FLOOR`](crate::shard::FOLD_FLOOR).
     pub max_shard_triplets: usize,
     /// Live counters in the merged sketch (≤ configured capacity), 0
     /// when sketching is disabled.
@@ -107,7 +130,7 @@ pub struct IngestResult {
 /// instead receives appended TSV chunks over time and must re-release
 /// between them. `IngestSession` keeps the session [`Vocabulary`]
 /// (every string interned once, in first-occurrence order, and the pair
-/// table in the same order) and the per-shard triplet maps (and
+/// table in the same order) and the per-shard staged triplets (and
 /// sketches, if configured) **live across
 /// [`ingest`](IngestSession::ingest) calls** — so at every point in
 /// time the session's state is exactly what one-shot ingestion of the
@@ -124,7 +147,9 @@ pub struct IngestResult {
 /// An `ingest` call that fails (parse error) applies all complete
 /// chunks read before the error and discards the partial one. A chunk
 /// is parsed in full before any of it is interned, so a discarded chunk
-/// leaves no trace — not even vocabulary. The session stays usable and
+/// leaves no trace — not even vocabulary — although the reader stage
+/// parses it while earlier chunks are still being applied. The session
+/// stays usable and
 /// the error's line number is global across every ingest call
 /// (continuation lines keep counting up).
 #[derive(Debug)]
@@ -158,60 +183,73 @@ impl IngestSession {
     /// Ingest one appended TSV chunk (any `BufRead` over *complete*
     /// lines). Returns the number of records added by this call.
     ///
+    /// The call runs two stages (see the module docs): a reader thread,
+    /// which owns `reader` — hence the `Send` bound — and is joined
+    /// before this returns, on every path.
+    ///
     /// Line numbers in errors are global: a parse error on the first
     /// line of the third appended chunk reports the stream-wide line
     /// number, not `1`.
-    pub fn ingest<R: BufRead>(&mut self, reader: R) -> Result<u64, LogError> {
+    pub fn ingest<R: BufRead + Send>(&mut self, reader: R) -> Result<u64, LogError> {
         let started = Instant::now();
         let lines_before = self.report.lines;
-        let mut stream = TsvStream::new(reader);
+        let (chunk_rows, n_shards) = (self.cfg.chunk_rows, self.cfg.shards);
+        // The interners are made unique once per call: a snapshot's log
+        // that still shares them costs one copy here, not one check per
+        // row. The url interner then belongs to the reader stage until
+        // it is joined; its first allocation is made here, so that it
+        // grows in this thread's malloc arena.
+        let Vocabulary { users, queries, urls, pairs } = &mut self.vocab;
+        let (users, queries, urls) =
+            (Arc::make_mut(users), Arc::make_mut(queries), Arc::make_mut(urls));
+        if urls.is_empty() {
+            urls.reserve(STAGE_ROWS, STAGE_ROWS * STAGE_ROW_BYTES);
+        }
+        let (shards, sketches, report) = (&mut self.shards, &mut self.sketches, &mut self.report);
         let mut added: u64 = 0;
         let mut chunks: u64 = 0;
-        let result = loop {
-            // `read_chunk` parses the whole chunk before returning, so
-            // an error discards it before anything is interned
-            match stream.read_chunk(self.cfg.chunk_rows) {
-                Ok(chunk) if chunk.is_empty() => break Ok(added),
-                Ok(chunk) => {
-                    chunks += 1;
-                    self.report.peak_chunk_rows = self.report.peak_chunk_rows.max(chunk.len());
-                    added += chunk.len() as u64;
-                    self.apply(chunk);
-                }
-                Err(e) => break Err(offset_error_lines(e, lines_before)),
+        let (lines, parse_busy, result) = std::thread::scope(|scope| {
+            // created inside the scope, so a panic here drops them and
+            // the reader stops instead of waiting on them forever
+            let (full_tx, full_rx) = mpsc::sync_channel(IN_FLIGHT);
+            let (free_tx, free_rx) = mpsc::sync_channel(IN_FLIGHT);
+            for _ in 0..IN_FLIGHT {
+                free_tx.send(Staged::new(chunk_rows)).expect("the receiver is in this scope");
             }
-        };
-        self.report.lines = lines_before + stream.lines_read() as u64;
+            let reader = scope
+                .spawn(move || read_stage(reader, urls, chunk_rows, n_shards, &free_rx, &full_tx));
+            for staged in &full_rx {
+                chunks += 1;
+                let n = staged.chunk.len();
+                report.peak_chunk_rows = report.peak_chunk_rows.max(n);
+                for (rec, &(l, s)) in staged.chunk.iter().zip(&staged.routes) {
+                    let u = users.intern(rec.user);
+                    let q = QueryId(queries.intern(rec.query));
+                    let p = pairs.intern(q, l);
+                    shards[s].add(p.0, u, rec.count);
+                    if let Some(sk) = sketches.get_mut(s) {
+                        sk.offer(q, l, rec.count);
+                    }
+                }
+                added += n as u64;
+                report.rows += n as u64;
+                // never blocks: the channel has room for every buffer.
+                // It fails only once the reader has stopped.
+                let _ = free_tx.send(staged);
+            }
+            reader.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
+        });
+        self.report.lines = lines_before + lines as u64;
         // Observational telemetry, once per call: the applied rows and
         // chunks (complete chunks land even when a later chunk errors),
-        // the peak staged shard size and the call's wall time.
+        // the peak staged shard size, the reader stage's busy time and
+        // the call's wall time.
         crate::obs::rows_total().add(added);
         crate::obs::chunks_total().add(chunks);
-        crate::obs::shard_triplets_max().max(self.max_shard_triplets() as f64);
+        crate::obs::shard_triplets_max().max(self.max_staged_triplets() as f64);
+        crate::obs::parse_seconds().record(parse_busy.as_secs_f64());
         crate::obs::ingest_seconds().record(started.elapsed().as_secs_f64());
-        result
-    }
-
-    /// Intern and route one fully parsed chunk, in file order. The
-    /// interners are made unique once per chunk: a snapshot's log that
-    /// still shares them costs one copy here, not one check per row.
-    fn apply(&mut self, chunk: TsvChunk<'_>) {
-        let v = &mut self.vocab;
-        let users = Arc::make_mut(&mut v.users);
-        let queries = Arc::make_mut(&mut v.queries);
-        let urls = Arc::make_mut(&mut v.urls);
-        for rec in chunk.iter() {
-            let s = shard_of(rec.user, self.cfg.shards);
-            let u = users.intern(rec.user);
-            let q = QueryId(queries.intern(rec.query));
-            let l = UrlId(urls.intern(rec.url));
-            let p = v.pairs.intern(q, l);
-            self.shards[s].add(p.0, u, rec.count);
-            if let Some(sk) = self.sketches.get_mut(s) {
-                sk.offer(q, l, rec.count);
-            }
-        }
-        self.report.rows += chunk.len() as u64;
+        result.map(|()| added).map_err(|e| offset_error_lines(e, lines_before))
     }
 
     /// Records ingested so far (across every `ingest` call).
@@ -219,15 +257,17 @@ impl IngestSession {
         self.report.rows
     }
 
-    fn max_shard_triplets(&self) -> usize {
+    fn max_staged_triplets(&self) -> usize {
         self.shards.iter().map(ShardIntake::staged_triplets).max().unwrap_or(0)
     }
 
     /// The memory-bound counters so far. `max_shard_triplets` and
-    /// `sketch_entries` reflect the *current* staged state.
+    /// `sketch_entries` reflect the *current* state (each shard is
+    /// folded on a copy to count its aggregated triplets).
     pub fn report(&self) -> IngestReport {
         let mut r = self.report;
-        r.max_shard_triplets = self.max_shard_triplets();
+        r.max_shard_triplets =
+            self.shards.iter().map(|s| s.sorted_triplets().len()).max().unwrap_or(0);
         r.sketch_entries = merge_sketches(&self.sketches).as_ref().map_or(0, PairSketch::len);
         r
     }
@@ -241,7 +281,9 @@ impl IngestSession {
     /// ingested so far.
     pub fn snapshot(&self) -> IngestResult {
         let started = Instant::now();
-        self.merge(self.vocab.clone(), started)
+        let views: Vec<&ShardIntake> = self.shards.iter().collect();
+        let runs = run_sharded(views, self.cfg.jobs, ShardIntake::sorted_triplets);
+        self.merge(runs, self.vocab.clone(), started)
     }
 
     /// Merge and consume the session (the one-shot path): as
@@ -249,15 +291,21 @@ impl IngestSession {
     /// vocabulary itself.
     pub fn finish(mut self) -> IngestResult {
         let started = Instant::now();
+        let shards = std::mem::take(&mut self.shards);
+        let runs = run_sharded(shards, self.cfg.jobs, ShardIntake::into_sorted_triplets);
         let vocab = std::mem::take(&mut self.vocab);
-        self.merge(vocab, started)
+        self.merge(runs, vocab, started)
     }
 
-    /// Drain the shards into a log over `vocab`, the session
-    /// vocabulary; `started` opens the merge stage's timing.
-    fn merge(&self, vocab: Vocabulary, started: Instant) -> IngestResult {
-        let views: Vec<&ShardIntake> = self.shards.iter().collect();
-        let runs = run_sharded(views, self.cfg.jobs, ShardIntake::sorted_triplets);
+    /// Merge the drained shard `runs` into a log over `vocab`, the
+    /// session vocabulary; `started` opens the merge stage's timing.
+    fn merge(
+        &self,
+        runs: Vec<Vec<(u32, u32, u64)>>,
+        vocab: Vocabulary,
+        started: Instant,
+    ) -> IngestResult {
+        let max_shard_triplets = runs.iter().map(Vec::len).max().unwrap_or(0);
         // Shards are user-disjoint, so the (pair, user) keys of the runs
         // never collide; the stable sort detects the sorted runs and
         // merges them.
@@ -267,7 +315,7 @@ impl IngestSession {
         let log = SearchLog::from_sorted_triplets(vocab, triplets);
         let sketch = merge_sketches(&self.sketches);
         let mut report = self.report;
-        report.max_shard_triplets = self.max_shard_triplets();
+        report.max_shard_triplets = max_shard_triplets;
         report.sketch_entries = sketch.as_ref().map_or(0, PairSketch::len);
         crate::obs::merge_seconds().record(started.elapsed().as_secs_f64());
         IngestResult { log, sketch, report }
@@ -423,6 +471,82 @@ fn restore_vocab(state: &VocabState) -> Result<Vocabulary, String> {
     Ok(Vocabulary { users, queries, urls, pairs })
 }
 
+/// Chunks in flight between the two intake stages: one being parsed
+/// while the other is applied.
+const IN_FLIGHT: usize = 2;
+
+/// Initial rows of a stage buffer, and of room in an empty url
+/// interner. Non-zero so that the first allocation of each is made on
+/// the session thread (see [`Staged::new`]); both grow as needed.
+const STAGE_ROWS: usize = 256;
+
+/// Initial text bytes per row of [`STAGE_ROWS`].
+const STAGE_ROW_BYTES: usize = 64;
+
+/// One chunk on its way from the reader stage to the session thread:
+/// the parsed records and, per record, its url id and shard.
+struct Staged {
+    chunk: TsvChunk,
+    // (url, shard) per record of `chunk`
+    routes: Vec<(UrlId, usize)>,
+}
+
+impl Staged {
+    /// A buffer made on the session thread. The reader grows it by
+    /// reallocation, which glibc's malloc keeps in the arena of the
+    /// thread that made the first allocation, so the reader thread
+    /// leaves no memory in an arena of its own.
+    fn new(chunk_rows: usize) -> Self {
+        let rows = chunk_rows.min(STAGE_ROWS);
+        Staged {
+            chunk: TsvChunk::with_capacity(rows, rows * STAGE_ROW_BYTES),
+            routes: Vec::with_capacity(rows),
+        }
+    }
+}
+
+/// The reader stage of [`IngestSession::ingest`]: take a free buffer,
+/// read and parse a whole chunk into it, then intern the chunk's urls in
+/// file order and route its rows to shards, and pass it on. It stops at
+/// end of input, at the first error (the failing chunk is parsed but
+/// never interned or passed on), or when the session thread stops
+/// taking buffers. Returns the lines consumed, the time spent reading,
+/// parsing and interning (not waiting), and the error, if any.
+fn read_stage<R: BufRead>(
+    reader: R,
+    urls: &mut Interner,
+    chunk_rows: usize,
+    n_shards: usize,
+    free: &Receiver<Staged>,
+    full: &SyncSender<Staged>,
+) -> (usize, Duration, Result<(), LogError>) {
+    let mut stream = TsvStream::new(reader);
+    let mut busy = Duration::ZERO;
+    let result = loop {
+        let Ok(mut staged) = free.recv() else { break Ok(()) };
+        let started = Instant::now();
+        let read = stream.read_chunk(chunk_rows, &mut staged.chunk);
+        if read.is_ok() {
+            let Staged { chunk, routes } = &mut staged;
+            routes.clear();
+            routes.extend(
+                chunk.iter().map(|r| (UrlId(urls.intern(r.url)), shard_of(r.user, n_shards))),
+            );
+        }
+        busy += started.elapsed();
+        match read {
+            Err(e) => break Err(e),
+            Ok(()) if staged.chunk.is_empty() => break Ok(()),
+            Ok(()) => {
+                if full.send(staged).is_err() {
+                    break Ok(());
+                }
+            }
+        }
+    };
+    (stream.lines_read(), busy, result)
+}
+
 /// Shift an error's line number by the lines already consumed in
 /// earlier `ingest` calls, so multi-chunk sessions report global
 /// positions.
@@ -436,7 +560,10 @@ fn offset_error_lines(e: LogError, lines_before: u64) -> LogError {
 }
 
 /// Ingest a native-TSV stream through the sharded engine.
-pub fn ingest_tsv<R: BufRead>(reader: R, cfg: &StreamConfig) -> Result<IngestResult, LogError> {
+pub fn ingest_tsv<R: BufRead + Send>(
+    reader: R,
+    cfg: &StreamConfig,
+) -> Result<IngestResult, LogError> {
     let mut session = IngestSession::new(cfg.clone());
     session.ingest(reader)?;
     Ok(session.finish())
@@ -628,6 +755,23 @@ mod tests {
         let snap = session.snapshot().log;
         assert_eq!(snap.size(), 1 + 2 + 5);
         assert_logs_identical(&snap, &read_tsv(Cursor::new(format!("{applied}{more}"))).unwrap());
+    }
+
+    /// The reader stage parses ahead of the session thread; an error
+    /// in a later chunk still applies every chunk before it and nothing
+    /// of the failing one, whose first line had already been read.
+    #[test]
+    fn error_after_read_ahead_applies_every_earlier_chunk() {
+        let cfg = StreamConfig { chunk_rows: 2, ..Default::default() };
+        let mut session = IngestSession::new(cfg);
+        let applied = "u1\tq1\tl1\t1\nu2\tq1\tl2\t2\nu1\tq2\tl1\t3\nu3\tq3\tl3\t4\n";
+        let text = format!("{applied}u4\tq4\tl-read-ahead\t5\nbroken line\nu5\tq5\tl5\t6\n");
+        let err = session.ingest(Cursor::new(text)).unwrap_err();
+        assert!(err.to_string().contains("line 6"), "{err}");
+        assert_eq!(session.rows(), 4);
+        let snap = session.snapshot().log;
+        assert_eq!(snap.urls().get("l-read-ahead"), None, "line 5's url was never interned");
+        assert_logs_identical(&snap, &read_tsv(Cursor::new(applied)).unwrap());
     }
 
     /// The durability contract: a session restored from exported

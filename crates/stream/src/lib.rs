@@ -5,22 +5,23 @@
 //! without ever materializing the raw stream.
 //!
 //! ```text
-//! TSV file ──zero-copy chunked reader──▶ intern once (session
-//!     vocabulary, global pair ids) ──▶ user-hash shards: integer
-//!     (pair, user) → count
-//!     ──parallel drain to sorted runs──▶ sort-only merge
+//! TSV file ──reader thread: chunked parse, intern urls, route──▶
+//!     session thread: intern users and queries, pair ids (one session
+//!     vocabulary) ──▶ user-hash shards: integer (pair, user, count)
+//!     sorted runs ──parallel drain──▶ sort-only merge
 //!     ──▶ SearchLog (≡ read_tsv build)
 //! ```
 //!
-//! Per row the intake parses borrowed fields out of one reused chunk
-//! buffer, interns three strings, and then does integer work only:
-//! one pair-table lookup and one shard-map update, each keyed by two
-//! ids that the keyed integer hasher ([`dpsan_searchlog::IdMap`])
-//! hashes as one packed `u64`. The merged log holds every pair total,
-//! so frequent pairs are mined exactly from it
+//! Per row the reader thread parses borrowed fields out of a reused
+//! chunk buffer, interns the url and hashes the user to its shard; the
+//! session thread interns the user and the query, and then does integer
+//! work only: one pair-table lookup, keyed by two ids that the keyed
+//! integer hasher ([`dpsan_searchlog::IdMap`]) hashes as one packed
+//! `u64`, and one append to the shard's staged triplets. The merged log
+//! holds every pair total, so frequent pairs are mined exactly from it
 //! ([`dpsan_searchlog::frequent_pairs`]).
 //!
-//! * [`engine`] — the driver: chunked intake through
+//! * [`engine`] — the driver: two-stage chunked intake through
 //!   [`dpsan_searchlog::TsvStream`], one session-wide
 //!   [`dpsan_searchlog::Vocabulary`] that interns every string once in
 //!   file order and numbers pairs through the same
@@ -29,8 +30,8 @@
 //!   are exactly its ids), and a merge that only sorts integers and
 //!   hands the vocabulary to the log — the result is the `read_tsv` log
 //!   *bit for bit* for any shard count and any `jobs` value,
-//! * [`shard`] — user-hash shards holding integer-only triplet maps and
-//!   a row counter,
+//! * [`shard`] — user-hash shards holding integer-only triplets, staged
+//!   as sorted runs, and a row counter,
 //! * [`sketch`] — a mergeable weighted Misra–Gries heavy-hitters
 //!   sketch over interned `(query, url)` ids with the standard
 //!   `N/(k+1)` error bound, plus exactified frequent-pair mining; off
@@ -39,7 +40,8 @@
 //! * [`pool`] — the scoped worker pool (shared with `dpsan-eval`,
 //!   which re-exports it),
 //! * [`obs`] — the layer's metric handles (rows/chunks ingested, peak
-//!   shard size, sketch evictions, ingest and merge stage seconds),
+//!   shard size, sketch evictions, ingest, parse and merge stage
+//!   seconds),
 //!   recorded off the per-record path.
 //!
 //! ## Privacy invariant: shards are user-complete

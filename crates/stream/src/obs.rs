@@ -4,9 +4,10 @@
 //! |---|---|---|
 //! | `dpsan_ingest_rows_total` | counter | records ingested across all sessions |
 //! | `dpsan_ingest_chunks_total` | counter | bounded chunks consumed |
-//! | `dpsan_ingest_shard_triplets_max` | gauge | peak staged triplets in any shard |
+//! | `dpsan_ingest_shard_triplets_max` | gauge | peak staged triplet entries in any shard, after an `ingest` call: sorted runs plus the unfolded tail, so at most twice the aggregated triplets plus the fold floor |
 //! | `dpsan_sketch_evictions_total` | counter | Misra–Gries eviction rounds (offer + merge); stays 0 unless a caller sets `sketch_capacity`, which no production caller does |
 //! | `dpsan_stage_seconds{stage="ingest"}` | histogram | wall time of one `IngestSession::ingest` call (parse, intern, route) |
+//! | `dpsan_stage_seconds{stage="parse"}` | histogram | busy time of the reader stage in one `ingest` call (read, parse, intern urls, route), waits excluded; it overlaps the `ingest` wall time |
 //! | `dpsan_stage_seconds{stage="merge"}` | histogram | wall time of one `IngestSession::snapshot` or `finish` (drain, merge) |
 //!
 //! Recording is observational only and off the per-record path: row
@@ -30,7 +31,7 @@ pub fn chunks_total() -> &'static Counter {
     H.get_or_init(|| global().counter("dpsan_ingest_chunks_total"))
 }
 
-/// Peak staged triplets in any shard (running maximum).
+/// Peak staged triplet entries in any shard (running maximum).
 pub fn shard_triplets_max() -> &'static Gauge {
     static H: OnceLock<Gauge> = OnceLock::new();
     H.get_or_init(|| global().gauge("dpsan_ingest_shard_triplets_max"))
@@ -47,6 +48,14 @@ pub fn ingest_seconds() -> &'static Arc<Histogram> {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| {
         global().histogram("dpsan_stage_seconds{stage=\"ingest\"}", default_latency_bounds())
+    })
+}
+
+/// Busy time of the reader stage in each `IngestSession::ingest` call.
+pub fn parse_seconds() -> &'static Arc<Histogram> {
+    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+    H.get_or_init(|| {
+        global().histogram("dpsan_stage_seconds{stage=\"parse\"}", default_latency_bounds())
     })
 }
 

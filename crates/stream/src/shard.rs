@@ -3,18 +3,23 @@
 //! The intake routes every record to `shard_of(user) = fnv1a(user) mod
 //! n_shards`, so a shard holds *complete* user logs — the invariant
 //! that keeps sharding privacy-neutral (see the crate docs). Strings
-//! never reach a shard: the session interns every user, query and url
-//! once, into one session-wide vocabulary, and assigns global pair ids
-//! at intake (see [`crate::engine`]). A shard keeps only its
-//! `(pair, user) → count` map and its row counter, and drains to a
-//! `(pair, user)`-sorted triplet vector that the engine merges without
-//! touching a string.
+//! never reach a shard: the engine interns every string once, into one
+//! session-wide vocabulary, and assigns global pair ids at intake (see
+//! [`crate::engine`]). A shard keeps only its staged `(pair, user,
+//! count)` triplets and its row counter, and drains to a `(pair,
+//! user)`-sorted triplet vector that the engine merges without touching
+//! a string.
 //!
-//! Per row a shard does one lookup in a map keyed by the `(pair, user)`
-//! ids, hashed as one packed `u64` by the keyed integer hasher
-//! ([`dpsan_searchlog::IdMap`]).
-
-use dpsan_searchlog::{IdMap, IdPair};
+//! There is no map: per row a shard appends one triplet to a vector.
+//! The vector is a sorted, duplicate-free prefix (the *folded* triplets)
+//! and an unsorted tail of appended rows. When the tail reaches the
+//! folded length, and at least [`FOLD_FLOOR`] entries, it is folded into
+//! the prefix — a stable sort, which merges the sorted prefix with the
+//! sorted tail, then one pass that sums the counts of equal keys. So the
+//! staged entries never exceed twice the aggregated triplets plus the
+//! floor. A fold sorts a tail at least as long as the prefix it merges
+//! into, so folding costs O(log n) per row, amortized. The drain does
+//! the final fold.
 
 /// FNV-1a over the user string: a stable, seedless hash so shard
 /// assignment is identical across runs, platforms and processes (the
@@ -36,13 +41,21 @@ pub fn shard_of(user: &str, n_shards: usize) -> usize {
     (user_hash(user) % n_shards as u64) as usize
 }
 
-/// One shard mid-intake: the aggregated triplets of its users, keyed
-/// by global `(pair, user)` ids. Memory is proportional to the shard's
-/// *aggregated* content, never to the raw stream length.
+/// Tail length below which a shard never folds: it keeps folds of
+/// small shards rare, and bounds the unfolded entries of a shard whose
+/// rows repeat one key.
+pub const FOLD_FLOOR: usize = 256;
+
+/// One shard mid-intake: the staged triplets of its users, keyed by
+/// global `(pair, user)` ids. Memory is proportional to the shard's
+/// *aggregated* content (at most twice it, plus [`FOLD_FLOOR`]), never
+/// to the raw stream length.
 #[derive(Debug, Default, Clone)]
 pub struct ShardIntake {
-    // (pair, user) -> count
-    triplets: IdMap<u64>,
+    // (pair, user, count): a folded prefix, sorted and duplicate-free,
+    // then the rows appended since the last fold
+    triplets: Vec<(u32, u32, u64)>,
+    folded: usize,
     rows: u64,
 }
 
@@ -55,26 +68,51 @@ impl ShardIntake {
     /// Aggregate one record of global pair `pair` by global user
     /// `user`. The caller is responsible for routing: every record of
     /// one user must reach the same shard.
+    #[inline]
     pub fn add(&mut self, pair: u32, user: u32, count: u64) {
         debug_assert!(count > 0, "zero counts are rejected by the reader");
         self.rows += 1;
-        *self.triplets.entry(IdPair(pair, user)).or_insert(0) += count;
+        self.triplets.push((pair, user, count));
+        if self.triplets.len() - self.folded >= self.folded.max(FOLD_FLOOR) {
+            self.fold();
+        }
     }
 
-    /// Number of distinct `(pair, user)` triplets staged so far — the
+    /// Fold the tail into the sorted prefix: sort, then sum the counts
+    /// of equal `(pair, user)` keys.
+    fn fold(&mut self) {
+        // stable: the sort finds the sorted prefix as one run
+        self.triplets.sort_by_key(|&(p, u, _)| (p, u));
+        self.triplets.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
+            }
+            same
+        });
+        self.folded = self.triplets.len();
+    }
+
+    /// Number of triplet entries staged so far, folded or not — the
     /// quantity that actually occupies memory (raw rows are never
     /// retained).
     pub fn staged_triplets(&self) -> usize {
         self.triplets.len()
     }
 
-    /// The staged triplets as `(pair, user, count)`, sorted by
-    /// `(pair, user)`. Non-destructive: intake can continue afterwards.
+    /// The aggregated triplets as `(pair, user, count)`, sorted by
+    /// `(pair, user)`: the drain, which does the final fold in place.
+    pub fn into_sorted_triplets(mut self) -> Vec<(u32, u32, u64)> {
+        if self.folded < self.triplets.len() {
+            self.fold();
+        }
+        self.triplets
+    }
+
+    /// As [`into_sorted_triplets`](Self::into_sorted_triplets), on a
+    /// copy: intake can continue afterwards.
     pub fn sorted_triplets(&self) -> Vec<(u32, u32, u64)> {
-        let mut out: Vec<(u32, u32, u64)> =
-            self.triplets.iter().map(|(&IdPair(p, u), &c)| (p, u, c)).collect();
-        out.sort_unstable_by_key(|&(p, u, _)| (p, u));
-        out
+        self.clone().into_sorted_triplets()
     }
 }
 
@@ -135,12 +173,9 @@ impl ShardIntake {
     }
 
     /// Rebuild a live shard from exported state that already passed
-    /// [`ShardState::validate`].
+    /// [`ShardState::validate`]: its triplets are the folded prefix.
     pub fn from_state(state: ShardState) -> Self {
-        ShardIntake {
-            triplets: state.triplets.iter().map(|&(p, u, c)| (IdPair(p, u), c)).collect(),
-            rows: state.rows,
-        }
+        ShardIntake { folded: state.triplets.len(), triplets: state.triplets, rows: state.rows }
     }
 }
 
@@ -181,10 +216,11 @@ mod tests {
     #[test]
     fn staged_triplets_counts_aggregates_not_rows() {
         let mut s = ShardIntake::new();
-        for _ in 0..50 {
+        for _ in 0..10_000 {
             s.add(0, 0, 1);
+            assert!(s.staged_triplets() <= FOLD_FLOOR, "memory tracks aggregation, not rows");
         }
-        assert_eq!(s.staged_triplets(), 1, "memory tracks aggregation, not stream length");
+        assert_eq!(s.sorted_triplets(), vec![(0, 0, 10_000)]);
     }
 
     #[test]
