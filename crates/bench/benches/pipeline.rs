@@ -151,8 +151,8 @@ fn bench(c: &mut Criterion) {
     g.bench_function("ingest_stream", |b| {
         // the sharded bounded-memory intake on a spooled tiny log:
         // chunked parse → user-hash shards → drain → deterministic
-        // merge (one drain worker; intake always runs its reader
-        // thread beside the calling one)
+        // merge (one drain worker; the log fits in one chunk, so intake
+        // stages it on the calling thread and starts no reader thread)
         let mut tsv = Vec::new();
         write_log_tsv(&presets::aol_tiny(), &mut tsv).expect("spool tiny log");
         let cfg = StreamConfig { shards: 8, jobs: 1, ..Default::default() };

@@ -8,9 +8,27 @@
 //! Ids are insertion order and never depend on the hash. The hash is
 //! the standard library's keyed one ([`RandomState`], one key per
 //! process), which keeps crafted inputs from forcing long probe chains.
+//!
+//! # Batched interning
+//!
+//! On a large vocabulary almost every lookup misses the cache twice: once
+//! in the slot table, once in the id's hash and end offset. Taken one
+//! string at a time those misses queue behind each other, because the
+//! next string's probe waits for the previous string's comparison.
+//! [`Interner::intern_batch`] takes a window of strings instead: it
+//! hashes them all, grows the table once for the whole window, then
+//! loads the first slot each string probes and the hash and end offset
+//! of the id found there. Those warm-up loads are plain reads whose
+//! values only [`black_box`] consumes, so the processor can have many of
+//! them in flight at once. Only then does it run the same find-then-insert
+//! as [`Interner::intern`] for each string, in order. The warm-up changes
+//! what is in the cache, never what is in the table, so the ids are those
+//! of sequential `intern` calls and never depend on how the strings are
+//! cut into windows.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
+use std::hint::black_box;
 use std::sync::OnceLock;
 
 /// String interner with dense ids.
@@ -57,6 +75,12 @@ impl Interner {
         self.arena.reserve(bytes);
         self.ends.reserve(strings);
         self.hashes.reserve(strings);
+        self.grow_table(strings);
+    }
+
+    /// Grow the table, if need be, so that `strings` more strings keep
+    /// its load at most ½.
+    fn grow_table(&mut self, strings: usize) {
         let size = (2 * (self.len() + strings)).next_power_of_two().max(16);
         if size > self.slots.len() {
             self.rehash(size);
@@ -99,10 +123,36 @@ impl Interner {
 
     /// Intern `s`, returning its dense id (existing or freshly assigned).
     pub fn intern(&mut self, s: &str) -> u32 {
-        if 2 * (self.len() + 1) > self.slots.len() {
-            self.rehash((2 * (self.len() + 1)).next_power_of_two().max(16));
+        self.grow_table(1);
+        self.insert(s, hash_str(s))
+    }
+
+    /// Intern each string of `strs` in order, appending its id to `out`:
+    /// the ids that as many [`intern`](Self::intern) calls would return.
+    /// `hashes` is scratch (its contents are replaced), so a caller that
+    /// interns window after window allocates nothing once it has grown.
+    ///
+    /// See the module docs for why a window beats one string at a time.
+    pub fn intern_batch(&mut self, strs: &[&str], hashes: &mut Vec<u64>, out: &mut Vec<u32>) {
+        hashes.clear();
+        hashes.extend(strs.iter().map(|s| hash_str(s)));
+        self.grow_table(strs.len());
+        // warm-up: load the first slot each string probes, and the hash
+        // and end offset of the id there, without acting on them
+        let mask = self.slots.len() - 1;
+        for &h in hashes.iter() {
+            let slot = self.slots[h as usize & mask];
+            if slot != 0 {
+                let id = slot as usize - 1;
+                black_box((self.hashes[id], self.ends[id]));
+            }
         }
-        let h = hash_str(s);
+        out.extend(strs.iter().zip(hashes.iter()).map(|(s, &h)| self.insert(s, h)));
+    }
+
+    /// Find `s` (hash `h`) or insert it, returning its id. The table must
+    /// have room for one more string.
+    fn insert(&mut self, s: &str, h: u64) -> u32 {
         match self.find(s, h) {
             Ok(pos) => self.slots[pos] - 1,
             Err(pos) => {
@@ -211,6 +261,21 @@ mod tests {
         assert_eq!(i.resolve(e), "");
         assert_ne!(i.intern("ab"), i.intern("abc"));
         assert_eq!(i.clone().get("w0"), i.get("w0"));
+    }
+
+    #[test]
+    fn intern_batch_matches_intern() {
+        let words = ["ab", "", "abc", "ab", "a", "", "abc", "b"];
+        let mut sequential = Interner::new();
+        let expect: Vec<u32> = words.iter().map(|w| sequential.intern(w)).collect();
+        assert_eq!(expect, [0, 1, 2, 0, 3, 1, 2, 4], "repeats within the window keep their id");
+        let mut batched = Interner::new();
+        let (mut hashes, mut ids) = (Vec::new(), Vec::new());
+        batched.intern_batch(&words[..5], &mut hashes, &mut ids);
+        batched.intern_batch(&[], &mut hashes, &mut ids);
+        batched.intern_batch(&words[5..], &mut hashes, &mut ids);
+        assert_eq!(ids, expect, "ids appended across windows");
+        assert!(batched.iter().eq(sequential.iter()));
     }
 
     #[test]

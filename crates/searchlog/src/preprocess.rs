@@ -26,11 +26,19 @@ pub struct PreprocessReport {
 /// report. Idempotent: preprocessing a preprocessed log is the identity
 /// whenever no pair became single-holder (holder sets are untouched, so
 /// that is always the case).
+///
+/// A log with no unique pair is returned as a clone: rebuilding it with
+/// every pair kept would number the pairs in the same order and fill the
+/// same arrays.
 pub fn preprocess(log: &SearchLog) -> (SearchLog, PreprocessReport) {
     let keep: Vec<bool> =
         (0..log.n_pairs()).map(|i| log.n_holders(PairId::from_index(i)) > 1).collect();
 
     let removed_pairs = keep.iter().filter(|&&k| !k).count();
+    if removed_pairs == 0 {
+        let report = PreprocessReport { removed_pairs, removed_count: 0, emptied_users: 0 };
+        return (log.clone(), report);
+    }
     let removed_count: u64 = keep
         .iter()
         .enumerate()
@@ -53,6 +61,7 @@ pub fn is_preprocessed(log: &SearchLog) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::UserId;
     use crate::log::SearchLogBuilder;
 
     fn sample_log() -> SearchLog {
@@ -95,8 +104,29 @@ mod tests {
         let (pre2, rep2) = preprocess(&pre);
         assert_eq!(rep2.removed_pairs, 0);
         assert_eq!(rep2.removed_count, 0);
-        assert_eq!(pre2.size(), pre.size());
-        assert_eq!(pre2.n_pairs(), pre.n_pairs());
+        assert_eq!(rep2.emptied_users, 0);
+        assert_same_log(&pre2, &pre);
+        // ...which is what a rebuild keeping every pair yields
+        let (rebuilt, _) = pre.retain_pairs(&vec![true; pre.n_pairs()]);
+        assert_same_log(&rebuilt, &pre);
+    }
+
+    /// Pair for pair and holder for holder, and user log for user log.
+    fn assert_same_log(a: &SearchLog, b: &SearchLog) {
+        assert_eq!(a.size(), b.size());
+        assert_eq!(a.n_pairs(), b.n_pairs());
+        assert_eq!(a.n_users(), b.n_users());
+        assert_eq!(a.n_user_logs(), b.n_user_logs());
+        for i in 0..b.n_pairs() {
+            let p = PairId::from_index(i);
+            assert_eq!(a.pair_key(p), b.pair_key(p));
+            assert_eq!(a.pair_total(p), b.pair_total(p));
+            assert!(a.holders(p).eq(b.holders(p)));
+        }
+        for k in 0..b.n_users() {
+            let k = UserId::from_index(k);
+            assert!(a.user_log(k).eq(b.user_log(k)));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests of the search-log data model.
 
-use dpsan_searchlog::{preprocess, LogRecord, PairId, SearchLog, SearchLogBuilder};
+use dpsan_searchlog::{preprocess, Interner, LogRecord, PairId, SearchLog, SearchLogBuilder};
 use proptest::prelude::*;
 
 /// Random raw tuples over small id spaces (duplicates intended).
@@ -16,7 +16,55 @@ fn build(tuples: &[(u8, u8, u8, u8)]) -> SearchLog {
     b.build()
 }
 
+/// Strings with heavy repetition: prefixes (the empty one included) of
+/// a few words, half of them with a numeric suffix from a range wide
+/// enough to grow the table a few times.
+fn arb_strings() -> impl Strategy<Value = Vec<(u8, u8, u16)>> {
+    prop::collection::vec((0u8..3, 0u8..6, 0u16..400), 0..700)
+}
+
+fn to_string(&(word, len, suffix): &(u8, u8, u16)) -> String {
+    let word = &["abcde", "abxyz", "zzzzz"][word as usize][..len as usize];
+    if suffix < 200 {
+        format!("{word}{suffix}")
+    } else {
+        word.to_string()
+    }
+}
+
 proptest! {
+    /// `intern_batch` returns, window by window, exactly the ids of
+    /// sequential `intern` calls and leaves the same interner behind,
+    /// for windows of 1 to 129 strings (twice the stream engine's
+    /// 64-string window, plus one), starting from a clone of an
+    /// interner that already holds a prefix of the strings.
+    #[test]
+    fn intern_batch_assigns_the_ids_of_sequential_intern(
+        strings in arb_strings(),
+        window in 1usize..130,
+        seeded in 0usize..100,
+    ) {
+        let strings: Vec<String> = strings.iter().map(to_string).collect();
+        let strs: Vec<&str> = strings.iter().map(String::as_str).collect();
+        let (seed, rest) = strs.split_at(seeded.min(strs.len()));
+        let mut sequential = Interner::new();
+        for s in seed {
+            sequential.intern(s);
+        }
+        let mut batched = sequential.clone();
+        let expect: Vec<u32> = rest.iter().map(|s| sequential.intern(s)).collect();
+        let (mut hashes, mut got) = (Vec::new(), Vec::new());
+        for w in rest.chunks(window) {
+            batched.intern_batch(w, &mut hashes, &mut got);
+        }
+        prop_assert_eq!(got, expect);
+        let all = |i: &Interner| i.iter().map(|(id, s)| (id, s.to_string())).collect::<Vec<_>>();
+        prop_assert_eq!(all(&batched), all(&sequential));
+        for s in &strs {
+            prop_assert_eq!(batched.get(s), sequential.get(s));
+        }
+    }
+
     #[test]
     fn size_equals_sum_of_raw_counts(tuples in arb_tuples()) {
         let log = build(&tuples);

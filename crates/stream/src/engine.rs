@@ -3,24 +3,34 @@
 //!
 //! Every string is interned exactly once, at intake, into one
 //! [`Vocabulary`] shared by all shards. [`IngestSession::ingest`] runs
-//! intake as a pipeline of two threads, each owning its columns:
+//! intake as a pipeline of two stages, each owning its columns:
 //!
-//! * **the reader stage** — a scoped thread, joined before `ingest`
-//!   returns on every path — reads and parses a whole chunk
+//! * **the reader stage** reads and parses a whole chunk
 //!   ([`TsvStream::read_chunk`]), then interns the chunk's **urls** and
-//!   computes each row's shard (`shard_of(user)`), and passes the chunk
-//!   on over a bounded channel. Two chunk buffers circulate, so one
-//!   chunk is parsed while the other is applied;
-//! * **the session thread** (the caller's) interns **users** and
-//!   **queries**, assigns the **pair id** ([`PairTable::intern`]) and
-//!   appends `(pair, user, count)` to the row's shard.
+//!   computes each row's shard (`shard_of(user)`);
+//! * **the apply stage**, on the session thread (the caller's), interns
+//!   the chunk's **users** and **queries**, assigns each row's **pair
+//!   id** ([`PairTable::intern`]) and appends `(pair, user, count)` to
+//!   the row's shard.
 //!
-//! Each interner sees the rows in file order, so users, queries and urls
-//! get their ids in first-occurrence order and each new `(query, url)`
-//! key gets the next global pair id: exactly the ids a sequential
-//! [`read_tsv`] build assigns through the same table. A chunk is parsed
-//! in full before any of its urls are interned, and every chunk the
-//! reader passes on is applied, so a parse error leaves the session
+//! The session thread stages the first chunk itself. A chunk that comes
+//! back short ends the input, so a call whose input fits in one chunk
+//! runs both stages on the calling thread and starts no thread. After a
+//! full first chunk, a scoped reader thread, joined before `ingest`
+//! returns on every path, stages the rest and passes each chunk on over
+//! a bounded channel. Two chunk buffers circulate, so one chunk is
+//! parsed while the other is applied.
+//!
+//! Both stages intern their columns (urls on the reader; users, then
+//! queries, on the session thread) in windows of 64 strings through
+//! [`Interner::intern_batch`], which overlaps the windows' cache misses
+//! and assigns the ids of one-at-a-time interning. So each interner
+//! still sees the rows in file order: users, queries and urls get their
+//! ids in first-occurrence order and each new `(query, url)` key gets
+//! the next global pair id, exactly the ids a sequential [`read_tsv`]
+//! build assigns through the same table. A chunk is parsed in full
+//! before any of its urls are interned, and every chunk the reader
+//! stage passes on is applied, so a parse error leaves the session
 //! exactly as if the input had ended before the failing chunk.
 //!
 //! Shards hold only integer triplets, staged as sorted runs with no map
@@ -149,9 +159,8 @@ pub struct IngestResult {
 /// is parsed in full before any of it is interned, so a discarded chunk
 /// leaves no trace — not even vocabulary — although the reader stage
 /// parses it while earlier chunks are still being applied. The session
-/// stays usable and
-/// the error's line number is global across every ingest call
-/// (continuation lines keep counting up).
+/// stays usable and the error's line number is global across every
+/// ingest call (continuation lines keep counting up).
 #[derive(Debug)]
 pub struct IngestSession {
     cfg: StreamConfig,
@@ -183,9 +192,10 @@ impl IngestSession {
     /// Ingest one appended TSV chunk (any `BufRead` over *complete*
     /// lines). Returns the number of records added by this call.
     ///
-    /// The call runs two stages (see the module docs): a reader thread,
-    /// which owns `reader` — hence the `Send` bound — and is joined
-    /// before this returns, on every path.
+    /// The call runs two stages (see the module docs). Past the first
+    /// chunk the reader stage runs on its own thread, which owns
+    /// `reader` — hence the `Send` bound — and is joined before this
+    /// returns, on every path.
     ///
     /// Line numbers in errors are global: a parse error on the first
     /// line of the third appended chunk reports the stream-wide line
@@ -205,49 +215,75 @@ impl IngestSession {
         if urls.is_empty() {
             urls.reserve(STAGE_ROWS, STAGE_ROWS * STAGE_ROW_BYTES);
         }
-        let (shards, sketches, report) = (&mut self.shards, &mut self.sketches, &mut self.report);
-        let mut added: u64 = 0;
-        let mut chunks: u64 = 0;
-        let (lines, parse_busy, result) = std::thread::scope(|scope| {
-            // created inside the scope, so a panic here drops them and
-            // the reader stops instead of waiting on them forever
-            let (full_tx, full_rx) = mpsc::sync_channel(IN_FLIGHT);
-            let (free_tx, free_rx) = mpsc::sync_channel(IN_FLIGHT);
-            for _ in 0..IN_FLIGHT {
-                free_tx.send(Staged::new(chunk_rows)).expect("the receiver is in this scope");
-            }
-            let reader = scope
-                .spawn(move || read_stage(reader, urls, chunk_rows, n_shards, &free_rx, &full_tx));
-            for staged in &full_rx {
-                chunks += 1;
-                let n = staged.chunk.len();
-                report.peak_chunk_rows = report.peak_chunk_rows.max(n);
-                for (rec, &(l, s)) in staged.chunk.iter().zip(&staged.routes) {
-                    let u = users.intern(rec.user);
-                    let q = QueryId(queries.intern(rec.query));
-                    let p = pairs.intern(q, l);
-                    shards[s].add(p.0, u, rec.count);
-                    if let Some(sk) = sketches.get_mut(s) {
-                        sk.offer(q, l, rec.count);
+        let mut apply = Apply {
+            users,
+            queries,
+            pairs,
+            shards: &mut self.shards,
+            sketches: &mut self.sketches,
+            report: &mut self.report,
+            hashes: Vec::with_capacity(BATCH),
+            user_ids: Vec::new(),
+            query_ids: Vec::new(),
+            busy: Duration::ZERO,
+            added: 0,
+            chunks: 0,
+        };
+        // The first chunk is staged here. Only a full one can have a
+        // successor, so only then is the reader thread worth spawning.
+        let mut stream = TsvStream::new(reader);
+        let mut first = Staged::new(chunk_rows);
+        let stage_started = Instant::now();
+        let read = stage(&mut stream, urls, chunk_rows, n_shards, &mut first);
+        let mut parse_busy = stage_started.elapsed();
+        let (lines, result) = match read {
+            Ok(()) if first.chunk.len() == chunk_rows => {
+                let (lines, busy, result) = std::thread::scope(|scope| {
+                    // created inside the scope, so a panic here drops them
+                    // and the reader stops instead of waiting on them
+                    // forever
+                    let (full_tx, full_rx) = mpsc::sync_channel(IN_FLIGHT);
+                    let (free_tx, free_rx) = mpsc::sync_channel(IN_FLIGHT);
+                    for _ in 1..IN_FLIGHT {
+                        free_tx
+                            .send(Staged::new(chunk_rows))
+                            .expect("the receiver is in this scope");
                     }
-                }
-                added += n as u64;
-                report.rows += n as u64;
-                // never blocks: the channel has room for every buffer.
-                // It fails only once the reader has stopped.
-                let _ = free_tx.send(staged);
+                    let reader = scope.spawn(move || {
+                        read_stage(stream, urls, chunk_rows, n_shards, &free_rx, &full_tx)
+                    });
+                    apply.apply(&first);
+                    let _ = free_tx.send(first);
+                    for staged in &full_rx {
+                        apply.apply(&staged);
+                        // never blocks: the channel has room for every
+                        // buffer. It fails only once the reader has
+                        // stopped.
+                        let _ = free_tx.send(staged);
+                    }
+                    reader.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
+                });
+                parse_busy += busy;
+                (lines, result)
             }
-            reader.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
-        });
+            read => {
+                if read.is_ok() && !first.chunk.is_empty() {
+                    apply.apply(&first);
+                }
+                (stream.lines_read(), read)
+            }
+        };
+        let Apply { busy: apply_busy, added, chunks, .. } = apply;
         self.report.lines = lines_before + lines as u64;
         // Observational telemetry, once per call: the applied rows and
         // chunks (complete chunks land even when a later chunk errors),
-        // the peak staged shard size, the reader stage's busy time and
-        // the call's wall time.
+        // the peak staged shard size, both stages' busy times and the
+        // call's wall time.
         crate::obs::rows_total().add(added);
         crate::obs::chunks_total().add(chunks);
         crate::obs::shard_triplets_max().max(self.max_staged_triplets() as f64);
         crate::obs::parse_seconds().record(parse_busy.as_secs_f64());
+        crate::obs::apply_seconds().record(apply_busy.as_secs_f64());
         crate::obs::ingest_seconds().record(started.elapsed().as_secs_f64());
         result.map(|()| added).map_err(|e| offset_error_lines(e, lines_before))
     }
@@ -475,6 +511,9 @@ fn restore_vocab(state: &VocabState) -> Result<Vocabulary, String> {
 /// while the other is applied.
 const IN_FLIGHT: usize = 2;
 
+/// Strings per [`Interner::intern_batch`] window at intake.
+const BATCH: usize = 64;
+
 /// Initial rows of a stage buffer, and of room in an empty url
 /// interner. Non-zero so that the first allocation of each is made on
 /// the session thread (see [`Staged::new`]); both grow as needed.
@@ -487,8 +526,12 @@ const STAGE_ROW_BYTES: usize = 64;
 /// the parsed records and, per record, its url id and shard.
 struct Staged {
     chunk: TsvChunk,
-    // (url, shard) per record of `chunk`
-    routes: Vec<(UrlId, usize)>,
+    // url id per record of `chunk`
+    urls: Vec<u32>,
+    // shard per record of `chunk`
+    shards: Vec<usize>,
+    // intern_batch scratch
+    hashes: Vec<u64>,
 }
 
 impl Staged {
@@ -500,39 +543,131 @@ impl Staged {
         let rows = chunk_rows.min(STAGE_ROWS);
         Staged {
             chunk: TsvChunk::with_capacity(rows, rows * STAGE_ROW_BYTES),
-            routes: Vec::with_capacity(rows),
+            urls: Vec::with_capacity(rows),
+            shards: Vec::with_capacity(rows),
+            hashes: Vec::with_capacity(BATCH),
         }
     }
 }
 
-/// The reader stage of [`IngestSession::ingest`]: take a free buffer,
-/// read and parse a whole chunk into it, then intern the chunk's urls in
-/// file order and route its rows to shards, and pass it on. It stops at
+/// The reader stage's work on one chunk: read and parse up to
+/// `chunk_rows` records into `staged`, then intern their urls in file
+/// order and route each row to its shard. A chunk that fails to parse
+/// interns nothing.
+fn stage<R: BufRead>(
+    stream: &mut TsvStream<R>,
+    urls: &mut Interner,
+    chunk_rows: usize,
+    n_shards: usize,
+    staged: &mut Staged,
+) -> Result<(), LogError> {
+    stream.read_chunk(chunk_rows, &mut staged.chunk)?;
+    let Staged { chunk, urls: url_ids, shards, hashes } = staged;
+    url_ids.clear();
+    intern_column(urls, chunk.iter().map(|r| r.url), hashes, url_ids);
+    shards.clear();
+    shards.extend(chunk.iter().map(|r| shard_of(r.user, n_shards)));
+    Ok(())
+}
+
+/// The session thread's half of intake for one [`IngestSession::ingest`]
+/// call: the columns it owns, its scratch, and what it has applied.
+struct Apply<'a> {
+    users: &'a mut Interner,
+    queries: &'a mut Interner,
+    pairs: &'a mut PairTable,
+    shards: &'a mut [ShardIntake],
+    sketches: &'a mut [PairSketch],
+    report: &'a mut IngestReport,
+    // intern_batch scratch, and the chunk's user and query ids
+    hashes: Vec<u64>,
+    user_ids: Vec<u32>,
+    query_ids: Vec<u32>,
+    // time spent applying, and rows and chunks applied, in this call
+    busy: Duration,
+    added: u64,
+    chunks: u64,
+}
+
+impl Apply<'_> {
+    /// Apply one staged chunk: intern its users and queries in file
+    /// order, assign each row's pair id and append the row to its shard.
+    fn apply(&mut self, staged: &Staged) {
+        let started = Instant::now();
+        let chunk = &staged.chunk;
+        self.user_ids.clear();
+        intern_column(
+            self.users,
+            chunk.iter().map(|r| r.user),
+            &mut self.hashes,
+            &mut self.user_ids,
+        );
+        self.query_ids.clear();
+        intern_column(
+            self.queries,
+            chunk.iter().map(|r| r.query),
+            &mut self.hashes,
+            &mut self.query_ids,
+        );
+        let ids = self.user_ids.iter().zip(&self.query_ids).zip(&staged.urls).zip(&staged.shards);
+        for (rec, (((&u, &q), &l), &s)) in chunk.iter().zip(ids) {
+            let (q, l) = (QueryId(q), UrlId(l));
+            let p = self.pairs.intern(q, l);
+            self.shards[s].add(p.0, u, rec.count);
+            if let Some(sk) = self.sketches.get_mut(s) {
+                sk.offer(q, l, rec.count);
+            }
+        }
+        let n = chunk.len();
+        self.report.peak_chunk_rows = self.report.peak_chunk_rows.max(n);
+        self.report.rows += n as u64;
+        self.added += n as u64;
+        self.chunks += 1;
+        self.busy += started.elapsed();
+    }
+}
+
+/// Intern one column of a chunk in file order, in windows of [`BATCH`]
+/// strings, appending each string's id to `out`.
+fn intern_column<'s>(
+    interner: &mut Interner,
+    column: impl Iterator<Item = &'s str>,
+    hashes: &mut Vec<u64>,
+    out: &mut Vec<u32>,
+) {
+    let mut window = [""; BATCH];
+    let mut n = 0;
+    for s in column {
+        window[n] = s;
+        n += 1;
+        if n == BATCH {
+            interner.intern_batch(&window, hashes, out);
+            n = 0;
+        }
+    }
+    interner.intern_batch(&window[..n], hashes, out);
+}
+
+/// The reader stage of [`IngestSession::ingest`], on its own thread,
+/// after the session thread has staged the first chunk: take a free
+/// buffer, [`stage`] the next chunk into it and pass it on. It stops at
 /// end of input, at the first error (the failing chunk is parsed but
 /// never interned or passed on), or when the session thread stops
-/// taking buffers. Returns the lines consumed, the time spent reading,
-/// parsing and interning (not waiting), and the error, if any.
+/// taking buffers. Returns the lines consumed by the whole call, the
+/// time spent staging (not waiting), and the error, if any.
 fn read_stage<R: BufRead>(
-    reader: R,
+    mut stream: TsvStream<R>,
     urls: &mut Interner,
     chunk_rows: usize,
     n_shards: usize,
     free: &Receiver<Staged>,
     full: &SyncSender<Staged>,
 ) -> (usize, Duration, Result<(), LogError>) {
-    let mut stream = TsvStream::new(reader);
     let mut busy = Duration::ZERO;
     let result = loop {
         let Ok(mut staged) = free.recv() else { break Ok(()) };
         let started = Instant::now();
-        let read = stream.read_chunk(chunk_rows, &mut staged.chunk);
-        if read.is_ok() {
-            let Staged { chunk, routes } = &mut staged;
-            routes.clear();
-            routes.extend(
-                chunk.iter().map(|r| (UrlId(urls.intern(r.url)), shard_of(r.user, n_shards))),
-            );
-        }
+        let read = stage(&mut stream, urls, chunk_rows, n_shards, &mut staged);
         busy += started.elapsed();
         match read {
             Err(e) => break Err(e),
@@ -754,7 +889,17 @@ mod tests {
         assert_eq!(session.rows(), 3);
         let snap = session.snapshot().log;
         assert_eq!(snap.size(), 1 + 2 + 5);
-        assert_logs_identical(&snap, &read_tsv(Cursor::new(format!("{applied}{more}"))).unwrap());
+        let so_far = read_tsv(Cursor::new(format!("{applied}{more}"))).unwrap();
+        assert_logs_identical(&snap, &so_far);
+        // an input that fits in one chunk is staged without the reader
+        // thread; its error is numbered globally too (line 2 of this
+        // call follows the 5 lines consumed so far) and leaves no trace
+        let err = session.ingest(Cursor::new("u6\tq-one\tl-one\t6\nbroken line\n")).unwrap_err();
+        assert!(err.to_string().contains("line 7"), "global line number, got: {err}");
+        assert_eq!(session.rows(), 3);
+        let snap = session.snapshot().log;
+        assert_eq!(snap.urls().get("l-one"), None, "the failing chunk interned nothing");
+        assert_logs_identical(&snap, &so_far);
     }
 
     /// The reader stage parses ahead of the session thread; an error

@@ -8,6 +8,7 @@
 //! | `dpsan_sketch_evictions_total` | counter | Misra–Gries eviction rounds (offer + merge); stays 0 unless a caller sets `sketch_capacity`, which no production caller does |
 //! | `dpsan_stage_seconds{stage="ingest"}` | histogram | wall time of one `IngestSession::ingest` call (parse, intern, route) |
 //! | `dpsan_stage_seconds{stage="parse"}` | histogram | busy time of the reader stage in one `ingest` call (read, parse, intern urls, route), waits excluded; it overlaps the `ingest` wall time |
+//! | `dpsan_stage_seconds{stage="apply"}` | histogram | busy time of the session thread in one `ingest` call (intern users and queries, assign pair ids, append to shards), waits on the reader excluded; it overlaps the `ingest` wall time |
 //! | `dpsan_stage_seconds{stage="merge"}` | histogram | wall time of one `IngestSession::snapshot` or `finish` (drain, merge) |
 //!
 //! Recording is observational only and off the per-record path: row
@@ -56,6 +57,14 @@ pub fn parse_seconds() -> &'static Arc<Histogram> {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| {
         global().histogram("dpsan_stage_seconds{stage=\"parse\"}", default_latency_bounds())
+    })
+}
+
+/// Busy time of the session thread in each `IngestSession::ingest` call.
+pub fn apply_seconds() -> &'static Arc<Histogram> {
+    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+    H.get_or_init(|| {
+        global().histogram("dpsan_stage_seconds{stage=\"apply\"}", default_latency_bounds())
     })
 }
 

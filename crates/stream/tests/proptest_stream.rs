@@ -21,6 +21,17 @@ fn to_tsv(tuples: &[(u8, u8, u8, u8)]) -> String {
     tuples.iter().map(|&(u, q, l, c)| format!("user{u}\tq{q}\tl{l}\t{c}\n")).collect()
 }
 
+/// Structural identity: same interner orders, same ids, same counts.
+fn assert_same_log(got: &SearchLog, reference: &SearchLog) -> Result<(), TestCaseError> {
+    let vocab =
+        |i: &dpsan_searchlog::Interner| i.iter().map(|(_, s)| s.to_string()).collect::<Vec<_>>();
+    prop_assert_eq!(vocab(got.users()), vocab(reference.users()));
+    prop_assert_eq!(vocab(got.queries()), vocab(reference.queries()));
+    prop_assert_eq!(vocab(got.urls()), vocab(reference.urls()));
+    prop_assert_eq!(got.records().collect::<Vec<_>>(), reference.records().collect::<Vec<_>>());
+    Ok(())
+}
+
 /// Every pair of `log`, and of its preprocessed log, is found again
 /// by its key.
 fn assert_pair_lookups(log: &SearchLog) -> Result<(), TestCaseError> {
@@ -46,15 +57,7 @@ proptest! {
         let reference = read_tsv(Cursor::new(text.as_str())).unwrap();
         let cfg = StreamConfig { shards, chunk_rows: chunk, jobs, ..Default::default() };
         let got = ingest_tsv(Cursor::new(text.as_str()), &cfg).unwrap();
-        // structural identity: same interner orders, same ids, same counts
-        let vocab = |i: &dpsan_searchlog::Interner| {
-            i.iter().map(|(_, s)| s.to_string()).collect::<Vec<_>>()
-        };
-        prop_assert_eq!(vocab(got.log.users()), vocab(reference.users()));
-        prop_assert_eq!(vocab(got.log.queries()), vocab(reference.queries()));
-        prop_assert_eq!(vocab(got.log.urls()), vocab(reference.urls()));
-        let recs = |l: &dpsan_searchlog::SearchLog| l.records().collect::<Vec<_>>();
-        prop_assert_eq!(recs(&got.log), recs(&reference));
+        assert_same_log(&got.log, &reference)?;
         // and the memory counters respect their bounds
         prop_assert!(got.report.peak_chunk_rows <= chunk);
         prop_assert_eq!(got.report.rows, tuples.len() as u64);
@@ -67,13 +70,29 @@ proptest! {
         let snap = session.snapshot();
         session.ingest(Cursor::new(to_tsv(&tuples[split..]))).unwrap();
         let prefix = read_tsv(Cursor::new(to_tsv(&tuples[..split]))).unwrap();
-        prop_assert_eq!(recs(&snap.log), recs(&prefix));
-        prop_assert_eq!(recs(&session.finish().log), recs(&reference));
+        assert_same_log(&snap.log, &prefix)?;
+        assert_same_log(&session.finish().log, &reference)?;
 
         // every build path finds each pair by its key
         for log in [&got.log, &snap.log, &reference] {
             assert_pair_lookups(log)?;
         }
+    }
+
+    /// Chunks whose length is not a multiple of the engine's 64-string
+    /// interning window, so windows end at chunk ends mid-window.
+    #[test]
+    fn interning_windows_straddling_chunk_ends_match_read_tsv(
+        tuples in prop::collection::vec((0u8..40, 0u8..60, 0u8..50, 1u8..4), 1..400),
+        shards in 1usize..5,
+        chunk in 1usize..200,
+    ) {
+        prop_assume!(chunk % 64 != 0);
+        let text = to_tsv(&tuples);
+        let reference = read_tsv(Cursor::new(text.as_str())).unwrap();
+        let cfg = StreamConfig { shards, chunk_rows: chunk, jobs: 2, ..Default::default() };
+        let got = ingest_tsv(Cursor::new(text.as_str()), &cfg).unwrap();
+        assert_same_log(&got.log, &reference)?;
     }
 
     #[test]
