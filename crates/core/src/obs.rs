@@ -9,8 +9,9 @@
 //!
 //! These mirror [`crate::SessionStats`] one-for-one: every increment in
 //! `SolveSession` lands in both the per-session struct and the
-//! process-wide registry, so a stats line rendered from either source
-//! agrees with the other by construction.
+//! process-wide registry, and [`crate::SessionStats::from_snapshot`]
+//! reads a registry snapshot back into the struct, so every stat line
+//! renders from one type and both sources agree by construction.
 
 use dpsan_obs::{global, Counter};
 use std::sync::OnceLock;

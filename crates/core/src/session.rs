@@ -8,7 +8,9 @@
 //! solves share and counts what they cost in [`SessionStats`] and in
 //! the process-wide metrics registry. A `UmpSanitizer` opens a fresh
 //! session per release, so its stats are that release's work; `repro`
-//! opens one per grid cell and merges their stats.
+//! opens one per grid cell and merges their stats, and its `--stats`
+//! lines read the same counters back out of a registry snapshot delta
+//! ([`SessionStats::from_snapshot`]).
 //!
 //! Every solve is the plain two-phase primal simplex
 //! ([`dpsan_lp::simplex::solve`]) from the slack basis, so a session's
@@ -23,6 +25,7 @@
 use dpsan_lp::error::LpError;
 use dpsan_lp::problem::Problem;
 use dpsan_lp::simplex::{solve, SimplexOptions, Solution};
+use dpsan_obs::Snapshot;
 
 /// Counters describing how a session's solves went.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,6 +55,23 @@ impl SessionStats {
         self.iterations += other.iterations;
         self.refactorizations += other.refactorizations;
         self.capped += other.capped;
+    }
+
+    /// Read the solver series back out of a registry snapshot (usually
+    /// a [`Snapshot::delta`], to scope the counters to one experiment).
+    /// Every [`SolveSession`] increment lands in both places, so this
+    /// equals the merged stats of the sessions that ran in between.
+    pub fn from_snapshot(s: &Snapshot) -> SessionStats {
+        let n = |name: &str| s.counter(name) as usize;
+        SessionStats {
+            solves: n("dpsan_solves_total{path=\"cold_primal\"}")
+                + n("dpsan_solves_total{path=\"cold_primal_sparse\"}")
+                + n("dpsan_solves_total{path=\"packing\"}"),
+            iterations: n("dpsan_solve_iterations_total"),
+            refactorizations: n("dpsan_solve_refactorizations_total"),
+            capped: n("dpsan_solves_capped_total"),
+            ..SessionStats::default()
+        }
     }
 }
 
@@ -166,5 +186,26 @@ mod tests {
         assert_eq!(a.iterations, 16);
         assert_eq!(a.refactorizations, 5);
         assert_eq!(a.capped, 1);
+    }
+
+    #[test]
+    fn session_stats_and_snapshot_agree_on_the_same_history() {
+        // the registry series a session feeds must read back as the same
+        // stats, so a stat line rendered from either source agrees
+        let stats = SessionStats {
+            solves: 5,
+            iterations: 42,
+            refactorizations: 7,
+            capped: 1,
+            ..SessionStats::default()
+        };
+        let registry = dpsan_obs::Registry::new();
+        registry.counter_with("dpsan_solves_total", "path", "cold_primal").add(2);
+        registry.counter_with("dpsan_solves_total", "path", "cold_primal_sparse").add(2);
+        registry.counter_with("dpsan_solves_total", "path", "packing").inc();
+        registry.counter("dpsan_solve_iterations_total").add(42);
+        registry.counter("dpsan_solve_refactorizations_total").add(7);
+        registry.counter("dpsan_solves_capped_total").inc();
+        assert_eq!(SessionStats::from_snapshot(&registry.snapshot()), stats);
     }
 }

@@ -106,9 +106,8 @@ struct Args {
     ldp_cap: u64,
     lp_budget: Option<usize>,
     seed: u64,
-    shards: usize,
-    chunk_rows: usize,
-    jobs: usize,
+    /// `--shards`, `--chunk-rows` and `--jobs`; sketching stays off.
+    stream: StreamConfig,
     stats: bool,
     follow: bool,
     out_dir: Option<String>,
@@ -138,9 +137,14 @@ fn parse_args() -> Result<Args, String> {
         ldp_cap: 4,
         lp_budget: None,
         seed: DEFAULT_SEED,
-        shards: 16,
-        chunk_rows: 8192,
-        jobs: std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1),
+        // the library defaults are the ones USAGE lists, except that
+        // the drain gets one worker per core
+        stream: StreamConfig {
+            jobs: std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+            ..StreamConfig::default()
+        },
         stats: false,
         follow: false,
         out_dir: None,
@@ -198,11 +202,14 @@ fn parse_args() -> Result<Args, String> {
                 args.seed =
                     value("--seed", &mut it)?.parse().map_err(|e| format!("bad --seed: {e}"))?
             }
-            "--shards" => args.shards = parse_count(&value("--shards", &mut it)?, "--shards")?,
-            "--chunk-rows" => {
-                args.chunk_rows = parse_count(&value("--chunk-rows", &mut it)?, "--chunk-rows")?
+            "--shards" => {
+                args.stream.shards = parse_count(&value("--shards", &mut it)?, "--shards")?
             }
-            "--jobs" => args.jobs = parse_count(&value("--jobs", &mut it)?, "--jobs")?,
+            "--chunk-rows" => {
+                args.stream.chunk_rows =
+                    parse_count(&value("--chunk-rows", &mut it)?, "--chunk-rows")?
+            }
+            "--jobs" => args.stream.jobs = parse_count(&value("--jobs", &mut it)?, "--jobs")?,
             "--stats" => args.stats = true,
             "--follow" => args.follow = true,
             "--out-dir" => args.out_dir = Some(value("--out-dir", &mut it)?),
@@ -384,12 +391,7 @@ fn auto_output_size(
 fn run_follow(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let params = PrivacyParams::from_e_epsilon(args.e_epsilon, args.delta);
     let opts = dpsan_serve::ServeOptions {
-        stream: StreamConfig {
-            shards: args.shards,
-            chunk_rows: args.chunk_rows,
-            sketch_capacity: 0,
-            jobs: args.jobs,
-        },
+        stream: args.stream.clone(),
         params,
         seed: args.seed,
         trigger_rows: args.trigger_rows,
@@ -398,7 +400,7 @@ fn run_follow(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         max_releases: args.max_releases,
         lifetime: args.lifetime_epsilon.zip(args.lifetime_delta),
         out_dir: args.out_dir.as_deref().expect("validated in parse_args").into(),
-        store: args.store_dir.as_deref().map(|dir| dpsan_serve::StoreOptions {
+        store: args.store_dir.as_deref().map(|dir| dpsan_serve::StoreConfig {
             dir: dir.into(),
             checkpoint_rows: args.checkpoint_rows,
         }),
@@ -426,7 +428,7 @@ fn run_follow(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "serve: releases={} rows={} mechanism={}",
             report.releases.len(),
-            report.ingest.rows,
+            report.rows,
             args.mechanism,
         );
         for (rec, path) in report.releases.iter().zip(&report.paths) {
@@ -436,7 +438,7 @@ fn run_follow(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                     rec.index,
                     rec.rows,
                     rec.latency,
-                    &dpsan_eval::stats_text::SolverCounters::from(&rec.solver),
+                    &rec.solver,
                     rec.epsilon_total,
                     rec.delta_total,
                     path,
@@ -456,18 +458,12 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let params = PrivacyParams::from_e_epsilon(args.e_epsilon, args.delta);
 
     // 1. ingestion through the sharded engine
-    let cfg = StreamConfig {
-        shards: args.shards,
-        chunk_rows: args.chunk_rows,
-        sketch_capacity: 0,
-        jobs: args.jobs,
-    };
-    let ingested = ingest_path(&args.input, &cfg)?;
+    let ingested = ingest_path(&args.input, &args.stream)?;
     if args.stats {
         let r = &ingested.report;
         eprintln!(
             "ingest: rows={} shards={} peak_chunk_rows={} max_shard_triplets={}",
-            r.rows, args.shards, r.peak_chunk_rows, r.max_shard_triplets,
+            r.rows, args.stream.shards, r.peak_chunk_rows, r.max_shard_triplets,
         );
     }
 
@@ -511,12 +507,7 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         );
         // always printed — all-zero for non-LP mechanisms, so scripted
         // consumers see one stable line per run instead of a missing one
-        eprintln!(
-            "{}",
-            dpsan_eval::stats_text::solver_line(&dpsan_eval::stats_text::SolverCounters::from(
-                &release.solver
-            ))
-        );
+        eprintln!("{}", dpsan_eval::stats_text::solver_line(&release.solver));
         if let Some(ub) = release.upper_bound {
             let lambda = release.counts.iter().sum();
             eprintln!("{}", dpsan_eval::stats_text::bound_line(lambda, ub));

@@ -9,6 +9,8 @@
 use std::error::Error;
 use std::io::Write;
 
+use dpsan_core::SessionStats;
+
 use crate::context::Ctx;
 use crate::experiments;
 
@@ -92,15 +94,15 @@ pub fn run_experiments(
         writeln!(out)?;
         if opts.solver_stats {
             let after = dpsan_obs::global().snapshot();
-            let c = crate::stats_text::SolverCounters::from_snapshot(&after.delta(&before));
-            eprintln!("{}", crate::stats_text::solver_stats_line(name, &c));
+            let stats = SessionStats::from_snapshot(&after.delta(&before));
+            eprintln!("{}", crate::stats_text::solver_stats_line(name, &stats));
             before = after;
         }
     }
     if opts.solver_stats && names.len() > 1 {
         let whole = dpsan_obs::global().snapshot().delta(&run_start);
-        let c = crate::stats_text::SolverCounters::from_snapshot(&whole);
-        eprintln!("{}", crate::stats_text::solver_stats_line("total", &c));
+        let stats = SessionStats::from_snapshot(&whole);
+        eprintln!("{}", crate::stats_text::solver_stats_line("total", &stats));
     }
     Ok(())
 }

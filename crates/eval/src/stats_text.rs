@@ -5,12 +5,12 @@
 //! string — three places to drift apart. Now all three render here,
 //! from the same data the metrics exporters publish:
 //!
-//! * [`SolverCounters`] is the shared solver vocabulary. It converts
-//!   from a per-scope [`SessionStats`] *and* from a registry
-//!   [`Snapshot`] delta — and because `SolveSession` mirrors every
-//!   increment into the registry, the two sources agree by
-//!   construction, so a stderr line and a Prometheus scrape can never
-//!   tell different stories.
+//! * [`SessionStats`] is the one solver vocabulary. A line renders
+//!   from a per-release `SessionStats` or from one read out of a
+//!   registry [`Snapshot`] delta ([`SessionStats::from_snapshot`]) —
+//!   and because `SolveSession` mirrors every increment into the
+//!   registry, the two sources agree by construction, so a stderr line
+//!   and a Prometheus scrape can never tell different stories.
 //! * [`recovery_line`] reads the `dpsan_recovery_*` gauges straight
 //!   from a snapshot — the identical series a `--metrics-file` export
 //!   contains.
@@ -22,62 +22,22 @@
 use dpsan_core::session::SessionStats;
 use dpsan_obs::Snapshot;
 
-/// The solver counters every stat line renders from.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverCounters {
-    /// Total solves.
-    pub solves: u64,
-    /// Simplex iterations over all solves.
-    pub iterations: u64,
-    /// Basis (re)factorizations over all solves.
-    pub refactorizations: u64,
-    /// O-UMP solves accepted as anytime (packing-route) answers.
-    pub capped: u64,
-}
-
-impl From<&SessionStats> for SolverCounters {
-    fn from(s: &SessionStats) -> Self {
-        SolverCounters {
-            solves: s.solves as u64,
-            iterations: s.iterations as u64,
-            refactorizations: s.refactorizations as u64,
-            capped: s.capped as u64,
-        }
-    }
-}
-
-impl SolverCounters {
-    /// Read the solver series out of a registry snapshot (usually a
-    /// [`Snapshot::delta`], to scope the counters to one experiment or
-    /// release).
-    pub fn from_snapshot(s: &Snapshot) -> Self {
-        SolverCounters {
-            solves: s.counter("dpsan_solves_total{path=\"cold_primal\"}")
-                + s.counter("dpsan_solves_total{path=\"cold_primal_sparse\"}")
-                + s.counter("dpsan_solves_total{path=\"packing\"}"),
-            iterations: s.counter("dpsan_solve_iterations_total"),
-            refactorizations: s.counter("dpsan_solve_refactorizations_total"),
-            capped: s.counter("dpsan_solves_capped_total"),
-        }
-    }
-
-    /// The shared `key=value` payload of every solver line.
-    fn kv(&self) -> String {
-        format!(
-            "solves={} iterations={} refactorizations={} capped={}",
-            self.solves, self.iterations, self.refactorizations, self.capped,
-        )
-    }
+/// The shared `key=value` payload of every solver line.
+fn solver_kv(s: &SessionStats) -> String {
+    format!(
+        "solves={} iterations={} refactorizations={} capped={}",
+        s.solves, s.iterations, s.refactorizations, s.capped,
+    )
 }
 
 /// The `repro --stats` per-experiment line: `stats[scope]: solves=…`.
-pub fn solver_stats_line(scope: &str, c: &SolverCounters) -> String {
-    format!("stats[{scope}]: {}", c.kv())
+pub fn solver_stats_line(scope: &str, s: &SessionStats) -> String {
+    format!("stats[{scope}]: {}", solver_kv(s))
 }
 
 /// The one-shot `sanitize --stats` line: `solver: solves=…`.
-pub fn solver_line(c: &SolverCounters) -> String {
-    format!("solver: {}", c.kv())
+pub fn solver_line(s: &SessionStats) -> String {
+    format!("solver: {}", solver_kv(s))
 }
 
 /// The one-shot `sanitize --stats` certificate line of an O-UMP
@@ -95,7 +55,7 @@ pub fn release_line(
     index: u64,
     rows: u64,
     latency: std::time::Duration,
-    c: &SolverCounters,
+    solver: &SessionStats,
     epsilon_total: f64,
     delta_total: f64,
     out: &std::path::Path,
@@ -104,7 +64,7 @@ pub fn release_line(
         "release[{index}]: rows={rows} latency_ms={:.1} {} eps-total={epsilon_total:.6} \
          delta-total={delta_total:.6} out={}",
         latency.as_secs_f64() * 1e3,
-        c.kv(),
+        solver_kv(solver),
         out.display(),
     )
 }
@@ -136,9 +96,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn session_stats_and_snapshot_agree_on_the_same_history() {
-        // the struct-sourced and registry-sourced counters must render
-        // identically for the same underlying history
+    fn solver_lines_render_every_counter() {
         let stats = SessionStats {
             solves: 5,
             iterations: 42,
@@ -146,19 +104,9 @@ mod tests {
             capped: 1,
             ..SessionStats::default()
         };
-        let registry = dpsan_obs::Registry::new();
-        registry.counter_with("dpsan_solves_total", "path", "cold_primal").add(2);
-        registry.counter_with("dpsan_solves_total", "path", "cold_primal_sparse").add(2);
-        registry.counter_with("dpsan_solves_total", "path", "packing").inc();
-        registry.counter("dpsan_solve_iterations_total").add(42);
-        registry.counter("dpsan_solve_refactorizations_total").add(7);
-        registry.counter("dpsan_solves_capped_total").inc();
-        let from_stats = SolverCounters::from(&stats);
-        assert_eq!(from_stats, SolverCounters::from_snapshot(&registry.snapshot()));
-        assert_eq!(
-            solver_stats_line("t", &from_stats),
-            "stats[t]: solves=5 iterations=42 refactorizations=7 capped=1"
-        );
+        let kv = "solves=5 iterations=42 refactorizations=7 capped=1";
+        assert_eq!(solver_stats_line("t", &stats), format!("stats[t]: {kv}"));
+        assert_eq!(solver_line(&stats), format!("solver: {kv}"));
     }
 
     #[test]
@@ -183,7 +131,7 @@ mod tests {
             2,
             100,
             std::time::Duration::from_millis(12),
-            &SolverCounters::default(),
+            &SessionStats::default(),
             1.5,
             0.25,
             std::path::Path::new("out/release-0002.tsv"),

@@ -261,11 +261,13 @@ fn sample(text: &str, series: &str) -> f64 {
 }
 
 /// One follow-mode release debits the ledger once: the exported spend
-/// counter equals the release counter, whatever the mechanism.
+/// counter equals the release counter, whatever the mechanism, and the
+/// `serve:` stat line counts every input row.
 #[test]
 fn follow_release_counts_each_budget_spend_once() {
     let dir = scratch("spends");
     let input = tiny_log(&dir);
+    let rows = fs::read_to_string(&input).unwrap().lines().count();
     for mech in ["oump", "zealous"] {
         let out_dir = dir.join(format!("out-{mech}"));
         let prom = dir.join(format!("{mech}.prom"));
@@ -280,8 +282,12 @@ fn follow_release_counts_each_budget_spend_once() {
             "300",
             "--metrics-file",
             prom.to_str().unwrap(),
+            "--stats",
         ]);
-        assert!(o.status.success(), "{mech}: {}", String::from_utf8_lossy(&o.stderr));
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert!(o.status.success(), "{mech}: {stderr}");
+        let serve_line = format!("serve: releases=1 rows={rows} mechanism={mech}");
+        assert!(stderr.lines().any(|l| l == serve_line), "{mech}: want {serve_line:?}:\n{stderr}");
         let text = fs::read_to_string(&prom).expect("metrics file written");
         assert_eq!(sample(&text, "dpsan_releases_total"), 1.0, "{mech}:\n{text}");
         assert_eq!(sample(&text, "dpsan_budget_spends_total"), 1.0, "{mech}:\n{text}");

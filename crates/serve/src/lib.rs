@@ -54,6 +54,7 @@ pub mod follow;
 pub mod obs;
 pub mod session;
 
+pub use dpsan_store::StoreConfig;
 pub use follow::{FollowError, FollowReader};
 pub use session::{ReleaseRecord, ServeError, ServeSession};
 
@@ -64,8 +65,8 @@ use std::time::{Duration, Instant};
 use dpsan_core::mechanism::{Sanitizer, TriggerPolicy};
 use dpsan_dp::composition::BudgetLedger;
 use dpsan_dp::params::PrivacyParams;
-use dpsan_store::{DiskIo, DurableStore, RecoveryReport, StoreConfig};
-use dpsan_stream::{IngestReport, StreamConfig};
+use dpsan_store::{DiskIo, DurableStore, RecoveryReport};
+use dpsan_stream::StreamConfig;
 
 /// Configuration of the follow/serve loop.
 #[derive(Debug, Clone)]
@@ -94,9 +95,11 @@ pub struct ServeOptions {
     pub lifetime: Option<(f64, f64)>,
     /// Directory for `release-NNNN.tsv` outputs (created if missing).
     pub out_dir: PathBuf,
-    /// Durable crash-safe persistence; `None` keeps all state in
-    /// memory (the pre-store behavior).
-    pub store: Option<StoreOptions>,
+    /// Durable crash-safe persistence, handed to [`DurableStore::open`]
+    /// as is: the store's root directory (created if missing) and how
+    /// many ingested rows trigger a checkpoint (`0` = only on clean
+    /// exit). `None` keeps all state in memory (the pre-store behavior).
+    pub store: Option<StoreConfig>,
     /// Write a Prometheus-text metrics snapshot here (atomically,
     /// temp + rename) — once at exit, and periodically while following
     /// when [`ServeOptions::metrics_interval`] is also set. Telemetry
@@ -108,16 +111,6 @@ pub struct ServeOptions {
     pub metrics_interval: Option<Duration>,
 }
 
-/// Durability knobs for the serve loop.
-#[derive(Debug, Clone)]
-pub struct StoreOptions {
-    /// Root directory of the durable store (created if missing).
-    pub dir: PathBuf,
-    /// Checkpoint every time this many rows have been ingested since
-    /// the last checkpoint (`0` = checkpoint only on clean exit).
-    pub checkpoint_rows: u64,
-}
-
 /// What one serve run did, for reporting and benchmarking.
 #[derive(Debug)]
 pub struct ServeReport {
@@ -125,8 +118,9 @@ pub struct ServeReport {
     pub releases: Vec<ReleaseRecord>,
     /// Paths written, aligned with `releases`.
     pub paths: Vec<PathBuf>,
-    /// Final ingest counters.
-    pub ingest: IngestReport,
+    /// Records ingested over the whole stream at exit (restored ones
+    /// included).
+    pub rows: u64,
     /// The cross-release ledger at exit.
     pub ledger: BudgetLedger,
     /// `Some(message)` when the service stopped because the lifetime
@@ -155,11 +149,8 @@ pub fn serve(
     // ledger), then resume the input where the WAL left off. Without:
     // fresh session from the top of the file.
     let (mut store, mut session, mut follow, recovery) = match &opts.store {
-        Some(sopts) => {
-            let (store, recovered) = DurableStore::open(
-                Arc::new(DiskIo),
-                StoreConfig { dir: sopts.dir.clone(), checkpoint_rows: sopts.checkpoint_rows },
-            )?;
+        Some(cfg) => {
+            let (store, recovered) = DurableStore::open(Arc::new(DiskIo), cfg.clone())?;
             let ingest = recovered.resume_session(opts.stream.clone())?;
             let ledger = dpsan_store::rebuild_ledger(&recovered.manifests, opts.lifetime);
             let released_rows = recovered.manifests.last().map_or(0, |m| m.rows);
@@ -280,7 +271,7 @@ pub fn serve(
     Ok(ServeReport {
         releases: session.records().to_vec(),
         paths,
-        ingest: session.ingest_report(),
+        rows: session.rows(),
         ledger: session.ledger().clone(),
         budget_refusal,
         recovery,

@@ -27,7 +27,7 @@ use dpsan_core::session::SessionStats;
 use dpsan_dp::composition::BudgetLedger;
 use dpsan_dp::params::PrivacyParams;
 use dpsan_searchlog::LogError;
-use dpsan_stream::{IngestReport, IngestSession, SessionState, StreamConfig};
+use dpsan_stream::{IngestSession, SessionState, StreamConfig};
 
 /// Everything that can go wrong while serving.
 #[derive(Debug)]
@@ -155,17 +155,7 @@ impl ServeSession {
             Some((e, d)) => BudgetLedger::with_lifetime(e, d),
             None => BudgetLedger::new(),
         };
-        ServeSession {
-            ingest: IngestSession::new(stream),
-            mechanism,
-            trigger,
-            ledger: ledger.observed(),
-            pending_rows: 0,
-            releases: 0,
-            params,
-            seed,
-            records: Vec::new(),
-        }
+        Self::restore(mechanism, IngestSession::new(stream), params, seed, trigger, ledger, 0, 0)
     }
 
     /// A session resuming from durable state: `ingest` is the
@@ -285,11 +275,6 @@ impl ServeSession {
     /// Per-release records so far.
     pub fn records(&self) -> &[ReleaseRecord] {
         &self.records
-    }
-
-    /// Current ingest counters.
-    pub fn ingest_report(&self) -> IngestReport {
-        self.ingest.report()
     }
 
     /// Export the full ingest state (the unit a durable store

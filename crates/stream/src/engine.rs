@@ -114,9 +114,6 @@ pub struct IngestReport {
     /// staged runs exceed by at most itself plus
     /// [`FOLD_FLOOR`](crate::shard::FOLD_FLOOR).
     pub max_shard_triplets: usize,
-    /// Live counters in the merged sketch (≤ configured capacity), 0
-    /// when sketching is disabled.
-    pub sketch_entries: usize,
 }
 
 /// Everything one ingestion run produces.
@@ -297,17 +294,6 @@ impl IngestSession {
         self.shards.iter().map(ShardIntake::staged_triplets).max().unwrap_or(0)
     }
 
-    /// The memory-bound counters so far. `max_shard_triplets` and
-    /// `sketch_entries` reflect the *current* state (each shard is
-    /// folded on a copy to count its aggregated triplets).
-    pub fn report(&self) -> IngestReport {
-        let mut r = self.report;
-        r.max_shard_triplets =
-            self.shards.iter().map(|s| s.sorted_triplets().len()).max().unwrap_or(0);
-        r.sketch_entries = merge_sketches(&self.sketches).as_ref().map_or(0, PairSketch::len);
-        r
-    }
-
     /// Merge the current state into an [`IngestResult`] without
     /// consuming the session: shards drain to sorted vectors in
     /// parallel, the runs are merged, and the log gets a copy of the
@@ -352,7 +338,6 @@ impl IngestSession {
         let sketch = merge_sketches(&self.sketches);
         let mut report = self.report;
         report.max_shard_triplets = max_shard_triplets;
-        report.sketch_entries = sketch.as_ref().map_or(0, PairSketch::len);
         crate::obs::merge_seconds().record(started.elapsed().as_secs_f64());
         IngestResult { log, sketch, report }
     }
@@ -473,7 +458,6 @@ impl IngestSession {
                 lines: state.lines,
                 peak_chunk_rows: state.peak_chunk_rows,
                 max_shard_triplets: 0,
-                sketch_entries: 0,
             },
         })
     }
@@ -776,7 +760,7 @@ mod tests {
         let got = ingest_tsv(Cursor::new(text.as_str()), &cfg).unwrap();
         assert_eq!(got.report.rows, 30);
         assert!(got.report.peak_chunk_rows <= 5, "chunk buffer bound");
-        assert!(got.report.sketch_entries <= 8, "sketch capacity bound");
+        assert!(got.sketch.expect("sketching enabled").len() <= 8, "sketch capacity bound");
         assert!(got.report.max_shard_triplets <= got.log.n_triplets());
     }
 
@@ -795,7 +779,6 @@ mod tests {
         let cfg = StreamConfig { sketch_capacity: 0, ..Default::default() };
         let got = ingest_tsv(Cursor::new("u1\tq\tl\t1\nu2\tq\tl\t2\n"), &cfg).unwrap();
         assert!(got.sketch.is_none());
-        assert_eq!(got.report.sketch_entries, 0);
     }
 
     #[test]

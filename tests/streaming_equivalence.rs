@@ -170,8 +170,8 @@ fn ingestion_memory_is_bounded_by_chunk_and_sketch_capacity() {
         got.report.peak_chunk_rows
     );
     // the sketch respects its counter budget despite seeing every row
-    assert!(got.report.sketch_entries <= sketch_capacity);
     let sketch = got.sketch.unwrap();
+    assert!(sketch.len() <= sketch_capacity);
     assert_eq!(sketch.total_weight(), got.log.size());
     // per-shard aggregation holds only the shard's triplets, which
     // together partition the log's triplets (user-complete shards)
