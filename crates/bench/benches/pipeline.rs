@@ -170,11 +170,7 @@ fn bench(c: &mut Criterion) {
         // shards, 8192-row chunks, no sketch: parse, url interning and
         // routing on the intake's reader thread, the rest of intake on
         // the calling thread, then drain and merge on one worker
-        let mut cfg = dpsan_eval::Scale::Small.config();
-        let users = 20_000usize;
-        let ratio = users as f64 / cfg.n_users as f64;
-        cfg.n_queries = ((cfg.n_queries as f64 * ratio).ceil() as usize).max(1);
-        cfg.n_users = users;
+        let cfg = presets::with_users(dpsan_eval::Scale::Small.config(), 20_000);
         let mut tsv = Vec::new();
         write_log_tsv(&cfg, &mut tsv).expect("spool 20k-user log");
         let stream = StreamConfig { shards: 16, chunk_rows: 8 * 1024, sketch_capacity: 0, jobs: 1 };
@@ -316,11 +312,7 @@ fn bench(c: &mut Criterion) {
     // tracked coverage of the sparse kernels at the scale they exist
     // for, and `oump_packing_100k` is what a production O-UMP pays there.
     let (big_cons, big_problem, big_matrix, big_basis) = {
-        let mut cfg = dpsan_eval::Scale::Tiny.config();
-        let users = 100_000usize;
-        let ratio = users as f64 / cfg.n_users as f64;
-        cfg.n_queries = ((cfg.n_queries as f64 * ratio).ceil() as usize).max(1);
-        cfg.n_users = users;
+        let cfg = presets::with_users(dpsan_eval::Scale::Tiny.config(), 100_000);
         let (pre, _) = preprocess(&generate(&cfg));
         let cons =
             PrivacyConstraints::build(&pre, PrivacyParams::from_e_epsilon(2.0, 0.5)).unwrap();

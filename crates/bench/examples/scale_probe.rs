@@ -15,7 +15,7 @@ use std::time::Instant;
 use dpsan_core::constraints::PrivacyConstraints;
 use dpsan_core::ump::output_size::OumpOptions;
 use dpsan_core::SolveSession;
-use dpsan_datagen::{generate, presets, AolLikeConfig};
+use dpsan_datagen::{generate, presets};
 use dpsan_dp::params::PrivacyParams;
 use dpsan_lp::dense::DenseLu;
 use dpsan_lp::factor::BasisFactor;
@@ -82,12 +82,7 @@ fn main() {
         Some("tiny") => presets::aol_tiny(),
         _ => presets::aol_small(),
     };
-    let ratio = users as f64 / base.n_users as f64;
-    let cfg = AolLikeConfig {
-        n_users: users,
-        n_queries: ((base.n_queries as f64 * ratio).ceil() as usize).max(1),
-        ..base
-    };
+    let cfg = presets::with_users(base, users);
     let t0 = Instant::now();
     let log = generate(&cfg);
     println!("generate          {:>12?}  ({} tuples)", t0.elapsed(), log.size());

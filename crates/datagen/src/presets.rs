@@ -73,6 +73,19 @@ pub fn aol_paper() -> AolLikeConfig {
     }
 }
 
+/// `base` rescaled to `users` users. The query vocabulary scales by the
+/// same factor (rounded up, at least 1), so pair-sharing frequencies
+/// keep the preset's Table-3-like shape; every other parameter, the
+/// seed included, is kept. `genlog --users` scales presets this way.
+pub fn with_users(base: AolLikeConfig, users: usize) -> AolLikeConfig {
+    let ratio = users as f64 / base.n_users as f64;
+    AolLikeConfig {
+        n_users: users,
+        n_queries: ((base.n_queries as f64 * ratio).ceil() as usize).max(1),
+        ..base
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@
 
 use std::process::ExitCode;
 
-use dpsan_datagen::write_log_file;
+use dpsan_datagen::{presets, write_log_file};
 use dpsan_eval::Scale;
 
 const USAGE: &str = "usage: genlog --out <path> [--scale tiny|small|medium|paper] [--seed N] \
@@ -80,11 +80,7 @@ fn main() -> ExitCode {
     };
     let mut cfg = scale.config();
     if let Some(users) = users {
-        // scale the vocabulary with the population so pair-sharing
-        // frequencies keep the preset's Table-3-like shape
-        let ratio = users as f64 / cfg.n_users as f64;
-        cfg.n_queries = ((cfg.n_queries as f64 * ratio).ceil() as usize).max(1);
-        cfg.n_users = users;
+        cfg = presets::with_users(cfg, users);
     }
     if let Some(seed) = seed {
         cfg.seed = seed;

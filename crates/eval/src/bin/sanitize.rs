@@ -427,9 +427,7 @@ fn run_follow(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         eprintln!(
             "serve: releases={} rows={} mechanism={}",
-            report.releases.len(),
-            report.rows,
-            args.mechanism,
+            report.release_count, report.rows, args.mechanism,
         );
         for (rec, path) in report.releases.iter().zip(&report.paths) {
             eprintln!(

@@ -11,12 +11,9 @@ use dpsan_core::metrics::{precision_recall_f, support_distance_avg_f, support_di
 use dpsan_dp::params::PrivacyParams;
 
 use crate::context::Ctx;
-use crate::experiments::{
-    fump_cell, prefetch_fump_cells, prefetch_reference_grid, reference_outputs,
-};
+use crate::experiments::{fump_cell, prefetch_fump_cells, render_reference_grid};
 use crate::grids::{
-    reference_params, scaled_support, DELTA_CURVES, E_EPS_SWEEP, FIG3_OUTPUT_FRACTION,
-    FIG3_SUPPORT, SUPPORT_GRID,
+    reference_params, scaled_support, DELTA_CURVES, E_EPS_SWEEP, FIG3_OUTPUT_FRACTION, FIG3_SUPPORT,
 };
 use crate::table::{f4, Table};
 
@@ -101,35 +98,17 @@ pub fn run_b(ctx: &Ctx, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
 }
 
 /// Figure 3(c): average support distance vs minimum support (log-scale
-/// x in the paper) for several output sizes at the reference cell.
+/// x in the paper) for several output sizes at the reference cell, on
+/// the grid Tables 5/6 share.
 pub fn run_c(ctx: &Ctx, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
-    let params = reference_params();
-    let (lambda, outputs) = reference_outputs(ctx)?;
-    writeln!(
+    render_reference_grid(
+        ctx,
         out,
-        "Figure 3(c): average support distance vs minimum support (e^ε = 2, δ = 0.5, λ = {lambda})"
-    )?;
-    writeln!(out)?;
-    // shared with Tables 5/6: same cells
-    prefetch_reference_grid(ctx, &outputs)?;
-    let mut headers = vec!["s".to_string()];
-    headers.extend(outputs.iter().map(|o| format!("|O|={o}")));
-    let mut t = Table::new(headers);
-    for &paper_s in &SUPPORT_GRID {
-        let s = scaled_support(&ctx.pre, paper_s);
-        let mut row = vec![format!("1/{:.0} -> {s:.5}", 1.0 / paper_s)];
-        for &o in &outputs {
-            match fump_cell(ctx, params, s, o)? {
-                Some((sol, used_o)) => {
-                    row.push(f4(support_distance_avg_f(&ctx.pre, &sol.lp_counts, s, used_o as f64)))
-                }
-                None => row.push("-".into()),
-            }
-        }
-        t.row(row);
-    }
-    writeln!(out, "{t}")?;
-    Ok(())
+        "Figure 3(c): average support distance vs minimum support",
+        "s",
+        "|O|=",
+        |sol, s, used_o| support_distance_avg_f(&ctx.pre, &sol.lp_counts, s, used_o as f64),
+    )
 }
 
 #[cfg(test)]

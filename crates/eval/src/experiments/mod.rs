@@ -11,6 +11,8 @@ pub mod table4;
 pub mod table56;
 pub mod table7;
 
+use std::error::Error;
+use std::io::Write;
 use std::sync::Arc;
 
 use dpsan_core::ump::frequent::FumpSolution;
@@ -19,6 +21,7 @@ use dpsan_dp::params::PrivacyParams;
 
 use crate::context::{Ctx, FumpCell};
 use crate::grids::{reference_params, scaled_support, OUTPUT_FRACTIONS, SUPPORT_GRID};
+use crate::table::{f4, Table};
 
 /// The per-cell output-size clamp of the experiment harness: the
 /// requested output size is limited to the privacy-feasible `0.9 λ` of
@@ -75,7 +78,7 @@ pub fn prefetch_fump_cells(
 
 /// λ and the [`OUTPUT_FRACTIONS`]-derived output sizes at the
 /// reference cell — the column axis of the `(|O|, s)` grid that
-/// Tables 5/6 and Figure 3(c) share.
+/// Tables 5/6 and Figure 3(c) share ([`render_reference_grid`]).
 pub fn reference_outputs(ctx: &Ctx) -> Result<(u64, Vec<u64>), CoreError> {
     let lambda = ctx.lambda(reference_params())?;
     let outs =
@@ -83,15 +86,42 @@ pub fn reference_outputs(ctx: &Ctx) -> Result<(u64, Vec<u64>), CoreError> {
     Ok((lambda, outs))
 }
 
-/// Prefetch the shared `(|O|, s)` reference grid that Tables 5/6 and
-/// Figure 3(c) all render.
-pub fn prefetch_reference_grid(ctx: &Ctx, outs: &[u64]) -> Result<(), CoreError> {
+/// Render one metric over the shared `(s, |O|)` reference grid, as
+/// Tables 5/6 and Figure 3(c) print it: the title line with the
+/// reference cell and its λ, then one row per [`SUPPORT_GRID`] support
+/// (labelled with its rescaled value) and one column per
+/// [`reference_outputs`] size, headed `corner` and `{column}{|O|}`.
+/// A cell is `metric(solution, s, |O| used)`, or `-` when λ is zero.
+pub fn render_reference_grid(
+    ctx: &Ctx,
+    out: &mut dyn Write,
+    title: &str,
+    corner: &str,
+    column: &str,
+    metric: impl Fn(&FumpSolution, f64, u64) -> f64,
+) -> Result<(), Box<dyn Error>> {
     let params = reference_params();
+    let (lambda, outs) = reference_outputs(ctx)?;
+    let supports = SUPPORT_GRID.map(|paper_s| (paper_s, scaled_support(&ctx.pre, paper_s)));
     prefetch_fump_cells(
         ctx,
-        SUPPORT_GRID.iter().flat_map(|&paper_s| {
-            let s = scaled_support(&ctx.pre, paper_s);
-            outs.iter().map(move |&o| (params, s, o))
-        }),
-    )
+        supports.iter().flat_map(|&(_, s)| outs.iter().map(move |&o| (params, s, o))),
+    )?;
+    writeln!(out, "{title} (e^ε = 2, δ = 0.5, λ = {lambda})")?;
+    writeln!(out)?;
+    let mut headers = vec![corner.to_string()];
+    headers.extend(outs.iter().map(|o| format!("{column}{o}")));
+    let mut t = Table::new(headers);
+    for (paper_s, s) in supports {
+        let mut row = vec![format!("1/{:.0} -> {s:.5}", 1.0 / paper_s)];
+        for &o in &outs {
+            match fump_cell(ctx, params, s, o)? {
+                Some((sol, used_o)) => row.push(f4(metric(&sol, s, used_o))),
+                None => row.push("-".into()),
+            }
+        }
+        t.row(row);
+    }
+    writeln!(out, "{t}")?;
+    Ok(())
 }

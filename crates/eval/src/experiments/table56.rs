@@ -7,79 +7,33 @@ use std::io::Write;
 use dpsan_core::metrics::{precision_recall_f, support_distance_sum_f};
 
 use crate::context::Ctx;
-use crate::experiments::{fump_cell, prefetch_reference_grid, reference_outputs};
-use crate::grids::{reference_params, scaled_support, SUPPORT_GRID};
-use crate::table::{f4, Table};
-
-fn outputs(ctx: &Ctx) -> Result<(u64, Vec<u64>), Box<dyn Error>> {
-    Ok(reference_outputs(ctx)?)
-}
+use crate::experiments::render_reference_grid;
 
 /// Table 5: Recall on output size and minimum support.
 pub fn run_table5(ctx: &Ctx, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
-    let (lambda, outs) = outputs(ctx)?;
-    prefetch_reference_grid(ctx, &outs)?;
-    writeln!(out, "Table 5: Recall on |O| and s (e^ε = 2, δ = 0.5, λ = {lambda})")?;
-    writeln!(out)?;
-    let mut headers = vec!["s \\ |O|".to_string()];
-    headers.extend(outs.iter().map(|o| o.to_string()));
-    let mut t = Table::new(headers);
-    for &paper_s in &SUPPORT_GRID {
-        let s = scaled_support(&ctx.pre, paper_s);
-        let mut row = vec![format!("1/{:.0} -> {s:.5}", 1.0 / paper_s)];
-        for &o in &outs {
-            match fump_cell(ctx, reference_params(), s, o)? {
-                Some((sol, _)) => {
-                    row.push(f4(precision_recall_f(&ctx.pre, &sol.lp_counts, s).recall));
-                }
-                None => row.push("-".into()),
-            }
-        }
-        t.row(row);
-    }
-    writeln!(out, "{t}")?;
-    Ok(())
+    render_reference_grid(ctx, out, "Table 5: Recall on |O| and s", "s \\ |O|", "", |sol, s, _| {
+        precision_recall_f(&ctx.pre, &sol.lp_counts, s).recall
+    })
 }
 
 /// Table 6: sum of frequent-pair support distances on the same grid.
 pub fn run_table6(ctx: &Ctx, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
-    let (lambda, outs) = outputs(ctx)?;
-    prefetch_reference_grid(ctx, &outs)?;
-    writeln!(
+    render_reference_grid(
+        ctx,
         out,
-        "Table 6: sum of frequent query-url pair support distances on |O| and s \
-         (e^ε = 2, δ = 0.5, λ = {lambda})"
-    )?;
-    writeln!(out)?;
-    let mut headers = vec!["s \\ |O|".to_string()];
-    headers.extend(outs.iter().map(|o| o.to_string()));
-    let mut t = Table::new(headers);
-    for &paper_s in &SUPPORT_GRID {
-        let s = scaled_support(&ctx.pre, paper_s);
-        let mut row = vec![format!("1/{:.0} -> {s:.5}", 1.0 / paper_s)];
-        for &o in &outs {
-            match fump_cell(ctx, reference_params(), s, o)? {
-                Some((sol, used_o)) => {
-                    row.push(f4(support_distance_sum_f(
-                        &ctx.pre,
-                        &sol.lp_counts,
-                        s,
-                        used_o as f64,
-                    )));
-                }
-                None => row.push("-".into()),
-            }
-        }
-        t.row(row);
-    }
-    writeln!(out, "{t}")?;
-    Ok(())
+        "Table 6: sum of frequent query-url pair support distances on |O| and s",
+        "s \\ |O|",
+        "",
+        |sol, s, used_o| support_distance_sum_f(&ctx.pre, &sol.lp_counts, s, used_o as f64),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::Scale;
+    use crate::experiments::{fump_cell, reference_outputs};
+    use crate::grids::{reference_params, scaled_support, SUPPORT_GRID};
 
     /// The distance sums being compared are short sums of `f64` ratios;
     /// the only admissible "decrease" is accumulated rounding noise,
@@ -90,7 +44,7 @@ mod tests {
     fn distance_sum_grows_with_output_size_at_fixed_support() {
         // Table 6's trend: fixing s, the sum grows as |O| grows
         let ctx = Ctx::new(Scale::Tiny);
-        let (_, outs) = outputs(&ctx).unwrap();
+        let (_, outs) = reference_outputs(&ctx).unwrap();
         let s = scaled_support(&ctx.pre, SUPPORT_GRID[0]);
         let mut values = vec![];
         for &o in &outs {

@@ -295,6 +295,46 @@ fn follow_release_counts_each_budget_spend_once() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// After a `--store-dir` restart the `serve:` stat line counts the whole
+/// stream on both keys: the restored release and rows as well as this
+/// process's.
+#[test]
+fn serve_line_counts_the_whole_stream_after_a_restart() {
+    let dir = scratch("restart");
+    let full = fs::read_to_string(tiny_log(&dir)).unwrap();
+    let lines: Vec<&str> = full.lines().collect();
+    let input = dir.join("growing.tsv");
+    let store = dir.join("store");
+    let follow = |text: String| {
+        fs::write(&input, text).unwrap();
+        let o = run_sanitize(&[
+            input.to_str().unwrap(),
+            "--follow",
+            "--out-dir",
+            dir.join("out").to_str().unwrap(),
+            "--store-dir",
+            store.to_str().unwrap(),
+            "--idle-exit-ms",
+            "200",
+            "--stats",
+        ]);
+        let stderr = String::from_utf8_lossy(&o.stderr).into_owned();
+        assert!(o.status.success(), "{stderr}");
+        stderr
+    };
+    let fresh = follow(lines[..600].iter().map(|l| format!("{l}\n")).collect());
+    let want = "serve: releases=1 rows=600 mechanism=oump";
+    assert!(fresh.lines().any(|l| l == want), "fresh run: want {want:?}:\n{fresh}");
+    let restarted = follow(full.clone());
+    let want = format!("serve: releases=2 rows={} mechanism=oump", lines.len());
+    assert!(restarted.lines().any(|l| l == want), "restart: want {want:?}:\n{restarted}");
+    assert!(
+        restarted.lines().any(|l| l.starts_with("release[2]: ")),
+        "restart: its one release is the stream's second:\n{restarted}"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// A lifetime budget smaller than one release's ε refuses the first
 /// release: a clean exit that publishes nothing and records no manifest.
 #[test]

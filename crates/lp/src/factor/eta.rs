@@ -81,7 +81,7 @@ impl EtaFile {
     /// Record an eta from the spike `w` with pivot position `r`. The
     /// pattern is sorted so the stored entries come out in ascending
     /// index order, as a left-to-right sweep of the dense spike would
-    /// store them, whichever kernel produced `w`.
+    /// store them, whatever order the caller built `w` in.
     pub fn push_sparse(&mut self, r: usize, w: &mut SparseVec) -> Result<(), LpError> {
         let pivot = w.values[r];
         if pivot.abs() < 1e-11 {
@@ -97,37 +97,6 @@ impl EtaFile {
         self.nnz += entries.len() + 1;
         self.etas.push(Eta { r, pivot, entries });
         Ok(())
-    }
-
-    /// Pattern-aware [`EtaFile::ftran`]: identical arithmetic, but new
-    /// fill positions are tracked in `z`'s pattern.
-    pub fn ftran_sparse(&self, z: &mut SparseVec) {
-        for eta in &self.etas {
-            let yr = z.values[eta.r] / eta.pivot;
-            if yr != 0.0 {
-                for &(i, w) in &eta.entries {
-                    z.add(i, -w * yr);
-                }
-                z.set(eta.r, yr);
-            } else if z.values[eta.r] != 0.0 {
-                // exact-zero quotient of a tracked value: store it
-                z.set(eta.r, yr);
-            }
-        }
-    }
-
-    /// Pattern-aware [`EtaFile::btran`]: identical arithmetic, but the
-    /// pivot position is tracked in `z`'s pattern when it fills in.
-    pub fn btran_sparse(&self, z: &mut SparseVec) {
-        for eta in self.etas.iter().rev() {
-            let mut v = z.values[eta.r];
-            for &(i, w) in &eta.entries {
-                v -= w * z.values[i];
-            }
-            if v != 0.0 || z.values[eta.r] != 0.0 {
-                z.set(eta.r, v / eta.pivot);
-            }
-        }
     }
 }
 

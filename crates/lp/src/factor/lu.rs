@@ -10,15 +10,10 @@
 //! matrix), which keeps fill-in low on the near-block-diagonal bases
 //! the UMP LPs produce (`P B = L U`, row permutation only).
 //!
-//! Solves come in two flavors: dense in-place [`SparseLu::ftran`] /
-//! [`SparseLu::btran`] over full working vectors, and pattern-driven
-//! [`SparseLu::ftran_sparse`] / [`SparseLu::btran_sparse`] that first
-//! compute the structural nonzero set of the result (another reach
-//! over the factor graphs) and then touch only those entries. Both
-//! flavors process pivots in the same order, so they agree exactly —
-//! not just to rounding — on any input.
-
-use crate::sparse::SparseVec;
+//! Solves are flat sweeps in place over full working vectors
+//! ([`SparseLu::ftran`], [`SparseLu::btran`]): each visits every pivot
+//! position once, in order. The simplex re-derives a result's nonzero
+//! pattern with one scan ([`crate::sparse::SparseVec::rescan_pattern`]).
 
 /// Relative magnitude threshold for Markowitz pivot admissibility: a
 /// row is a pivot candidate when `|v| >= 0.1 * max|v|` in the column.
@@ -26,51 +21,6 @@ const MARKOWITZ_THRESHOLD: f64 = 0.1;
 
 /// Absolute floor under which a pivot is considered numerically zero.
 const PIVOT_TOL: f64 = 1e-11;
-
-/// Reusable workspace for the pattern-driven solves: reach/stack
-/// buffers for the structural traversals plus an auxiliary sparse
-/// vector for the two-stage FTRAN.
-#[derive(Debug, Clone)]
-pub struct LuScratch {
-    visited: Vec<bool>,
-    stack: Vec<usize>,
-    reach: Vec<usize>,
-    aux: SparseVec,
-}
-
-impl LuScratch {
-    /// Workspace for dimension-`n` solves.
-    pub fn new(n: usize) -> Self {
-        LuScratch {
-            visited: vec![false; n],
-            stack: Vec::new(),
-            reach: Vec::new(),
-            aux: SparseVec::new(n),
-        }
-    }
-
-    /// Resize for dimension-`n` solves, clearing all state.
-    pub fn resize(&mut self, n: usize) {
-        self.visited.clear();
-        self.visited.resize(n, false);
-        self.stack.clear();
-        self.reach.clear();
-        self.aux.resize(n);
-    }
-}
-
-/// Which factor graph a structural reach traverses.
-#[derive(Clone, Copy)]
-enum Edges {
-    /// `k -> pinv[r]` for `(r, _)` in `l_cols[k]` (FTRAN L-solve).
-    LCols,
-    /// `j -> k` for `(k, _)` in `u_cols[j]` (FTRAN U back-substitution).
-    UCols,
-    /// `k -> j` for `j` in `u_rows[k]` (BTRAN U'-solve).
-    URows,
-    /// `q -> k` for `k` in `l_rows[p[q]]` (BTRAN L'-solve).
-    LRows,
-}
 
 /// Sparse LU factors of a square matrix.
 #[derive(Debug, Clone)]
@@ -82,13 +32,6 @@ pub struct SparseLu {
     /// Column j of `U` strictly above the diagonal: entries `(k, v)`
     /// meaning pivot position `k` (`k < j`), ascending in `k`.
     u_cols: Vec<Vec<(usize, f64)>>,
-    /// Row k of `U` strictly right of the diagonal: the columns `j > k`
-    /// with `U[k][j] != 0`, ascending. Structure only — values are
-    /// gathered through `u_cols` so solve order matches the dense path.
-    u_rows: Vec<Vec<usize>>,
-    /// Transpose structure of `L` by original row: `l_rows[r]` lists the
-    /// pivot positions `k` whose `l_cols[k]` contains row `r`.
-    l_rows: Vec<Vec<usize>>,
     /// Diagonal of `U` per pivot position.
     u_diag: Vec<f64>,
     /// `p[k]` = original row chosen as pivot of position `k`.
@@ -247,21 +190,7 @@ impl SparseLu {
 
         let pinv: Vec<usize> = pinv.into_iter().map(|x| x.expect("all rows pivoted")).collect();
 
-        // transpose structures for the BTRAN reach traversals
-        let mut u_rows: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (j, col) in u_cols.iter().enumerate() {
-            for &(k, _) in col {
-                u_rows[k].push(j);
-            }
-        }
-        let mut l_rows: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (k, col) in l_cols.iter().enumerate() {
-            for &(r, _) in col {
-                l_rows[r].push(k);
-            }
-        }
-
-        Some(SparseLu { n, l_cols, u_cols, u_rows, l_rows, u_diag, p, pinv })
+        Some(SparseLu { n, l_cols, u_cols, u_diag, p, pinv })
     }
 
     /// Dimension.
@@ -330,153 +259,6 @@ impl SparseLu {
             rhs[self.p[k]] = w[k];
         }
     }
-
-    /// Close `ws.reach` over the given factor graph starting from the
-    /// seeds already pushed onto `ws.stack` (with `ws.visited` set).
-    /// Leaves `ws.reach` sorted ascending and `ws.visited` cleared.
-    fn close_reach(&self, ws: &mut LuScratch, edges: Edges) {
-        ws.reach.clear();
-        while let Some(q) = ws.stack.pop() {
-            ws.reach.push(q);
-            match edges {
-                Edges::LCols => {
-                    for &(r, _) in &self.l_cols[q] {
-                        let k2 = self.pinv[r];
-                        if !ws.visited[k2] {
-                            ws.visited[k2] = true;
-                            ws.stack.push(k2);
-                        }
-                    }
-                }
-                Edges::UCols => {
-                    for &(k, _) in &self.u_cols[q] {
-                        if !ws.visited[k] {
-                            ws.visited[k] = true;
-                            ws.stack.push(k);
-                        }
-                    }
-                }
-                Edges::URows => {
-                    for &j in &self.u_rows[q] {
-                        if !ws.visited[j] {
-                            ws.visited[j] = true;
-                            ws.stack.push(j);
-                        }
-                    }
-                }
-                Edges::LRows => {
-                    for &k in &self.l_rows[self.p[q]] {
-                        if !ws.visited[k] {
-                            ws.visited[k] = true;
-                            ws.stack.push(k);
-                        }
-                    }
-                }
-            }
-        }
-        ws.reach.sort_unstable();
-        for &q in &ws.reach {
-            ws.visited[q] = false;
-        }
-    }
-
-    /// Seed the reach traversal from a set of pivot positions.
-    fn seed(ws: &mut LuScratch, positions: impl IntoIterator<Item = usize>) {
-        debug_assert!(ws.stack.is_empty());
-        for q in positions {
-            if !ws.visited[q] {
-                ws.visited[q] = true;
-                ws.stack.push(q);
-            }
-        }
-    }
-
-    /// Pattern-driven FTRAN: solve `B z = x` touching only the
-    /// structural nonzeros of the result. `x` is indexed by original
-    /// row on entry and by basis position on exit (same convention as
-    /// [`SparseLu::ftran`]); values agree exactly with the dense solve.
-    pub fn ftran_sparse(&self, x: &mut SparseVec, ws: &mut LuScratch) {
-        debug_assert_eq!(x.len(), self.n);
-        // L-solve: reach over L edges from the rhs pattern, ascending.
-        let pinv = &self.pinv;
-        Self::seed(ws, x.pattern.iter().map(|&r| pinv[r]));
-        self.close_reach(ws, Edges::LCols);
-        for idx in 0..ws.reach.len() {
-            let k = ws.reach[idx];
-            let yk = x.values[self.p[k]];
-            if yk != 0.0 {
-                for &(r, l) in &self.l_cols[k] {
-                    x.add(r, -l * yk);
-                }
-            }
-        }
-        // U back-substitution: reach over U edges, processed descending;
-        // result gathers into ws.aux indexed by position.
-        Self::seed(ws, x.pattern.iter().map(|&r| pinv[r]));
-        self.close_reach(ws, Edges::UCols);
-        debug_assert!(ws.aux.is_empty());
-        for idx in (0..ws.reach.len()).rev() {
-            let j = ws.reach[idx];
-            let zj = x.values[self.p[j]] / self.u_diag[j];
-            if zj != 0.0 {
-                ws.aux.set(j, zj);
-                for &(k, u) in &self.u_cols[j] {
-                    x.add(self.p[k], -u * zj);
-                }
-            }
-        }
-        x.clear();
-        std::mem::swap(x, &mut ws.aux);
-    }
-
-    /// Pattern-driven BTRAN: solve `B' z = x` touching only the
-    /// structural nonzeros of the result. `x` is indexed by basis
-    /// position on entry and by original row on exit (same convention
-    /// as [`SparseLu::btran`]); values agree exactly with the dense
-    /// solve.
-    pub fn btran_sparse(&self, x: &mut SparseVec, ws: &mut LuScratch) {
-        debug_assert_eq!(x.len(), self.n);
-        // U'-solve: reach over U-row edges, processed ascending; the
-        // per-position gather runs over u_cols so the accumulation
-        // order matches the dense solve term for term.
-        Self::seed(ws, x.pattern.iter().copied());
-        self.close_reach(ws, Edges::URows);
-        debug_assert!(ws.aux.is_empty());
-        for idx in 0..ws.reach.len() {
-            let j = ws.reach[idx];
-            let mut v = x.values[j];
-            for &(k, u) in &self.u_cols[j] {
-                v -= u * ws.aux.values[k];
-            }
-            if v != 0.0 {
-                ws.aux.set(j, v / self.u_diag[j]);
-            }
-        }
-        // L'-solve: reach over L-row edges, processed descending,
-        // in place on ws.aux (reads only later positions).
-        let seeds = std::mem::take(&mut ws.aux.pattern);
-        Self::seed(ws, seeds.iter().copied());
-        ws.aux.pattern = seeds;
-        self.close_reach(ws, Edges::LRows);
-        for idx in (0..ws.reach.len()).rev() {
-            let k = ws.reach[idx];
-            let mut v = ws.aux.values[k];
-            for &(r, l) in &self.l_cols[k] {
-                v -= l * ws.aux.values[self.pinv[r]];
-            }
-            ws.aux.set(k, v);
-        }
-        // scatter back to original-row indexing
-        x.clear();
-        for idx in 0..ws.reach.len() {
-            let k = ws.reach[idx];
-            let v = ws.aux.values[k];
-            if v != 0.0 {
-                x.set(self.p[k], v);
-            }
-        }
-        ws.aux.clear();
-    }
 }
 
 #[cfg(test)]
@@ -539,63 +321,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-9, "n={n}: {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn sparse_solves_match_dense_solves_exactly() {
-        // the pattern-driven path must agree with the dense path
-        // bit-for-bit: same pivot processing order, same gather order
-        let mut rng = StdRng::seed_from_u64(11);
-        for n in [1usize, 4, 17, 50, 120] {
-            let m = random_sparse_nonsingular(n, &mut rng);
-            let lu = lu_of(&m).expect("nonsingular");
-            let mut ws = LuScratch::new(n);
-            for trial in 0..4u64 {
-                // sparse rhs with a handful of entries
-                let k = 1 + (trial as usize % 3);
-                let mut dense = vec![0.0f64; n];
-                let mut sv = SparseVec::new(n);
-                for _ in 0..k {
-                    let i = rng.random_range(0..n);
-                    let v = rng.random::<f64>() * 2.0 - 1.0;
-                    dense[i] = v;
-                    sv.clear();
-                    sv.assign_dense(&dense);
-                }
-                let mut d_f = dense.clone();
-                lu.ftran(&mut d_f);
-                let mut s_f = sv.clone();
-                lu.ftran_sparse(&mut s_f, &mut ws);
-                for (i, (&d, &s)) in d_f.iter().zip(&s_f.values).enumerate() {
-                    assert!(d == s, "ftran n={n} i={i}: {d} vs {s}");
-                }
-                let mut d_b = dense.clone();
-                lu.btran(&mut d_b);
-                let mut s_b = sv.clone();
-                lu.btran_sparse(&mut s_b, &mut ws);
-                for (i, (&d, &s)) in d_b.iter().zip(&s_b.values).enumerate() {
-                    assert!(d == s, "btran n={n} i={i}: {d} vs {s}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_solve_unit_rhs_is_sparse() {
-        // an identity-dominated basis: solving e_i should touch few rows
-        let n = 200;
-        let mut trips = Vec::new();
-        for i in 0..n {
-            trips.push((i, i, 1.0));
-        }
-        trips.push((0, 199, 0.5));
-        let m = CscMatrix::from_triplets(n, n, &trips);
-        let lu = lu_of(&m).unwrap();
-        let mut ws = LuScratch::new(n);
-        let mut x = SparseVec::new(n);
-        x.set(3, 1.0);
-        lu.ftran_sparse(&mut x, &mut ws);
-        assert!(x.nnz() <= 2, "unit solve stayed sparse, nnz={}", x.nnz());
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub mod lu;
 use crate::error::LpError;
 use crate::sparse::{CscMatrix, SparseVec};
 use eta::EtaFile;
-use lu::{LuScratch, SparseLu};
+use lu::SparseLu;
 
 /// LU factorization of the current basis plus the eta updates applied
 /// since the last refactorization.
@@ -61,21 +61,6 @@ impl BasisFactor {
         self.etas.nnz()
     }
 
-    /// Pattern-driven FTRAN: like [`BasisFactor::ftran`] but touching
-    /// only the structural nonzeros of `rhs` and its fill. `scratch`
-    /// must match the basis dimension.
-    pub fn ftran_sparse(&self, rhs: &mut SparseVec, scratch: &mut LuScratch) {
-        self.lu.ftran_sparse(rhs, scratch);
-        self.etas.ftran_sparse(rhs);
-    }
-
-    /// Pattern-driven BTRAN: like [`BasisFactor::btran`] but touching
-    /// only the structural nonzeros of `rhs` and its fill.
-    pub fn btran_sparse(&self, rhs: &mut SparseVec, scratch: &mut LuScratch) {
-        self.etas.btran_sparse(rhs);
-        self.lu.btran_sparse(rhs, scratch);
-    }
-
     /// Record a pivot: basis row position `r` is replaced by a column
     /// whose FTRAN image is the spike `w`. The spike's pattern is sorted
     /// in place. Fails when the pivot element is numerically zero.
@@ -121,41 +106,6 @@ mod tests {
         let mut rhs = vec![2.0, 0.0, 3.0];
         f.ftran(&mut rhs);
         assert!((rhs[0] - 1.0).abs() < 1e-12 && rhs[1].abs() < 1e-12 && rhs[2].abs() < 1e-12);
-    }
-
-    #[test]
-    fn sparse_solves_match_dense_through_etas() {
-        let a = CscMatrix::from_triplets(
-            3,
-            3,
-            &[(0, 0, 1.0), (2, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0), (2, 2, 1.0)],
-        );
-        let mut f = BasisFactor::factor(&a, &[0, 1, 2]).unwrap();
-        let mut spike = SparseVec::new(3);
-        spike.set(0, 2.0);
-        spike.set(2, 1.0);
-        f.update_sparse(0, &mut spike).unwrap();
-
-        let mut ws = LuScratch::new(3);
-        for rhs in [[1.0, 0.0, 0.0], [0.5, -1.0, 2.0]] {
-            let mut dense = rhs.to_vec();
-            f.ftran(&mut dense);
-            let mut sv = SparseVec::new(3);
-            sv.assign_dense(&rhs);
-            f.ftran_sparse(&mut sv, &mut ws);
-            for (i, (&d, &s)) in dense.iter().zip(&sv.values).enumerate() {
-                assert!(d == s, "ftran {i}: {d} vs {s}");
-            }
-
-            let mut dense = rhs.to_vec();
-            f.btran(&mut dense);
-            let mut sv = SparseVec::new(3);
-            sv.assign_dense(&rhs);
-            f.btran_sparse(&mut sv, &mut ws);
-            for (i, (&d, &s)) in dense.iter().zip(&sv.values).enumerate() {
-                assert!(d == s, "btran {i}: {d} vs {s}");
-            }
-        }
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //!   `min c'x, Ax = b, l ≤ x ≤ u` with one slack per row,
 //! * [`scaling`] — geometric-mean equilibration,
 //! * [`factor`] — sparse LU (Gilbert–Peierls with Markowitz-style
-//!   threshold pivoting, pattern-driven FTRAN/BTRAN) and product-form
-//!   eta updates of the simplex basis,
+//!   threshold pivoting, flat FTRAN/BTRAN sweeps) and product-form eta
+//!   updates of the simplex basis,
 //! * [`simplex`] — a two-phase, bounded-variable revised simplex: one
 //!   primal loop whose dense route (small instances) and sparse route
-//!   (pattern-driven solves, partial pricing, incremental duals; large
-//!   ones) differ in policy, not in kernels,
+//!   (partial pricing, incremental duals; large ones) differ in policy,
+//!   not in kernels,
 //! * [`obs`] — telemetry handles for the sparse kernels,
 //! * [`dense_simplex`] — an independent dense tableau simplex used to
 //!   cross-check the revised implementation in tests,

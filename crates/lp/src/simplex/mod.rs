@@ -12,8 +12,7 @@
 //! kernel route — sparse at [`SPARSE_MIN_ROWS`] rows and above, dense
 //! below, or forced by [`SimplexOptions::sparse`] — only picks the
 //! loop's policies: how duals and the objective are kept, how wide a
-//! pricing refresh scans, when the basis is refactorized, whether
-//! FTRAN/BTRAN sweep flat or follow the vector's pattern, and which
+//! pricing refresh scans, when the basis is refactorized, and which
 //! devex weight update runs.
 //!
 //! Every solve starts cold: [`solve`] is a deterministic function of the
@@ -27,7 +26,6 @@ mod pricing;
 mod ratio;
 
 use crate::error::LpError;
-use crate::factor::lu::LuScratch;
 use crate::factor::BasisFactor;
 use crate::problem::{Problem, Sense};
 use crate::scaling::{self, ScaleFactors};
@@ -37,11 +35,10 @@ pub(crate) use pricing::{price_bland, Devex, Direction, SECTOR_LEN};
 pub(crate) use ratio::{ratio_test, RatioOutcome};
 
 /// Row count at and above which solves take the sparse kernel route
-/// (pattern-driven FTRAN/BTRAN, sector partial pricing, incremental
-/// duals) unless [`SimplexOptions::sparse`] overrides the choice. Below
-/// it the dense route runs (flat FTRAN/BTRAN sweeps, full pricing
-/// scans, exact duals every iteration): same loop and kernels, cheaper
-/// bookkeeping on small instances.
+/// (sector partial pricing, incremental duals) unless
+/// [`SimplexOptions::sparse`] overrides the choice. Below it the dense
+/// route runs (full pricing scans, exact duals every iteration): same
+/// loop and kernels, cheaper bookkeeping on small instances.
 pub const SPARSE_MIN_ROWS: usize = 512;
 
 /// Dense-route refactorization cadence: refactorize the basis after
@@ -126,8 +123,8 @@ pub struct Solution {
     /// Basis factorizations performed (the initial one plus every
     /// refactorization).
     pub refactorizations: usize,
-    /// The solve ran on the sparse kernel route (pattern-driven solves,
-    /// partial pricing) rather than the dense route.
+    /// The solve ran on the sparse kernel route (partial pricing,
+    /// incremental duals) rather than the dense route.
     pub sparse: bool,
 }
 
@@ -390,8 +387,10 @@ impl Core {
     }
 
     /// Primal simplex loop on the given (minimization) cost: devex
-    /// pricing, Harris ratio test, Bland's rule after a stall. The two
-    /// kernel routes share every kernel and differ only in policy:
+    /// pricing, Harris ratio test, Bland's rule after a stall. FTRAN and
+    /// BTRAN are flat sweeps over the [`SparseVec`] storage followed by
+    /// [`SparseVec::rescan_pattern`] on both routes, which share every
+    /// kernel and differ only in four policies:
     ///
     /// * duals and objective: the dense route keeps both exact, recomputing
     ///   the duals after every pivot and the objective after every step;
@@ -404,8 +403,6 @@ impl Core {
     ///   rotating `SECTOR_LEN`-column sectors on the sparse route (see
     ///   [`Devex::price`]);
     /// * refactorization: see [`Core::refactor_due`];
-    /// * FTRAN/BTRAN: flat sweeps over the [`SparseVec`] storage on the
-    ///   dense route, pattern-driven solves on the sparse route;
     /// * devex weights: [`Devex::update`] on the dense route,
     ///   [`Devex::update_sparse`] over the CSR mirror on the sparse route.
     fn optimize(&mut self, cost: &[f64]) -> Result<PhaseOutcome, LpError> {
@@ -423,14 +420,6 @@ impl Core {
         let mut w = SparseVec::new(m);
         let mut rho = SparseVec::new(m);
         let mut alpha_acc = SparseVec::new(self.n_total);
-        let mut ws = LuScratch::new(m);
-        // When the basis couples enough rows that FTRAN results stop
-        // being hypersparse, the pattern-driven solve's graph traversal
-        // costs more than a flat sweep over the same factors (the
-        // arithmetic — and hence the result — is identical either way).
-        // The sparse route latches on the previous result's density; the
-        // dense route always sweeps.
-        let mut w_flat = !self.sparse;
 
         let mut y = self.compute_duals(cost);
         let mut y_fresh = true;
@@ -477,14 +466,8 @@ impl Core {
                     w.add(r, v);
                 }
             }
-            if w_flat {
-                self.factor.ftran(&mut w.values);
-                w.rescan_pattern();
-            } else {
-                self.factor.ftran_sparse(&mut w, &mut ws);
-                w.sort_pattern();
-            }
-            w_flat = !self.sparse || w.pattern.len() * 4 > m;
+            self.factor.ftran(&mut w.values);
+            w.rescan_pattern();
 
             match ratio_test(self, q, dir, &w) {
                 RatioOutcome::Unbounded => return Ok(PhaseOutcome::Unbounded),
@@ -508,13 +491,8 @@ impl Core {
                     if self.sparse || !bland {
                         rho.clear();
                         rho.set(leaving_pos, 1.0);
-                        if self.sparse {
-                            self.factor.btran_sparse(&mut rho, &mut ws);
-                            rho.sort_pattern();
-                        } else {
-                            self.factor.btran(&mut rho.values);
-                            rho.rescan_pattern();
-                        }
+                        self.factor.btran(&mut rho.values);
+                        rho.rescan_pattern();
                     }
                     if bland {
                         // Bland's rule keeps no devex weights

@@ -239,12 +239,13 @@ impl CsrMatrix {
 /// A sparse working vector with explicit nonzero tracking: a dense
 /// value array plus the list of positions that may be nonzero.
 ///
-/// This is the workhorse of the sparse FTRAN/BTRAN path. Kernels
-/// scatter into `values` and record each newly touched index in
-/// `pattern` (guarded by the `marked` bitmap so an index is recorded
-/// once); [`SparseVec::clear`] then resets only the touched entries,
-/// so a solve whose result has `k` nonzeros costs `O(k)` to clean up
-/// instead of `O(n)`.
+/// The simplex keeps its FTRAN'd column, its pivot row and the devex
+/// accumulator in these. Kernels either scatter into `values` and
+/// record each newly touched index in `pattern` (guarded by the
+/// `marked` bitmap so an index is recorded once), or write `values`
+/// flat and re-derive the pattern with [`SparseVec::rescan_pattern`];
+/// [`SparseVec::clear`] then resets only the touched entries, so a
+/// vector with `k` nonzeros costs `O(k)` to clean up instead of `O(n)`.
 ///
 /// Entries listed in `pattern` may still hold an exact `0.0` (numeric
 /// cancellation); consumers that care filter on the value.
@@ -287,13 +288,6 @@ impl SparseVec {
             self.marked[i] = false;
         }
         self.pattern.clear();
-    }
-
-    /// Resize to dimension `n`, clearing all entries.
-    pub fn resize(&mut self, n: usize) {
-        self.clear();
-        self.values.resize(n, 0.0);
-        self.marked.resize(n, false);
     }
 
     /// Add `i` to the tracked pattern (idempotent). Does not touch the

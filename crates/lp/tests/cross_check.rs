@@ -426,7 +426,6 @@ fn long_eta_chain_matches_refactorization() {
     // drive a long pivot chain through the product-form update and
     // check the updated factorization still solves exactly like a
     // from-scratch refactorization of the final basis (1e-9)
-    use dpsan_lp::factor::lu::LuScratch;
     use dpsan_lp::factor::BasisFactor;
     use dpsan_lp::sparse::{CscMatrix, SparseVec};
     use rand::rngs::StdRng;
@@ -455,7 +454,6 @@ fn long_eta_chain_matches_refactorization() {
     let a = CscMatrix::from_triplets(m, m + extra, &trips);
     let mut basis: Vec<usize> = (0..m).collect();
     let mut f = BasisFactor::factor(&a, &basis).unwrap();
-    let mut ws = LuScratch::new(m);
 
     let mut chain = 0usize;
     let mut attempt = 0usize;
@@ -472,8 +470,8 @@ fn long_eta_chain_matches_refactorization() {
         for (&r, &v) in rows.iter().zip(vals) {
             w.add(r, v);
         }
-        f.ftran_sparse(&mut w, &mut ws);
-        w.sort_pattern();
+        f.ftran(&mut w.values);
+        w.rescan_pattern();
         // pivot on the largest entry to keep the chain well-conditioned
         let Some(&r) = w
             .pattern

@@ -114,13 +114,17 @@ pub struct ServeOptions {
 /// What one serve run did, for reporting and benchmarking.
 #[derive(Debug)]
 pub struct ServeReport {
-    /// Per-release records (latency, solver deltas, composed totals).
+    /// Per-release records (latency, solver deltas, composed totals) of
+    /// the releases this process made.
     pub releases: Vec<ReleaseRecord>,
     /// Paths written, aligned with `releases`.
     pub paths: Vec<PathBuf>,
     /// Records ingested over the whole stream at exit (restored ones
     /// included).
     pub rows: u64,
+    /// Successful releases over the whole stream at exit (restored ones
+    /// included): the same scope as `rows`.
+    pub release_count: u64,
     /// The cross-release ledger at exit.
     pub ledger: BudgetLedger,
     /// `Some(message)` when the service stopped because the lifetime
@@ -272,6 +276,7 @@ pub fn serve(
         releases: session.records().to_vec(),
         paths,
         rows: session.rows(),
+        release_count: session.releases(),
         ledger: session.ledger().clone(),
         budget_refusal,
         recovery,

@@ -4,12 +4,14 @@
 //! optimal — the cross-check suites compare objectives at 1e-9, not
 //! bytes), but each route on its own can never drift: that is the
 //! contract the golden fixture and the CI scale-smoke gate rely on
-//! once a log is big enough to route sparse.
+//! once a log is big enough to route sparse. The route's pivot path is
+//! pinned here too, as `tests/golden.rs` pins the dense route's.
 
 use dpsan_core::constraints::PrivacyConstraints;
 use dpsan_core::sampling::sample_output;
 use dpsan_core::session::SolveSession;
 use dpsan_core::ump::output_size::OumpOptions;
+use dpsan_core::SessionStats;
 use dpsan_datagen::{generate, presets};
 use dpsan_dp::multinomial::MultinomialStrategy;
 use dpsan_dp::params::PrivacyParams;
@@ -66,4 +68,28 @@ fn sparse_route_matches_dense_objective() {
         (s - d).abs() <= 1e-9 * (1.0 + d.abs()),
         "sparse objective {s} diverged from dense oracle {d}"
     );
+}
+
+#[test]
+fn sparse_route_pivot_path_is_pinned() {
+    // a forced-sparse exact O-UMP solve at tiny and small keeps its
+    // (solves, iterations, refactorizations): a kernel change that
+    // moves a pivot on this route moves these
+    for (name, config, pinned) in [
+        ("tiny", presets::aol_tiny(), (1, 112, 6)),
+        ("small", presets::aol_small(), (1, 6_536, 195)),
+    ] {
+        let (pre, _) = preprocess(&generate(&config));
+        let cons =
+            PrivacyConstraints::build(&pre, PrivacyParams::from_e_epsilon(2.0, 0.5)).unwrap();
+        let mut session =
+            SolveSession::new(SimplexOptions { sparse: Some(true), ..SimplexOptions::default() });
+        session.solve_oump(&cons, &OumpOptions::default()).expect("optimal");
+        let SessionStats { solves, iterations, refactorizations, .. } = session.stats();
+        assert_eq!(
+            (solves, iterations, refactorizations),
+            pinned,
+            "{name}: sparse-route pivot path moved"
+        );
+    }
 }
