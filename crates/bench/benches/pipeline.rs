@@ -169,14 +169,16 @@ fn bench(c: &mut Criterion) {
         // the way `sanitize` ingests it for every mechanism — 16
         // shards, 8192-row chunks, no sketch: parse, url interning and
         // routing on the intake's reader thread, the rest of intake on
-        // the calling thread, then drain and merge on one worker
+        // the calling thread, then the preprocessing drain (drop the
+        // single-holder pairs, merge) on one worker
         let cfg = presets::with_users(dpsan_eval::Scale::Small.config(), 20_000);
         let mut tsv = Vec::new();
         write_log_tsv(&cfg, &mut tsv).expect("spool 20k-user log");
         let stream = StreamConfig { shards: 16, chunk_rows: 8 * 1024, sketch_capacity: 0, jobs: 1 };
         b.iter(|| {
-            let r = ingest_tsv(std::io::Cursor::new(&tsv[..]), &stream).unwrap();
-            r.log.size()
+            let mut session = IngestSession::new(stream.clone());
+            session.ingest(std::io::Cursor::new(&tsv[..])).unwrap();
+            session.finish_preprocessed().log.size()
         })
     });
 

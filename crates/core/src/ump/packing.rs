@@ -16,7 +16,8 @@
 //!   [`upper_bound`] costs one sparse mat-vec, which is why every O-UMP
 //!   answer — exact simplex or packing — carries one.
 //! * **Dual.** [`DUAL_STEPS`] projected-subgradient steps on `UB(y)`
-//!   from `y = 0`, each two sparse mat-vecs. The step is a quarter of
+//!   from `y = 0`, each one pass over the matrix's columns that gathers
+//!   the prices and scatters the subgradient. The step is a quarter of
 //!   the Polyak step toward the λ of the `y = 0` greedy (a known
 //!   feasible value, so well below `UB*`; the full step overshoots).
 //!   The lowest-`UB` iterate is kept.
@@ -31,8 +32,8 @@
 use crate::constraints::PrivacyConstraints;
 
 /// Projected-subgradient steps the dual runs before the greedy. At
-/// 2·10⁴ users each step is two mat-vecs over ≈3.6·10⁵ nonzeros (about
-/// 2 ms); 100 or 200 steps tightened the bound by under 1 % and moved
+/// 2·10⁴ users each step is one pass over ≈3.6·10⁵ nonzeros (about
+/// 1.5 ms); 100 or 200 steps tightened the bound by under 1 % and moved
 /// the greedy's λ by under 0.3 %.
 pub const DUAL_STEPS: usize = 50;
 
@@ -56,7 +57,7 @@ pub struct PackingSolution {
 /// in ascending row order.
 struct Columns {
     start: Vec<usize>,
-    rows: Vec<usize>,
+    rows: Vec<u32>,
     vals: Vec<f64>,
 }
 
@@ -75,10 +76,11 @@ impl Columns {
         }
         let nnz = start[n];
         let mut next = start[..n].to_vec();
-        let (mut rows, mut vals) = (vec![0usize; nnz], vec![0.0; nnz]);
+        assert!(constraints.n_rows() <= u32::MAX as usize, "row indices fit in u32");
+        let (mut rows, mut vals) = (vec![0u32; nnz], vec![0.0; nnz]);
         for i in 0..constraints.n_rows() {
             for &(p, v) in constraints.row(i) {
-                rows[next[p]] = i;
+                rows[next[p]] = i as u32;
                 vals[next[p]] = v;
                 next[p] += 1;
             }
@@ -92,19 +94,41 @@ impl Columns {
     }
 
     /// Column `j` as `(row indices, coefficients)`.
-    fn col(&self, j: usize) -> (&[usize], &[f64]) {
+    fn col(&self, j: usize) -> (&[u32], &[f64]) {
         let r = self.start[j]..self.start[j + 1];
         (&self.rows[r.clone()], &self.vals[r])
     }
 
+    /// `(Mᵀy)_j`: the price of column `j` under row prices `y`.
+    fn price(&self, j: usize, y: &[f64]) -> f64 {
+        let (rows, vals) = self.col(j);
+        rows.iter().zip(vals).map(|(&i, &v)| y[i as usize] * v).sum()
+    }
+
     /// `Mᵀy`: the price of every column under row prices `y`.
     fn prices(&self, y: &[f64]) -> Vec<f64> {
-        (0..self.n_cols())
-            .map(|j| {
+        (0..self.n_cols()).map(|j| self.price(j, y)).collect()
+    }
+
+    /// One dual step's pass over the matrix: `UB(y)` (see
+    /// [`upper_bound`]) and its subgradient `B − Σ_{j: (Mᵀy)_j < 1}
+    /// u_j·M_·j`, written into `g`. Each column's price is gathered and
+    /// its bound term added, then — when the price is below 1 — its
+    /// entries are scattered into `g`, all in ascending column order.
+    fn bound_and_subgradient(&self, budget: f64, y: &[f64], bounds: &[f64], g: &mut [f64]) -> f64 {
+        g.fill(budget);
+        let mut ub = budget * y.iter().sum::<f64>();
+        for (j, &u) in bounds.iter().enumerate() {
+            let s = self.price(j, y);
+            if s < 1.0 {
+                ub += u * (1.0 - s);
                 let (rows, vals) = self.col(j);
-                rows.iter().zip(vals).map(|(&i, &v)| y[i] * v).sum()
-            })
-            .collect()
+                for (&i, &v) in rows.iter().zip(vals) {
+                    g[i as usize] -= u * v;
+                }
+            }
+        }
+        ub
     }
 }
 
@@ -167,27 +191,18 @@ pub fn solve(constraints: &PrivacyConstraints) -> PackingSolution {
 
     // the y = 0 greedy (pair-id order) fixes the Polyak target
     let mut y = vec![0.0; m];
-    let mut prices = vec![0.0; cols.n_cols()];
-    let target = greedy(constraints, &cols, &bounds, &prices).iter().sum::<u64>() as f64;
+    let target =
+        greedy(constraints, &cols, &bounds, &vec![0.0; cols.n_cols()]).iter().sum::<u64>() as f64;
 
     let mut best = (f64::INFINITY, y.clone());
+    let mut g = vec![0.0; m];
     for step in 0..=DUAL_STEPS {
-        let ub = bound_at(budget, &y, &bounds, &prices);
+        let ub = cols.bound_and_subgradient(budget, &y, &bounds, &mut g);
         if ub < best.0 {
             best = (ub, y.clone());
         }
         if step == DUAL_STEPS || ub <= target {
             break;
-        }
-        // subgradient of UB at y: B − Σ_{j: price < 1} u_j·M_·j
-        let mut g = vec![budget; m];
-        for (j, (&u, &s)) in bounds.iter().zip(&prices).enumerate() {
-            if s < 1.0 {
-                let (rows, vals) = cols.col(j);
-                for (&i, &v) in rows.iter().zip(vals) {
-                    g[i] -= u * v;
-                }
-            }
         }
         let norm2: f64 = g.iter().map(|v| v * v).sum();
         if norm2 <= 0.0 || !norm2.is_finite() {
@@ -197,7 +212,6 @@ pub fn solve(constraints: &PrivacyConstraints) -> PackingSolution {
         for (yi, gi) in y.iter_mut().zip(&g) {
             *yi = (*yi - t * gi).max(0.0);
         }
-        prices = cols.prices(&y);
     }
 
     let (upper_bound, dual) = best;
@@ -223,12 +237,12 @@ fn greedy(
         let (rows, vals) = cols.col(j);
         let mut room = bounds[j].floor();
         for (&i, &v) in rows.iter().zip(vals) {
-            room = room.min(((budget - activity[i]) / v).floor());
+            room = room.min(((budget - activity[i as usize]) / v).floor());
         }
         if room >= 1.0 {
             counts[j] = room as u64;
             for (&i, &v) in rows.iter().zip(vals) {
-                activity[i] += v * room;
+                activity[i as usize] += v * room;
             }
         }
     }
@@ -260,7 +274,7 @@ mod tests {
         for i in 0..c.n_rows() {
             for &(p, v) in c.row(i) {
                 let (rows, vals) = cols.col(p);
-                let k = rows.iter().position(|&r| r == i).expect("entry transposed");
+                let k = rows.iter().position(|&r| r as usize == i).expect("entry transposed");
                 assert_eq!(vals[k], v);
             }
         }

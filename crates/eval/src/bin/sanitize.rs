@@ -17,11 +17,13 @@
 //! Ingestion is the `dpsan-stream` sharded engine: chunked intake that
 //! interns every string once into one session vocabulary, user-hash
 //! shards (user-complete, so the privacy accounting of every mechanism
-//! is untouched), and a sort-only merge. The log it builds is the one a
-//! one-shot `read_tsv` build produces, so output is **byte-identical
-//! for every `--shards`/`--jobs` value** (CI diffs them). That log
-//! holds every pair total, so fump and zealous mine their frequent
-//! pairs exactly from it.
+//! is untouched), and a sort-only merge that drops every pair only one
+//! user holds (the paper's Condition 1) before it builds the log. That
+//! log is the one a one-shot `read_tsv` build followed by `preprocess`
+//! produces, so output is **byte-identical for every
+//! `--shards`/`--jobs` value** (CI diffs them). It holds every kept
+//! pair's exact total, so fump and zealous mine their frequent pairs
+//! exactly from it.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -35,8 +37,8 @@ use dpsan_core::ump::output_size::OumpOptions;
 use dpsan_core::{PrivacyConstraints, SolveSession};
 use dpsan_dp::params::PrivacyParams;
 use dpsan_lp::simplex::SimplexOptions;
-use dpsan_searchlog::{frequent_pairs, preprocess, SearchLog};
-use dpsan_stream::{ingest_path, StreamConfig};
+use dpsan_searchlog::{frequent_pairs, LogError, SearchLog};
+use dpsan_stream::{IngestSession, StreamConfig};
 
 const USAGE: &str = "usage: sanitize <input.tsv> [options]
   --out <path>             write the sanitized log here (default: stdout)
@@ -455,8 +457,11 @@ fn run_follow(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let params = PrivacyParams::from_e_epsilon(args.e_epsilon, args.delta);
 
-    // 1. ingestion through the sharded engine
-    let ingested = ingest_path(&args.input, &args.stream)?;
+    // 1. ingestion through the sharded engine, whose drain preprocesses
+    let file = std::fs::File::open(&args.input).map_err(LogError::from)?;
+    let mut session = IngestSession::new(args.stream.clone());
+    session.ingest(std::io::BufReader::new(file))?;
+    let ingested = session.finish_preprocessed();
     if args.stats {
         let r = &ingested.report;
         eprintln!(
@@ -465,10 +470,11 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 2. preprocess once here: fump's auto output size refers to the
-    //    preprocessed log, and preprocessing is idempotent + id-stable,
-    //    so the mechanism's internal pass is a no-op on `pre`
-    let (pre, report) = preprocess(&ingested.log);
+    // 2. the drain has preprocessed: single-holder pairs never reached
+    //    a CSR. fump's auto output size refers to the preprocessed log,
+    //    and preprocessing is idempotent + id-stable, so the mechanism's
+    //    internal pass is a clone of `pre`
+    let (pre, report) = (ingested.log, ingested.preprocess);
     if args.stats {
         eprintln!(
             "preprocess: removed_pairs={} removed_clicks={} kept_pairs={} kept_size={}",

@@ -6,6 +6,12 @@
 //! bounded. Since stored counts are strictly positive, a pair satisfies
 //! the condition exactly when it has a *single holder*, so preprocessing
 //! removes every pair held by one user only.
+//!
+//! Production logs never pass through [`preprocess`]: the `dpsan-stream`
+//! ingest drain drops single-holder pairs before it builds a log, and
+//! the mechanisms' own pass is then a clone. [`preprocess`] works on a
+//! built log, from its holder lists, and is the independent oracle the
+//! drain is tested against (and the path `repro`'s synthetic logs take).
 
 use crate::ids::PairId;
 use crate::log::SearchLog;

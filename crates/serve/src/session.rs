@@ -225,7 +225,9 @@ impl ServeSession {
     }
 
     /// Re-release the full window ingested so far: snapshot-merge the
-    /// live shards (intake continues afterwards), run the mechanism
+    /// live shards through the preprocessing drain
+    /// ([`IngestSession::snapshot_preprocessed`]; intake continues
+    /// afterwards, every pair still in the session), run the mechanism
     /// against the cross-release ledger, record latency and solver
     /// deltas. On success the pending-row counter resets.
     ///
@@ -234,7 +236,7 @@ impl ServeSession {
     pub fn release_now(&mut self) -> Result<Release, ServeError> {
         let span = dpsan_obs::trace::span(dpsan_obs::trace::Level::Info, "serve", "release");
         let start = Instant::now();
-        let snapshot = self.ingest.snapshot();
+        let snapshot = self.ingest.snapshot_preprocessed();
         let release = match self.mechanism.sanitize_into(
             &snapshot.log,
             self.params,

@@ -1,5 +1,6 @@
 //! The ingestion engine: two-stage chunked intake → one session-wide
-//! vocabulary + user-hash shards → parallel drain → sort-only merge.
+//! vocabulary + user-hash shards → parallel drain → holder filter →
+//! sort-only merge.
 //!
 //! Every string is interned exactly once, at intake, into one
 //! [`Vocabulary`] shared by all shards. [`IngestSession::ingest`] runs
@@ -37,25 +38,41 @@
 //! (see [`crate::shard`]). The merge never sees a string: each shard
 //! drains to a `(pair, user)`-sorted vector (in parallel), the sorted
 //! runs are merged, and [`SearchLog::from_sorted_triplets`] fills the
-//! CSR arrays in one pass over the session vocabulary (moved into the
-//! log by [`IngestSession::finish`], copied by
-//! [`IngestSession::snapshot`]). Because the ids are global from the
-//! start, the streamed [`SearchLog`] is structurally identical to the
-//! one-shot in-memory build — same interners, same ids, same CSR
-//! arrays — for **any** shard count, chunk size and drain parallelism,
-//! so everything downstream (constraints, LP, sampling) is
-//! byte-identical.
+//! CSR arrays in one pass.
+//!
+//! The drain emits the **preprocessed** log
+//! ([`IngestSession::finish_preprocessed`] for the one-shot path,
+//! [`IngestSession::snapshot_preprocessed`] for follow-mode releases).
+//! Before the runs are merged it counts each pair's holders, one `u32`
+//! per pair id summed over the runs, and drops every pair that only one
+//! user holds (the paper's Condition 1). The kept pairs are renumbered
+//! in id order through a fresh [`PairTable`] over the shared interners,
+//! exactly as [`preprocess`] renumbers them, so no CSR of the
+//! single-holder pairs is ever built. The session itself, and so every checkpoint, keeps
+//! every pair: a later append may give a single-holder pair its second
+//! holder.
+//!
+//! Because the ids are global from the start, the drained [`SearchLog`]
+//! is structurally identical to `preprocess` of the one-shot in-memory
+//! build — same interners, same ids, same CSR arrays — for **any**
+//! shard count, chunk size and drain parallelism, so everything
+//! downstream (constraints, LP, sampling) is byte-identical. The raw
+//! drain ([`IngestSession::finish`], [`IngestSession::snapshot`],
+//! [`ingest_tsv`], [`ingest_path`]) is the same merge with nothing
+//! filtered; it is structurally identical to the [`read_tsv`] build.
 //!
 //! [`read_tsv`]: dpsan_searchlog::io::read_tsv
+//! [`preprocess`]: dpsan_searchlog::preprocess()
 
+use std::borrow::Cow;
 use std::io::BufRead;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpsan_searchlog::{
-    Interner, LogError, PairId, PairTable, QueryId, SearchLog, TsvChunk, TsvStream, UrlId, UserId,
-    Vocabulary,
+    Interner, LogError, PairId, PairTable, PreprocessReport, QueryId, SearchLog, TsvChunk,
+    TsvStream, UrlId, UserId, Vocabulary,
 };
 
 use crate::pool::run_sharded;
@@ -130,6 +147,21 @@ pub struct IngestResult {
     pub report: IngestReport,
 }
 
+/// What a preprocessing drain produces
+/// ([`IngestSession::finish_preprocessed`],
+/// [`IngestSession::snapshot_preprocessed`]).
+#[derive(Debug)]
+pub struct PreprocessedIngest {
+    /// The preprocessed log — identical to
+    /// [`preprocess`](dpsan_searchlog::preprocess()) of the raw merged log.
+    pub log: SearchLog,
+    /// Memory-bound counters, the raw drain's: `max_shard_triplets`
+    /// counts the drained runs before any pair is removed.
+    pub report: IngestReport,
+    /// What preprocessing removed.
+    pub preprocess: PreprocessReport,
+}
+
 /// An incremental ingestion session: the always-on counterpart of
 /// [`ingest_tsv`].
 ///
@@ -143,13 +175,14 @@ pub struct IngestResult {
 /// time the session's state is exactly what one-shot ingestion of the
 /// concatenated input would have produced.
 ///
-/// [`snapshot`](IngestSession::snapshot) materializes the merged
-/// [`SearchLog`] *without* consuming the session (intake continues
-/// afterwards), and [`finish`](IngestSession::finish) is the consuming
-/// variant the one-shot path uses. Every snapshot is structurally
-/// identical to a one-shot build of the prefix ingested so far — the
-/// invariant that makes windowed re-releases byte-identical to one-shot
-/// `sanitize` runs over the same window.
+/// [`snapshot_preprocessed`](IngestSession::snapshot_preprocessed)
+/// materializes the preprocessed [`SearchLog`] *without* consuming the
+/// session (intake continues afterwards), and
+/// [`finish_preprocessed`](IngestSession::finish_preprocessed) is the
+/// consuming variant the one-shot path uses. Every snapshot is
+/// structurally identical to a one-shot build of the prefix ingested so
+/// far, preprocessed — the invariant that makes windowed re-releases
+/// byte-identical to one-shot `sanitize` runs over the same window.
 ///
 /// An `ingest` call that fails (parse error) applies all complete
 /// chunks read before the error and discards the partial one. A chunk
@@ -294,40 +327,97 @@ impl IngestSession {
         self.shards.iter().map(ShardIntake::staged_triplets).max().unwrap_or(0)
     }
 
-    /// Merge the current state into an [`IngestResult`] without
-    /// consuming the session: shards drain to sorted vectors in
-    /// parallel, the runs are merged, and the log gets a copy of the
-    /// session vocabulary (its interners shared, its pair table
-    /// copied). Intake can continue afterwards. The returned log is
-    /// structurally identical to a one-shot build of everything
+    /// The raw drain without consuming the session: shards drain to
+    /// sorted vectors in parallel, the runs are merged, and the log gets
+    /// a copy of the session vocabulary (its interners shared, its pair
+    /// table copied). Intake can continue afterwards. The returned log
+    /// is structurally identical to a one-shot build of everything
     /// ingested so far.
+    ///
+    /// No production caller; kept for the perfbench driver and the
+    /// raw-equivalence tests. Releases snapshot through
+    /// [`snapshot_preprocessed`](Self::snapshot_preprocessed).
     pub fn snapshot(&self) -> IngestResult {
         let started = Instant::now();
-        let views: Vec<&ShardIntake> = self.shards.iter().collect();
-        let runs = run_sharded(views, self.cfg.jobs, ShardIntake::sorted_triplets);
-        self.merge(runs, self.vocab.clone(), started)
+        self.merge(self.borrowed_runs(), Cow::Borrowed(&self.vocab), false, started).0
     }
 
-    /// Merge and consume the session (the one-shot path): as
+    /// The raw drain, consuming the session: as
     /// [`snapshot`](Self::snapshot), but the log takes the session
     /// vocabulary itself.
+    ///
+    /// No production caller; kept for the perfbench driver and the
+    /// raw-equivalence tests. The one-shot path drains through
+    /// [`finish_preprocessed`](Self::finish_preprocessed).
     pub fn finish(mut self) -> IngestResult {
         let started = Instant::now();
-        let shards = std::mem::take(&mut self.shards);
-        let runs = run_sharded(shards, self.cfg.jobs, ShardIntake::into_sorted_triplets);
+        let runs = self.take_runs();
         let vocab = std::mem::take(&mut self.vocab);
-        self.merge(runs, vocab, started)
+        self.merge(runs, Cow::Owned(vocab), false, started).0
     }
 
-    /// Merge the drained shard `runs` into a log over `vocab`, the
-    /// session vocabulary; `started` opens the merge stage's timing.
+    /// The preprocessing drain without consuming the session: the log
+    /// [`preprocess`](dpsan_searchlog::preprocess()) makes of
+    /// [`snapshot`](Self::snapshot)'s, built directly. Pairs that only
+    /// one user holds never reach a CSR, and the log copies only the
+    /// kept pair keys (its interners shared). Intake continues
+    /// afterwards, and the session keeps every pair: a later append may
+    /// give a single-holder pair its second holder.
+    pub fn snapshot_preprocessed(&self) -> PreprocessedIngest {
+        let started = Instant::now();
+        let runs = self.borrowed_runs();
+        let (r, removed) = self.merge(runs, Cow::Borrowed(&self.vocab), true, started);
+        PreprocessedIngest { log: r.log, report: r.report, preprocess: removed.expect("filtered") }
+    }
+
+    /// The preprocessing drain, consuming the session (the one-shot
+    /// path): as [`snapshot_preprocessed`](Self::snapshot_preprocessed),
+    /// but the log takes the session's interners and the full pair table
+    /// is freed before the CSR is built.
+    pub fn finish_preprocessed(mut self) -> PreprocessedIngest {
+        let started = Instant::now();
+        let runs = self.take_runs();
+        let vocab = std::mem::take(&mut self.vocab);
+        let (r, removed) = self.merge(runs, Cow::Owned(vocab), true, started);
+        PreprocessedIngest { log: r.log, report: r.report, preprocess: removed.expect("filtered") }
+    }
+
+    /// Every shard drained to a sorted run, on copies (intake can
+    /// continue).
+    fn borrowed_runs(&self) -> Vec<Vec<(u32, u32, u64)>> {
+        let views: Vec<&ShardIntake> = self.shards.iter().collect();
+        run_sharded(views, self.cfg.jobs, ShardIntake::sorted_triplets)
+    }
+
+    /// Every shard drained to a sorted run, in place.
+    fn take_runs(&mut self) -> Vec<Vec<(u32, u32, u64)>> {
+        let shards = std::mem::take(&mut self.shards);
+        run_sharded(shards, self.cfg.jobs, ShardIntake::into_sorted_triplets)
+    }
+
+    /// The one merge behind every drain: the drained shard `runs` become
+    /// a log over `vocab`, the session vocabulary. With `preprocess`,
+    /// the single-holder pairs are dropped from the runs first
+    /// ([`keep_shared_pairs`]) and the log gets the kept pairs' table,
+    /// and their report is returned; otherwise the log takes `vocab`
+    /// whole. `started` opens the merge stage's timing.
     fn merge(
         &self,
-        runs: Vec<Vec<(u32, u32, u64)>>,
-        vocab: Vocabulary,
+        mut runs: Vec<Vec<(u32, u32, u64)>>,
+        vocab: Cow<'_, Vocabulary>,
+        preprocess: bool,
         started: Instant,
-    ) -> IngestResult {
+    ) -> (IngestResult, Option<PreprocessReport>) {
+        // of the raw drained runs, before any pair is removed
         let max_shard_triplets = runs.iter().map(Vec::len).max().unwrap_or(0);
+        let (vocab, removed) = if preprocess {
+            let (kept, removed) = keep_shared_pairs(&mut runs, &vocab);
+            // the full pair table goes before the CSR is built
+            drop(vocab);
+            (kept, Some(removed))
+        } else {
+            (vocab.into_owned(), None)
+        };
         // Shards are user-disjoint, so the (pair, user) keys of the runs
         // never collide; the stable sort detects the sorted runs and
         // merges them.
@@ -339,9 +429,67 @@ impl IngestSession {
         let mut report = self.report;
         report.max_shard_triplets = max_shard_triplets;
         crate::obs::merge_seconds().record(started.elapsed().as_secs_f64());
-        IngestResult { log, sketch, report }
+        (IngestResult { log, sketch, report }, removed)
     }
 }
+
+/// Condition-1 preprocessing on the drained runs, before any CSR is
+/// built. Each pair's holders are counted over every run (shards are
+/// user-complete, so each `(pair, user)` appears once). The pairs with
+/// more than one holder are renumbered in old id order through a fresh
+/// [`PairTable`] over the shared interners
+/// ([`Vocabulary::share_strings`]), exactly as
+/// [`SearchLog::retain_pairs`] numbers them for
+/// [`preprocess`](dpsan_searchlog::preprocess()); and every run is
+/// rewritten to the new ids, the other pairs' triplets dropped. The
+/// renumbering is monotone, so each run stays sorted. Returns the kept
+/// pairs' vocabulary and what was removed.
+fn keep_shared_pairs(
+    runs: &mut [Vec<(u32, u32, u64)>],
+    vocab: &Vocabulary,
+) -> (Vocabulary, PreprocessReport) {
+    let mut holders = vec![0u32; vocab.pairs.len()];
+    for &(p, _, _) in runs.iter().flatten() {
+        holders[p as usize] += 1;
+    }
+    let mut kept = vocab.share_strings();
+    kept.pairs = PairTable::with_capacity(holders.iter().filter(|&&h| h > 1).count());
+    // the holder counts become the id map: old pair id -> new pair id,
+    // or DROPPED
+    let mut new_id = holders;
+    for (id, &(q, u)) in new_id.iter_mut().zip(vocab.pairs.keys()) {
+        *id = if *id > 1 { kept.pairs.intern(q, u).0 } else { DROPPED };
+    }
+    // per user: 0 holds nothing, 1 only removed pairs, 2 a kept pair
+    let mut users = vec![0u8; vocab.users.len()];
+    let mut removed_count = 0;
+    for run in runs.iter_mut() {
+        run.retain_mut(|(p, u, c)| {
+            let user = &mut users[*u as usize];
+            match new_id[*p as usize] {
+                DROPPED => {
+                    removed_count += *c;
+                    *user = (*user).max(1);
+                    false
+                }
+                new => {
+                    *p = new;
+                    *user = 2;
+                    true
+                }
+            }
+        });
+    }
+    let report = PreprocessReport {
+        removed_pairs: vocab.pairs.len() - kept.pairs.len(),
+        removed_count,
+        emptied_users: users.iter().filter(|&&s| s == 1).count(),
+    };
+    (kept, report)
+}
+
+/// The id [`keep_shared_pairs`] maps a removed pair to.
+const DROPPED: u32 = u32::MAX;
 
 /// The session vocabulary as plain data: strings in id order and the
 /// pair table as `(query id, url id)` per pair id.
@@ -678,7 +826,11 @@ fn offset_error_lines(e: LogError, lines_before: u64) -> LogError {
     }
 }
 
-/// Ingest a native-TSV stream through the sharded engine.
+/// Ingest a native-TSV stream through the sharded engine and drain it
+/// raw ([`IngestSession::finish`]).
+///
+/// No production caller; kept for the perfbench driver and the
+/// raw-equivalence tests.
 pub fn ingest_tsv<R: BufRead + Send>(
     reader: R,
     cfg: &StreamConfig,
@@ -688,7 +840,11 @@ pub fn ingest_tsv<R: BufRead + Send>(
     Ok(session.finish())
 }
 
-/// Ingest a native-TSV file from disk.
+/// Ingest a native-TSV file from disk and drain it raw, as
+/// [`ingest_tsv`].
+///
+/// No production caller; kept for the perfbench driver and the
+/// raw-equivalence tests.
 pub fn ingest_path(
     path: impl AsRef<std::path::Path>,
     cfg: &StreamConfig,

@@ -72,8 +72,8 @@ pub mod shard;
 pub mod sketch;
 
 pub use engine::{
-    ingest_path, ingest_tsv, IngestReport, IngestResult, IngestSession, SessionState, StreamConfig,
-    VocabState,
+    ingest_path, ingest_tsv, IngestReport, IngestResult, IngestSession, PreprocessedIngest,
+    SessionState, StreamConfig, VocabState,
 };
 pub use shard::{shard_of, user_hash, ShardIntake, ShardState};
 pub use sketch::{sketch_frequent_pairs, PairSketch, SketchEntry};

@@ -1,5 +1,6 @@
 //! Property tests of the streaming ingestion engine: the streamed log
-//! is the in-memory log, and sketch mining agrees with the exact
+//! is the in-memory log, the preprocessing drain's log is the
+//! in-memory log preprocessed, and sketch mining agrees with the exact
 //! frequent-pair scan — with the guaranteed-completeness band
 //! (`min_support · |D| > N/k` slack) checked against the sketch
 //! *alone*, before any exactification.
@@ -7,8 +8,10 @@
 use std::io::Cursor;
 
 use dpsan_searchlog::io::read_tsv;
-use dpsan_searchlog::{frequent_pairs, preprocess, QueryId, SearchLog, UrlId};
-use dpsan_stream::{ingest_tsv, sketch_frequent_pairs, IngestSession, PairSketch, StreamConfig};
+use dpsan_searchlog::{frequent_pairs, preprocess, PairId, QueryId, SearchLog, UrlId, UserId};
+use dpsan_stream::{
+    ingest_tsv, sketch_frequent_pairs, IngestSession, PairSketch, PreprocessedIngest, StreamConfig,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -29,6 +32,28 @@ fn assert_same_log(got: &SearchLog, reference: &SearchLog) -> Result<(), TestCas
     prop_assert_eq!(vocab(got.queries()), vocab(reference.queries()));
     prop_assert_eq!(vocab(got.urls()), vocab(reference.urls()));
     prop_assert_eq!(got.records().collect::<Vec<_>>(), reference.records().collect::<Vec<_>>());
+    Ok(())
+}
+
+/// The preprocessing drain's output against the independent oracle,
+/// `preprocess` of the raw in-memory build `raw`: the same interner
+/// orders, pair ids and records, every user log, and every field of
+/// the report.
+fn assert_preprocessed(got: &PreprocessedIngest, raw: &SearchLog) -> Result<(), TestCaseError> {
+    let (reference, report) = preprocess(raw);
+    assert_same_log(&got.log, &reference)?;
+    let keys = |l: &SearchLog| {
+        (0..l.n_pairs()).map(|i| l.pair_key(PairId::from_index(i))).collect::<Vec<_>>()
+    };
+    prop_assert_eq!(keys(&got.log), keys(&reference));
+    prop_assert_eq!(got.log.n_users(), reference.n_users());
+    for k in 0..reference.n_users() {
+        let k = UserId::from_index(k);
+        prop_assert!(got.log.user_log(k).eq(reference.user_log(k)), "user log {:?}", k);
+    }
+    prop_assert_eq!(got.preprocess.removed_pairs, report.removed_pairs);
+    prop_assert_eq!(got.preprocess.removed_count, report.removed_count);
+    prop_assert_eq!(got.preprocess.emptied_users, report.emptied_users);
     Ok(())
 }
 
@@ -77,6 +102,42 @@ proptest! {
         for log in [&got.log, &snap.log, &reference] {
             assert_pair_lookups(log)?;
         }
+    }
+
+    /// The preprocessing drain, consuming or mid-stream, is
+    /// `read_tsv` + `preprocess` of what was ingested so far, for any
+    /// shard count, drain parallelism, chunk size and split point; and
+    /// its memory counters are the raw drain's.
+    #[test]
+    fn preprocessing_drain_is_the_in_memory_log_preprocessed(
+        tuples in arb_tuples(),
+        shards in 1usize..7,
+        jobs in 1usize..4,
+        chunk in 1usize..9,
+        split in 0usize..60,
+    ) {
+        let text = to_tsv(&tuples);
+        let reference = read_tsv(Cursor::new(text.as_str())).unwrap();
+        let cfg = StreamConfig { shards, chunk_rows: chunk, jobs, ..Default::default() };
+        let mut one_shot = IngestSession::new(cfg.clone());
+        one_shot.ingest(Cursor::new(text.as_str())).unwrap();
+        let raw = one_shot.snapshot();
+        let got = one_shot.finish_preprocessed();
+        assert_preprocessed(&got, &reference)?;
+        prop_assert_eq!(got.report.rows, raw.report.rows);
+        prop_assert_eq!(got.report.max_shard_triplets, raw.report.max_shard_triplets);
+
+        let split = split.min(tuples.len());
+        let mut session = IngestSession::new(cfg);
+        session.ingest(Cursor::new(to_tsv(&tuples[..split]))).unwrap();
+        let snap = session.snapshot_preprocessed();
+        let prefix = read_tsv(Cursor::new(to_tsv(&tuples[..split]))).unwrap();
+        assert_preprocessed(&snap, &prefix)?;
+        // the session kept every pair: a pair with one holder in the
+        // prefix may gain its second one in the rest
+        session.ingest(Cursor::new(to_tsv(&tuples[split..]))).unwrap();
+        assert_preprocessed(&session.snapshot_preprocessed(), &reference)?;
+        assert_preprocessed(&session.finish_preprocessed(), &reference)?;
     }
 
     /// Chunks whose length is not a multiple of the engine's 64-string
@@ -156,4 +217,35 @@ proptest! {
         prop_assert_eq!(merged.error_bound(), 0);
         prop_assert_eq!(merged.entries(), single.entries());
     }
+}
+
+/// Both drains of one input, consuming and not, checked against the
+/// oracle; returns the consuming one.
+fn drain_both_ways(text: &str) -> PreprocessedIngest {
+    let reference = read_tsv(Cursor::new(text)).unwrap();
+    let cfg = StreamConfig { shards: 3, chunk_rows: 2, jobs: 2, ..Default::default() };
+    let mut session = IngestSession::new(cfg);
+    session.ingest(Cursor::new(text)).unwrap();
+    assert_preprocessed(&session.snapshot_preprocessed(), &reference).unwrap();
+    let got = session.finish_preprocessed();
+    assert_preprocessed(&got, &reference).unwrap();
+    got
+}
+
+#[test]
+fn every_pair_single_holder_drains_to_an_empty_log() {
+    let got = drain_both_ways("u1\tq1\tl\t2\nu2\tq2\tl\t3\nu1\tq3\tl\t1\nu1\tq1\tl\t4\n");
+    assert_eq!((got.log.n_pairs(), got.log.size(), got.log.n_user_logs()), (0, 0, 0));
+    assert_eq!(got.log.n_users(), 2, "the interners keep every user");
+    let r = got.preprocess;
+    assert_eq!((r.removed_pairs, r.removed_count, r.emptied_users), (3, 10, 2));
+}
+
+#[test]
+fn no_single_holder_pair_keeps_every_pair() {
+    let text = "u1\tq1\tl\t2\nu2\tq1\tl\t3\nu2\tq2\tm\t1\nu3\tq2\tm\t5\nu1\tq1\tl\t1\n";
+    let got = drain_both_ways(text);
+    assert_same_log(&got.log, &read_tsv(Cursor::new(text)).unwrap()).unwrap();
+    let r = got.preprocess;
+    assert_eq!((r.removed_pairs, r.removed_count, r.emptied_users), (0, 0, 0));
 }

@@ -6,10 +6,11 @@
 //!
 //! Spools a generated log to TSV bytes (one user's aggregation in
 //! memory at a time), ingests it through the sharded `dpsan-stream`
-//! engine (chunked intake, user-hash shards, sort-only merge) and
-//! sanitizes it with the F-UMP, which mines its frequent pairs exactly
-//! from the merged log — after proving the streamed log identical to
-//! the all-in-memory build.
+//! engine (chunked intake, user-hash shards, a drain that drops every
+//! pair only one user holds, sort-only merge) and sanitizes it with the
+//! F-UMP, which mines its frequent pairs exactly from the drained log —
+//! after proving that log identical to the all-in-memory build,
+//! preprocessed.
 
 use std::io::Cursor;
 
@@ -24,25 +25,32 @@ fn main() {
     println!("spooled {} bytes of TSV", file.len());
 
     // bounded-memory ingestion: 8 user-hash shards, ≤512 raw rows
-    // resident
+    // resident; the drain preprocesses, as `sanitize` does
     let stream_cfg = StreamConfig { shards: 8, chunk_rows: 512, sketch_capacity: 0, jobs: 2 };
-    let ingest = ingest_tsv(Cursor::new(&file[..]), &stream_cfg).expect("ingest the log");
+    let mut session = IngestSession::new(stream_cfg);
+    session.ingest(Cursor::new(&file[..])).expect("ingest the log");
+    let ingest = session.finish_preprocessed();
     println!(
-        "ingested {} rows (peak {} raw rows resident, largest shard {} triplets)",
-        ingest.report.rows, ingest.report.peak_chunk_rows, ingest.report.max_shard_triplets
+        "ingested {} rows (peak {} raw rows resident, largest shard {} triplets); \
+         the drain removed {} single-holder pair(s)",
+        ingest.report.rows,
+        ingest.report.peak_chunk_rows,
+        ingest.report.max_shard_triplets,
+        ingest.preprocess.removed_pairs
     );
 
-    // the streamed log is *identical* to the one-shot in-memory build
-    let reference = read_tsv(Cursor::new(&file[..])).expect("one-shot build");
+    // the drained log is *identical* to the one-shot in-memory build,
+    // preprocessed
+    let (reference, _) = preprocess(&read_tsv(Cursor::new(&file[..])).expect("one-shot build"));
     assert_eq!(
         ingest.log.records().collect::<Vec<_>>(),
         reference.records().collect::<Vec<_>>(),
         "streamed and in-memory logs agree, ids and all"
     );
 
-    // the merged log holds every pair total: the frequent pairs the
-    // F-UMP protects are one exact pass over them
-    let (pre, _) = preprocess(&ingest.log);
+    // the drained log holds every kept pair's total: the frequent pairs
+    // the F-UMP protects are one exact pass over them
+    let pre = ingest.log;
     let min_support = 0.01;
     let frequent = frequent_pairs(&pre, min_support);
     println!("{} frequent pairs at support {min_support}", frequent.len());

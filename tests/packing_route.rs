@@ -7,7 +7,9 @@
 //!   (random preprocessed search logs) and on the tiny preset, and
 //!   against the exact revised-simplex optimum on the small preset.
 //! * The packing answer is integer, capped, privacy-feasible, below
-//!   its own bound, and deterministic.
+//!   its own bound, and deterministic; on the tiny and small presets
+//!   its λ, counts and bound bits are pinned, so any reordering of the
+//!   dual's floating-point arithmetic fails here.
 //! * An anytime solve takes the packing route at every size, below
 //!   and above the sparse-kernel threshold of 512 rows; at scale it
 //!   releases at least what 2,000 capped simplex pivots plus a floor
@@ -126,6 +128,22 @@ proptest! {
         prop_assert_eq!(&a.counts, &b.counts);
         prop_assert_eq!(a.upper_bound.to_bits(), b.upper_bound.to_bits());
     }
+}
+
+/// The packing answer on a preset at `params()`: λ, a position-weighted
+/// checksum of the counts (`Σ (j + 1)·x_j`) and the bound's bits.
+fn packing_pin(cfg: &AolLikeConfig) -> (u64, u64, u64) {
+    let (pre, _) = preprocess(&generate(cfg));
+    let a = packing::solve(&PrivacyConstraints::build(&pre, params()).unwrap());
+    let checksum = a.counts.iter().enumerate().map(|(j, &x)| (j as u64 + 1) * x).sum();
+    (a.counts.iter().sum(), checksum, a.upper_bound.to_bits())
+}
+
+#[test]
+fn packing_answer_is_pinned_on_the_tiny_and_small_presets() {
+    // tiny: UB 28.520759939287267; small: UB 209.84814431766276
+    assert_eq!(packing_pin(&presets::aol_tiny()), (20, 1_209, 0x403c_8550_85fc_4e46));
+    assert_eq!(packing_pin(&presets::aol_small()), (141, 110_591, 0x406a_3b23_ff8d_54cb));
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end contract of the streaming ingestion engine: a sanitize
-//! run fed through `dpsan-stream` (any shard count, any `jobs`)
-//! produces **byte-identical** released output to the all-in-memory
-//! path, and the ingestion-side memory stays bounded by the configured
+//! run fed through `dpsan-stream` (any shard count, any `jobs`, the raw
+//! or the preprocessing drain) produces **byte-identical** released
+//! output to the all-in-memory path, and the ingestion-side memory stays bounded by the configured
 //! chunk size + sketch capacity (asserted via the engine's counters,
 //! not RSS).
 
@@ -51,6 +51,46 @@ fn streaming_and_in_memory_releases_are_byte_identical() {
                 released, reference,
                 "shards={shards} jobs={jobs}: released bytes must match the in-memory path"
             );
+        }
+    }
+}
+
+/// The production drain (`sanitize`, follow-mode releases) hands every
+/// mechanism a log it has already preprocessed. Each mechanism releases
+/// from it the bytes it releases from `preprocess` of the in-memory
+/// build, for any shard count, drain parallelism and chunk size.
+#[test]
+fn preprocessing_drain_releases_are_byte_identical() {
+    let file = generated_tsv();
+    let (reference_log, _) = preprocess(&read_tsv(Cursor::new(&file[..])).unwrap());
+    let objectives = [
+        UtilityObjective::OutputSize,
+        UtilityObjective::FrequentPairs { min_support: 0.01, output_size: 20 },
+        UtilityObjective::Diversity { solver: DumpSolver::Spe },
+    ];
+    let mut mechanisms: Vec<Box<dyn Sanitizer>> = objectives
+        .into_iter()
+        .map(|o| Box::new(UmpSanitizer::new(o)) as Box<dyn Sanitizer>)
+        .collect();
+    mechanisms.push(Box::new(ZealousSanitizer::new()));
+    mechanisms.push(Box::new(LdpSanitizer::new()));
+    let references: Vec<Vec<u8>> =
+        mechanisms.iter().map(|m| release_with(&reference_log, m.as_ref())).collect();
+    for (shards, jobs, chunk_rows) in [(1usize, 1usize, 4096usize), (4, 3, 128), (9, 2, 7)] {
+        let cfg = StreamConfig { shards, jobs, chunk_rows, sketch_capacity: 0 };
+        let mut session = IngestSession::new(cfg);
+        session.ingest(Cursor::new(&file[..])).unwrap();
+        let snapshot = session.snapshot_preprocessed();
+        let finished = session.finish_preprocessed();
+        for (mech, reference) in mechanisms.iter().zip(&references) {
+            for got in [&snapshot.log, &finished.log] {
+                assert_eq!(
+                    &release_with(got, mech.as_ref()),
+                    reference,
+                    "{} shards={shards} jobs={jobs} chunk_rows={chunk_rows}",
+                    mech.info().id
+                );
+            }
         }
     }
 }
